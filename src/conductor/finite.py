@@ -17,11 +17,12 @@ which fails to annihilate.
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
 from .chartab import character_table
-from .cyclo import CycloNumber, _solve_exact, cyclotomic_poly, totient
+from .cyclo import CycloNumber, SpanSolver, cyclotomic_poly, totient
 from .errors import InputError, UnsupportedPresentationError
 from .localfields import (
     AbelianLocalField,
@@ -663,31 +664,32 @@ def module_from_columns(g, columns, name="sublattice"):
 
     rows = exact_row_hnf([list(c) for c in columns])
     basis = [r for r in rows if any(r)]
+    return GModule(g, len(basis), _permutation_action(g, basis), name)
+
+
+def _permutation_action(g, basis):
+    """Matrices of the generators on the lattice spanned by basis inside
+    (Z_p[G])^r, where they permute each block of |G| coordinates."""
+    n = g.order
+    solver = SpanSolver(basis)
     mats = []
     for s in g.generators:
+        perm = [g.mult(s, x) for x in range(n)]
         mat = []
-        for b in basis:
-            moved = [0] * g.order
-            for x in range(g.order):
-                if b[x]:
-                    moved[g.mult(s, x)] += b[x]
-            mat.append(_integral_coords(basis, moved))
+        for v in basis:
+            moved = [0] * len(v)
+            for idx, c in enumerate(v):
+                if c:
+                    moved[idx - idx % n + perm[idx % n]] += c
+            try:
+                coords = solver.solve(moved)
+            except ArithmeticError:
+                coords = None
+            if coords is None or any(c.denominator != 1 for c in coords):
+                raise InputError("columns do not span a G-stable lattice")
+            mat.append([c.numerator for c in coords])
         mats.append(_transpose(mat))
-    return GModule(g, len(basis), mats, name)
-
-
-def _integral_coords(basis, target):
-    """Coordinates of target in an integer basis; must come out integral."""
-    sol = _solve_exact(
-        [[Fraction(basis[t][i]) for i in range(len(target))] for t in range(len(basis))],
-        [Fraction(x) for x in target],
-    )
-    out = []
-    for c in sol:
-        if c.denominator != 1:
-            raise InputError("columns do not span a G-stable lattice")
-        out.append(c.numerator)
-    return out
+    return mats
 
 
 def _element_actions(g, gen_mats, rank):
@@ -701,7 +703,8 @@ def _element_actions(g, gen_mats, rank):
             if y not in acts:
                 acts[y] = _mat_mul(mat, acts[x])
                 frontier.append(y)
-    assert len(acts) == g.order
+    if len(acts) != g.order:
+        raise ArithmeticError("the generators do not reach every group element")
     return [acts[x] for x in range(g.order)]
 
 
@@ -722,7 +725,9 @@ class ExtComputation:
     Everything is reduced to integer linear algebra: Hom(K, N) is the
     solution lattice of the equivariance equations, the comparison map from
     Hom(P, N) = N^rank(M) restricts along K, and the elementary divisors of
-    the quotient are read off a Smith form.
+    the quotient are read off a Smith form.  The bases of K and of Hom(K, N)
+    are each factored once (``SpanSolver``), and every coordinate solve in
+    the constructor and in ``annihilates`` reuses that factorisation.
     """
 
     def __init__(self, mod_m, mod_n, p, precision=None):
@@ -761,18 +766,7 @@ class ExtComputation:
             self.divisors = []
             return
         # action of the generators on K, through the P-permutation action
-        k_acts = []
-        for s in g.generators:
-            mat = []
-            for v in kern:
-                moved = [0] * (r * n)
-                for i in range(r):
-                    for x in range(n):
-                        c = v[i * n + x]
-                        if c:
-                            moved[i * n + g.mult(s, x)] += c
-                mat.append(_integral_coords(kern, moved))
-            k_acts.append(_transpose(mat))
+        k_acts = _permutation_action(g, kern)
         # equivariance equations for f : K -> N, vec index t*rank_n + i
         eqs = []
         for mat_n, mat_k in zip(self.mod_n.gen_actions, k_acts):
@@ -821,15 +815,18 @@ class ExtComputation:
                 vec[j] = self.p**q
                 image.append(vec)
         self.image_gens = image
-        coords = [self._hom_coords(v) for v in image]
-        vals = smith_valuations(self.p, self.precision, _int_rows(coords, self.p, self.precision))
+        self._hom = SpanSolver(self.hom_basis)
+        self._image_rows = _int_rows(
+            [self._hom.solve(v) for v in image], self.p, self.precision
+        )
+        vals = smith_valuations(self.p, self.precision, self._image_rows)
         if len(vals) != len(self.hom_basis):
             raise ArithmeticError("Ext group came out infinite; presentation is broken")
         self.divisors = sorted(v for v in vals if v > 0)
 
-    def _hom_coords(self, vec):
-        cols = [[Fraction(x) for x in b] for b in self.hom_basis]
-        return _solve_exact(cols, [Fraction(x) for x in vec])
+    @cached_property
+    def _image_lattice(self):
+        return hnf_columns(self.p, self.precision, self._image_rows)
 
     def annihilates(self, class_coords) -> bool:
         """Whether the central element sum_l c_l * (class sum l) kills Ext^1."""
@@ -845,11 +842,6 @@ class ExtComputation:
                         for j in range(rank_n):
                             if self.acts_n[h][i][j]:
                                 z_mat[i][j] += Fraction(c) * self.acts_n[h][i][j]
-        image_lattice = hnf_columns(
-            self.p,
-            self.precision,
-            [self._hom_coords(v) for v in self.image_gens],
-        )
         for f in self.hom_basis:
             moved = [Fraction(0)] * self.vec_dim
             for t in range(self.k_dim):
@@ -858,7 +850,7 @@ class ExtComputation:
                     if c:
                         for irow in range(rank_n):
                             moved[t * rank_n + irow] += z_mat[irow][i] * c
-            if not lattice_contains(image_lattice, self._hom_coords(moved)):
+            if not lattice_contains(self._image_lattice, self._hom.solve(moved)):
                 return False
         return True
 
@@ -875,11 +867,6 @@ def _int_rows(rows, p, precision):
             cur.append(fx.numerator * pow(fx.denominator, -1, modulus) % modulus)
         out.append(cur)
     return out
-
-
-def ext1(mod_m, mod_n, p, precision=None):
-    """Elementary divisor exponents of Ext^1(M, N) over Z_p[G]."""
-    return ExtComputation(mod_m, mod_n, p, precision).divisors
 
 
 def annihilation_check(class_coords, mod_m, mod_n, p, precision=None) -> bool:
@@ -901,9 +888,10 @@ def maximal_order_module(g, p, reps=None):
     basis, _ = maximal_order_basis(g, p, reps)
     columns = []
     for vec in basis:
-        col = [x * g.order for x in vec]
-        assert all(c.denominator == 1 for c in map(Fraction, col))
-        columns.append([Fraction(x).numerator for x in col])
+        col = [Fraction(x) * g.order for x in vec]
+        if any(c.denominator != 1 for c in col):
+            raise ArithmeticError("|G| times the maximal order basis is not integral")
+        columns.append([c.numerator for c in col])
     return module_from_columns(g, columns, "maximal-order")
 
 

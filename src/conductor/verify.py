@@ -4,7 +4,8 @@ Each suite runs a batch of exact checks (no tolerances anywhere) and
 returns CheckResult records; the CLI ``verify`` subcommand prints them and
 the acceptance tests assert on them.  Suites accept an optional prime
 filter ``p`` restricting catalog entries to that prime, a ``seed`` for the
-randomized twist probe, and a ``precision`` override.
+randomized twist probe, and a ``precision`` override.  A suite with no
+cases at the requested prime is an input error, never a vacuous pass.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .catalog import (
     table_catalog,
 )
 from .chartab import character_table
+from .errors import InputError
 from .finite import (
     annihilation_check as ext_annihilation_check,
     augmentation_module,
@@ -123,6 +125,8 @@ def suite_twists(p=None, seed=None, precision=None):
 
 def suite_iwasawa(p=None, seed=None, precision=None):
     """The worked completed-algebra cases over Q_3."""
+    if p not in (None, 3):
+        return []
     checks = []
     cls = character_classes(sd_c7())
     got = sorted(
@@ -290,7 +294,9 @@ def suite_integrality(p=None, seed=None, precision=None):
 
 
 def suite_ext(p=None, seed=None, precision=None):
-    """Conductor annihilates Ext^1, and a sub-conductor element fails."""
+    """Conductor annihilates Ext^1 over Z_3, and a sub-conductor element fails."""
+    if p not in (None, 3):
+        return []
     checks = []
     for g, reps in ((cyclic_group(3), []), (symmetric_3(), splitting_reps("S3"))):
         triv = trivial_module(g)
@@ -376,7 +382,10 @@ def suite_fitting(p=None, seed=None, precision=None):
 
 
 def suite_tables(p=None, seed=None, precision=None):
-    """Character table orthogonality and degree sums on the order <= 200 list."""
+    """Character table orthogonality and degree sums on the order <= 200 list.
+
+    Character tables are over C and do not depend on a prime, so ``p`` is
+    ignored."""
     checks = []
     for g in table_catalog():
         t = character_table(g)
@@ -429,12 +438,14 @@ SUITES = {
 
 
 def run_suite(name, p=None, seed=None, precision=None):
-    """Run one named suite; returns (all passed, list of CheckResult)."""
-    if name not in SUITES:
-        from .errors import InputError
+    """Run one named suite; returns (all passed, list of CheckResult).
 
+    Raises InputError if the suite is unknown or has no cases at ``p``."""
+    if name not in SUITES:
         raise InputError(
             "unknown suite %r; available: %s" % (name, ", ".join(sorted(SUITES)))
         )
     checks = SUITES[name](p=p, seed=seed, precision=precision)
+    if not checks:
+        raise InputError("suite %r has no cases at p=%s" % (name, p))
     return all(c.ok for c in checks), checks

@@ -125,6 +125,21 @@ def test_bad_precision_env(capsys, monkeypatch):
     assert run(["verify", "--suite", "exponents"]) == 2
 
 
+def test_verify_suite_without_cases_at_p_is_input_error(capsys):
+    assert run(["verify", "--suite", "different", "--p", "5"]) == 2
+    assert "'different'" in capsys.readouterr().err
+
+
+def test_verify_all_skips_suites_without_cases(capsys, monkeypatch):
+    from conductor import verify
+
+    code, out = run_capture(capsys, ["verify", "--suite", "all", "--p", "17"])
+    assert code == 0
+    assert [s["suite"] for s in json.loads(out)["suites"]] == ["tables"]
+    monkeypatch.delitem(verify.SUITES, "tables")
+    assert run(["verify", "--suite", "all", "--p", "17"]) == 2
+
+
 def test_output_is_deterministic(capsys):
     argv = ["finite", "--group", sample("s3.json"), "--p", "3"]
     _, first = run_capture(capsys, argv)

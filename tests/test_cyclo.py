@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conductor.cyclo import CycloNumber
+from conductor.cyclo import CycloNumber, SpanSolver, _solve_exact
 from conductor.errors import InvalidAutomorphismError
 
 
@@ -89,3 +91,38 @@ def test_as_fraction_on_rational():
     x = CycloNumber.rational(Fraction(7, 4)).lift(5)
     assert x.is_rational()
     assert x.as_fraction() == Fraction(7, 4)
+
+
+@st.composite
+def _basis_and_coords(draw):
+    """A random integer basis of full column rank and rational coordinates."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    entry = st.integers(-9, 9)
+    cols = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    # full column rank: no column lies in the span of the earlier ones
+    assume(all(_solve_exact(cols[:j], cols[j]) is None for j in range(k)))
+    coords = draw(
+        st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12), min_size=k, max_size=k)
+    )
+    return cols, coords
+
+
+@settings(max_examples=300, deadline=None)
+@given(_basis_and_coords(), st.data())
+def test_span_solver_agrees_with_solve_exact(case, data):
+    cols, coords = case
+    n = len(cols[0])
+    solver = SpanSolver(cols)
+    inside = [sum(x * col[i] for x, col in zip(coords, cols)) for i in range(n)]
+    assert solver.solve(inside) == _solve_exact(cols, inside) == coords
+    # a unit vector outside the span moves the target out of it
+    outside_units = [i for i in range(n) if _solve_exact(cols, [int(j == i) for j in range(n)]) is None]
+    assume(outside_units)
+    i = data.draw(st.sampled_from(outside_units))
+    shift = data.draw(st.fractions(min_value=-5, max_value=5).filter(bool))
+    outside = list(inside)
+    outside[i] += shift
+    assert _solve_exact(cols, outside) is None
+    with pytest.raises(ArithmeticError):
+        solver.solve(outside)

@@ -2,9 +2,16 @@
 oracle, and the Ext annihilation consequences."""
 
 from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conductor.catalog import splitting_reps, symmetric_3
+from conductor.errors import InputError
 from conductor.finite import (
+    ExtComputation,
     annihilation_check,
     augmentation_module,
     brute_force_conductor,
@@ -13,6 +20,7 @@ from conductor.finite import (
     jacobinski_conductor,
     maximal_order_basis,
     maximal_order_module,
+    module_from_columns,
     sharpness_probe,
     trivial_module,
     working_precision,
@@ -122,6 +130,52 @@ def test_conductor_annihilates_ext():
     assert conductor_annihilates(g, 3, triv, triv.mod_p_power(1))
     assert conductor_annihilates(g, 3, aug, triv.mod_p_power(1))
     assert conductor_annihilates(g, 3, maximal_order_module(g, 3), aug.mod_p_power(1))
+
+
+def test_module_from_columns_rejects_unstable_spans():
+    g = cyclic_group(3)
+    assert module_from_columns(g, [[1, -1, 0], [0, 1, -1]]).rank == 2
+    # the generator moves e_1 to e_2, outside the Q-span
+    with pytest.raises(InputError):
+        module_from_columns(g, [[1, 0, 0], [0, 1, 0]])
+    # a G-stable Q-span whose lattice is not G-stable
+    with pytest.raises(InputError):
+        module_from_columns(g, [[1, -1, 0], [0, 3, -3]])
+
+
+def test_s3_ext_of_augmentation_mod_p2_vanishes():
+    # Hom(K, N) has dimension 125 here
+    g = symmetric_3()
+    aug = augmentation_module(g)
+    comp = ExtComputation(aug, aug.mod_p_power(2), 3)
+    assert len(comp.hom_basis) == 125
+    assert comp.divisors == []
+    lat = brute_force_conductor(g, 3, reps=splitting_reps("S3"))
+    assert all(comp.annihilates(col) for col in lat.cols)
+
+
+@lru_cache(maxsize=None)
+def _s3_ext_candidates():
+    """S3 Ext^1(trivial, augmentation/p): the conductor columns, which
+    annihilate, and the class-sum unit vectors, some of which do not."""
+    g = symmetric_3()
+    pair = (trivial_module(g), augmentation_module(g).mod_p_power(1))
+    lat = brute_force_conductor(g, 3, reps=splitting_reps("S3"))
+    k = len(lat.cols)
+    units = [[Fraction(int(i == l)) for i in range(k)] for l in range(k)]
+    cands = [list(c) for c in lat.cols] + units
+    fresh = [ExtComputation(*pair, 3).annihilates(c) for c in cands]
+    return pair, cands, fresh
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.permutations(range(6)))
+def test_repeated_annihilates_match_fresh_computations(order):
+    pair, cands, fresh = _s3_ext_candidates()
+    assert not all(fresh) and any(fresh)
+    comp = ExtComputation(*pair, 3)
+    for _ in range(2):
+        assert [comp.annihilates(cands[i]) for i in order] == [fresh[i] for i in order]
 
 
 def test_sub_conductor_element_fails_somewhere():
