@@ -5,6 +5,14 @@ matrices over F_l for the smallest prime l = 1 (mod exp(G)) with
 l > 2*sqrt(|G|), then lift values to Q(zeta) through root-of-unity
 multiplicities, which are plain integers bounded by the degree.
 
+Values stay integers until the end: each distinct multiplicity vector
+gives the value's integer power-basis coordinates at the exponent
+conductor E (normalized, never 2 mod 4) once.  Those coordinates are the
+table's sparse sums {exponent: count} of zeta_E, on which restriction
+and the orthogonality checks compute, and the row sort key; the stored
+CycloNumber is the same value at its smallest conductor.  Certificates
+(the lift bound, the splitting, integrality) raise ArithmeticError.
+
 Everything is deterministic: classes are ordered by smallest member
 (identity first), matrices are consumed in class order, eigenvalues
 ascending, and finished rows are sorted by (degree, coefficient tuple
@@ -14,10 +22,9 @@ at the exponent conductor).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
-from .cyclo import CycloNumber, is_prime, totient
+from .cyclo import CycloNumber, int_coords, is_prime
 from .errors import GroupTooLargeError
 from .groups import ClassData, FiniteGroup, conjugacy_classes
 
@@ -85,7 +92,8 @@ def _coords(basis_rows, piv, vec, l):
         out.append(f)
         if f:
             v = [(x - f * y) % l for x, y in zip(v, row)]
-    assert all(x % l == 0 for x in v), "vector escaped the invariant subspace"
+    if any(x % l for x in v):
+        raise ArithmeticError("vector escaped the invariant subspace")
     return out
 
 
@@ -174,16 +182,16 @@ class CharacterTable:
     # sparse integer root-of-unity sums at the normalized exponent conductor
     def _sparse_values(self):
         if self._sparse is None:
-            e = self.exponent
-            e_norm = e // 2 if e % 4 == 2 else e
+            e_norm = _normalized(self.exponent)
             sp = []
             for row in self.values:
                 srow = []
                 for v in row:
-                    lifted = v.lift(e_norm) if v.m != e_norm else v
+                    lifted = v.lift(e_norm)
                     # the power basis of zeta_E is an integral basis, so the
                     # coordinates of a character value are plain integers
-                    assert all(c.denominator == 1 for c in lifted.coeffs)
+                    if any(c.denominator != 1 for c in lifted.coeffs):
+                        raise ArithmeticError("character value %r is not integral" % (v,))
                     srow.append({i: int(c) for i, c in enumerate(lifted.coeffs) if c})
                 sp.append(srow)
             self._sparse = (e_norm, sp)
@@ -192,24 +200,12 @@ class CharacterTable:
     def verify_row_orthogonality(self):
         e_norm, sp = self._sparse_values()
         sizes = self.sizes()
-        order = self.group.order
         k = self.n_classes
         inv = [self.inverse_class(t) for t in range(k)]
-        for i in range(len(self.values)):
-            for j in range(i, len(self.values)):
-                acc: dict = {}
-                for t in range(k):
-                    a, b = sp[i][t], sp[j][inv[t]]
-                    if not a or not b:
-                        continue
-                    s = sizes[t]
-                    for ea, ca in a.items():
-                        for eb, cb in b.items():
-                            key = ea + eb
-                            acc[key] = acc.get(key, 0) + s * ca * cb
-                total = _collapse(acc, e_norm)
-                want = Fraction(order) if i == j else Fraction(0)
-                if total != CycloNumber(1, [want]):
+        for i in range(len(sp)):
+            for j in range(i, len(sp)):
+                total = _sparse_sum(((sizes[t], sp[i][t], sp[j][inv[t]]) for t in range(k)), e_norm)
+                if not _equals_integer(total, self.group.order if i == j else 0):
                     return False
         return True
 
@@ -221,16 +217,8 @@ class CharacterTable:
         inv = [self.inverse_class(t) for t in range(k)]
         for t in range(k):
             for s in range(t, k):
-                acc: dict = {}
-                for i in range(len(self.values)):
-                    a, b = sp[i][t], sp[i][inv[s]]
-                    for ea, ca in a.items():
-                        for eb, cb in b.items():
-                            key = ea + eb
-                            acc[key] = acc.get(key, 0) + ca * cb
-                total = _collapse(acc, e_norm)
-                want = Fraction(order, sizes[t]) if s == t else Fraction(0)
-                if total != CycloNumber(1, [want]):
+                total = _sparse_sum(((1, srow[t], srow[inv[s]]) for srow in sp), e_norm)
+                if not _equals_integer(total, order // sizes[t] if s == t else 0):
                     return False
         return True
 
@@ -254,11 +242,25 @@ class CharacterTable:
         }
 
 
-def _collapse(acc: dict, e_norm: int) -> CycloNumber:
-    dense = [0] * e_norm
-    for e, c in acc.items():
-        dense[e % e_norm] += c
-    return CycloNumber(e_norm, dense)
+def _normalized(exponent: int) -> int:
+    """The exponent conductor, never 2 mod 4 (Q(zeta_2u) = Q(zeta_u), u odd)."""
+    return exponent // 2 if exponent % 4 == 2 else exponent
+
+
+def _sparse_sum(terms, e_norm: int) -> list[int]:
+    """Integer coordinates at conductor e_norm of the sum of w * a * b over
+    (w, a, b) in terms, a and b sparse sums {exponent: count} of zeta_e_norm."""
+    acc: dict = {}
+    for w, a, b in terms:
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                key = ea + eb
+                acc[key] = acc.get(key, 0) + w * ca * cb
+    return int_coords(e_norm, acc.items())
+
+
+def _equals_integer(coords: list[int], n: int) -> bool:
+    return coords[0] == n and not any(coords[1:])
 
 
 def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTable:
@@ -321,7 +323,8 @@ def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTabl
                 ]
                 nxt.append(_echelon(sub, l))
         spaces = nxt
-    assert all(len(piv) == 1 for _, piv in spaces), "class matrices failed to split"
+    if any(len(piv) != 1 for _, piv in spaces):
+        raise ArithmeticError("class matrices failed to split")
 
     # central characters -> degrees -> values mod l
     inv_class = [cls.class_of[g.inv(z)] for z in reps]
@@ -349,32 +352,37 @@ def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTabl
             y = g.mult(y, z)
         powmaps.append(pm)
 
-    values = []
+    # each distinct multiplicity vector gives integer coordinates at the
+    # exponent conductor once; they yield the sparse sums, the sort key and
+    # the value at its smallest conductor
+    e_norm = _normalized(e)
+    lifted = {}  # (o, multiplicities) -> (coordinates, sparse sum, value)
+    coords, sparse, values = [], [], []
     for chi, d in zip(rows_mod, degrees):
-        row = []
+        views = []
         for t in range(k):
             o = elem_orders[t]
             zinv = pow(w, -((l - 1) // o), l)
             vs = [chi[powmaps[t][s]] for s in range(o)]
-            coeffs = _lift_coeffs(vs, o, zinv, pow(o, -1, l), l)
-            assert all(c <= d for c in coeffs), "multiplicity lift exceeded the degree"
-            row.append(CycloNumber(o, coeffs).minimal_conductor())
-        values.append(row)
+            mults = tuple(_lift_coeffs(vs, o, zinv, pow(o, -1, l), l))
+            if any(c > d for c in mults):
+                raise ArithmeticError("multiplicity lift exceeded the degree")
+            view = lifted.get((o, mults))
+            if view is None:
+                ints = int_coords(e, ((j * (e // o), c) for j, c in enumerate(mults)))
+                view = lifted[o, mults] = (
+                    tuple(ints),
+                    {i: c for i, c in enumerate(ints) if c},
+                    CycloNumber(e_norm, ints).minimal_conductor(),
+                )
+            views.append(view)
+        row_coords, row_sparse, row_values = zip(*views)
+        coords.append(row_coords)
+        sparse.append(list(row_sparse))
+        values.append(list(row_values))
 
-    # deterministic row order
-    e_norm = e // 2 if e % 4 == 2 else e
-    phi_e = totient(e_norm)
-
-    def key(idx):
-        row = values[idx]
-        flat = []
-        for v in row:
-            lifted = v.lift(e_norm) if v.m != e_norm else v
-            flat.extend(lifted.coeffs)
-            flat.extend([Fraction(0)] * (phi_e - len(lifted.coeffs)))
-        return (degrees[idx], flat)
-
-    perm = sorted(range(len(values)), key=key)
+    # deterministic row order: integer coordinates compare like the values'
+    perm = sorted(range(len(values)), key=lambda i: (degrees[i], coords[i]))
     table = CharacterTable(
         group=g,
         classes=cls,
@@ -382,6 +390,7 @@ def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTabl
         degrees=[degrees[i] for i in perm],
         exponent=e,
         split_prime=l,
+        _sparse=(e_norm, [sparse[i] for i in perm]),
     )
     g._char_table = table
     return table
@@ -465,21 +474,31 @@ def restrict_and_decompose(
     h = small.group
     if embedding is None:
         embedding = list(range(h.order))
+    e_big, sp_big = big._sparse_values()
+    e_small, sp_small = small._sparse_values()
+    if e_big % e_small:
+        raise ArithmeticError(
+            "exponent conductor %d does not divide %d" % (e_small, e_big)
+        )
+    step = e_big // e_small
     res = [
-        big.values[row][big.classes.class_of[embedding[z]]]
+        sp_big[row][big.classes.class_of[embedding[z]]]
         for z in small.classes.representatives()
     ]
     sizes = small.classes.sizes
+    inv = [small.inverse_class(t) for t in range(small.n_classes)]
     out = []
-    for j, eta in enumerate(small.values):
-        acc = CycloNumber.rational(0)
-        for t in range(small.n_classes):
-            acc = acc + res[t] * eta[small.inverse_class(t)] * sizes[t]
-        mult = acc / h.order
-        assert mult.is_rational() and mult.as_fraction().denominator == 1, (
-            "inner product is not an integer"
+    for j, eta in enumerate(sp_small):
+        total = _sparse_sum(
+            (
+                (sizes[t], res[t], {e * step: c for e, c in eta[inv[t]].items()})
+                for t in range(small.n_classes)
+            ),
+            e_big,
         )
-        m = int(mult.as_fraction())
+        if any(total[1:]) or total[0] % h.order:
+            raise ArithmeticError("inner product is not an integer")
+        m = total[0] // h.order
         if m:
             out.append((j, m))
     return out

@@ -18,7 +18,7 @@ import time
 
 from .catalog import splitting_reps
 from .chartab import character_table
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, is_prime
 from .errors import InputError, PrecisionExhaustedError
 from .finite import jacobinski_conductor
 from .fitting import annihilation_check, fitting_generators
@@ -149,6 +149,8 @@ def _cmd_iwasawa(args):
 
 
 def _cmd_verify(args):
+    if args.p is not None and (args.p < 3 or not is_prime(args.p)):
+        raise InputError("p must be an odd prime (got %r)" % (args.p,))
     precision = _env_precision()
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     suites = []

@@ -57,6 +57,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_factors(n: int) -> list[int]:
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _poly_divmod(num: list[int], den: list[int]) -> list[int]:
     """Exact quotient of integer polynomials (remainder must vanish)."""
     num = list(num)
@@ -104,18 +118,34 @@ def _reduction_context(m: int):
     return phi, powers
 
 
-def _reduce_poly(m: int, coeffs) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list of any length modulo Phi_m."""
+def _fold(m: int, terms, zero=ZERO) -> list:
+    """Power-basis coordinates at conductor m (m != 2 mod 4) of the sum of
+    c * zeta_m^e over (e, c) in terms; exponents are read mod m."""
     phi, powers = _reduction_context(m)
-    out = [ZERO] * phi
-    for e, c in enumerate(coeffs):
+    out = [zero] * phi
+    for e, c in terms:
         if c:
-            pw = powers[e % m] if e >= len(powers) else powers[e]
-            # e >= len(powers) only happens for exponents folded mod m upstream
-            for i, t in enumerate(pw):
+            for i, t in enumerate(powers[e % m]):
                 if t:
                     out[i] += c * t
-    return tuple(out)
+    return out
+
+
+def _normalize(m: int, terms):
+    """Rewrite (conductor, terms) at the odd conductor u when m = 2u, u odd,
+    using zeta_{2u} = -zeta_u^((u+1)/2)."""
+    if m % 4 != 2:
+        return m, terms
+    u = m // 2
+    s = (u + 1) // 2
+    return u, ((e * s, -c if e % 2 else c) for e, c in terms)
+
+
+def int_coords(m: int, terms) -> list[int]:
+    """Integer power-basis coordinates, at m normalized (halved when 2 mod 4),
+    of the sum of c * zeta_m^e over integer pairs (e, c) in terms."""
+    m, terms = _normalize(m, terms)
+    return _fold(m, terms, 0)
 
 
 class CycloNumber:
@@ -127,28 +157,14 @@ class CycloNumber:
         if m <= 0:
             raise InvalidAutomorphismError("conductor must be positive")
         if m % 4 == 2:
-            # zeta_{2u} = -zeta_u^((u+1)/2): rewrite at the odd conductor
-            u = m // 2
-            phi_u, powers = _reduction_context(u)
-            acc = [ZERO] * phi_u
-            s = (u + 1) // 2
-            for e, c in enumerate(coeffs):
-                c = Fraction(c)
-                if not c:
-                    continue
-                if e % 2:
-                    c = -c
-                pw = powers[(e * s) % u]
-                for i, t in enumerate(pw):
-                    if t:
-                        acc[i] += c * t
-            m, coeffs = u, acc
+            m, terms = _normalize(m, enumerate(coeffs))
+            coeffs = _fold(m, ((e, Fraction(c)) for e, c in terms))
         phi, _ = _reduction_context(m)
         cs = [Fraction(c) for c in coeffs]
         if len(cs) < phi:
             cs += [ZERO] * (phi - len(cs))
         elif len(cs) > phi:
-            cs = list(_reduce_poly(m, cs))
+            cs = _fold(m, enumerate(cs))
         self.m = m
         self.coeffs = tuple(cs)
 
@@ -170,15 +186,7 @@ class CycloNumber:
             return self
         assert big % self.m == 0 and big % 4 != 2
         step = big // self.m
-        phi, powers = _reduction_context(big)
-        acc = [ZERO] * phi
-        for e, c in enumerate(self.coeffs):
-            if c:
-                pw = powers[(e * step) % big]
-                for i, t in enumerate(pw):
-                    if t:
-                        acc[i] += c * t
-        return CycloNumber(big, acc)
+        return CycloNumber(big, _fold(big, ((e * step, c) for e, c in enumerate(self.coeffs))))
 
     def _pair(self, other):
         other = other if isinstance(other, CycloNumber) else CycloNumber.rational(other)
@@ -214,7 +222,7 @@ class CycloNumber:
                 for j, y in enumerate(b.coeffs):
                     if y:
                         prod[i + j] += x * y
-        return CycloNumber(a.m, _reduce_poly(a.m, prod))
+        return CycloNumber(a.m, _fold(a.m, enumerate(prod)))
 
     __rmul__ = __mul__
 
@@ -273,15 +281,7 @@ class CycloNumber:
             raise InvalidAutomorphismError(
                 "exponent %d is not coprime to conductor %d" % (k, self.m)
             )
-        _, powers = _reduction_context(self.m)
-        acc = [ZERO] * len(self.coeffs)
-        for e, c in enumerate(self.coeffs):
-            if c:
-                pw = powers[(e * k) % self.m]
-                for i, t in enumerate(pw):
-                    if t:
-                        acc[i] += c * t
-        return CycloNumber(self.m, acc)
+        return CycloNumber(self.m, _fold(self.m, ((e * k, c) for e, c in enumerate(self.coeffs))))
 
     def conjugate(self) -> "CycloNumber":
         return self.galois(self.m - 1) if self.m > 1 else self
@@ -296,34 +296,32 @@ class CycloNumber:
                 tot += c * (_mu(self.m // g) * phi_m // totient(self.m // g))
         return tot
 
-    def stabilizer(self) -> list[int]:
-        """All k in (Z/m)* with galois(k) fixing the number."""
-        return [k for k in range(1, self.m + 1) if gcd(k, self.m) == 1 and self.galois(k) == self]
-
     def minimal_conductor(self) -> "CycloNumber":
-        """Rewrite at the smallest conductor (never 2 mod 4); idempotent."""
-        for d in divisors(self.m):
-            if d % 4 == 2:
-                continue
-            # fixed by the kernel of (Z/m)* -> (Z/d)* means the value is in Q(zeta_d)
-            if all(
-                self.galois(k) == self
-                for k in range(1, self.m + 1)
-                if gcd(k, self.m) == 1 and k % d == 1 % d
-            ):
-                return self._rebase(d)
-        return self
+        """Rewrite at the smallest conductor (never 2 mod 4); idempotent.
 
-    def _rebase(self, d: int) -> "CycloNumber":
-        if d == self.m:
+        The conductors whose field contains the number are the multiples of
+        the smallest one (Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b))),
+        so the descent drops one prime at a time while a generator of the
+        kernel of (Z/d)* -> (Z/d')* fixes the number: one Galois image of
+        the integer-scaled coordinates per step.
+        """
+        scale = lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * (scale // c.denominator) for c in self.coeffs]
+        if not any(ints[1:]):
+            return CycloNumber(1, self.coeffs[:1])
+        m = d = self.m
+        for q in prime_factors(m):
+            while d % q == 0:
+                sub = d // q
+                if sub % 4 == 2:
+                    sub //= 2
+                k = _descent_exponent(m, d, sub)
+                if _fold(m, ((e * k, c) for e, c in enumerate(ints)), 0) != ints:
+                    break
+                d = sub
+        if d == m:
             return self
-        step = self.m // d
-        _, powers = _reduction_context(self.m)
-        cols = [powers[(j * step) % self.m] for j in range(totient(d))]
-        sol = _solve_exact(cols, list(self.coeffs))
-        if sol is None:
-            raise AssertionError("rebase target does not contain the value")
-        return CycloNumber(d, sol)
+        return CycloNumber(d, _rebase_solver(m, d).solve(self.coeffs))
 
     def to_json(self) -> dict:
         return {
@@ -376,6 +374,36 @@ def _common_conductor(a: int, b: int) -> int:
     while m % 4 == 2:
         m //= 2
     return m
+
+
+@lru_cache(maxsize=None)
+def _descent_exponent(m: int, d: int, sub: int) -> int:
+    """A unit mod m whose residue generates the kernel of (Z/d)* -> (Z/sub)*.
+
+    sub is d with one prime q dropped once (or q^a = 4 dropped), so the
+    kernel is cyclic: of order q, or (Z/q^a)*.
+    """
+    kernel = [k for k in range(1, d, sub) if gcd(k, d) == 1]
+    gen = next(k for k in kernel if _unit_order(k, d) == len(kernel))
+    while gcd(gen, m) != 1:
+        gen += d
+    return gen
+
+
+def _unit_order(k: int, d: int) -> int:
+    n, x = 1, k % d
+    while x != 1 % d:
+        x = x * k % d
+        n += 1
+    return n
+
+
+@lru_cache(maxsize=None)
+def _rebase_solver(m: int, d: int) -> "SpanSolver":
+    """Coordinates on zeta_d^j = zeta_m^(j m/d), 0 <= j < phi(d), inside Q(zeta_m)."""
+    _, powers = _reduction_context(m)
+    step = m // d
+    return SpanSolver([powers[j * step] for j in range(totient(d))])
 
 
 def _poly_trim(p):

@@ -359,12 +359,12 @@ def _h_convolve(h, a, b):
     return out
 
 
-def _central_at_level(sd, m, h_coeffs) -> bool:
-    """Whether an element of E[H] is central in E[G_m]: conjugation by every
-    generator, including gamma, must fix the coefficient vector."""
-    g = finite_quotient(sd, m)
+def _central_at_level(g, h_coeffs) -> bool:
+    """Whether an element of E[H] is central in E[G_m] (g = G_m, H its first
+    elements): conjugation by every generator, including gamma, must fix the
+    coefficient vector."""
     zero = CycloNumber.rational(0)
-    coeffs = list(h_coeffs) + [zero] * (g.order - sd.h.order)
+    coeffs = list(h_coeffs) + [zero] * (g.order - len(h_coeffs))
     for gen in g.generators:
         gi = g.inv(gen)
         moved = [zero] * g.order
@@ -390,6 +390,7 @@ def idempotent_suite(sd, base=None, level=None) -> dict:
     table = character_table(h)
     classes = character_classes(sd, base)
     _, stab_ks = _merge_stabilizer(table, base)
+    g = finite_quotient(sd, level)
     one = [CycloNumber.rational(1 if x == 0 else 0) for x in range(h.order)]
     results = {
         "eta_idempotent": True,
@@ -411,7 +412,7 @@ def idempotent_suite(sd, base=None, level=None) -> dict:
             sq = _h_convolve(h, e_chi, e_chi)
             if any(not (a - b).is_zero() for a, b in zip(sq, e_chi)):
                 results["chi_idempotent"] = False
-            if not _central_at_level(sd, level, e_chi):
+            if not _central_at_level(g, e_chi):
                 results["chi_central"] = False
             chis.append(e_chi)
         eps = class_idempotent(sd, klass)

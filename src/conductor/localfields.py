@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .cyclo import is_prime
+from .cyclo import is_prime, prime_factors
 from .errors import ContainmentError, InputError
 
 
@@ -62,7 +62,7 @@ def _primitive_root_mod_pk(p: int, pk: int) -> int:
     """Generator of the cyclic group (Z/p^k)*, p odd."""
     for g in range(2, p + 2):
         ok = True
-        for q in _prime_factors(p - 1):
+        for q in prime_factors(p - 1):
             if pow(g, (p - 1) // q, p) == 1:
                 ok = False
                 break
@@ -72,20 +72,6 @@ def _primitive_root_mod_pk(p: int, pk: int) -> int:
                 g += p
             return g % pk
     raise AssertionError("no primitive root mod %d" % p)
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def decomposition_group(p: int, m: int) -> tuple:

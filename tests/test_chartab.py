@@ -1,11 +1,14 @@
 """Character tables: orthogonality, restriction, orbit structure."""
 
+from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 from conductor.catalog import s3_x_c9, sd_c7, symmetric_3
 from conductor.chartab import alpha_orbits, character_table, restrict_and_decompose
 from conductor.cyclo import CycloNumber
-from conductor.groups import cyclic_group
+from conductor.groups import cyclic_group, finite_quotient
 
 
 def test_s3_table_values():
@@ -61,6 +64,47 @@ def test_restriction_from_direct_product():
         parts = restrict_and_decompose(tb, row, ts, embedding=embedding)
         total = sum(mult * ts.degrees[r] for r, mult in parts)
         assert total == tb.degrees[row]
+
+
+def _inner_products(big, row, small, embedding):
+    """<Res chi, eta> for every row eta of small, summed as CycloNumbers."""
+    h = small.group
+    res = [big.value(row, embedding[z]) for z in small.representatives()]
+    out = []
+    for j, eta in enumerate(small.values):
+        acc = CycloNumber.rational(0)
+        for t, size in enumerate(small.sizes()):
+            acc = acc + res[t] * eta[small.inverse_class(t)] * size
+        mult = (acc / h.order).as_fraction()
+        assert mult.denominator == 1
+        if mult:
+            out.append((j, int(mult)))
+    return out
+
+
+def test_restriction_matches_cyclo_inner_products():
+    sd = sd_c7()
+    g2 = finite_quotient(sd, 2)
+    cases = [
+        (character_table(s3_x_c9()), character_table(symmetric_3()), [x * 9 for x in range(6)]),
+        (character_table(g2), character_table(sd.h), list(range(sd.h.order))),
+    ]
+    for big, small, embedding in cases:
+        for row in range(big.n_classes):
+            want = _inner_products(big, row, small, embedding)
+            assert restrict_and_decompose(big, row, small, embedding=embedding) == want
+
+
+def test_restriction_of_perturbed_table_raises():
+    tb = character_table(s3_x_c9())
+    ts = character_table(symmetric_3())
+    embedding = [x * 9 for x in range(6)]
+    for row, bump in ((0, 1), (1, Fraction(1, 2))):
+        values = [list(r) for r in tb.values]
+        values[row][0] = values[row][0] + bump
+        bad = replace(tb, values=values, _sparse=None)
+        with pytest.raises(ArithmeticError):
+            restrict_and_decompose(bad, row, ts, embedding=embedding)
 
 
 def test_alpha_orbits_of_c7_squaring():

@@ -120,6 +120,14 @@ def test_bad_prime_is_input_error(capsys):
     assert run(["finite", "--group", sample("s3.json"), "--p", "4"]) == 2
 
 
+def test_verify_prime_must_be_odd_prime(capsys):
+    # --suite all would otherwise run the prime-independent tables suite
+    for p in ("4", "2", "1", "9"):
+        assert run(["verify", "--suite", "all", "--p", p]) == 2
+        err = capsys.readouterr().err
+        assert "odd prime" in err and "suite tables" not in err
+
+
 def test_bad_precision_env(capsys, monkeypatch):
     monkeypatch.setenv("CONDUCTOR_PRECISION", "zero")
     assert run(["verify", "--suite", "exponents"]) == 2

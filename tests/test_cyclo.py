@@ -1,12 +1,20 @@
 """Exact cyclotomic arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conductor.cyclo import CycloNumber, SpanSolver, _solve_exact
+from conductor.cyclo import (
+    CycloNumber,
+    SpanSolver,
+    _reduction_context,
+    _solve_exact,
+    divisors,
+    totient,
+)
 from conductor.errors import InvalidAutomorphismError
 
 
@@ -79,6 +87,54 @@ def test_minimal_conductor_strips_redundancy():
     z = CycloNumber.root(12)
     x = z**4  # a cube root of unity written mod 12
     assert x.minimal_conductor().m == 3
+
+
+def _divisor_scan(x):
+    """The reference minimal conductor: the smallest divisor d of x.m (not
+    2 mod 4) whose kernel of (Z/m)* -> (Z/d)* fixes x, then a Fraction solve."""
+    m = x.m
+    for d in divisors(m):
+        if d % 4 == 2:
+            continue
+        units = [k for k in range(1, m + 1) if gcd(k, m) == 1 and k % d == 1 % d]
+        if all(x.galois(k) == x for k in units):
+            if d == m:
+                return x
+            _, powers = _reduction_context(m)
+            cols = [powers[(j * (m // d)) % m] for j in range(totient(d))]
+            return CycloNumber(d, _solve_exact(cols, list(x.coeffs)))
+    raise AssertionError("unreachable: d = m is always fixed")
+
+
+@st.composite
+def _subfield_values(draw):
+    """A value of Q(zeta_d) written at a multiple m <= 60 of d: random
+    Fraction coefficients, a rational, or zero."""
+    m = draw(st.integers(1, 60))
+    d = draw(st.sampled_from(divisors(m)))
+    kind = draw(st.sampled_from(["subfield", "rational", "zero"]))
+    if kind == "zero":
+        return CycloNumber(m, [])
+    if kind == "rational":
+        return CycloNumber.rational(draw(st.fractions(max_denominator=9))).lift(_norm(m))
+    frac = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    small = CycloNumber(d, draw(st.lists(frac, min_size=totient(d), max_size=totient(d))))
+    return small.lift(_norm(m))
+
+
+def _norm(m):
+    return m // 2 if m % 4 == 2 else m
+
+
+@settings(max_examples=400, deadline=None)
+@given(_subfield_values())
+def test_minimal_conductor_matches_divisor_scan(x):
+    want = _divisor_scan(x)
+    got = x.minimal_conductor()
+    assert (got.m, got.coeffs) == (want.m, want.coeffs)
+    again = got.minimal_conductor()
+    assert (again.m, again.coeffs) == (got.m, got.coeffs)
+    assert got == x
 
 
 def test_json_round_trip():
