@@ -5,13 +5,22 @@ matrices over F_l for the smallest prime l = 1 (mod exp(G)) with
 l > 2*sqrt(|G|), then lift values to Q(zeta) through root-of-unity
 multiplicities, which are plain integers bounded by the degree.
 
+The table keeps its power maps (power_maps[t][s] = class of rep_t^s).
+They carry the Galois action: sigma_k(chi)(g) = chi(g^k), so the classes
+of rep_t^k, k a unit mod the order o, form a rational class whose values
+are Galois conjugates.  The O(o^2) multiplicity lift runs once per row
+and rational class; each conjugate class takes the multiplicities
+permuted, b_j = a_{j k^-1 mod o}, certified by evaluating them at the
+class's own value mod l.
+
 Values stay integers until the end: each distinct multiplicity vector
 gives the value's integer power-basis coordinates at the exponent
 conductor E (normalized, never 2 mod 4) once.  Those coordinates are the
 table's sparse sums {exponent: count} of zeta_E, on which restriction
 and the orthogonality checks compute, and the row sort key; the stored
 CycloNumber is the same value at its smallest conductor.  Certificates
-(the lift bound, the splitting, integrality) raise ArithmeticError.
+(the lift bound, the permuted lifts, the splitting, integrality) raise
+ArithmeticError.
 
 Everything is deterministic: classes are ordered by smallest member
 (identity first), matrices are consumed in class order, eigenvalues
@@ -22,7 +31,7 @@ at the exponent conductor).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 from .cyclo import CycloNumber, int_coords, is_prime
 from .errors import GroupTooLargeError
@@ -159,6 +168,7 @@ class CharacterTable:
     degrees: list
     exponent: int
     split_prime: int
+    power_maps: list  # power_maps[t][s] = class of rep_t^s, s < order of rep_t
     _sparse: list = None  # values as {exponent mod E: int} at the exponent conductor
 
     @property
@@ -343,7 +353,7 @@ def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTabl
     # lift to exact cyclotomic values through multiplicities of roots of unity
     w = _primitive_root(l)
     elem_orders = [g.element_order(z) for z in reps]
-    powmaps = []  # powmaps[t][s] = class of rep_t^s
+    powmaps = []
     for t, z in enumerate(reps):
         pm = [cls.class_of[0]]
         y = z
@@ -352,6 +362,18 @@ def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTabl
             y = g.mult(y, z)
         powmaps.append(pm)
 
+    # rational classes: the class of rep_t^u (u a unit mod o) gets its
+    # multiplicities from its first class t0 as b_j = a_{j u^-1 mod o}
+    source = [None] * k  # source[t] = (t0, u^-1 mod o)
+    for t in range(k):
+        if source[t] is None:
+            o = elem_orders[t]
+            for u in range(o):
+                c = powmaps[t][u]
+                if source[c] is None and gcd(u, o) == 1:
+                    source[c] = (t, pow(u, -1, o))
+    zetas = [pow(w, (l - 1) // o, l) for o in elem_orders]
+
     # each distinct multiplicity vector gives integer coordinates at the
     # exponent conductor once; they yield the sparse sums, the sort key and
     # the value at its smallest conductor
@@ -359,14 +381,22 @@ def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTabl
     lifted = {}  # (o, multiplicities) -> (coordinates, sparse sum, value)
     coords, sparse, values = [], [], []
     for chi, d in zip(rows_mod, degrees):
-        views = []
+        views, row_mults = [], []
         for t in range(k):
             o = elem_orders[t]
-            zinv = pow(w, -((l - 1) // o), l)
-            vs = [chi[powmaps[t][s]] for s in range(o)]
-            mults = tuple(_lift_coeffs(vs, o, zinv, pow(o, -1, l), l))
-            if any(c > d for c in mults):
-                raise ArithmeticError("multiplicity lift exceeded the degree")
+            t0, uinv = source[t]
+            if t0 == t:
+                vs = [chi[c] for c in powmaps[t]]
+                zinv = pow(zetas[t], -1, l)
+                mults = tuple(_lift_coeffs(vs, o, zinv, pow(o, -1, l), l))
+                if any(c > d for c in mults):
+                    raise ArithmeticError("multiplicity lift exceeded the degree")
+            else:
+                a = row_mults[t0]
+                mults = tuple(a[j * uinv % o] for j in range(o))
+                if _horner(mults, zetas[t], l) != chi[t]:
+                    raise ArithmeticError("permuted multiplicities miss the value mod l")
+            row_mults.append(mults)
             view = lifted.get((o, mults))
             if view is None:
                 ints = int_coords(e, ((j * (e // o), c) for j, c in enumerate(mults)))
@@ -390,6 +420,7 @@ def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTabl
         degrees=[degrees[i] for i in perm],
         exponent=e,
         split_prime=l,
+        power_maps=powmaps,
         _sparse=(e_norm, [sparse[i] for i in perm]),
     )
     g._char_table = table

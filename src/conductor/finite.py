@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 
 from .chartab import character_table
-from .cyclo import CycloNumber, SpanSolver, cyclotomic_poly, totient
+from .cyclo import CycloNumber, SpanSolver, _common_conductor, cyclotomic_poly, totient
 from .errors import InputError, UnsupportedPresentationError
 from .localfields import (
     AbelianLocalField,
@@ -56,18 +56,40 @@ def _value_key(v):
     return (v.m, tuple(v.coeffs))
 
 
-def _row_permutation(table, k):
-    """Row permutation induced by the coefficient automorphism zeta -> zeta^k."""
-    keys = {}
-    for r in range(table.n_classes):
-        keys[tuple(_value_key(v) for v in table.values[r])] = r
-    perm = []
-    for r in range(table.n_classes):
-        moved = tuple(
-            _value_key(v.galois(k % v.m if v.m > 1 else 1)) for v in table.values[r]
-        )
-        perm.append(keys[moved])
-    return perm
+def _galois_exponents(table, base=None):
+    """Units k mod the table exponent (doubled when 2 mod 4) whose
+    automorphisms zeta -> zeta^k act over the base, sorted: all of them
+    over Q (base None); over an AbelianLocalField the decomposition group
+    at p restricted to the automorphisms fixing the base pointwise."""
+    e = table.exponent
+    if e % 4 == 2:
+        e *= 2
+    if base is None:
+        return [k for k in range(1, e + 1) if gcd(k, e) == 1]
+    ks = set()
+    for a in decomposition_group(base.p, _common_conductor(e, base.m)):
+        if base.m == 1 or a % base.m in base.stab:
+            ks.add(a % e if e > 1 else 1)
+    return sorted(ks)
+
+
+def _row_permutations(table, ks):
+    """Row permutation induced by zeta -> zeta^k, for each k in ks.
+
+    sigma_k(chi)(g) = chi(g^k), so the image of a row is the row read at
+    the classes power_maps[t][k mod o_t], looked up by its values, each
+    numbered once.
+    """
+    ids = {}
+    keys = [
+        tuple(ids.setdefault(_value_key(v), len(ids)) for v in row) for row in table.values
+    ]
+    index = {key: r for r, key in enumerate(keys)}
+    perms = []
+    for k in ks:
+        cols = [pm[k % len(pm)] for pm in table.power_maps]
+        perms.append([index[tuple(key[c] for c in cols)] for key in keys])
+    return perms
 
 
 def galois_orbits(table, base=None):
@@ -77,19 +99,7 @@ def galois_orbits(table, base=None):
     action); for an AbelianLocalField base only the automorphisms fixing
     the base pointwise act.  Orbits come out sorted by smallest row.
     """
-    e = table.exponent
-    if e % 4 == 2:
-        e *= 2
-    if base is None:
-        ks = [k for k in range(1, e + 1) if gcd(k, e) == 1]
-    else:
-        m = _lcm_conductor(e, base.m)
-        ks = set()
-        for a in decomposition_group(base.p, m):
-            if base.m == 1 or a % base.m in base.stab:
-                ks.add(a % e if e > 1 else 1)
-        ks = sorted(ks)
-    perms = [_row_permutation(table, k) for k in ks]
+    perms = _row_permutations(table, _galois_exponents(table, base))
     seen = [False] * table.n_classes
     orbits = []
     for r in range(table.n_classes):
@@ -108,13 +118,6 @@ def galois_orbits(table, base=None):
             seen[x] = True
         orbits.append(sorted(orbit))
     return orbits
-
-
-def _lcm_conductor(a, b):
-    m = a * b // gcd(a, b)
-    if m % 4 == 2:
-        m //= 2
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +280,8 @@ def _abelian_block_basis(g, table, orbit):
         if _value_order(table.values[rep][j]) == d:
             g0 = classes.classes[j][0]
             break
-    assert g0 is not None, "a linear character attains its order"
+    if g0 is None:
+        raise ArithmeticError("the linear character never attains its order %d" % d)
     eps = _orbit_idempotent(table, orbit)
     vecs = []
     g0_pow = 0
@@ -444,7 +448,8 @@ def brute_force_conductor(g, p, reps=None, twist_seed=None, precision=None):
         out = []
         for x in row:
             fx = Fraction(x) * p**scale
-            assert fx.denominator % p != 0
+            if fx.denominator % p == 0:
+                raise ArithmeticError("scaled constraint %s is not p-integral" % fx)
             out.append(fx.numerator * pow(fx.denominator, -1, modulus) % modulus)
         int_rows.append(out)
     vals, c_cols = smith_with_column_transform(p, n_work, int_rows)
@@ -520,7 +525,7 @@ def formula_conductor_lattice(g, p, precision=None):
         degree = table.degrees[rep]
         d = 1
         for j in range(k):
-            d = _lcm_conductor(d, table.values[rep][j].minimal_conductor().m)
+            d = _common_conductor(d, table.values[rep][j].minimal_conductor().m)
         mult_vp = vp(Fraction(g.order, degree), p)
         local = AbelianLocalField(p, d, [])
         target = local.ramification_index * mult_vp - local.different_exponent

@@ -228,6 +228,9 @@ def presentation_image(pres: PresentationMatrix, p, precision=None):
     the rows of the matrix under all left translations."""
     g = pres.group
     n = g.order
+    bad = [c for row in pres.entries for vec in row for c in vec if c and vp(c, p) < 0]
+    if bad:
+        raise InputError("presentation entries must be %d-integral, got %s" % (p, bad[0]))
     if precision is None:
         precision = working_precision(g, p)
     cols = []

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chartab import alpha_orbits, character_table, restrict_and_decompose
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, _common_conductor
 from .errors import InputError, InvalidQuotientError
-from .finite import _lcm_conductor, _row_permutation, galois_orbits, jacobinski_conductor
+from .finite import _galois_exponents, _row_permutations, galois_orbits, jacobinski_conductor
 from .groups import commutator_subgroup, finite_quotient, subgroup_closure
 from .localfields import (
     AbelianLocalField,
@@ -94,22 +94,6 @@ class CharacterClass:
         }
 
 
-def _merge_stabilizer(table, base):
-    """Exponents k (units mod the table exponent) of the base-field Galois
-    action: the decomposition group at p restricted to automorphisms fixing
-    the base.  Orbits merged under these are one Wedderburn component, and
-    the merged idempotents must be fixed coefficientwise by every k."""
-    e = table.exponent
-    if e % 4 == 2:
-        e *= 2
-    m = _lcm_conductor(e, base.m)
-    ks = set()
-    for a in decomposition_group(base.p, m):
-        if base.m == 1 or a % base.m in base.stab:
-            ks.add(a % e if e > 1 else 1)
-    return e, ks
-
-
 def character_classes(sd, base=None):
     """Classes of characters of H x| Gamma over the base field.
 
@@ -131,7 +115,6 @@ def character_classes(sd, base=None):
             orbit_of_row[r] = oi
 
     # merge orbits under the Galois action over the base
-    e, ks = _merge_stabilizer(table, base)
     parent = list(range(len(orbits)))
 
     def find(i):
@@ -140,8 +123,7 @@ def character_classes(sd, base=None):
             i = parent[i]
         return i
 
-    for k in sorted(ks):
-        perm = _row_permutation(table, k)
+    for perm in _row_permutations(table, _galois_exponents(table, base)):
         for oi, orb in enumerate(orbits):
             ri, rj = find(oi), find(orbit_of_row[perm[orb.members[0]]])
             if ri != rj:
@@ -294,7 +276,7 @@ def splitting_field_bound(sd, base=None):
     exph = sd.h.exponent()
     if exph % 4 == 2:
         exph //= 2
-    m = _lcm_conductor(exph, base.m)
+    m = _common_conductor(exph, base.m)
     stab = [
         a
         for a in decomposition_group(base.p, m)
@@ -389,7 +371,7 @@ def idempotent_suite(sd, base=None, level=None) -> dict:
     h = sd.h
     table = character_table(h)
     classes = character_classes(sd, base)
-    _, stab_ks = _merge_stabilizer(table, base)
+    stab_ks = _galois_exponents(table, base)
     g = finite_quotient(sd, level)
     one = [CycloNumber.rational(1 if x == 0 else 0) for x in range(h.order)]
     results = {

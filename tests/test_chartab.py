@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conductor import chartab
 from conductor.catalog import s3_x_c9, sd_c7, symmetric_3
 from conductor.chartab import alpha_orbits, character_table, restrict_and_decompose
 from conductor.cyclo import CycloNumber
@@ -105,6 +106,22 @@ def test_restriction_of_perturbed_table_raises():
         bad = replace(tb, values=values, _sparse=None)
         with pytest.raises(ArithmeticError):
             restrict_and_decompose(bad, row, ts, embedding=embedding)
+
+
+def test_corrupted_source_lift_raises(monkeypatch):
+    # rotating a source multiplicity vector keeps it inside the degree
+    # bound but moves its value; the certificate at a conjugate class
+    # (g^2 of a generator g) must catch it
+    lift = chartab._lift_coeffs
+
+    def rotated(vs, o, zinv, oinv, l):
+        out = lift(vs, o, zinv, oinv, l)
+        return out[1:] + out[:1]
+
+    monkeypatch.setattr(chartab, "_lift_coeffs", rotated)
+    for n in (3, 5):
+        with pytest.raises(ArithmeticError):
+            character_table(cyclic_group(n))
 
 
 def test_alpha_orbits_of_c7_squaring():

@@ -2,6 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
+
+import pytest
 
 from conductor.cli import run
 
@@ -84,6 +88,29 @@ def test_fitting_verdict(capsys):
     payload = json.loads(out)
     assert payload["annihilates"]
     assert payload["fitting"]["generators"][0]["rows"] == [0]
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_fitting_rejects_non_integral_entry(capsys, tmp_path, optimize):
+    with open(sample("times3.json")) as fh:
+        matrix = json.load(fh)
+    matrix["entries"][0][0][0] = "1/3"
+    path = tmp_path / "third.json"
+    path.write_text(json.dumps(matrix))
+    argv = ["fitting", "--group", sample("s3.json"), "--p", "3", "--matrix", str(path)]
+    if optimize:
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "conductor.cli"] + argv,
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        code, err = proc.returncode, proc.stderr
+    else:
+        code = run(argv)
+        err = capsys.readouterr().err
+    assert code == 2
+    assert "3-integral" in err and "Traceback" not in err
 
 
 def test_iwasawa_level_checks(capsys):

@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conductor.catalog import splitting_reps, symmetric_3
+from conductor.catalog import sd_c7, sd_c9, sd_s3_inner, splitting_reps, symmetric_3, table_catalog
+from conductor.chartab import character_table
 from conductor.errors import InputError
 from conductor.finite import (
     ExtComputation,
+    _galois_exponents,
+    _row_permutations,
+    _value_key,
     annihilation_check,
     augmentation_module,
     brute_force_conductor,
@@ -25,8 +29,38 @@ from conductor.finite import (
     trivial_module,
     working_precision,
 )
-from conductor.groups import cyclic_group
+from conductor.groups import cyclic_group, finite_quotient
 from conductor.padic import lattice_contains, sublattice_of
+
+
+def _galois_row_permutations(table, ks):
+    """Reference: apply zeta -> zeta^k to every distinct value, find the row."""
+    ids, distinct = {}, []
+    for row in table.values:
+        for v in row:
+            if ids.setdefault(_value_key(v), len(ids)) == len(distinct):
+                distinct.append(v)
+    rows = [tuple(ids[_value_key(v)] for v in row) for row in table.values]
+    index = {row: r for r, row in enumerate(rows)}
+    perms = []
+    for k in ks:
+        image = [ids[_value_key(v.galois(k % v.m if v.m > 1 else 1))] for v in distinct]
+        perms.append([index[tuple(image[i] for i in row)] for row in rows])
+    return perms
+
+
+def _power_map_groups():
+    out = list(table_catalog())
+    for sd in (sd_c7(), sd_c9(), sd_s3_inner()):
+        out += [finite_quotient(sd, m) for m in range(sd.n, sd.n + 3)]
+    return out
+
+
+@pytest.mark.parametrize("g", _power_map_groups(), ids=lambda g: "%s-%d" % (g.name, g.order))
+def test_power_map_row_permutations_match_galois_action(g):
+    table = character_table(g)
+    ks = _galois_exponents(table)
+    assert _row_permutations(table, ks) == _galois_row_permutations(table, ks)
 
 
 def test_formula_matches_brute_force_on_small_cases():
