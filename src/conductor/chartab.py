@@ -36,6 +36,7 @@ from math import gcd, isqrt
 from .cyclo import CycloNumber, int_coords, is_prime
 from .errors import GroupTooLargeError
 from .groups import ClassData, FiniteGroup, conjugacy_classes
+from .padic import echelon, echelon_coords, kernel
 
 DEFAULT_BOUND = 2000
 
@@ -68,42 +69,6 @@ def _primitive_root(l: int) -> int:
 
 
 # -- linear algebra mod l ---------------------------------------------------
-
-
-def _echelon(vectors, l):
-    """Row-echelonize over F_l; returns (rows, pivot columns)."""
-    rows = [list(v) for v in vectors]
-    piv = []
-    r = 0
-    width = len(rows[0]) if rows else 0
-    for c in range(width):
-        hit = next((i for i in range(r, len(rows)) if rows[i][c] % l), None)
-        if hit is None:
-            continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        inv = pow(rows[r][c], -1, l)
-        rows[r] = [(x * inv) % l for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % l:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % l for x, y in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-    return rows[:r], piv
-
-
-def _coords(basis_rows, piv, vec, l):
-    """Coordinates of vec in an echelonized basis (vec must lie in the span)."""
-    v = list(vec)
-    out = []
-    for row, c in zip(basis_rows, piv):
-        f = v[c] % l
-        out.append(f)
-        if f:
-            v = [(x - f * y) % l for x, y in zip(v, row)]
-    if any(x % l for x in v):
-        raise ArithmeticError("vector escaped the invariant subspace")
-    return out
 
 
 def _charpoly(a, l):
@@ -140,21 +105,6 @@ def _charpoly(a, l):
                 p = [(x - f * y) % l for x, y in zip(p, low)]
         polys.append(p)
     return polys[n]
-
-
-def _kernel(a, l):
-    """Kernel basis of a mod l (list of vectors)."""
-    n = len(a)
-    rows, piv = _echelon(a, l)
-    free = [c for c in range(n) if c not in piv]
-    out = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for row, c in zip(rows, piv):
-            v[c] = (-row[fc]) % l
-        out.append(v)
-    return out
 
 
 # -- the table ---------------------------------------------------------------
@@ -315,7 +265,7 @@ def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTabl
                 [sum(mrow[t] * row[t] for t in range(k) if row[t]) % l for mrow in mat]
                 for row in basis
             ]
-            act = [_coords(basis, piv, img, l) for img in imgs]
+            act = [echelon_coords(basis, piv, img, l) for img in imgs]
             act = [list(col) for col in zip(*act)]  # columns are the images
             poly = _charpoly(act, l)
             roots = [lam for lam in range(l) if _horner(poly, lam, l) == 0]
@@ -324,14 +274,14 @@ def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTabl
                     [(act[r][c] - (lam if r == c else 0)) % l for c in range(len(act))]
                     for r in range(len(act))
                 ]
-                ker = _kernel(shifted, l)
+                ker = kernel(shifted, l)
                 if not ker:
                     continue
                 sub = [
                     [sum(kv[r] * basis[r][c] for r in range(len(basis))) % l for c in range(k)]
                     for kv in ker
                 ]
-                nxt.append(_echelon(sub, l))
+                nxt.append(echelon(sub, l))
         spaces = nxt
     if any(len(piv) != 1 for _, piv in spaces):
         raise ArithmeticError("class matrices failed to split")

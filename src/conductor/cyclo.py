@@ -14,6 +14,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import InvalidAutomorphismError
+from .padic import SpanSolver
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -454,105 +455,3 @@ def _poly_sub(a, b):
     a = list(a) + [ZERO] * (n - len(a))
     b = list(b) + [ZERO] * (n - len(b))
     return _poly_trim([x - y for x, y in zip(a, b)])
-
-
-def _solve_exact(cols, target):
-    """Solve sum x_j * cols[j] = target over Q; None if inconsistent."""
-    rows = len(target)
-    ncols = len(cols)
-    aug = [[Fraction(cols[j][i]) for j in range(ncols)] + [Fraction(target[i])] for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, rows) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = ONE / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][ncols]:
-            return None
-    sol = [ZERO] * ncols
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][ncols]
-    return sol
-
-
-class SpanSolver:
-    """``_solve_exact`` against one fixed integer basis, factored once.
-
-    One integer Gauss-Jordan pass over the basis keeps the pivot rows and
-    the row transform.  Each ``solve`` is then a product with the stored
-    transform plus an exact check that the target lies in the Q-span.  The
-    coordinates are those of ``_solve_exact``: basis vectors dependent on
-    earlier ones get 0.
-    """
-
-    def __init__(self, cols):
-        ints = [list(col) for col in cols]
-        self.size = len(ints)
-        width = len(ints[0]) if ints else 0
-        pivots = []  # (position, row), row = [t . ints | t] for a transform t
-        for j, vec in enumerate(ints):
-            row = vec + [0] * self.size
-            row[width + j] = 1
-            for pos, prow in pivots:
-                if row[pos]:
-                    row = _combine(prow[pos], row, row[pos], prow)
-            pos = next((i for i in range(width) if row[i]), None)
-            if pos is None:
-                continue
-            row = _primitive(row)
-            pivots = [
-                (ppos, _combine(row[pos], prow, prow[pos], row) if prow[pos] else prow)
-                for ppos, prow in pivots
-            ]
-            pivots.append((pos, row))
-        self.positions = [pos for pos, _ in pivots]
-        self.denominator = lcm(*(row[pos] for pos, row in pivots))
-        # coordinate j = sum_i transform[j][i] * target[positions[i]] / denominator
-        self.transform = [
-            [row[width + j] * (self.denominator // row[pos]) for pos, row in pivots]
-            for j in range(self.size)
-        ]
-        # the target must agree with the solution off the pivot positions
-        taken = set(self.positions)
-        self.checks = [
-            (i, [(j, vec[i]) for j, vec in enumerate(ints) if vec[i]])
-            for i in range(width)
-            if i not in taken
-        ]
-
-    def solve(self, target):
-        """Coordinates of target; ArithmeticError if it is outside the span."""
-        target = [Fraction(x) for x in target]
-        if not self.size and any(target):
-            raise ArithmeticError("target is outside the span of the basis")
-        scale = lcm(*(x.denominator for x in target))
-        ints = [x.numerator * (scale // x.denominator) for x in target]
-        known = [(i, ints[pos]) for i, pos in enumerate(self.positions) if ints[pos]]
-        nums = [sum(row[i] * v for i, v in known) for row in self.transform]
-        for i, terms in self.checks:
-            if sum(nums[j] * c for j, c in terms) != self.denominator * ints[i]:
-                raise ArithmeticError("target is outside the span of the basis")
-        den = self.denominator * scale
-        return [Fraction(num, den) for num in nums]
-
-
-def _combine(a, row, b, other):
-    """The primitive part of a * row - b * other."""
-    return _primitive([a * x - b * y for x, y in zip(row, other)])
-
-
-def _primitive(row):
-    g = gcd(*row)
-    return row if g == 1 else [x // g for x in row]

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 
 from .chartab import character_table
-from .cyclo import CycloNumber, SpanSolver, _common_conductor, cyclotomic_poly, totient
+from .cyclo import CycloNumber, _common_conductor, cyclotomic_poly, totient
 from .errors import InputError, UnsupportedPresentationError
 from .localfields import (
     AbelianLocalField,
@@ -30,11 +30,13 @@ from .localfields import (
     field_of_values,
     relative_data,
 )
-from .orders import fraction_inverse, lattice_product, radical_lattice
+from .orders import lattice_product, radical_lattice
 from .padic import (
+    SpanSolver,
     exact_kernel,
     hnf_columns,
     lattice_contains,
+    residue,
     smith_valuations,
     smith_with_column_transform,
     vp,
@@ -443,15 +445,7 @@ def brute_force_conductor(g, p, reps=None, twist_seed=None, precision=None):
             rows.append(row)
     n_work = precision + scale
     modulus = p**n_work
-    int_rows = []
-    for row in rows:
-        out = []
-        for x in row:
-            fx = Fraction(x) * p**scale
-            if fx.denominator % p == 0:
-                raise ArithmeticError("scaled constraint %s is not p-integral" % fx)
-            out.append(fx.numerator * pow(fx.denominator, -1, modulus) % modulus)
-        int_rows.append(out)
+    int_rows = [[residue(x * p**scale, p, modulus) for x in row] for row in rows]
     vals, c_cols = smith_with_column_transform(p, n_work, int_rows)
     if len(vals) != k:
         raise ArithmeticError("conductor constraint system is not of full rank")
@@ -493,13 +487,16 @@ def _convolve(g, a, b):
 def _group_algebra_inverse(g, u):
     """Exact inverse of a unit of Q_p[G], by solving u * y = 1."""
     n = g.order
-    m = [[Fraction(0)] * n for _ in range(n)]
+    # column y of left multiplication by u is u * y
+    cols = [[Fraction(0)] * n for _ in range(n)]
     for x in range(n):
         if u[x]:
             for y in range(n):
-                m[g.mult(x, y)][y] += u[x]
-    inv = fraction_inverse(m)
-    return [inv[i][0] for i in range(n)]
+                cols[y][g.mult(x, y)] += u[x]
+    solver = SpanSolver(cols)
+    if len(solver.positions) < n:
+        raise ArithmeticError("twist element is not a unit of Q_p[G]")
+    return solver.solve([1] + [0] * (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -821,9 +818,10 @@ class ExtComputation:
                 image.append(vec)
         self.image_gens = image
         self._hom = SpanSolver(self.hom_basis)
-        self._image_rows = _int_rows(
-            [self._hom.solve(v) for v in image], self.p, self.precision
-        )
+        modulus = self.p**self.precision
+        self._image_rows = [
+            [residue(x, self.p, modulus) for x in self._hom.solve(v)] for v in image
+        ]
         vals = smith_valuations(self.p, self.precision, self._image_rows)
         if len(vals) != len(self.hom_basis):
             raise ArithmeticError("Ext group came out infinite; presentation is broken")
@@ -858,20 +856,6 @@ class ExtComputation:
             if not lattice_contains(self._image_lattice, self._hom.solve(moved)):
                 return False
         return True
-
-
-def _int_rows(rows, p, precision):
-    modulus = p**precision
-    out = []
-    for row in rows:
-        cur = []
-        for x in row:
-            fx = Fraction(x)
-            if fx.denominator % p == 0:
-                raise ArithmeticError("non p-integral coordinate in lattice data")
-            cur.append(fx.numerator * pow(fx.denominator, -1, modulus) % modulus)
-        out.append(cur)
-    return out
 
 
 def annihilation_check(class_coords, mod_m, mod_n, p, precision=None) -> bool:

@@ -31,7 +31,7 @@ from .finite import (
     working_precision,
 )
 from .groups import FiniteGroup, conjugacy_classes
-from .padic import hnf_columns, lattice_contains, vp
+from .padic import fraction_determinant, hnf_columns, lattice_contains, vp
 
 
 @dataclass
@@ -120,26 +120,6 @@ def _cyclo_det(rows):
     return det * sign
 
 
-def _fraction_det(rows):
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for r in range(c + 1, n):
-            f = rows[r][c] * inv
-            if f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return det
-
-
 def reduced_norm(g, matrix, reps=None):
     """nr of a square matrix over K[G], one CycloNumber per character row.
 
@@ -181,7 +161,7 @@ def reduced_norm(g, matrix, reps=None):
                                 for t in range(deg):
                                     if m[s][t]:
                                         big[i * deg + s][j * deg + t] += c * m[s][t]
-            out.append(CycloNumber.rational(_fraction_det(big)))
+            out.append(CycloNumber.rational(fraction_determinant(big)))
         else:
             raise UnsupportedPresentationError(
                 "no splitting representation for the degree-%d character "

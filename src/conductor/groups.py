@@ -61,15 +61,13 @@ class FiniteGroup:
         ident = tuple(range(degree))
         elems = [ident]
         index = {ident: 0}
-        words = {0: ()}
         cursor = 0
         while cursor < len(elems):
             cur = elems[cursor]
-            for j, p in enumerate(gens):
+            for p in gens:
                 nxt = tuple(p[cur[i]] for i in range(degree))
                 if nxt not in index:
                     index[nxt] = len(elems)
-                    words[index[nxt]] = words[cursor] + (j,)
                     elems.append(nxt)
                     if len(elems) > 100000:
                         raise GroupTooLargeError("permutation closure exceeded 100000 elements")
@@ -80,10 +78,7 @@ class FiniteGroup:
             pa, pb = elems[a], elems[b]
             return index[tuple(pb[pa[i]] for i in range(degree))]
 
-        g = FiniteGroup(n, mult, [index[p] for p in gens], name=name)
-        g._perms = elems
-        g._words = words  # generator words, for evaluating representations
-        return g
+        return FiniteGroup(n, mult, [index[p] for p in gens], name=name)
 
     def _greedy_generators(self):
         got = {0}
@@ -140,10 +135,6 @@ class FiniteGroup:
         return all(
             self.mult(a, b) == self.mult(b, a) for a in self.generators for b in self.generators
         )
-
-    def word(self, x):
-        """Generator word for x (only for permutation-built groups)."""
-        return self._words[x]
 
     def __repr__(self):
         return "%s(order=%d)" % (self.name, self.order)

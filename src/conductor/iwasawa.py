@@ -35,8 +35,8 @@ from .localfields import (
     field_of_values,
     relative_data,
 )
-from .orders import GlobalFieldModel, fraction_inverse
-from .padic import vp
+from .orders import GlobalFieldModel
+from .padic import fraction_inverse, vp
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +49,9 @@ class CharacterClass:
 
     ``orbits`` lists the alpha-orbits (as row tuples into Irr(H)) merged by
     the Galois action over the base; they all share w and eta_degree.
-    ``gamma_chi_exponent`` is w: gamma_chi = gamma^w * c for a unit c of the
-    block that is never computed, since the conductor data only depends on
-    w and the character field.
+    gamma_chi = gamma^w * c for a unit c of the block that is never
+    computed, since the conductor data only depends on w and the character
+    field.
     """
 
     orbits: list
@@ -65,9 +65,7 @@ class CharacterClass:
     e: int
     f: int
     d_rel: int
-    gamma_chi_exponent: int
     embedding_exponent: int
-    wedderburn: dict
 
     def total_valuation(self):
         """pi_chi-valuation of the conductor component."""
@@ -170,13 +168,7 @@ def character_classes(sd, base=None):
                 e=e_rel,
                 f=f_rel,
                 d_rel=d_rel,
-                gamma_chi_exponent=w,
                 embedding_exponent=pn // w,
-                wedderburn={
-                    "chi_degree": chi_degree,
-                    "n_chi": chi_degree if chi_degree == 1 else None,
-                    "s_chi": 1 if chi_degree == 1 else None,
-                },
             )
         )
     return classes

@@ -210,12 +210,6 @@ class AbelianLocalField:
         """Valuation of the different over Q_p in the normalized (pi-adic) sense."""
         return self._ramification()[3]
 
-    def is_tame(self) -> bool:
-        return self.ramification_index % self.p != 0
-
-    def absolute_valuation_of_p(self) -> int:
-        return self.ramification_index
-
     # -- comparisons ---------------------------------------------------------
 
     def _stab_preimage(self, big_m: int, big_group) -> set:
@@ -275,10 +269,3 @@ def relative_data(base: AbelianLocalField, ext: AbelianLocalField) -> tuple[int,
     d = ext.different_exponent - e * base.different_exponent
     assert d >= 0
     return e, f, d
-
-
-def relative_inverse_different_valuation(
-    base: AbelianLocalField, ext: AbelianLocalField
-) -> int:
-    """Valuation (in ext) of the inverse different of ext/base; always <= 0."""
-    return -relative_data(base, ext)[2]

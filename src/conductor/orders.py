@@ -22,90 +22,24 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .cyclo import CycloNumber, _solve_exact, totient
+from .cyclo import CycloNumber, totient
 from .errors import UnsupportedPresentationError
 from .localfields import AbelianLocalField
-from .padic import PLattice, hnf_columns, vp
+from .padic import (
+    PLattice,
+    SpanSolver,
+    fraction_determinant,
+    fraction_inverse,
+    hnf_columns,
+    kernel,
+    residue,
+    vp,
+)
 
 DEFAULT_PRECISION = 24
 
 
-def fraction_determinant(rows) -> Fraction:
-    a = [[Fraction(x) for x in row] for row in rows]
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
-
-
-def fraction_inverse(rows):
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [row[n:] for row in a]
-
-
 # -- radical of a commutative algebra over Z_p --------------------------------
-
-
-def _fp_residue(c, p: int) -> int:
-    if isinstance(c, Fraction):
-        return c.numerator * pow(c.denominator, -1, p) % p
-    return c % p
-
-
-def _fp_kernel(p, rows):
-    """Kernel basis of the matrix mod p (rows as lists)."""
-    n = len(rows[0]) if rows else 0
-    a = [[x % p for x in row] for row in rows]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        hit = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if hit is None:
-            continue
-        a[r], a[hit] = a[hit], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [(x * inv) % p for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-    out = []
-    for c in range(n):
-        if c in piv_cols:
-            continue
-        v = [0] * n
-        v[c] = 1
-        for row, pc in zip(a, piv_cols):
-            v[pc] = (-row[c]) % p
-        out.append(v)
-    return out
 
 
 def nilradical_mod_p(p, mult, dim, one):
@@ -140,7 +74,7 @@ def nilradical_mod_p(p, mult, dim, one):
     for _ in range(t - 1):
         acc = [[sum(acc[i][k] * mat[k][j] for k in range(dim)) % p for j in range(dim)]
                for i in range(dim)]
-    return _fp_kernel(p, acc)
+    return kernel(acc, p)
 
 
 def radical_lattice(p, precision, mult, dim, one) -> PLattice:
@@ -193,10 +127,11 @@ class GlobalFieldModel:
                 for c in reps
             ]
         self.degree = len(self.basis)
-        assert self.degree == field.degree
-
-        self._basis_cols = [list(b.lift(m).coeffs) for b in self.basis]
-        self._coord_width = totient(m)
+        if self.degree != field.degree:
+            raise ArithmeticError(
+                "basis has %d elements for a field of degree %d" % (self.degree, field.degree)
+            )
+        self._solver = SpanSolver([b.lift(m).coeffs for b in self.basis])
 
         # structure constants must be p-integral for the span to be an
         # order over the local ring; a failure here means the basis does
@@ -224,7 +159,8 @@ class GlobalFieldModel:
             for i in range(self.degree)
         ]
         det = fraction_determinant(self.gram)
-        assert det != 0
+        if det == 0:
+            raise ArithmeticError("the trace form of the basis is degenerate")
         if vp(det, p) != field.discriminant_valuation:
             raise UnsupportedPresentationError(
                 "basis discriminant valuation %d does not match the "
@@ -237,17 +173,10 @@ class GlobalFieldModel:
 
     def to_coords(self, x: CycloNumber) -> list:
         lifted = x.lift(self.field.m) if x.m != self.field.m else x
-        sol = _solve_exact(self._basis_cols, list(lifted.coeffs))
-        if sol is None:
-            raise ValueError("element does not lie in the field")
-        return sol
-
-    def from_coords(self, coords) -> CycloNumber:
-        acc = CycloNumber.rational(0)
-        for c, b in zip(coords, self.basis):
-            if c:
-                acc = acc + b * c
-        return acc
+        try:
+            return self._solver.solve(lifted.coeffs)
+        except ArithmeticError:
+            raise ValueError("element does not lie in the field") from None
 
     def one_coords(self) -> list:
         return self.to_coords(CycloNumber.rational(1))
@@ -286,12 +215,9 @@ class GlobalFieldModel:
         q = norm.as_fraction()
         f = self.field.residue_degree
         v = vp(q, self.field.p)
-        assert v % f == 0, "norm valuation must be divisible by the residue degree"
+        if v % f:
+            raise ArithmeticError("norm valuation must be divisible by the residue degree")
         return v // f
-
-    def dual_basis_coords(self):
-        """Coordinates (in self.basis) of the trace-dual basis."""
-        return fraction_inverse(self.gram)
 
     def maximal_ideal(self) -> PLattice:
         if self._radical is None:
@@ -299,9 +225,9 @@ class GlobalFieldModel:
             self._radical = radical_lattice(
                 p,
                 self.precision,
-                lambda u, v: [_fp_residue(c, p) for c in self.mult_coords(list(u), list(v))],
+                lambda u, v: [residue(c, p, p) for c in self.mult_coords(list(u), list(v))],
                 self.degree,
-                [_fp_residue(c, p) for c in self.one_coords()],
+                [residue(c, p, p) for c in self.one_coords()],
             )
         return self._radical
 

@@ -1,25 +1,36 @@
-"""Linear algebra over Z_p at explicit finite precision.
+"""Exact linear algebra: every elimination loop of the package lives here.
 
-Scalars, column Hermite forms, Smith forms, and lattice membership all
-work with integers understood modulo p^N.  Precision is never silent:
-any step that would need to certify a valuation >= N - guard raises
-PrecisionExhaustedError instead of returning an unreliable answer.
+Four kinds of elimination, each written once:
 
-The column Hermite form here is canonical: pivot entries are exact
-powers of p (the unit part is normalized away), columns are ordered by
-pivot row, entries of the other columns in a pivot row are reduced into
-[0, p^a).  Two spanning sets of the same lattice therefore produce
-identical forms, which is what the lattice comparisons rely on.
+- over F_l: ``echelon``, ``echelon_coords`` and ``kernel`` (character
+  tables split eigenspaces with them; nilradicals of orders mod p are
+  kernels of Frobenius powers);
+- over Q: ``SpanSolver`` factors one fixed basis once by integer
+  Gauss-Jordan and then solves for any target; ``fraction_inverse`` is
+  built on it, and ``fraction_determinant`` is plain Fraction elimination;
+- over Z/p^N: canonical column Hermite forms, lattice membership and
+  Smith forms (optionally tracking the column transform);
+- over Z: exact row Hermite forms and integer kernels, for syzygies where
+  exactness matters more than speed.
 
-There are also exact integer helpers (no modulus) for kernels of
-integer matrices; those are used to build syzygies where exactness
-matters more than speed.
+``residue`` is the one conversion of an int or p-integral Fraction into
+Z/p^N; a non-p-integral entry raises ArithmeticError in every build.
+
+Precision is never silent: any step that would need to certify a
+valuation >= N - guard raises PrecisionExhaustedError instead of
+returning an unreliable answer.  The column Hermite form is canonical:
+pivot entries are exact powers of p (the unit part is normalized away),
+columns are ordered by pivot row, entries of the other columns in a
+pivot row are reduced into [0, p^a).  Two spanning sets of the same
+lattice therefore produce identical forms, which is what the lattice
+comparisons rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import PrecisionExhaustedError
 
@@ -41,52 +52,176 @@ def vp(n, p: int) -> int:
     return v
 
 
-@dataclass
-class PadicApprox:
-    """An integral p-adic scalar known as value + O(p^precision)."""
+def residue(x, p: int, modulus: int) -> int:
+    """x mod p^N for an int or a p-integral Fraction (modulus = p^N)."""
+    if isinstance(x, Fraction):
+        if x.denominator % p == 0:
+            raise ArithmeticError("%s is not %d-integral" % (x, p))
+        return x.numerator * pow(x.denominator, -1, modulus) % modulus
+    return x % modulus
 
-    p: int
-    value: int
-    precision: int
 
-    def __post_init__(self):
-        self.value %= self.p**self.precision
+# -- elimination over F_l ------------------------------------------------------
 
-    def valuation(self, guard: int = DEFAULT_GUARD) -> int:
-        if self.value == 0:
-            raise PrecisionExhaustedError(
-                "valuation is at least the working precision %d" % self.precision
-            )
-        v = vp(self.value, self.p)
-        if v > self.precision - guard:
-            raise PrecisionExhaustedError(
-                "valuation %d too close to precision %d" % (v, self.precision)
-            )
-        return v
 
-    def __add__(self, other):
-        assert self.p == other.p
-        n = min(self.precision, other.precision)
-        return PadicApprox(self.p, (self.value + other.value) % self.p**n, n)
+def echelon(vectors, l):
+    """Reduced row echelon form over F_l; returns (rows, pivot columns)."""
+    rows = [[x % l for x in v] for v in vectors]
+    piv = []
+    r = 0
+    width = len(rows[0]) if rows else 0
+    for c in range(width):
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = pow(rows[r][c], -1, l)
+        rows[r] = [(x * inv) % l for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % l for x, y in zip(rows[i], rows[r])]
+        piv.append(c)
+        r += 1
+    return rows[:r], piv
 
-    def __neg__(self):
-        return PadicApprox(self.p, -self.value, self.precision)
 
-    def __sub__(self, other):
-        return self + (-other)
+def echelon_coords(basis_rows, piv, vec, l):
+    """Coordinates of vec in an echelon basis (vec must lie in the span)."""
+    v = list(vec)
+    out = []
+    for row, c in zip(basis_rows, piv):
+        f = v[c] % l
+        out.append(f)
+        if f:
+            v = [(x - f * y) % l for x, y in zip(v, row)]
+    if any(x % l for x in v):
+        raise ArithmeticError("vector escaped the invariant subspace")
+    return out
 
-    def __mul__(self, other):
-        assert self.p == other.p
-        v1 = min(vp(self.value, self.p), self.precision) if self.value else self.precision
-        v2 = min(vp(other.value, self.p), other.precision) if other.value else other.precision
-        n = min(self.precision + v2, other.precision + v1)
-        return PadicApprox(self.p, self.value * other.value, n)
 
-    def unit_inverse(self) -> "PadicApprox":
-        if self.value % self.p == 0:
-            raise ValueError("inverse requires a p-adic unit")
-        inv = pow(self.value, -1, self.p**self.precision)
-        return PadicApprox(self.p, inv, self.precision)
+def kernel(rows, l):
+    """Basis of {x : rows * x = 0} over F_l, one vector per free column."""
+    width = len(rows[0]) if rows else 0
+    ech, piv = echelon(rows, l)
+    out = []
+    for fc in range(width):
+        if fc in piv:
+            continue
+        v = [0] * width
+        v[fc] = 1
+        for row, c in zip(ech, piv):
+            v[c] = (-row[fc]) % l
+        out.append(v)
+    return out
+
+
+# -- elimination over Q --------------------------------------------------------
+
+
+class SpanSolver:
+    """Exact solves over Q against one fixed basis, factored once.
+
+    Each basis vector (ints or Fractions) is scaled to integers, and one
+    integer Gauss-Jordan pass over them keeps the pivot rows and the row
+    transform.  Each ``solve`` is then a product with the stored transform
+    plus an exact check that the target lies in the Q-span.  Basis vectors
+    dependent on earlier ones get coordinate 0.
+    """
+
+    def __init__(self, cols):
+        self.scales = [lcm(*(x.denominator for x in col)) for col in cols]
+        ints = [
+            [x.numerator * (s // x.denominator) for x in col]
+            for col, s in zip(cols, self.scales)
+        ]
+        self.size = len(ints)
+        width = len(ints[0]) if ints else 0
+        pivots = []  # (position, row), row = [t . ints | t] for a transform t
+        for j, vec in enumerate(ints):
+            row = vec + [0] * self.size
+            row[width + j] = 1
+            for pos, prow in pivots:
+                if row[pos]:
+                    row = _combine(prow[pos], row, row[pos], prow)
+            pos = next((i for i in range(width) if row[i]), None)
+            if pos is None:
+                continue
+            row = _primitive(row)
+            pivots = [
+                (ppos, _combine(row[pos], prow, prow[pos], row) if prow[pos] else prow)
+                for ppos, prow in pivots
+            ]
+            pivots.append((pos, row))
+        self.positions = [pos for pos, _ in pivots]
+        self.denominator = lcm(*(row[pos] for pos, row in pivots))
+        # coordinate j = scales[j] * sum_i transform[j][i] * target[positions[i]] / denominator
+        self.transform = [
+            [row[width + j] * (self.denominator // row[pos]) for pos, row in pivots]
+            for j in range(self.size)
+        ]
+        # the target must agree with the solution off the pivot positions
+        taken = set(self.positions)
+        self.checks = [
+            (i, [(j, vec[i]) for j, vec in enumerate(ints) if vec[i]])
+            for i in range(width)
+            if i not in taken
+        ]
+
+    def solve(self, target):
+        """Coordinates of target; ArithmeticError if it is outside the span."""
+        target = [Fraction(x) for x in target]
+        if not self.size and any(target):
+            raise ArithmeticError("target is outside the span of the basis")
+        scale = lcm(*(x.denominator for x in target))
+        ints = [x.numerator * (scale // x.denominator) for x in target]
+        known = [(i, ints[pos]) for i, pos in enumerate(self.positions) if ints[pos]]
+        nums = [sum(row[i] * v for i, v in known) for row in self.transform]
+        for i, terms in self.checks:
+            if sum(nums[j] * c for j, c in terms) != self.denominator * ints[i]:
+                raise ArithmeticError("target is outside the span of the basis")
+        den = self.denominator * scale
+        return [Fraction(num * s, den) for num, s in zip(nums, self.scales)]
+
+
+def _combine(a, row, b, other):
+    """The primitive part of a * row - b * other."""
+    return _primitive([a * x - b * y for x, y in zip(row, other)])
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return row if g == 1 else [x // g for x in row]
+
+
+def fraction_inverse(rows):
+    """Inverse of a square matrix over Q; ValueError if it is singular."""
+    n = len(rows)
+    solver = SpanSolver(list(zip(*rows)))
+    if len(solver.positions) < n:
+        raise ValueError("singular matrix")
+    cols = [solver.solve([int(i == j) for i in range(n)]) for j in range(n)]
+    return [list(row) for row in zip(*cols)]
+
+
+def fraction_determinant(rows) -> Fraction:
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        inv = 1 / a[c][c]
+        for i in range(c + 1, n):
+            if a[i][c]:
+                f = a[i][c] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
 
 
 # -- lattices mod p^N ---------------------------------------------------------
@@ -120,54 +255,18 @@ class PLattice:
         )
 
 
-def _to_int_columns(p, columns):
-    """Scale rational columns to integers; returns (int columns, shift) with
-    the lattice multiplied by p^shift.  Non-p denominators are inverted later
-    mod p^N, so they are disallowed here on purpose: callers pass integers or
-    p-integral fractions times a known power of p."""
-    shift = 0
-    for col in columns:
-        for x in col:
-            if isinstance(x, Fraction) and x != 0:
-                d = x.denominator
-                v = vp(d, p)
-                shift = max(shift, v)
-    out = []
-    for col in columns:
-        new = []
-        for x in col:
-            y = x * p**shift if shift else x
-            if isinstance(y, Fraction):
-                num, den = y.numerator, y.denominator
-                assert den % p != 0, "denominator must be a power of p times a p-unit"
-                new.append((num, den))
-            else:
-                new.append((y, 1))
-        out.append(new)
-    return out, shift
-
-
 def hnf_columns(p, precision, columns, guard: int = DEFAULT_GUARD) -> PLattice:
     """Canonical column Hermite form mod p^precision.
 
-    columns: vectors of ints or p-integral Fractions (denominators prime
-    to p after clearing a global power of p; the global power is an
-    error here - scale the lattice yourself if you need it).
+    columns: vectors of ints or p-integral Fractions; a Fraction with p
+    in its denominator raises ArithmeticError (scale the lattice yourself
+    if you need it).
     """
     if not columns:
         raise ValueError("no columns")
     dim = len(columns[0])
     modulus = p**precision
-    work = []
-    for col in columns:
-        new = []
-        for x in col:
-            if isinstance(x, Fraction):
-                assert x.denominator % p != 0, "column entries must be p-integral"
-                new.append(x.numerator * pow(x.denominator, -1, modulus) % modulus)
-            else:
-                new.append(x % modulus)
-        work.append(new)
+    work = [[residue(x, p, modulus) for x in col] for col in columns]
 
     pivots, pivot_vals, placed = [], [], []
     for row in range(dim):
@@ -177,8 +276,6 @@ def hnf_columns(p, precision, columns, guard: int = DEFAULT_GUARD) -> PLattice:
             if x == 0:
                 continue
             v = vp(x, p)
-            if v >= precision:
-                continue
             if best_v is None or v < best_v:
                 best, best_v = idx, v
         if best is None:
@@ -206,8 +303,8 @@ def hnf_columns(p, precision, columns, guard: int = DEFAULT_GUARD) -> PLattice:
 
     # every leftover column was cleared at each pivot row and had no pivot
     # of its own, so it must be exactly zero now
-    for col in work:
-        assert all(x == 0 for x in col), "unplaced column with visible entries"
+    if any(any(col) for col in work):
+        raise ArithmeticError("unplaced column with visible entries")
 
     # canonical reduction: entries of column j at later pivot rows into
     # [0, p^{a_i}); increasing i keeps earlier reductions intact because
@@ -225,13 +322,7 @@ def hnf_columns(p, precision, columns, guard: int = DEFAULT_GUARD) -> PLattice:
 def lattice_contains(lat: PLattice, vector, guard: int = DEFAULT_GUARD) -> bool:
     """Whether the vector lies in the lattice, mod p^precision."""
     p, modulus = lat.p, lat.p**lat.precision
-    v = []
-    for x in vector:
-        if isinstance(x, Fraction):
-            assert x.denominator % p != 0
-            v.append(x.numerator * pow(x.denominator, -1, modulus) % modulus)
-        else:
-            v.append(x % modulus)
+    v = [residue(x, p, modulus) for x in vector]
     for col, row, a in zip(lat.cols, lat.pivots, lat.pivot_vals):
         x = v[row]
         if x == 0:
@@ -256,48 +347,7 @@ def smith_valuations(p, precision, rows, guard: int = DEFAULT_GUARD) -> list:
     with valuation < precision - guard; a divisor indistinguishable from
     zero at this precision raises PrecisionExhaustedError.
     """
-    modulus = p**precision
-    a = [[x % modulus for x in row] for row in rows]
-    out = []
-    top = 0
-    nrows, ncols = len(a), len(a[0]) if a else 0
-    while top < min(nrows, ncols):
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if a[i][j]:
-                    v = vp(a[i][j], p)
-                    if v < precision and (best is None or v < best[0]):
-                        best = (v, i, j)
-        if best is None:
-            # all remaining entries vanish mod p^N: rank deficiency over Q_p
-            # is certified only if the caller expected it; report by stopping
-            break
-        v, bi, bj = best
-        if v > precision - guard:
-            raise PrecisionExhaustedError(
-                "invariant factor valuation %d exceeds precision %d - guard %d"
-                % (v, precision, guard)
-            )
-        a[top], a[bi] = a[bi], a[top]
-        for row in a:
-            row[top], row[bj] = row[bj], row[top]
-        inv = pow(a[top][top] // p**v, -1, modulus)
-        a[top] = [(x * inv) % modulus for x in a[top]]
-        for i in range(top + 1, nrows):
-            x = a[i][top]
-            if x:
-                q = x // p**v
-                a[i] = [(y - q * z) % modulus for y, z in zip(a[i], a[top])]
-        for j in range(top + 1, ncols):
-            x = a[top][j]
-            if x:
-                q = x // p**v
-                for i in range(top, nrows):
-                    a[i][j] = (a[i][j] - q * a[i][top]) % modulus
-        out.append(v)
-        top += 1
-    return out
+    return _smith(p, precision, rows, guard, False)[0]
 
 
 def smith_with_column_transform(p, precision, rows, guard: int = DEFAULT_GUARD):
@@ -305,13 +355,18 @@ def smith_with_column_transform(p, precision, rows, guard: int = DEFAULT_GUARD):
     R * A * C = diag(p^vals) for unimodular R (discarded) and C, and c_cols
     lists the columns of C.  Columns beyond len(vals) span directions on
     which A vanishes mod p^precision."""
+    return _smith(p, precision, rows, guard, True)
+
+
+def _smith(p, precision, rows, guard, track):
+    """Smith elimination mod p^precision; the column transform C (as a list
+    of columns) is kept only when ``track`` is set, else None."""
     modulus = p**precision
     a = [[x % modulus for x in row] for row in rows]
     nrows, ncols = len(a), len(a[0]) if a else 0
-    c = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]  # columns
+    c = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)] if track else None
     out = []
-    top = 0
-    while top < min(nrows, ncols):
+    for top in range(min(nrows, ncols)):
         best = None
         for i in range(top, nrows):
             for j in range(top, ncols):
@@ -320,6 +375,7 @@ def smith_with_column_transform(p, precision, rows, guard: int = DEFAULT_GUARD):
                     if best is None or v < best[0]:
                         best = (v, i, j)
         if best is None:
+            # every remaining entry vanishes mod p^N: the rank is len(out)
             break
         v, bi, bj = best
         if v > precision - guard:
@@ -331,7 +387,8 @@ def smith_with_column_transform(p, precision, rows, guard: int = DEFAULT_GUARD):
         if bj != top:
             for row in a:
                 row[top], row[bj] = row[bj], row[top]
-            c[top], c[bj] = c[bj], c[top]
+            if track:
+                c[top], c[bj] = c[bj], c[top]
         inv = pow(a[top][top] // p**v, -1, modulus)
         a[top] = [(x * inv) % modulus for x in a[top]]
         for i in range(top + 1, nrows):
@@ -345,21 +402,10 @@ def smith_with_column_transform(p, precision, rows, guard: int = DEFAULT_GUARD):
                 q = x // p**v
                 for i in range(top, nrows):
                     a[i][j] = (a[i][j] - q * a[i][top]) % modulus
-                c[j] = [(y - q * z) % modulus for y, z in zip(c[j], c[top])]
+                if track:
+                    c[j] = [(y - q * z) % modulus for y, z in zip(c[j], c[top])]
         out.append(v)
-        top += 1
     return out, c
-
-
-def quotient_annihilator_exponent(p, precision, columns, guard: int = DEFAULT_GUARD) -> int:
-    """Smallest t with p^t * Z_p^n inside the column span (n = dim)."""
-    dims = len(columns[0])
-    vals = smith_valuations(p, precision, [list(r) for r in zip(*columns)], guard)
-    if len(vals) < dims:
-        raise PrecisionExhaustedError(
-            "column span is not full rank at precision %d" % precision
-        )
-    return max(vals) if vals else 0
 
 
 # -- exact integer forms -------------------------------------------------------

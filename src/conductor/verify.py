@@ -266,7 +266,7 @@ def suite_integrality(p=None, seed=None, precision=None):
         ok_div = all(
             vp(c.chi_degree, sd.p) <= vp(sd.h.order * c.w, sd.p) for c in classes
         )
-        certified = sum(1 for c in classes if c.wedderburn["s_chi"] == 1)
+        certified = sum(1 for c in classes if c.chi_degree == 1)
         checks.append(
             CheckResult(
                 "%s multiplier integrality" % _sd_label(sd),

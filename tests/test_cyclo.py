@@ -8,14 +8,46 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conductor.cyclo import (
+    ONE,
+    ZERO,
     CycloNumber,
-    SpanSolver,
     _reduction_context,
-    _solve_exact,
     divisors,
     totient,
 )
 from conductor.errors import InvalidAutomorphismError
+from conductor.padic import SpanSolver
+
+
+def _solve_exact(cols, target):
+    """Solve sum x_j * cols[j] = target over Q; None if inconsistent."""
+    rows = len(target)
+    ncols = len(cols)
+    aug = [[Fraction(cols[j][i]) for j in range(ncols)] + [Fraction(target[i])] for i in range(rows)]
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, rows) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = ONE / aug[r][c]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if aug[i][ncols]:
+            return None
+    sol = [ZERO] * ncols
+    for i, c in enumerate(piv_cols):
+        sol[c] = aug[i][ncols]
+    return sol
 
 
 def test_root_powers_sum_to_minus_one():

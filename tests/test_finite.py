@@ -13,7 +13,9 @@ from conductor.chartab import character_table
 from conductor.errors import InputError
 from conductor.finite import (
     ExtComputation,
+    _convolve,
     _galois_exponents,
+    _group_algebra_inverse,
     _row_permutations,
     _value_key,
     annihilation_check,
@@ -132,6 +134,17 @@ def test_twist_does_not_change_conductor():
     plain = brute_force_conductor(g, 3, reps=reps)
     for seed in (1, 7):
         assert brute_force_conductor(g, 3, reps=reps, twist_seed=seed) == plain
+
+
+def test_group_algebra_inverse_is_a_two_sided_inverse():
+    # a unit 1 + 3 * lambda of Q_3[S4] with a nonzero coefficient on every element
+    g = next(h for h in table_catalog() if h.name == "S4")
+    u = [Fraction(3 * ((5 * x) % 7 - 3), 1 + x % 4) for x in range(g.order)]
+    u[0] += 1
+    y = _group_algebra_inverse(g, u)
+    one = [Fraction(int(x == 0)) for x in range(g.order)]
+    assert _convolve(g, u, y) == one
+    assert _convolve(g, y, u) == one
 
 
 def test_conductor_is_an_ideal_inside_the_group_ring_center():

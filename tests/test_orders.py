@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conductor.localfields import AbelianLocalField
-from conductor.orders import GlobalFieldModel, fraction_inverse
+from conductor.orders import GlobalFieldModel
+from conductor.padic import fraction_inverse
 
 
 def test_q_model_is_trivial():
