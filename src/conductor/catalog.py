@@ -7,7 +7,6 @@ its trace vector must match a character table row exactly.
 
 from __future__ import annotations
 
-from .cyclo import CycloNumber
 from .groups import (
     FiniteGroup,
     GroupAutomorphism,
@@ -116,11 +115,10 @@ def table_catalog() -> list[FiniteGroup]:
 
 # -- splitting representations ---------------------------------------------
 #
-# For each named nonabelian catalog group: rows of integer (or cyclotomic)
-# matrices per generator, one entry per irreducible character that needs
-# degree > 1 (degree-1 representations come straight from the table row).
-
-_Z3 = CycloNumber.root(3)
+# For each named nonabelian catalog group: integer matrices per generator,
+# one entry per irreducible character of degree > 1 (degree-1
+# representations come straight from the table row).  Only the
+# brute-force maximal-order oracle in ``finite`` uses them.
 
 
 def splitting_reps(name: str):

@@ -16,7 +16,6 @@ import os
 import sys
 import time
 
-from .catalog import splitting_reps
 from .chartab import character_table
 from .cyclo import CycloNumber, is_prime
 from .errors import InputError, PrecisionExhaustedError
@@ -180,19 +179,8 @@ def _cmd_verify(args):
 def _cmd_fitting(args):
     g = group_from_json(load_json(args.group))
     pres = presentation_from_json(load_json(args.matrix), g, where=args.matrix)
-    # Stock splitting matrices assume the catalog's element indexing; a
-    # user table with the same name but different numbering fails their
-    # verification, in which case we retry on character data alone.
-    reps = splitting_reps(g.name)
-    if reps:
-        try:
-            generators = fitting_generators(pres, reps=reps)
-        except InputError:
-            reps = []
-            generators = fitting_generators(pres, reps=reps)
-    else:
-        generators = fitting_generators(pres, reps=reps)
-    verdict = annihilation_check(pres, args.p, reps=reps, precision=_env_precision())
+    generators = fitting_generators(pres)
+    verdict = annihilation_check(pres, args.p, precision=_env_precision())
     payload = {
         "group": g.name,
         "order": g.order,

@@ -78,12 +78,14 @@ def _poly_divmod(num: list[int], den: list[int]) -> list[int]:
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
         c = num[i + len(den) - 1]
-        assert c % den[-1] == 0
+        if c % den[-1]:
+            raise ArithmeticError("inexact integer polynomial division")
         c //= den[-1]
         out[i] = c
         for j, d in enumerate(den):
             num[i + j] -= c * d
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise ArithmeticError("integer polynomial division leaves a remainder")
     return out
 
 
@@ -185,7 +187,8 @@ class CycloNumber:
         """Rewrite at a conductor multiple (big % self.m == 0)."""
         if big == self.m:
             return self
-        assert big % self.m == 0 and big % 4 != 2
+        if big % self.m or big % 4 == 2:
+            raise ArithmeticError("cannot lift conductor %d to %d" % (self.m, big))
         step = big // self.m
         return CycloNumber(big, _fold(big, ((e * step, c) for e, c in enumerate(self.coeffs))))
 
@@ -232,7 +235,8 @@ class CycloNumber:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         mod = [Fraction(c) for c in cyclotomic_poly(self.m)]
         g, _, inv = _poly_xgcd(mod, list(self.coeffs))
-        assert len(g) == 1  # Phi_m is squarefree, element nonzero
+        if len(g) != 1:  # Phi_m is irreducible and the element nonzero
+            raise ArithmeticError("gcd with the cyclotomic polynomial is not a unit")
         scale = ONE / g[0]
         return CycloNumber(self.m, [scale * c for c in inv])
 

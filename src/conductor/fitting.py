@@ -2,11 +2,12 @@
 
 A presentation Lambda^a -> Lambda^b of a module M over Lambda = o[G] has,
 for a >= b, a Fitting invariant generated by the reduced norms of the b x b
-submatrices.  The reduced norm of a square matrix over K[G] is computed
-through the Wedderburn components: apply the irreducible representation
-entrywise and take the determinant of the resulting block.  Degree-1
-components read off the character directly; higher components need an
-integral splitting representation, as in the maximal-order machinery.
+submatrices.  The reduced norm of a square matrix over K[G] is taken one
+Wedderburn component at a time from the character table alone: the
+component of chi has reduced trace chi, so the traces of the powers of the
+matrix give the power sums of its reduced characteristic polynomial, and
+Newton's identities give its constant term.  No representation is needed,
+whatever the degree or Schur index of chi.
 
 The annihilation statement under test: central conductor times Fitting
 invariant annihilates the cokernel.  Each Fitting generator is a center
@@ -21,17 +22,10 @@ from itertools import combinations
 
 from .chartab import character_table
 from .cyclo import CycloNumber
-from .errors import InputError, UnsupportedPresentationError
-from .finite import (
-    _convolve,
-    _expand_representation,
-    _rep_character_row,
-    _verify_representation,
-    formula_conductor_lattice,
-    working_precision,
-)
+from .errors import InputError
+from .finite import _convolve, formula_conductor_lattice, working_precision
 from .groups import FiniteGroup, conjugacy_classes
-from .padic import fraction_determinant, hnf_columns, lattice_contains, vp
+from .padic import hnf_columns, lattice_contains, vp
 
 
 @dataclass
@@ -87,86 +81,55 @@ class FittingGenerators:
         }
 
 
-def _rep_rows(g, table, reps):
-    out = {}
-    for mats in reps or []:
-        if len(mats) != g.order:
-            mats = _expand_representation(g, mats)
-        _verify_representation(g, mats)
-        out[_rep_character_row(table, mats)] = mats
+def _power_traces(g, matrix, top):
+    """Class sums of the trace sum_i (M^j)_ii over Q[G], for j = 1..top."""
+    k = len(matrix)
+    classes = conjugacy_classes(g)
+    out = []
+    power = matrix
+    for j in range(1, top + 1):
+        if j > 1:  # M^j = M^(j-1) M over Q[G]
+            power = [
+                [
+                    [sum(t) for t in zip(*(_convolve(g, prow[l], matrix[l][c]) for l in range(k)))]
+                    for c in range(k)
+                ]
+                for prow in power
+            ]
+        sums = [Fraction(0)] * len(classes.classes)
+        for i in range(k):
+            for x, c in enumerate(power[i][i]):
+                if c:
+                    sums[classes.class_of[x]] += c
+        out.append(sums)
     return out
 
 
-def _cyclo_det(rows):
-    """Determinant of a square CycloNumber matrix by Gaussian elimination."""
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = CycloNumber.rational(1)
-    sign = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if not rows[r][c].is_zero()), None)
-        if piv is None:
-            return CycloNumber.rational(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        pivot = rows[c][c]
-        det = det * pivot
-        inv = pivot.inverse()
-        for r in range(c + 1, n):
-            f = rows[r][c] * inv
-            if not f.is_zero():
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return det * sign
+def reduced_norm(g, matrix):
+    """nrd of a square matrix over K[G], one CycloNumber per character row.
 
-
-def reduced_norm(g, matrix, reps=None):
-    """nr of a square matrix over K[G], one CycloNumber per character row.
-
-    Per character: apply the representation to every entry and take the
-    determinant of the assembled block.  Degree-1 rows evaluate through the
-    character; degree > 1 rows need a splitting representation.
+    The block of row chi has reduced trace chi, so the reduced
+    characteristic polynomial of a k x k matrix M there has degree
+    k chi(1) and power sums s_j = sum_i chi((M^j)_ii).  Newton's identities
+    e_j = (1/j) sum_{i=1..j} (-1)^(i-1) e_{j-i} s_i give its coefficients,
+    and nrd_chi(M) = e_{k chi(1)}, for every Schur index.
     """
     k = len(matrix)
     for row in matrix:
         if len(row) != k:
             raise InputError("reduced norm needs a square matrix")
     table = character_table(g)
-    rep_rows = _rep_rows(g, table, reps)
+    traces = _power_traces(g, matrix, k * max(table.degrees))
+    zero = CycloNumber.rational(0)
     out = []
-    for row in range(table.n_classes):
-        deg = table.degrees[row]
-        if deg == 1:
-            block = [
-                [
-                    sum(
-                        (table.value(row, x) * c for x, c in enumerate(vec) if c),
-                        CycloNumber.rational(0),
-                    )
-                    for vec in mrow
-                ]
-                for mrow in matrix
-            ]
-            out.append(_cyclo_det(block))
-        elif row in rep_rows:
-            mats = rep_rows[row]
-            big = [[Fraction(0)] * (k * deg) for _ in range(k * deg)]
-            for i in range(k):
-                for j in range(k):
-                    vec = matrix[i][j]
-                    for x, c in enumerate(vec):
-                        if c:
-                            m = mats[x]
-                            for s in range(deg):
-                                for t in range(deg):
-                                    if m[s][t]:
-                                        big[i * deg + s][j * deg + t] += c * m[s][t]
-            out.append(CycloNumber.rational(fraction_determinant(big)))
-        else:
-            raise UnsupportedPresentationError(
-                "no splitting representation for the degree-%d character "
-                "in row %d" % (deg, row)
-            )
+    for chi, deg in zip(table.values, table.degrees):
+        top = k * deg
+        s = [sum((v * c for v, c in zip(chi, t) if c), zero) for t in traces[:top]]
+        e = [CycloNumber.rational(1)]
+        for j in range(1, top + 1):
+            terms = (e[j - i] * s[i - 1] for i in range(1, j + 1))
+            e.append(sum((t if i % 2 else -t for i, t in enumerate(terms, 1)), zero) / j)
+        out.append(zero if e[top].is_zero() else e[top])
     return out
 
 
@@ -191,7 +154,10 @@ def materialize_center(g, values):
 
 
 def fitting_generators(pres: PresentationMatrix, reps=None) -> FittingGenerators:
-    """Reduced norms of all b x b submatrices; zero class when a < b."""
+    """Reduced norms of all b x b submatrices; zero class when a < b.
+
+    ``reps`` is ignored.  It stays only for the benchmark's call sites and
+    goes with the next benchmark change."""
     if pres.a < pres.b:
         return FittingGenerators(subsets=[], values=[], zero=True)
     subsets = []
@@ -199,7 +165,7 @@ def fitting_generators(pres: PresentationMatrix, reps=None) -> FittingGenerators
     for rows in combinations(range(pres.a), pres.b):
         sub = [pres.entries[i] for i in rows]
         subsets.append(rows)
-        values.append(reduced_norm(pres.group, sub, reps))
+        values.append(reduced_norm(pres.group, sub))
     return FittingGenerators(subsets=subsets, values=values, zero=False)
 
 
@@ -234,10 +200,11 @@ def annihilation_check(pres: PresentationMatrix, p, reps=None, precision=None) -
     Every product of a central conductor generator with a Fitting generator
     must be p-integral and carry each unit vector of Lambda^b into the
     presentation image.  Vacuously true for the zero Fitting class.
+    ``reps`` is ignored, as in ``fitting_generators``.
     """
     g = pres.group
     n = g.order
-    fit = fitting_generators(pres, reps)
+    fit = fitting_generators(pres)
     if fit.zero:
         return True
     if precision is None:

@@ -188,7 +188,8 @@ class AbelianLocalField:
                     break
                 disc += nontrivial
                 i += 1
-            assert disc % f == 0, "discriminant valuation must be divisible by f"
+            if disc % f:
+                raise ArithmeticError("discriminant valuation must be divisible by f")
             self._ram = (e, f, disc, disc // f)
         return self._ram
 
@@ -263,9 +264,12 @@ def relative_data(base: AbelianLocalField, ext: AbelianLocalField) -> tuple[int,
         )
     e = ext.ramification_index // base.ramification_index
     f = ext.residue_degree // base.residue_degree
-    assert e * base.ramification_index == ext.ramification_index
-    assert f * base.residue_degree == ext.residue_degree
     # transitivity of the different along Q_p - base - ext
     d = ext.different_exponent - e * base.different_exponent
-    assert d >= 0
+    if (
+        e * base.ramification_index != ext.ramification_index
+        or f * base.residue_degree != ext.residue_degree
+        or d < 0
+    ):
+        raise ArithmeticError("relative e, f or different exponent is inconsistent")
     return e, f, d

@@ -14,6 +14,7 @@ from .catalog import (
     conductor_catalog,
     sd_c3_trivial,
     sd_c7,
+    sd_s3_inner,
     sd_s3_trivial,
     semidirect_catalog,
     splitting_reps,
@@ -37,7 +38,7 @@ from .finite import (
 )
 from .fitting import PresentationMatrix
 from .fitting import annihilation_check as fitting_annihilation_check
-from .groups import cyclic_group
+from .groups import cyclic_group, finite_quotient
 from .iwasawa import (
     character_classes,
     degeneration_matches_finite,
@@ -73,12 +74,14 @@ class CheckResult:
         return out
 
 
-def _primes_for(g, p):
-    """Primes to run a catalog group at; A4 splits only for p = 1 mod 3."""
-    primes = [q for q in ODD_PRIMES if p is None or q == p]
-    if g.name == "A4":
-        primes = [q for q in primes if q % 3 == 1]
-    return primes
+def _primes_for(p):
+    """Primes to run a catalog group at."""
+    return [q for q in ODD_PRIMES if p is None or q == p]
+
+
+def _small_primes_for(g, p):
+    """Primes for the twist and Fitting suites: 3, and also 7 for A4."""
+    return [q for q in ((3, 7) if g.name == "A4" else (3,)) if p is None or q == p]
 
 
 def suite_conductor(p=None, seed=None, precision=None):
@@ -86,7 +89,7 @@ def suite_conductor(p=None, seed=None, precision=None):
     checks = []
     for g in conductor_catalog():
         reps = splitting_reps(g.name)
-        for q in _primes_for(g, p):
+        for q in _primes_for(p):
             prec = precision or working_precision(g, q)
             formula = formula_conductor_lattice(g, q, precision=prec)
             brute = brute_force_conductor(g, q, reps=reps, precision=prec)
@@ -105,21 +108,19 @@ def suite_twists(p=None, seed=None, precision=None):
     checks = []
     seeds = (seed,) if seed is not None else TWIST_SEEDS
     for g in conductor_catalog():
-        q = 7 if g.name == "A4" else 3
-        if p is not None and q != p:
-            continue
         reps = splitting_reps(g.name)
-        prec = precision or working_precision(g, q)
-        plain = brute_force_conductor(g, q, reps=reps, precision=prec)
-        for s in seeds:
-            twisted = brute_force_conductor(
-                g, q, reps=reps, twist_seed=s, precision=prec
-            )
-            checks.append(
-                CheckResult(
-                    "%s p=%d twist seed %d" % (g.name, q, s), twisted == plain
+        for q in _small_primes_for(g, p):
+            prec = precision or working_precision(g, q)
+            plain = brute_force_conductor(g, q, reps=reps, precision=prec)
+            for s in seeds:
+                twisted = brute_force_conductor(
+                    g, q, reps=reps, twist_seed=s, precision=prec
                 )
-            )
+                checks.append(
+                    CheckResult(
+                        "%s p=%d twist seed %d" % (g.name, q, s), twisted == plain
+                    )
+                )
     return checks
 
 
@@ -282,7 +283,7 @@ def suite_integrality(p=None, seed=None, precision=None):
             )
         )
     for g in conductor_catalog():
-        for q in _primes_for(g, p):
+        for q in _primes_for(p):
             report = jacobinski_conductor(g, q)
             checks.append(
                 CheckResult(
@@ -328,7 +329,8 @@ def suite_ext(p=None, seed=None, precision=None):
         CheckResult(
             "Z3[C3] sharpness: element outside the conductor fails",
             fails,
-            "coords %s on Ext(%s, %s)" % (coords, name_m, name_n),
+            "coords [%s] on Ext(%s, %s)"
+            % (", ".join(str(c) for c in coords), name_m, name_n),
         )
     )
     return checks
@@ -342,13 +344,13 @@ def _unit_vec(g, coeffs):
 
 
 def suite_fitting(p=None, seed=None, precision=None):
-    """Conductor times Fitting generators annihilates the cokernel."""
+    """Conductor times Fitting generators annihilates the cokernel, on the
+    catalog and on the quotients G_1 of C7:|Z3 and S3:|Z3 (inner)."""
+    cases = [(g, q) for g in conductor_catalog() for q in _small_primes_for(g, p)]
+    if p in (None, 3):
+        cases += [(finite_quotient(sd, 1), 3) for sd in (sd_c7(), sd_s3_inner())]
     checks = []
-    for g in conductor_catalog():
-        q = 7 if g.name == "A4" else 3
-        if p is not None and q != p:
-            continue
-        reps = splitting_reps(g.name)
+    for g, q in cases:
         g0 = g.generators[0] if g.generators else 0
         presentations = [
             ("(p)", PresentationMatrix(g, 1, 1, [[_unit_vec(g, {0: q})]])),
@@ -375,7 +377,7 @@ def suite_fitting(p=None, seed=None, precision=None):
             checks.append(
                 CheckResult(
                     "%s p=%d %s" % (g.name, q, label),
-                    fitting_annihilation_check(pres, q, reps=reps, precision=precision),
+                    fitting_annihilation_check(pres, q, precision=precision),
                 )
             )
     return checks

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from conductor.catalog import alternating_4, quaternion_8
 from conductor.cli import run
+from conductor.verify import suite_ext
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "sample_inputs")
 
@@ -88,6 +90,38 @@ def test_fitting_verdict(capsys):
     payload = json.loads(out)
     assert payload["annihilates"]
     assert payload["fitting"]["generators"][0]["rows"] == [0]
+
+
+@pytest.mark.parametrize("make", [alternating_4, quaternion_8])
+def test_fitting_needs_no_representation(capsys, tmp_path, make):
+    # A4 with its non-identity elements relabelled, and Q8 (a degree-2
+    # block of Schur index 2): reduced norms come from the table alone
+    g = make()
+    n = g.order
+    perm = [0] + list(range(n - 1, 0, -1))
+    inv = [0] * n
+    for i, x in enumerate(perm):
+        inv[x] = i
+    table = [[perm[g.mult(inv[a], inv[b])] for b in range(n)] for a in range(n)]
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"name": g.name, "mult_table": table}))
+    entries = [[[3] + [0] * (n - 1)], [[1, -1] + [0] * (n - 2)]]
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"a": 2, "b": 1, "entries": entries}))
+    code, out = run_capture(
+        capsys,
+        ["fitting", "--group", str(group), "--p", "3", "--matrix", str(matrix)],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["annihilates"] is True
+    assert len(payload["fitting"]["generators"]) == 2
+
+
+def test_ext_details_print_plain_numbers():
+    details = [c.detail for c in suite_ext()]
+    assert any("coords [1, 0, 0]" in d for d in details)
+    assert not any("Fraction(" in d for d in details)
 
 
 @pytest.mark.parametrize("optimize", [False, True])

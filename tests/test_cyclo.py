@@ -1,5 +1,8 @@
 """Exact cyclotomic arithmetic."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -11,6 +14,7 @@ from conductor.cyclo import (
     ONE,
     ZERO,
     CycloNumber,
+    _poly_divmod,
     _reduction_context,
     divisors,
     totient,
@@ -214,3 +218,35 @@ def test_span_solver_agrees_with_solve_exact(case, data):
     assert _solve_exact(cols, outside) is None
     with pytest.raises(ArithmeticError):
         solver.solve(outside)
+
+
+_CERTIFICATES = """
+from conductor.cyclo import CycloNumber, _poly_divmod
+for call in (lambda: CycloNumber.root(3).lift(5), lambda: _poly_divmod([1, 0, 1], [1, 1])):
+    try:
+        call()
+    except ArithmeticError as exc:
+        print("ArithmeticError", exc)
+    else:
+        print("accepted")
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_certificates_raise_in_every_build(optimize):
+    if optimize:
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _CERTIFICATES],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "ArithmeticError cannot lift conductor 3 to 5",
+            "ArithmeticError integer polynomial division leaves a remainder",
+        ]
+    else:
+        with pytest.raises(ArithmeticError, match="cannot lift"):
+            CycloNumber.root(3).lift(5)
+        with pytest.raises(ArithmeticError, match="remainder"):
+            _poly_divmod([1, 0, 1], [1, 1])

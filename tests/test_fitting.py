@@ -1,13 +1,23 @@
 """Fitting generators via reduced norms, and conductor-times-Fitting
 annihilation of presentation cokernels."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from conductor.catalog import splitting_reps, symmetric_3
+from conductor.catalog import (
+    alternating_5,
+    c7_c3,
+    frobenius_20,
+    quaternion_8,
+    symmetric_3,
+    symmetric_4,
+)
+from conductor.chartab import character_table
 from conductor.cyclo import CycloNumber
-from conductor.errors import InputError, UnsupportedPresentationError
+from conductor.errors import InputError
+from conductor.finite import _convolve
 from conductor.fitting import (
     PresentationMatrix,
     annihilation_check,
@@ -17,6 +27,7 @@ from conductor.fitting import (
     reduced_norm,
 )
 from conductor.groups import cyclic_group
+from conductor.padic import fraction_determinant
 
 
 def unit_vec(order, coeffs):
@@ -27,8 +38,8 @@ def unit_vec(order, coeffs):
 
 
 def test_reduced_norm_of_identity_is_one():
-    for g, reps in ((cyclic_group(3), []), (symmetric_3(), splitting_reps("S3"))):
-        nr = reduced_norm(g, [[unit_vec(g.order, {0: 1})]], reps=reps)
+    for g in (cyclic_group(3), symmetric_3()):
+        nr = reduced_norm(g, [[unit_vec(g.order, {0: 1})]])
         assert all(v == CycloNumber.rational(1) for v in nr)
 
 
@@ -42,28 +53,29 @@ def test_reduced_norm_c3_augmentation_style_element():
     assert {v for v in nr if not v.is_zero()} == {1 - z, 1 - z**2}
     trivial_rows = [i for i, v in enumerate(nr) if v == zero]
     assert len(trivial_rows) == 1
+    # a singular block reads as the rational zero at conductor 1, also
+    # where its power sums live in Q(zeta_3): the norm element 1 + g + g^2
+    nr = reduced_norm(g, [[unit_vec(3, {0: 1, 1: 1, 2: 1})]])
+    want = [CycloNumber.rational(x).to_json() for x in (3, 0, 0)]
+    assert sorted(map(str, (v.to_json() for v in nr))) == sorted(map(str, want))
 
 
 def test_reduced_norm_s3_transposition():
     g = symmetric_3()
-    reps = splitting_reps("S3")
     t = g.generators[0]  # a transposition
-    nr = reduced_norm(g, [[unit_vec(6, {0: 1, t: -1})]], reps=reps)
+    nr = reduced_norm(g, [[unit_vec(6, {0: 1, t: -1})]])
     # 0 at the trivial character, 2 at the sign, 0 at the 2-dimensional
     assert sorted(v.as_fraction() for v in nr) == [0, 0, 2]
 
 
 def test_reduced_norm_multiplicative():
     g = symmetric_3()
-    reps = splitting_reps("S3")
     a = [[unit_vec(6, {0: 2, 1: 1})]]
     b = [[unit_vec(6, {0: 1, 3: -2})]]
-    from conductor.finite import _convolve
-
     prod = [[[Fraction(v) for v in _convolve(g, a[0][0], b[0][0])]]]
-    nra = reduced_norm(g, a, reps=reps)
-    nrb = reduced_norm(g, b, reps=reps)
-    nrp = reduced_norm(g, prod, reps=reps)
+    nra = reduced_norm(g, a)
+    nrb = reduced_norm(g, b)
+    nrp = reduced_norm(g, prod)
     assert all(x * y == z for x, y, z in zip(nra, nrb, nrp))
 
 
@@ -78,21 +90,19 @@ def test_scalar_presentation_fitting_and_annihilation():
 
 def test_s3_transposition_presentation_annihilates():
     g = symmetric_3()
-    reps = splitting_reps("S3")
     t = g.generators[0]
     pres = PresentationMatrix(g, 1, 1, [[unit_vec(6, {0: 1, t: -1})]])
-    assert annihilation_check(pres, 3, reps=reps)
+    assert annihilation_check(pres, 3)
 
 
 def test_tall_presentation():
     g = symmetric_3()
-    reps = splitting_reps("S3")
     pres = PresentationMatrix(
         g, 2, 1, [[unit_vec(6, {0: 3})], [unit_vec(6, {0: 1, 3: -1})]]
     )
-    fit = fitting_generators(pres, reps=reps)
+    fit = fitting_generators(pres)
     assert len(fit.subsets) == 2
-    assert annihilation_check(pres, 3, reps=reps)
+    assert annihilation_check(pres, 3)
 
 
 def test_wide_presentation_is_zero_class():
@@ -103,10 +113,52 @@ def test_wide_presentation_is_zero_class():
     assert annihilation_check(pres, 3)
 
 
-def test_degree_two_requires_splitting_rep():
-    g = symmetric_3()
-    with pytest.raises(UnsupportedPresentationError):
-        reduced_norm(g, [[unit_vec(6, {0: 1})]], reps=[])
+def test_scalars_need_no_representation():
+    # S3 has a split degree-2 block, Q8 a degree-2 block of Schur index 2
+    for g in (symmetric_3(), quaternion_8()):
+        degrees = character_table(g).degrees
+        assert reduced_norm(g, [[unit_vec(g.order, {0: 1})]]) == [1] * len(degrees)
+        nr = reduced_norm(g, [[unit_vec(g.order, {0: 5})]])
+        assert nr == [CycloNumber.rational(5**d) for d in degrees]
+
+
+def _left_regular(g, matrix):
+    """The k|G| x k|G| rational matrix of v -> M v on Q[G]^k."""
+    n = g.order
+    k = len(matrix)
+    big = [[Fraction(0)] * (k * n) for _ in range(k * n)]
+    for i in range(k):
+        for j in range(k):
+            for x, c in enumerate(matrix[i][j]):
+                if c:
+                    for y in range(n):
+                        big[i * n + g.mult(x, y)][j * n + y] += c
+    return big
+
+
+@pytest.mark.parametrize(
+    "make", [quaternion_8, symmetric_4, frobenius_20, c7_c3, alternating_5]
+)
+def test_reduced_norms_against_regular_determinant(make):
+    # the left-regular representation holds chi(1) copies of each block,
+    # so prod_chi nrd_chi(M)^chi(1) = det of M acting on Q[G]^k
+    g = make()
+    degrees = character_table(g).degrees
+    rng = random.Random(g.order)
+    for k in (1, 2):
+        if k > 1 and k * g.order > 48:
+            continue
+        matrix = [
+            [
+                unit_vec(g.order, {rng.randrange(g.order): rng.randint(-3, 3) for _ in range(3)})
+                for _ in range(k)
+            ]
+            for _ in range(k)
+        ]
+        prod = CycloNumber.rational(1)
+        for v, d in zip(reduced_norm(g, matrix), degrees):
+            prod = prod * v**d
+        assert prod == CycloNumber.rational(fraction_determinant(_left_regular(g, matrix)))
 
 
 def test_materialize_center_requires_galois_coherence():
