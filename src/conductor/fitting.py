@@ -199,13 +199,18 @@ def annihilation_check(pres: PresentationMatrix, p, reps=None, precision=None) -
 
     Every product of a central conductor generator with a Fitting generator
     must be p-integral and carry each unit vector of Lambda^b into the
-    presentation image.  Vacuously true for the zero Fitting class.
+    presentation image.  Vacuously true for the zero Fitting class and for
+    b = 0, where the cokernel is 0.
     ``reps`` is ignored, as in ``fitting_generators``.
     """
+    return _annihilates(pres, p, fitting_generators(pres), precision)
+
+
+def _annihilates(pres: PresentationMatrix, p, fit: FittingGenerators, precision=None) -> bool:
+    """annihilation_check for Fitting generators already computed."""
     g = pres.group
     n = g.order
-    fit = fitting_generators(pres)
-    if fit.zero:
+    if fit.zero or pres.b == 0:
         return True
     if precision is None:
         precision = working_precision(g, p)

@@ -19,13 +19,21 @@ R_m = o[u]/(u^{p^{m-n}} - 1), its trace form and dual basis, the analogous
 dual-basis identity for scalar extensions Lambda^{o'}(Gamma), the idempotent
 suite, and the degree bookkeeping check against character tables of the
 finite quotients.
+
+The truncated algebra and the idempotent suite compute on plain integers.
+The structure constants of Z[G_m] over Z[u]/(u^r - 1), r = p^{m-n}, are
+integers, and the dual basis is checked as the pairing against
+h^-1 gamma^-i being p^n|H| times the identity.  The idempotents are scaled by |H|: |H| e_eta has coefficients
+eta(1) eta(h^-1), integer sums of powers of zeta_E (E the exponent
+conductor of H), and products are reduced to power-basis coordinates only
+to be compared.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chartab import alpha_orbits, character_table, restrict_and_decompose
-from .cyclo import CycloNumber, _common_conductor
+from .chartab import _sparse_sum, alpha_orbits, character_table, restrict_and_decompose
+from .cyclo import _common_conductor, int_coords
 from .errors import InputError, InvalidQuotientError
 from .finite import _galois_exponents, _row_permutations, galois_orbits, jacobinski_conductor
 from .groups import commutator_subgroup, finite_quotient, subgroup_closure
@@ -289,65 +297,50 @@ def splitting_field_bound(sd, base=None):
 
 
 # ---------------------------------------------------------------------------
-# Idempotents
+# Idempotents, scaled by |H| to integer sums of roots of unity
 
 
-def eta_idempotent(table, row):
-    """e_eta = (eta(1)/|H|) sum_h eta(h^-1) h, coefficients per element."""
+def _scaled_idempotent(table, rows) -> list:
+    """|H| times the sum of e_eta = (eta(1)/|H|) sum_h eta(h^-1) h over the
+    given rows: per element of H, the power-basis coordinates {exponent:
+    count} of zeta_E (E the table's exponent conductor), zeros dropped, so
+    two coefficients are equal exactly when their dicts are."""
     h = table.group
-    deg = Fraction(table.degrees[row], h.order)
-    return [table.value(row, h.inv(x)) * deg for x in range(h.order)]
-
-
-def chi_idempotent(sd, orbit_rows):
-    """e_chi = sum of e_eta over one alpha-orbit."""
-    table = character_table(sd.h)
-    total = None
-    for r in orbit_rows:
-        cur = eta_idempotent(table, r)
-        total = cur if total is None else [a + b for a, b in zip(total, cur)]
-    return total
-
-
-def class_idempotent(sd, klass):
-    """epsilon_chi = sum of e_chi over the Galois-merged orbits; its
-    coefficients are fixed by the base-field Galois action."""
-    total = None
-    for orbit_rows in klass.orbits:
-        cur = chi_idempotent(sd, orbit_rows)
-        total = cur if total is None else [a + b for a, b in zip(total, cur)]
-    return total
-
-
-def _h_convolve(h, a, b):
-    out = [CycloNumber.rational(0)] * h.order
+    _, sp = table._sparse_values()
+    class_of = table.classes.class_of
+    out = []
     for x in range(h.order):
-        ax = a[x]
-        if ax.is_zero():
-            continue
-        for y in range(h.order):
-            by = b[y]
-            if not by.is_zero():
-                z = h.mult(x, y)
-                out[z] = out[z] + ax * by
+        acc = {}
+        for r in rows:
+            for e, c in sp[r][class_of[h.inv(x)]].items():
+                acc[e] = acc.get(e, 0) + table.degrees[r] * c
+        out.append({e: c for e, c in acc.items() if c})
     return out
+
+
+def _coords(e_norm, a, scale=1, k=1) -> list:
+    """Integer coordinates of sigma_k(scale * a) for each coefficient of a."""
+    return [int_coords(e_norm, ((e * k, scale * c) for e, c in ax.items())) for ax in a]
+
+
+def _product(h, a, b, e_norm) -> list:
+    """Integer coordinates of the coefficients of a * b in Z[zeta_E][H]."""
+    return [
+        _sparse_sum(((1, a[x], b[h.mult(h.inv(x), z)]) for x in range(h.order)), e_norm)
+        for z in range(h.order)
+    ]
 
 
 def _central_at_level(g, h_coeffs) -> bool:
     """Whether an element of E[H] is central in E[G_m] (g = G_m, H its first
     elements): conjugation by every generator, including gamma, must fix the
-    coefficient vector."""
-    zero = CycloNumber.rational(0)
-    coeffs = list(h_coeffs) + [zero] * (g.order - len(h_coeffs))
+    coefficient of every element."""
+    hn = len(h_coeffs)
     for gen in g.generators:
-        gi = g.inv(gen)
-        moved = [zero] * g.order
-        for x in range(g.order):
-            if not coeffs[x].is_zero():
-                z = g.mult(gen, g.mult(x, gi))
-                moved[z] = moved[z] + coeffs[x]
-        if any(not (a - b).is_zero() for a, b in zip(moved, coeffs)):
-            return False
+        for x in range(hn):
+            z = g.conj(gen, x)
+            if h_coeffs[x] != (h_coeffs[z] if z < hn else {}):
+                return False
     return True
 
 
@@ -355,17 +348,21 @@ def idempotent_suite(sd, base=None, level=None) -> dict:
     """Exact verification of the idempotent relations: e_eta and e_chi are
     idempotent, e_chi is central in E[G_m], distinct orbit idempotents are
     orthogonal, the class idempotents epsilon_chi have coefficients fixed
-    by the base-field Galois action and sum to 1."""
+    by the base-field Galois action and sum to 1.
+
+    Every idempotent is scaled by |H| to an integral element of Z[zeta_E][H],
+    so idempotency reads (|H|e)^2 = |H| (|H|e), orthogonality
+    (|H|e_i)(|H|e_j) = 0 and the partition of unity sum |H|eps = |H|."""
     if base is None:
         base = AbelianLocalField.qp(sd.p)
     if level is None:
         level = sd.n
     h = sd.h
     table = character_table(h)
+    e_norm, _ = table._sparse_values()
     classes = character_classes(sd, base)
     stab_ks = _galois_exponents(table, base)
     g = finite_quotient(sd, level)
-    one = [CycloNumber.rational(1 if x == 0 else 0) for x in range(h.order)]
     results = {
         "eta_idempotent": True,
         "chi_idempotent": True,
@@ -375,34 +372,26 @@ def idempotent_suite(sd, base=None, level=None) -> dict:
         "class_base_stable": True,
     }
     chis = []
-    epss = []
     for klass in classes:
         for orbit_rows in klass.orbits:
-            e_eta = eta_idempotent(table, orbit_rows[0])
-            sq = _h_convolve(h, e_eta, e_eta)
-            if any(not (a - b).is_zero() for a, b in zip(sq, e_eta)):
-                results["eta_idempotent"] = False
-            e_chi = chi_idempotent(sd, orbit_rows)
-            sq = _h_convolve(h, e_chi, e_chi)
-            if any(not (a - b).is_zero() for a, b in zip(sq, e_chi)):
-                results["chi_idempotent"] = False
+            e_eta = _scaled_idempotent(table, orbit_rows[:1])
+            e_chi = _scaled_idempotent(table, orbit_rows)
+            for key, e in (("eta_idempotent", e_eta), ("chi_idempotent", e_chi)):
+                if _product(h, e, e, e_norm) != _coords(e_norm, e, h.order):
+                    results[key] = False
             if not _central_at_level(g, e_chi):
                 results["chi_central"] = False
             chis.append(e_chi)
-        eps = class_idempotent(sd, klass)
-        for k in stab_ks:
-            if any(not (c.galois(k) - c).is_zero() for c in eps):
-                results["class_base_stable"] = False
-        epss.append(eps)
+        eps = _scaled_idempotent(table, [r for orbit in klass.orbits for r in orbit])
+        if any(_coords(e_norm, eps, k=k) != _coords(e_norm, eps) for k in stab_ks):
+            results["class_base_stable"] = False
+    zero = _coords(e_norm, [{}] * h.order)
     for i in range(len(chis)):
         for j in range(i + 1, len(chis)):
-            prod = _h_convolve(h, chis[i], chis[j])
-            if any(not c.is_zero() for c in prod):
+            if _product(h, chis[i], chis[j], e_norm) != zero:
                 results["orbit_orthogonal"] = False
-    total = None
-    for eps in epss:
-        total = eps if total is None else [a + b for a, b in zip(total, eps)]
-    if any(not (a - b).is_zero() for a, b in zip(total, one)):
+    rows = [r for klass in classes for orbit in klass.orbits for r in orbit]
+    if _scaled_idempotent(table, rows) != [{0: h.order}] + [{}] * (h.order - 1):
         results["partition_of_unity"] = False
     return results
 
@@ -415,8 +404,8 @@ class TruncatedAlgebra:
     """o[G_m] on the basis gamma^i h (i < p^n, h in H) over
     R_m = o[u]/(u^{p^{m-n}} - 1), u the image of gamma^{p^n}.
 
-    Elements are dicts basis_index -> u-coefficient list; the basis index
-    is i*|H| + h as in the finite quotient.
+    Elements are dicts basis_index -> u-coefficient list of ints; the basis
+    index is i*|H| + h as in the finite quotient.
     """
 
     def __init__(self, sd, level):
@@ -441,7 +430,7 @@ class TruncatedAlgebra:
         return rest * hn + z, carry % self.ru
 
     def r_mul(self, a, b, shift=0):
-        out = [Fraction(0)] * self.ru
+        out = [0] * self.ru
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
@@ -462,8 +451,8 @@ class TruncatedAlgebra:
         return {k: v for k, v in out.items() if any(v)}
 
     def basis_element(self, i, h, ushift=0):
-        r = [Fraction(0)] * self.ru
-        r[ushift % self.ru] = Fraction(1)
+        r = [0] * self.ru
+        r[ushift % self.ru] = 1
         return {i * self.sd.h.order + h: r}
 
     def inverse_basis_element(self, i, h):
@@ -481,14 +470,14 @@ def trace_truncated(alg: TruncatedAlgebra, x) -> list:
     coeff = x.get(0)
     scale = alg.pn * alg.sd.h.order
     if coeff is None:
-        return [Fraction(0)] * alg.ru
+        return [0] * alg.ru
     return [scale * c for c in coeff]
 
 
 def trace_oracle(alg: TruncatedAlgebra, x) -> list:
     """The same trace computed from structure constants: sum of the diagonal
     R_m-entries of right multiplication over the full basis."""
-    total = [Fraction(0)] * alg.ru
+    total = [0] * alg.ru
     for b in range(alg.rank):
         i, h = divmod(b, alg.sd.h.order)
         row = alg.mul(alg.basis_element(i, h), x)
@@ -505,9 +494,9 @@ def trace_lemma_check(sd, level) -> bool:
     for b in range(alg.rank):
         i, h = divmod(b, hn)
         got = trace_oracle(alg, alg.basis_element(i, h))
-        want = [Fraction(0)] * alg.ru
+        want = [0] * alg.ru
         if b == 0:
-            want[0] = Fraction(alg.pn * hn)
+            want[0] = alg.pn * hn
         if got != want:
             return False
     return True
@@ -515,19 +504,19 @@ def trace_lemma_check(sd, level) -> bool:
 
 def dual_basis_check(sd, level) -> bool:
     """The trace pairing of the basis gamma^i h against the claimed dual
-    system (p^n |H|)^-1 h^-1 gamma^-i is exactly the identity over R_m."""
+    system (p^n |H|)^-1 h^-1 gamma^-i is exactly the identity over R_m;
+    checked on integers as the pairing against h^-1 gamma^-i being
+    p^n |H| times the identity."""
     alg = TruncatedAlgebra(sd, level)
     hn = sd.h.order
-    scale = Fraction(1, alg.pn * hn)
+    scale = alg.pn * hn
     for b1 in range(alg.rank):
         i, h = divmod(b1, hn)
         left = alg.basis_element(i, h)
         for b2 in range(alg.rank):
             j, k = divmod(b2, hn)
-            prod = alg.mul(left, alg.inverse_basis_element(j, k))
-            tr = [scale * c for c in trace_truncated(alg, prod)]
-            want = Fraction(1 if b1 == b2 else 0)
-            if tr[0] != want or any(c != 0 for c in tr[1:]):
+            tr = trace_truncated(alg, alg.mul(left, alg.inverse_basis_element(j, k)))
+            if tr[0] != (scale if b1 == b2 else 0) or any(tr[1:]):
                 return False
     return True
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from conductor import fitting
 from conductor.catalog import alternating_4, quaternion_8
 from conductor.cli import run
 from conductor.verify import suite_ext
@@ -118,6 +119,47 @@ def test_fitting_needs_no_representation(capsys, tmp_path, make):
     assert len(payload["fitting"]["generators"]) == 2
 
 
+def test_fitting_computes_each_reduced_norm_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    exact = fitting.reduced_norm
+    monkeypatch.setattr(fitting, "reduced_norm", lambda g, m: calls.append(m) or exact(g, m))
+    entries = [[[3, 0, 0, 0, 0, 0]], [[1, -1, 0, 0, 0, 0]]]
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"a": 2, "b": 1, "entries": entries}))
+    code, out = run_capture(
+        capsys, ["fitting", "--group", sample("s3.json"), "--p", "3", "--matrix", str(matrix)]
+    )
+    assert code == 0 and json.loads(out)["annihilates"] is True
+    assert len(calls) == 2  # one per 1 x 1 minor
+
+
+def _run_optimized(argv):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "conductor.cli"] + argv,
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_fitting_empty_presentation(capsys, tmp_path, optimize):
+    # Lambda^0 -> Lambda^0 has cokernel 0, which everything annihilates
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"a": 0, "b": 0, "entries": []}))
+    argv = ["fitting", "--group", sample("s3.json"), "--p", "3", "--matrix", str(path)]
+    if optimize:
+        code, out, err = _run_optimized(argv)
+    else:
+        code = run(argv)
+        out, err = capsys.readouterr()
+    assert code == 0 and "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["annihilates"] is True
+    assert [gen["rows"] for gen in payload["fitting"]["generators"]] == [[]]
+
+
 def test_ext_details_print_plain_numbers():
     details = [c.detail for c in suite_ext()]
     assert any("coords [1, 0, 0]" in d for d in details)
@@ -133,13 +175,7 @@ def test_fitting_rejects_non_integral_entry(capsys, tmp_path, optimize):
     path.write_text(json.dumps(matrix))
     argv = ["fitting", "--group", sample("s3.json"), "--p", "3", "--matrix", str(path)]
     if optimize:
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "conductor.cli"] + argv,
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        code, err = proc.returncode, proc.stderr
+        code, _, err = _run_optimized(argv)
     else:
         code = run(argv)
         err = capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Group construction, conjugacy, automorphisms, semidirect quotients."""
 
+import itertools
+
 import pytest
 
 from conductor.catalog import (
@@ -13,6 +15,7 @@ from conductor.catalog import (
 from conductor.errors import InputError, InvalidQuotientError
 from conductor.groups import (
     FiniteGroup,
+    GroupAutomorphism,
     SemidirectData,
     commutator_subgroup,
     conjugacy_classes,
@@ -59,6 +62,57 @@ def test_from_table_requires_identity_first():
     bad = [[1, 0], [0, 1]]
     with pytest.raises(InputError):
         FiniteGroup.from_table(bad)
+
+
+# a non-associative loop of order 5: a Latin square with identity 0
+_LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+
+
+def _c13_times_loop5():
+    """C13 x the loop above (order 65), labelled so that 1 and 64 lie in the
+    associative factor C13 x {0}."""
+    elems = [(c, 0) for c in range(12)] + [(c, q) for q in range(1, 5) for c in range(13)] + [(12, 0)]
+    index = {e: i for i, e in enumerate(elems)}
+    return [
+        [index[((a + c) % 13, _LOOP5[q][r])] for c, r in elems] for a, q in elems
+    ]
+
+
+def test_from_table_rejects_non_associative_loop_above_64():
+    table = _c13_times_loop5()
+    n = len(table)
+    assert n == 65 and all(sorted(row) == list(range(n)) for row in table)
+    assert table[0] == list(range(n)) and [row[0] for row in table] == list(range(n))
+    # (a b) c = a (b c) holds for every a, b at c in {0, 1, n - 1}
+    assert all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in (0, 1, n - 1)
+    )
+    with pytest.raises(InputError):
+        FiniteGroup.from_table(table)
+
+
+def test_from_table_accepts_group_above_64():
+    g = direct_product(symmetric_3(), cyclic_group(12))
+    table = [[g.mult(a, b) for b in range(g.order)] for a in range(g.order)]
+    h = FiniteGroup.from_table(table)
+    assert h.order == 72 and len(conjugacy_classes(h).classes) == 36
+
+
+def test_automorphism_accepts_exactly_the_homomorphisms():
+    # the generator check against the n^2 law, on every permutation fixing 0
+    for g in (symmetric_3(), quaternion_8(), cyclic_group(7)):
+        n = g.order
+        for rest in itertools.permutations(range(1, n)):
+            images = [0, *rest]
+            law = all(images[g.mult(a, b)] == g.mult(images[a], images[b]) for a in range(n) for b in range(n))
+            if law:
+                assert GroupAutomorphism(g, images).images == images
+            else:
+                with pytest.raises(InputError):
+                    GroupAutomorphism(g, images)
 
 
 def test_automorphism_order():

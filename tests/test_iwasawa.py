@@ -1,18 +1,25 @@
 """Central conductor of o[[H x| Gamma]]: worked cases, truncated-algebra
 identities, idempotents, and the degeneration to the finite formula."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from conductor import iwasawa
 from conductor.catalog import (
     sd_c3_trivial,
     sd_c7,
     sd_c9,
     sd_s3_inner,
     sd_s3_trivial,
+    semidirect_catalog,
 )
+from conductor.chartab import character_table
+from conductor.cyclo import CycloNumber
 from conductor.errors import InputError, InvalidQuotientError
+from conductor.finite import _galois_exponents
+from conductor.groups import finite_quotient
 from conductor.iwasawa import (
     TruncatedAlgebra,
     central_conductor,
@@ -142,6 +149,80 @@ def test_idempotent_suite_all_relations():
         assert all(results.values()), results
 
 
+# -- the CycloNumber route, the reference for the integer idempotent suite --
+
+
+def _h_convolve(h, a, b):
+    out = [CycloNumber.rational(0)] * h.order
+    for x in range(h.order):
+        if not a[x].is_zero():
+            for y in range(h.order):
+                if not b[y].is_zero():
+                    z = h.mult(x, y)
+                    out[z] = out[z] + a[x] * b[y]
+    return out
+
+
+def _idempotent(table, rows):
+    """Sum over rows of e_eta = (eta(1)/|H|) sum_h eta(h^-1) h."""
+    h = table.group
+    return [
+        sum(
+            (table.value(r, h.inv(x)) * Fraction(table.degrees[r], h.order) for r in rows),
+            CycloNumber.rational(0),
+        )
+        for x in range(h.order)
+    ]
+
+
+def _central(g, coeffs):
+    coeffs = list(coeffs) + [CycloNumber.rational(0)] * (g.order - len(coeffs))
+    for gen in g.generators:
+        moved = [CycloNumber.rational(0)] * g.order
+        for x in range(g.order):
+            z = g.conj(gen, x)
+            moved[z] = moved[z] + coeffs[x]
+        if moved != coeffs:
+            return False
+    return True
+
+
+def _reference_suite(sd, level, table=None, classes=None):
+    """idempotent_suite in CycloNumber arithmetic, unscaled."""
+    h = sd.h
+    table = table or character_table(h)
+    classes = classes or character_classes(sd)
+    ks = _galois_exponents(table, AbelianLocalField.qp(sd.p))
+    g = finite_quotient(sd, level)
+    zero = [CycloNumber.rational(0)] * h.order
+    keys = ("eta_idempotent", "chi_idempotent", "chi_central", "class_base_stable")
+    ok = dict.fromkeys(keys, True)
+    chis, total = [], zero
+    for klass in classes:
+        for orbit in klass.orbits:
+            e_eta, e_chi = _idempotent(table, orbit[:1]), _idempotent(table, orbit)
+            ok["eta_idempotent"] &= _h_convolve(h, e_eta, e_eta) == e_eta
+            ok["chi_idempotent"] &= _h_convolve(h, e_chi, e_chi) == e_chi
+            ok["chi_central"] &= _central(g, e_chi)
+            chis.append(e_chi)
+        eps = _idempotent(table, [r for orbit in klass.orbits for r in orbit])
+        ok["class_base_stable"] &= all(c.galois(k) == c for k in ks for c in eps)
+        total = [a + b for a, b in zip(total, eps)]
+    ok["orbit_orthogonal"] = all(
+        _h_convolve(h, chis[i], chis[j]) == zero
+        for i in range(len(chis))
+        for j in range(i + 1, len(chis))
+    )
+    ok["partition_of_unity"] = total == [CycloNumber.rational(int(x == 0)) for x in range(h.order)]
+    return ok
+
+
+def test_idempotent_suite_matches_cyclo_reference():
+    for sd in semidirect_catalog():
+        for level in (sd.n, sd.n + 1):
+            assert idempotent_suite(sd, level=level) == _reference_suite(sd, level)
+
+
 def test_quotient_degrees_small():
     assert quotient_degree_check(sd_c7(), 1)
     assert quotient_degree_check(sd_c3_trivial(), 1)
@@ -157,3 +238,50 @@ def test_full_description_round_trips_to_json():
     assert again["r_cap_exponent"] == 0
     assert again["splitting_field"] == {"e": 1, "f": 6, "d_abs": 0}
     assert len(again["components"]) == 2
+
+
+def _perturbed_suite(monkeypatch, sd, table):
+    """idempotent_suite on a doctored table of H, with the genuine classes,
+    checked against the reference on the same table."""
+    classes = character_classes(sd)
+    monkeypatch.setattr(iwasawa, "character_table", lambda g: table)
+    monkeypatch.setattr(iwasawa, "character_classes", lambda sd, base: classes)
+    results = idempotent_suite(sd, level=sd.n + 1)
+    assert results == _reference_suite(sd, sd.n + 1, table=table, classes=classes)
+    return results
+
+
+def test_idempotent_suite_rejects_a_wrong_degree(monkeypatch):
+    sd = sd_s3_inner()
+    table = character_table(sd.h)
+    row = table.degrees.index(2)
+    degrees = list(table.degrees)
+    degrees[row] = 1
+    bad = dataclasses.replace(table, degrees=degrees)
+    results = _perturbed_suite(monkeypatch, sd, bad)
+    assert not results["eta_idempotent"]
+    assert not results["chi_idempotent"]
+    assert not results["partition_of_unity"]
+
+
+def test_idempotent_suite_rejects_a_wrong_value(monkeypatch):
+    sd = sd_c7()
+    table = character_table(sd.h)
+    values = [list(row) for row in table.values]
+    values[1][1] = values[1][1] + 1
+    bad = dataclasses.replace(table, values=values, _sparse=None)
+    results = _perturbed_suite(monkeypatch, sd, bad)
+    assert not all(results.values()), results
+
+
+def test_dual_basis_rejects_a_scale_off_by_one(monkeypatch):
+    sd = sd_s3_inner()
+    assert dual_basis_check(sd, 2)
+    exact = iwasawa.trace_truncated
+
+    def off_by_one(alg, x):
+        scale = alg.pn * alg.sd.h.order
+        return [t + t // scale for t in exact(alg, x)]
+
+    monkeypatch.setattr(iwasawa, "trace_truncated", off_by_one)
+    assert not dual_basis_check(sd, 2)
