@@ -33,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .cyclo import CycloNumber, int_coords, is_prime
+from .cyclo import CycloNumber, _common_conductor, int_coords, is_prime, prime_factors
 from .errors import GroupTooLargeError
-from .groups import ClassData, FiniteGroup, conjugacy_classes
+from .groups import ClassData, FiniteGroup, conjugacy_classes, orbits
+from .localfields import decomposition_group
 from .padic import echelon, echelon_coords, kernel
 
 DEFAULT_BOUND = 2000
@@ -52,16 +53,7 @@ def _split_prime(exponent: int, order: int) -> int:
 
 
 def _primitive_root(l: int) -> int:
-    fact = []
-    rest, q = l - 1, 2
-    while q * q <= rest:
-        if rest % q == 0:
-            fact.append(q)
-            while rest % q == 0:
-                rest //= q
-        q += 1
-    if rest > 1:
-        fact.append(rest)
+    fact = prime_factors(l - 1)
     for w in range(2, l):
         if all(pow(w, (l - 1) // q, l) != 1 for q in fact):
             return w
@@ -399,14 +391,64 @@ def _lift_coeffs(vs, o, zinv, oinv, l):
     return out
 
 
-# -- automorphism orbits and restriction -------------------------------------
+# -- orbits of rows and restriction ------------------------------------------
+
+
+def row_permutations(table: CharacterTable, class_maps) -> list[list[int]]:
+    """Row permutation induced by precomposing with each map on classes.
+
+    Row r goes to the row whose value at class t is row r's value at
+    class_map[t], looked up by its values, each numbered once.  The Galois
+    automorphism zeta -> zeta^k has the map t -> power_maps[t][k mod o_t]
+    (sigma_k(chi)(g) = chi(g^k)); an automorphism alpha of the group has
+    t -> class of alpha(rep_t).
+    """
+    ids = {}
+    keys = [
+        tuple(ids.setdefault((v.m, v.coeffs), len(ids)) for v in row) for row in table.values
+    ]
+    index = {key: r for r, key in enumerate(keys)}
+    return [[index[tuple(key[c] for c in cmap)] for key in keys] for cmap in class_maps]
+
+
+def galois_exponents(table: CharacterTable, base=None) -> list[int]:
+    """Units k mod the table exponent (doubled when 2 mod 4) whose
+    automorphisms zeta -> zeta^k act over the base, sorted: all of them
+    over Q (base None); over an AbelianLocalField the decomposition group
+    at p restricted to the automorphisms fixing the base pointwise."""
+    e = table.exponent
+    if e % 4 == 2:
+        e *= 2
+    if base is None:
+        return [k for k in range(1, e + 1) if gcd(k, e) == 1]
+    ks = set()
+    for a in decomposition_group(base.p, _common_conductor(e, base.m)):
+        if base.m == 1 or a % base.m in base.stab:
+            ks.add(a % e if e > 1 else 1)
+    return sorted(ks)
+
+
+def galois_permutations(table: CharacterTable, base=None) -> list[list[int]]:
+    """Row permutations of the Galois automorphisms over the base."""
+    maps = [[pm[k % len(pm)] for pm in table.power_maps] for k in galois_exponents(table, base)]
+    return row_permutations(table, maps)
+
+
+def galois_orbits(table: CharacterTable, base=None) -> list[list[int]]:
+    """Partition of the rows of ``table`` into Galois orbits.
+
+    With ``base=None`` the orbits are over Q (full cyclotomic Galois
+    action); for an AbelianLocalField base only the automorphisms fixing
+    the base pointwise act.  Orbits come out sorted, by smallest row.
+    """
+    return [sorted(o) for o in orbits(table.n_classes, galois_permutations(table, base))]
 
 
 @dataclass
 class CharOrbit:
     """Orbit of irreducible characters of H under a group automorphism."""
 
-    members: tuple  # row indices, orbit order
+    members: tuple  # row indices in cycle order: members[i+1] = members[i] o alpha
     eta_degree: int
 
     @property
@@ -416,31 +458,12 @@ class CharOrbit:
 
 def alpha_orbits(table: CharacterTable, alpha) -> list[CharOrbit]:
     """Orbits of table rows under eta -> eta o alpha, smallest row first."""
-    g = table.group
     cls = table.classes
-    # the permutation row -> row of (eta o alpha)
-    perm = []
-    for i, row in enumerate(table.values):
-        moved = tuple(row[cls.class_of[alpha(z)]] for z in cls.representatives())
-        target = next(
-            j
-            for j, other in enumerate(table.values)
-            if tuple(other) == moved
-        )
-        perm.append(target)
-    orbits = []
-    seen = set()
-    for i in range(len(table.values)):
-        if i in seen:
-            continue
-        orbit = [i]
-        j = perm[i]
-        while j != i:
-            orbit.append(j)
-            j = perm[j]
-        seen.update(orbit)
-        orbits.append(CharOrbit(tuple(orbit), table.degrees[i]))
-    return orbits
+    (perm,) = row_permutations(table, [[cls.class_of[alpha(z)] for z in cls.representatives()]])
+    return [
+        CharOrbit(tuple(members), table.degrees[members[0]])
+        for members in orbits(table.n_classes, [perm])
+    ]
 
 
 def restrict_and_decompose(

@@ -230,25 +230,15 @@ class CycloNumber:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CycloNumber":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        mod = [Fraction(c) for c in cyclotomic_poly(self.m)]
-        g, _, inv = _poly_xgcd(mod, list(self.coeffs))
-        if len(g) != 1:  # Phi_m is irreducible and the element nonzero
-            raise ArithmeticError("gcd with the cyclotomic polynomial is not a unit")
-        scale = ONE / g[0]
-        return CycloNumber(self.m, [scale * c for c in inv])
-
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycloNumber(self.m, [c / q for c in self.coeffs])
-        return self * other.inverse()
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        q = Fraction(other)
+        return CycloNumber(self.m, [c / q for c in self.coeffs])
 
     def __pow__(self, n: int) -> "CycloNumber":
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("negative powers of cyclotomic numbers are not supported")
         out = CycloNumber(self.m, [ONE] + [ZERO] * (len(self.coeffs) - 1))
         base = self
         while n:
@@ -409,53 +399,3 @@ def _rebase_solver(m: int, d: int) -> "SpanSolver":
     _, powers = _reduction_context(m)
     step = m // d
     return SpanSolver([powers[j * step] for j in range(totient(d))])
-
-
-def _poly_trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_xgcd(a, b):
-    """Extended gcd over Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    s0, s1 = [ONE], [ZERO]
-    t0, t1 = [ZERO], [ONE]
-    while r1 != [ZERO]:
-        q, r = _poly_divmod_q(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    return r0, s0, t0
-
-
-def _poly_divmod_q(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    out = [ZERO] * max(len(num) - dd, 1)
-    inv = ONE / den[-1]
-    for i in range(len(num) - dd - 1, -1, -1):
-        c = num[i + dd] * inv
-        out[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    return _poly_trim(out), _poly_trim(num)
-
-
-def _poly_mul(a, b):
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [ZERO] * (n - len(a))
-    b = list(b) + [ZERO] * (n - len(b))
-    return _poly_trim([x - y for x, y in zip(a, b)])

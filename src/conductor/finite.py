@@ -21,16 +21,11 @@ from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
-from .chartab import character_table
+from .chartab import character_table, galois_orbits
 from .cyclo import CycloNumber, _common_conductor, cyclotomic_poly, totient
 from .errors import InputError, UnsupportedPresentationError
-from .localfields import (
-    AbelianLocalField,
-    decomposition_group,
-    field_of_values,
-    relative_data,
-)
-from .orders import lattice_product, radical_lattice
+from .localfields import AbelianLocalField, field_of_values, relative_data
+from .orders import lattice_power, radical_lattice
 from .padic import (
     SpanSolver,
     exact_kernel,
@@ -48,78 +43,6 @@ DEFAULT_PRECISION = 24
 def working_precision(g, p):
     """Enough headroom that |G|-denominators never eat the answer."""
     return 2 * vp(g.order, p) + DEFAULT_PRECISION
-
-
-# ---------------------------------------------------------------------------
-# Galois orbits of characters
-
-
-def _value_key(v):
-    return (v.m, tuple(v.coeffs))
-
-
-def _galois_exponents(table, base=None):
-    """Units k mod the table exponent (doubled when 2 mod 4) whose
-    automorphisms zeta -> zeta^k act over the base, sorted: all of them
-    over Q (base None); over an AbelianLocalField the decomposition group
-    at p restricted to the automorphisms fixing the base pointwise."""
-    e = table.exponent
-    if e % 4 == 2:
-        e *= 2
-    if base is None:
-        return [k for k in range(1, e + 1) if gcd(k, e) == 1]
-    ks = set()
-    for a in decomposition_group(base.p, _common_conductor(e, base.m)):
-        if base.m == 1 or a % base.m in base.stab:
-            ks.add(a % e if e > 1 else 1)
-    return sorted(ks)
-
-
-def _row_permutations(table, ks):
-    """Row permutation induced by zeta -> zeta^k, for each k in ks.
-
-    sigma_k(chi)(g) = chi(g^k), so the image of a row is the row read at
-    the classes power_maps[t][k mod o_t], looked up by its values, each
-    numbered once.
-    """
-    ids = {}
-    keys = [
-        tuple(ids.setdefault(_value_key(v), len(ids)) for v in row) for row in table.values
-    ]
-    index = {key: r for r, key in enumerate(keys)}
-    perms = []
-    for k in ks:
-        cols = [pm[k % len(pm)] for pm in table.power_maps]
-        perms.append([index[tuple(key[c] for c in cols)] for key in keys])
-    return perms
-
-
-def galois_orbits(table, base=None):
-    """Partition of the rows of ``table`` into Galois orbits.
-
-    With ``base=None`` the orbits are over Q (full cyclotomic Galois
-    action); for an AbelianLocalField base only the automorphisms fixing
-    the base pointwise act.  Orbits come out sorted by smallest row.
-    """
-    perms = _row_permutations(table, _galois_exponents(table, base))
-    seen = [False] * table.n_classes
-    orbits = []
-    for r in range(table.n_classes):
-        if seen[r]:
-            continue
-        orbit = {r}
-        frontier = [r]
-        while frontier:
-            x = frontier.pop()
-            for perm in perms:
-                y = perm[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        for x in orbit:
-            seen[x] = True
-        orbits.append(sorted(orbit))
-    return orbits
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +327,6 @@ def maximal_order_basis(g, p, reps=None):
 # Brute-force route
 
 
-def _class_sum_times(g, classes, l, vec):
-    """Coordinates of (class sum number l) * vec in the group algebra."""
-    out = [Fraction(0)] * g.order
-    for h in classes.classes[l]:
-        hinv = g.inv(h)
-        for k in range(g.order):
-            c = vec[g.mult(hinv, k)]
-            if c:
-                out[k] += c
-    return out
-
-
 def brute_force_conductor(g, p, reps=None, twist_seed=None, precision=None):
     """Lattice {x central : x * maximal_order <= Z_p[G]}, in class-sum
     coordinates, found by solving the divisibility constraints directly.
@@ -431,10 +342,11 @@ def brute_force_conductor(g, p, reps=None, twist_seed=None, precision=None):
     if twist_seed is not None:
         basis = _twist_basis(g, p, basis, twist_seed)
     k = len(classes.classes)
+    indicators = [[int(classes.class_of[x] == l) for x in range(g.order)] for l in range(k)]
     rows = []
     scale = 0
     for vec in basis:
-        per_class = [_class_sum_times(g, classes, l, vec) for l in range(k)]
+        per_class = [_convolve(g, indicators[l], vec) for l in range(k)]
         for elt in range(g.order):
             row = [per_class[l][elt] for l in range(k)]
             for x in row:
@@ -480,7 +392,8 @@ def _convolve(g, a, b):
         for y in range(g.order):
             by = b[y]
             if by:
-                out[g.mult(x, y)] += ax * by
+                # class sums and group elements have unit coefficients
+                out[g.mult(x, y)] += by if ax == 1 else ax * by
     return out
 
 
@@ -555,7 +468,7 @@ def _cyclotomic_ideal_basis(p, d, target, precision):
         cols = [[1 if i == j else 0 for i in range(deg)] for j in range(deg)]
     else:
         rad = radical_lattice(p, precision, mult, deg, one)
-        cols = _lattice_power_cols(p, precision, mult, [list(c) for c in rad.cols], power)
+        cols = [list(c) for c in lattice_power(p, precision, mult, rad, power).cols]
     if a:
         cols = [[Fraction(x, p**a) for x in col] for col in cols]
     return cols
@@ -582,21 +495,6 @@ def _cyclotomic_mult(d):
         return prod[:deg]
 
     return mult
-
-
-def _lattice_power_cols(p, precision, mult, cols, power):
-    acc = None
-    base = cols
-    n = power
-    while n:
-        if n & 1:
-            acc = base if acc is None else list(
-                list(c) for c in lattice_product(p, precision, mult, acc, base).cols
-            )
-        n >>= 1
-        if n:
-            base = [list(c) for c in lattice_product(p, precision, mult, base, base).cols]
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
+from .cyclo import is_prime
 from .errors import GroupTooLargeError, InputError, InvalidQuotientError
 
 TABLE_BOUND = 512
@@ -171,26 +172,38 @@ class ClassData:
         return [c[0] for c in self.classes]
 
 
+def orbits(n: int, perms) -> list[list[int]]:
+    """Orbits on 0..n-1 of the group generated by ``perms`` (image lists).
+
+    Orbits come ordered by their smallest point, and each lists its points
+    in breadth-first discovery order from that point, so the orbit of a
+    single permutation is its cycle in order.
+    """
+    seen = [False] * n
+    out = []
+    for x in range(n):
+        if seen[x]:
+            continue
+        seen[x] = True
+        orbit = [x]
+        for y in orbit:  # grows while it is walked
+            for perm in perms:
+                z = perm[y]
+                if not seen[z]:
+                    seen[z] = True
+                    orbit.append(z)
+        out.append(orbit)
+    return out
+
+
 def conjugacy_classes(g: FiniteGroup) -> ClassData:
     """Classes ordered by their smallest element, so the identity class is first."""
-    class_of = [-1] * g.order
-    classes = []
-    for x in range(g.order):
-        if class_of[x] >= 0:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for a in g.generators:
-                z = g.conj(a, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        idx = len(classes)
-        classes.append(sorted(orbit))
-        for y in orbit:
-            class_of[y] = idx
+    conj = [[g.conj(a, x) for x in range(g.order)] for a in g.generators]
+    classes = [sorted(orbit) for orbit in orbits(g.order, conj)]
+    class_of = [0] * g.order
+    for idx, members in enumerate(classes):
+        for x in members:
+            class_of[x] = idx
     return ClassData(classes, class_of)
 
 
@@ -250,17 +263,6 @@ class GroupAutomorphism:
         return GroupAutomorphism(group, [group.conj(a, x) for x in range(group.order)])
 
 
-def _is_odd_prime(p):
-    if p < 3 or p % 2 == 0:
-        return False
-    q = 3
-    while q * q <= p:
-        if p % q == 0:
-            return False
-        q += 2
-    return True
-
-
 @dataclass
 class SemidirectData:
     """H x| Gamma with Gamma procyclic pro-p, acting through alpha of order p^n."""
@@ -272,7 +274,7 @@ class SemidirectData:
     alpha_pows: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not _is_odd_prime(self.p):
+        if self.p < 3 or not is_prime(self.p):
             raise InputError("p must be an odd prime, got %r" % (self.p,))
         o = self.alpha.order()
         n = 0

@@ -32,11 +32,20 @@ to be compared.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chartab import _sparse_sum, alpha_orbits, character_table, restrict_and_decompose
+from .chartab import (
+    _sparse_sum,
+    alpha_orbits,
+    character_table,
+    galois_exponents,
+    galois_orbits,
+    galois_permutations,
+    restrict_and_decompose,
+)
 from .cyclo import _common_conductor, int_coords
 from .errors import InputError, InvalidQuotientError
-from .finite import _galois_exponents, _row_permutations, galois_orbits, jacobinski_conductor
+from .finite import jacobinski_conductor
 from .groups import commutator_subgroup, finite_quotient, subgroup_closure
+from .groups import orbits as group_orbits
 from .localfields import (
     AbelianLocalField,
     decomposition_group,
@@ -115,33 +124,18 @@ def character_classes(sd, base=None):
         raise InputError("base field lives over p=%d, not %d" % (base.p, sd.p))
     table = character_table(sd.h)
     orbits = alpha_orbits(table, sd.alpha)
-    orbit_of_row = {}
-    for oi, orb in enumerate(orbits):
-        for r in orb.members:
-            orbit_of_row[r] = oi
-
-    # merge orbits under the Galois action over the base
-    parent = list(range(len(orbits)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for perm in _row_permutations(table, _galois_exponents(table, base)):
-        for oi, orb in enumerate(orbits):
-            ri, rj = find(oi), find(orbit_of_row[perm[orb.members[0]]])
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    merged = {}
-    for oi in range(len(orbits)):
-        merged.setdefault(find(oi), []).append(oi)
+    orbit_of_row = {r: oi for oi, orb in enumerate(orbits) for r in orb.members}
+    # the Galois action commutes with eta -> eta o alpha, so it permutes
+    # the alpha-orbits; a class is an orbit of that action
+    perms = [
+        [orbit_of_row[perm[orb.members[0]]] for orb in orbits]
+        for perm in galois_permutations(table, base)
+    ]
 
     classes = []
     pn = sd.p**sd.n
-    for root in sorted(merged, key=lambda r: min(orbits[oi].members[0] for oi in merged[r])):
-        members = [orbits[oi] for oi in merged[root]]
+    for part in group_orbits(len(orbits), perms):
+        members = [orbits[oi] for oi in sorted(part)]
         w = members[0].w
         eta_degree = members[0].eta_degree
         for orb in members:
@@ -361,7 +355,7 @@ def idempotent_suite(sd, base=None, level=None) -> dict:
     table = character_table(h)
     e_norm, _ = table._sparse_values()
     classes = character_classes(sd, base)
-    stab_ks = _galois_exponents(table, base)
+    stab_ks = galois_exponents(table, base)
     g = finite_quotient(sd, level)
     results = {
         "eta_idempotent": True,
@@ -580,10 +574,7 @@ def quotient_degree_check(sd, m) -> bool:
     big = character_table(g)
     small = character_table(sd.h)
     orbits = alpha_orbits(small, sd.alpha)
-    orbit_of_row = {}
-    for oi, orb in enumerate(orbits):
-        for r in orb.members:
-            orbit_of_row[r] = oi
+    orbit_of_row = {r: oi for oi, orb in enumerate(orbits) for r in orb.members}
     for row in range(big.n_classes):
         parts = restrict_and_decompose(big, row, small)
         if any(mult != 1 for _, mult in parts):

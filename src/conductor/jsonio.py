@@ -45,6 +45,26 @@ def _require(obj, key, where):
     return obj[key]
 
 
+def _integer(value, where):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError("%s: expected an integer, got %r" % (where, value))
+    return value
+
+
+def _integer_rows(rows, where, length=None):
+    """A list of lists of integers, each of ``length`` if given."""
+    if not isinstance(rows, list):
+        raise InputError("%s: expected a list of rows" % where)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise InputError("%s[%d]: expected a list of integers" % (where, i))
+        if length is not None and len(row) != length:
+            raise InputError("%s[%d]: expected %d entries" % (where, i, length))
+        for j, x in enumerate(row):
+            _integer(x, "%s[%d][%d]" % (where, i, j))
+    return rows
+
+
 def group_from_json(obj, where="group"):
     """Accepts {"perm_gens": [...], "degree": d} or {"mult_table": [[...]]},
     optionally with a "name"."""
@@ -55,18 +75,17 @@ def group_from_json(obj, where="group"):
         raise InputError("%s: name must be a string" % where)
     if "perm_gens" in obj:
         gens = obj["perm_gens"]
-        degree = _require(obj, "degree", where)
-        if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
-            raise InputError("%s: perm_gens must be a list of permutations" % where)
-        if not isinstance(degree, int) or degree < 1:
+        degree = _integer(_require(obj, "degree", where), "%s.degree" % where)
+        if degree < 1:
             raise InputError("%s: degree must be a positive integer" % where)
+        _integer_rows(gens, "%s.perm_gens" % where, degree)
         return FiniteGroup.from_permutations(
             [tuple(g) for g in gens], degree, name=name
         )
     if "mult_table" in obj:
-        table = obj["mult_table"]
-        if not isinstance(table, list):
-            raise InputError("%s: mult_table must be a list of rows" % where)
+        table = _integer_rows(obj["mult_table"], "%s.mult_table" % where)
+        if not table:
+            raise InputError("%s: mult_table has no rows" % where)
         return FiniteGroup.from_table(table, name=name)
     raise InputError("%s: need either perm_gens/degree or mult_table" % where)
 
@@ -92,6 +111,8 @@ def semidirect_from_json(obj, p=None, where="semidirect"):
     h = group_from_json(_require(obj, "h", where), where="%s.h" % where)
     images = alpha_images_from_json(_require(obj, "alpha_images", where), where)
     embedded = obj.get("p")
+    if embedded is not None:
+        _integer(embedded, "%s.p" % where)
     if embedded is not None and p is not None and embedded != p:
         raise InputError(
             "%s: file says p=%r but the command line says p=%d" % (where, embedded, p)
@@ -103,6 +124,14 @@ def semidirect_from_json(obj, p=None, where="semidirect"):
 
 
 def field_from_json(obj, p=None, where="field"):
+    """{"p": p, "m": m, "stab_gens": [...]}; stab_gens defaults to []."""
+    for key in ("p", "m"):
+        _integer(_require(obj, key, where), "%s.%s" % (where, key))
+    gens = obj.get("stab_gens", [])
+    if not isinstance(gens, list):
+        raise InputError("%s.stab_gens: expected a list of integers" % where)
+    for i, x in enumerate(gens):
+        _integer(x, "%s.stab_gens[%d]" % (where, i))
     field = AbelianLocalField.from_json(obj)
     if p is not None and field.p != p:
         raise InputError(

@@ -91,6 +91,19 @@ def lattice_product(p, precision, mult, a_cols, b_cols) -> PLattice:
     return hnf_columns(p, precision, cols)
 
 
+def lattice_power(p, precision, mult, lattice, k) -> PLattice:
+    """lattice^k for k >= 1 by binary powering; the Hermite forms are
+    canonical, so the grouping of the products does not matter."""
+    acc, base = None, lattice
+    while True:
+        if k & 1:
+            acc = base if acc is None else lattice_product(p, precision, mult, acc.cols, base.cols)
+        k >>= 1
+        if not k:
+            return acc
+        base = lattice_product(p, precision, mult, base.cols, base.cols)
+
+
 # -- the order model -----------------------------------------------------------
 
 
@@ -236,18 +249,9 @@ class GlobalFieldModel:
         if k == 0:
             unit_cols = [[1 if i == j else 0 for i in range(self.degree)] for j in range(self.degree)]
             return hnf_columns(self.field.p, self.precision, unit_cols)
-        j = self.maximal_ideal()
-        cols = [list(c) for c in j.cols]
-        out = j
-        for _ in range(k - 1):
-            out = lattice_product(
-                self.field.p,
-                self.precision,
-                lambda u, v: self.mult_coords(list(u), list(v)),
-                out.cols,
-                cols,
-            )
-        return out
+        return lattice_power(
+            self.field.p, self.precision, self.mult_coords, self.maximal_ideal(), k
+        )
 
     def inverse_different_dual_check(self) -> bool:
         """Certify the trace dual of O equals J^(-d) with d from the

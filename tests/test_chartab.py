@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conductor import chartab
-from conductor.catalog import s3_x_c9, sd_c7, symmetric_3
+from conductor.catalog import s3_x_c9, sd_c7, semidirect_catalog, symmetric_3
 from conductor.chartab import alpha_orbits, character_table, restrict_and_decompose
 from conductor.cyclo import CycloNumber
 from conductor.groups import cyclic_group, finite_quotient
@@ -129,6 +129,16 @@ def test_alpha_orbits_of_c7_squaring():
     orbs = alpha_orbits(character_table(sd.h), sd.alpha)
     data = [(o.members, o.w, o.eta_degree) for o in orbs]
     assert data == [((0, 1, 3), 3, 1), ((2, 5, 4), 3, 1), ((6,), 1, 1)]
+
+
+@pytest.mark.parametrize("sd", semidirect_catalog(), ids=lambda sd: sd.name())
+def test_alpha_orbits_are_in_cycle_order(sd):
+    table = character_table(sd.h)
+    cls = table.classes
+    for orb in alpha_orbits(table, sd.alpha):
+        for i, r in enumerate(orb.members):
+            composed = [table.values[r][cls.class_of[sd.alpha(z)]] for z in cls.representatives()]
+            assert composed == table.values[orb.members[(i + 1) % orb.w]]
 
 
 def test_trivial_character_row_need_not_come_first():

@@ -203,6 +203,38 @@ def test_iwasawa_level_checks(capsys):
     assert checks == {"level": 1, "trace_lemma": True, "dual_basis": True, "degrees": True}
 
 
+MALFORMED = [
+    ("group", {"mult_table": []}, "group: mult_table has no rows"),
+    ("group", {"mult_table": [1, 2]}, "group.mult_table[0]"),
+    ("group", {"perm_gens": [[0, "a"]], "degree": 2}, "group.perm_gens[0][1]"),
+    ("base", {"p": 3}, "missing key 'm'"),
+    ("base", {"p": 3, "m": "x"}, ".m: expected an integer"),
+    ("base", {"p": 3, "m": 9, "stab_gens": 5}, ".stab_gens: expected a list"),
+]
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize(
+    "flag,payload,message",
+    MALFORMED,
+    ids=["no-rows", "int-rows", "string-entry", "no-m", "string-m", "int-stab-gens"],
+)
+def test_malformed_json_is_input_error(capsys, tmp_path, flag, payload, message, optimize):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    group = str(path) if flag == "group" else sample("s3.json")
+    argv = ["finite", "--group", group, "--p", "3"]
+    if flag == "base":
+        argv += ["--base", str(path)]
+    if optimize:
+        code, _, err = _run_optimized(argv)
+    else:
+        code = run(argv)
+        err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and message in err and "Traceback" not in err
+
+
 def test_missing_file_is_input_error(capsys):
     assert run(["finite", "--group", "/no/such.json", "--p", "3"]) == 2
 

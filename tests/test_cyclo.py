@@ -74,12 +74,6 @@ def test_scalar_arithmetic():
     assert (Fraction(1, 3) * z) * 3 == z
 
 
-def test_inverse():
-    z = CycloNumber.root(12)
-    x = 1 + z
-    assert x * x.inverse() == CycloNumber.rational(1)
-
-
 def test_galois_permutes_roots():
     z = CycloNumber.root(7)
     assert z.galois(2) == z**2

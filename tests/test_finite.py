@@ -9,15 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conductor.catalog import sd_c7, sd_c9, sd_s3_inner, splitting_reps, symmetric_3, table_catalog
-from conductor.chartab import character_table
+from conductor.chartab import character_table, galois_exponents, galois_permutations
 from conductor.errors import InputError
 from conductor.finite import (
     ExtComputation,
     _convolve,
-    _galois_exponents,
     _group_algebra_inverse,
-    _row_permutations,
-    _value_key,
     annihilation_check,
     augmentation_module,
     brute_force_conductor,
@@ -33,6 +30,10 @@ from conductor.finite import (
 )
 from conductor.groups import cyclic_group, finite_quotient
 from conductor.padic import lattice_contains, sublattice_of
+
+
+def _value_key(v):
+    return (v.m, v.coeffs)
 
 
 def _galois_row_permutations(table, ks):
@@ -61,8 +62,7 @@ def _power_map_groups():
 @pytest.mark.parametrize("g", _power_map_groups(), ids=lambda g: "%s-%d" % (g.name, g.order))
 def test_power_map_row_permutations_match_galois_action(g):
     table = character_table(g)
-    ks = _galois_exponents(table)
-    assert _row_permutations(table, ks) == _galois_row_permutations(table, ks)
+    assert galois_permutations(table) == _galois_row_permutations(table, galois_exponents(table))
 
 
 def test_formula_matches_brute_force_on_small_cases():

@@ -11,6 +11,7 @@ from conductor.catalog import (
     sd_c3_trivial,
     sd_c7,
     symmetric_3,
+    table_catalog,
 )
 from conductor.errors import InputError, InvalidQuotientError
 from conductor.groups import (
@@ -23,6 +24,7 @@ from conductor.groups import (
     cyclic_group,
     direct_product,
     finite_quotient,
+    orbits,
 )
 
 
@@ -43,6 +45,22 @@ def test_class_sizes_partition_group():
     cls = conjugacy_classes(g)
     assert sorted(cls.sizes) == [1, 1, 2, 2, 2]
     assert sum(cls.sizes) == g.order
+
+
+def test_orbits_order_and_cycles():
+    shift = [1, 2, 0, 3, 5, 4]
+    assert orbits(6, [shift]) == [[0, 1, 2], [3], [4, 5]]
+    assert orbits(6, [[2, 0, 1, 3, 4, 5]]) == [[0, 2, 1], [3], [4], [5]]  # cycle order
+    assert orbits(6, [shift, [0, 1, 2, 4, 3, 5]]) == [[0, 1, 2], [3, 4, 5]]
+    assert orbits(3, []) == [[0], [1], [2]]
+
+
+@pytest.mark.parametrize("g", table_catalog(), ids=lambda g: g.name)
+def test_conjugacy_classes_match_brute_force(g):
+    cls = conjugacy_classes(g)
+    brute = sorted({tuple(sorted({g.conj(a, x) for a in range(g.order)})) for x in range(g.order)})
+    assert [tuple(c) for c in cls.classes] == brute
+    assert all(cls.class_of[x] == i for i, c in enumerate(cls.classes) for x in c)
 
 
 def test_commutator_subgroups():

@@ -15,10 +15,16 @@ from conductor.catalog import (
     sd_s3_trivial,
     semidirect_catalog,
 )
-from conductor.chartab import character_table
+from conductor.chartab import (
+    alpha_orbits,
+    character_table,
+    galois_exponents,
+    galois_orbits,
+    galois_permutations,
+    row_permutations,
+)
 from conductor.cyclo import CycloNumber
 from conductor.errors import InputError, InvalidQuotientError
-from conductor.finite import _galois_exponents
 from conductor.groups import finite_quotient
 from conductor.iwasawa import (
     TruncatedAlgebra,
@@ -192,7 +198,7 @@ def _reference_suite(sd, level, table=None, classes=None):
     h = sd.h
     table = table or character_table(h)
     classes = classes or character_classes(sd)
-    ks = _galois_exponents(table, AbelianLocalField.qp(sd.p))
+    ks = galois_exponents(table, AbelianLocalField.qp(sd.p))
     g = finite_quotient(sd, level)
     zero = [CycloNumber.rational(0)] * h.order
     keys = ("eta_idempotent", "chi_idempotent", "chi_central", "class_base_stable")
@@ -221,6 +227,42 @@ def test_idempotent_suite_matches_cyclo_reference():
     for sd in semidirect_catalog():
         for level in (sd.n, sd.n + 1):
             assert idempotent_suite(sd, level=level) == _reference_suite(sd, level)
+
+
+def _orbit_of(start, perms):
+    seen, frontier = {start}, [start]
+    while frontier:
+        x = frontier.pop()
+        for perm in perms:
+            if perm[x] not in seen:
+                seen.add(perm[x])
+                frontier.append(perm[x])
+    return seen
+
+
+def _assert_orbit_partition(parts, n, perms):
+    """parts partition 0..n-1 and each is the orbit of its first point."""
+    assert sorted(r for part in parts for r in part) == list(range(n))
+    for part in parts:
+        assert _orbit_of(part[0], perms) == set(part)
+
+
+@pytest.mark.parametrize("sd", semidirect_catalog(), ids=lambda sd: sd.name())
+def test_galois_orbits_and_character_classes_are_orbit_partitions(sd):
+    table = character_table(sd.h)
+    cls = table.classes
+    (alpha_perm,) = row_permutations(
+        table, [[cls.class_of[sd.alpha(z)] for z in cls.representatives()]]
+    )
+    for base in (None, AbelianLocalField.qp(sd.p)):
+        galois = galois_permutations(table, base)
+        _assert_orbit_partition(galois_orbits(table, base), table.n_classes, galois)
+    classes = character_classes(sd)  # over Q_p, the last base above
+    parts = [[r for orbit in klass.orbits for r in orbit] for klass in classes]
+    _assert_orbit_partition(parts, table.n_classes, galois + [alpha_perm])
+    # each class is a union of whole alpha-orbits
+    whole = {orb.members for orb in alpha_orbits(table, sd.alpha)}
+    assert all(tuple(o) in whole for klass in classes for o in klass.orbits)
 
 
 def test_quotient_degrees_small():

@@ -3,12 +3,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conductor.errors import InputError
 from conductor.jsonio import (
     alpha_images_from_json,
     base_field,
     dump_json,
+    field_from_json,
     group_from_json,
     load_json,
     presentation_from_json,
@@ -102,3 +105,33 @@ def test_dump_json_round_trip():
     payload = {"b": [1, 2, {"c": "x"}], "a": True}
     assert json.loads(dump_json(payload)) == payload
     assert dump_json(payload).endswith("\n")
+
+
+# JSON values over the keys the loaders read, with small integers so that
+# any group that parses stays tiny
+KEYS = ["name", "perm_gens", "degree", "mult_table", "p", "m", "stab_gens",
+        "h", "alpha_images", "images", "a", "b", "entries"]
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 4) | st.sampled_from(["", "x", "1/2", "3"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=4),
+    max_leaves=16,
+)
+C2 = group_from_json({"mult_table": [[0, 1], [1, 0]]})
+LOADERS = [
+    group_from_json,
+    field_from_json,
+    alpha_images_from_json,
+    semidirect_from_json,
+    lambda obj: presentation_from_json(obj, C2),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(JSON)
+def test_loaders_return_a_value_or_raise_input_error(obj):
+    for load in LOADERS:
+        try:
+            load(obj)
+        except InputError:
+            pass
