@@ -3,15 +3,38 @@
 Dixon-Schneider: split the common eigenvectors of the class-multiplication
 matrices over F_l for the smallest prime l = 1 (mod exp(G)) with
 l > 2*sqrt(|G|), then lift values to Q(zeta) through root-of-unity
-multiplicities, which are plain integers bounded by the degree.
+multiplicities, which are plain integers bounded by the degree.  The
+eigenvectors are the central characters omega_chi(t) = |C_t| chi(t)/chi(1),
+the eigenvalue of M_i at omega_chi being omega_chi(i).
+
+Each class matrix M_i (c_i c_j = sum_t a_ijt c_t) is built when it is
+first needed and stored sparse, one list of (t, a_ijt) pairs per row: about
+k to 2.5k nonzeros for k classes.  A space is kept in reduced echelon form,
+so the coordinates of a vector in it are its entries at the pivot columns;
+``padic.echelon_coords`` reads them and certifies that each image stays in
+the space.  The eigenspace of a root is the echelon kernel of the small
+action matrix times the basis, which is again in echelon form.  A space on
+which M_i acts as a scalar is kept as it is.
 
 The table keeps its power maps (power_maps[t][s] = class of rep_t^s).
-They carry the Galois action: sigma_k(chi)(g) = chi(g^k), so the classes
-of rep_t^k, k a unit mod the order o, form a rational class whose values
-are Galois conjugates.  The O(o^2) multiplicity lift runs once per row
-and rational class; each conjugate class takes the multiplicities
-permuted, b_j = a_{j k^-1 mod o}, certified by evaluating them at the
-class's own value mod l.
+They carry the Galois action: sigma_u(chi)(g) = chi(g^u), so the class
+maps t -> class of rep_t^u, u a unit mod the exponent, permute rows and
+central characters alike (Schneider, "Dixon's character table algorithm
+revisited", J. Symbolic Comput. 9, 1990).  The power maps come first:
+  - Split.  The trivial character's omega, |C_t|, is known from the
+    start; once a character splits off, the omegas of all its Galois
+    conjugates are known too (omega o class map).  Each space is tagged with
+    the eigenvalues it has seen, so a known omega lies in it exactly when
+    it matches the tag.  When the m known omegas matching a root of
+    multiplicity m are all there, their echelon span is the eigenspace and
+    no kernel is computed; each is certified to lie in the space and to
+    satisfy M_i v = lambda v, and every eigenspace to have rank m.
+  - Lift.  One row per Galois orbit is lifted; each conjugate row is found
+    by its values mod l (rows_mod o class map) and takes the lifted values
+    through the same class map.  Within a lifted row, the O(o^2)
+    multiplicity lift runs once per rational class; each conjugate class
+    takes the multiplicities permuted, b_j = a_{j k^-1 mod o}, certified by
+    evaluating them at the class's own value mod l.
 
 Values stay integers until the end: each distinct multiplicity vector
 gives the value's integer power-basis coordinates at the exponent
@@ -19,7 +42,8 @@ conductor E (normalized, never 2 mod 4) once.  Those coordinates are the
 table's sparse sums {exponent: count} of zeta_E, on which restriction
 and the orthogonality checks compute, and the row sort key; the stored
 CycloNumber is the same value at its smallest conductor.  Certificates
-(the lift bound, the permuted lifts, the splitting, integrality) raise
+(invariant subspaces, conjugate eigenvectors, eigenspace ranks, conjugate
+rows mod l, the lift bound, the permuted lifts, integrality) raise
 ArithmeticError.
 
 Everything is deterministic: classes are ordered by smallest member
@@ -31,7 +55,7 @@ at the exponent conductor).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .cyclo import CycloNumber, _common_conductor, int_coords, is_prime, prime_factors
 from .errors import GroupTooLargeError
@@ -229,80 +253,28 @@ def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTabl
     reps = cls.representatives()
     sizes = cls.sizes
     order = g.order
-    e = g.exponent()
+    elem_orders = [g.element_order(z) for z in reps]
+    e = lcm(*elem_orders)
     l = _split_prime(e, order)
-
-    # class multiplication coefficients a[i][j][t]: c_i c_j = sum_t a_ijt c_t
-    mats = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for x in range(order):
-        i = cls.class_of[x]
-        xi = g.inv(x)
-        for t, z in enumerate(reps):
-            j = cls.class_of[g.mult(xi, z)]
-            mats[i][j][t] += 1
-
-    # split the common eigenvectors, matrices in class order
-    spaces = [([[1 if c == r else 0 for c in range(k)] for r in range(k)], list(range(k)))]
-    for i in range(1, k):
-        if all(len(piv) == 1 for _, piv in spaces):
-            break
-        mat = mats[i]
-        nxt = []
-        for basis, piv in spaces:
-            if len(piv) == 1:
-                nxt.append((basis, piv))
-                continue
-            # (M b)_j = sum_t a_ijt b_t, one image per basis vector
-            imgs = [
-                [sum(mrow[t] * row[t] for t in range(k) if row[t]) % l for mrow in mat]
-                for row in basis
-            ]
-            act = [echelon_coords(basis, piv, img, l) for img in imgs]
-            act = [list(col) for col in zip(*act)]  # columns are the images
-            poly = _charpoly(act, l)
-            roots = [lam for lam in range(l) if _horner(poly, lam, l) == 0]
-            for lam in roots:
-                shifted = [
-                    [(act[r][c] - (lam if r == c else 0)) % l for c in range(len(act))]
-                    for r in range(len(act))
-                ]
-                ker = kernel(shifted, l)
-                if not ker:
-                    continue
-                sub = [
-                    [sum(kv[r] * basis[r][c] for r in range(len(basis))) % l for c in range(k)]
-                    for kv in ker
-                ]
-                nxt.append(echelon(sub, l))
-        spaces = nxt
-    if any(len(piv) != 1 for _, piv in spaces):
-        raise ArithmeticError("class matrices failed to split")
+    powmaps = _power_maps(g, cls.class_of, reps, elem_orders)
+    # zeta -> zeta^u for u in a generating set of the units mod e: their
+    # class maps generate every Galois conjugation of rows and vectors
+    gen_maps = [_class_map(powmaps, u) for u in _unit_generators(e)]
 
     # central characters -> degrees -> values mod l
     inv_class = [cls.class_of[g.inv(z)] for z in reps]
+    size_inv = [pow(s, -1, l) for s in sizes]
     rows_mod = []
     degrees = []
-    for basis, _ in spaces:
-        u = basis[0]
-        u = [(x * pow(u[0], -1, l)) % l for x in u]  # identity coordinate 1
-        s = sum(u[t] * u[inv_class[t]] * pow(sizes[t], -1, l) for t in range(k)) % l
+    for u in _split(g, cls, gen_maps, l):
+        s = sum(u[t] * u[inv_class[t]] * size_inv[t] for t in range(k)) % l
         d2 = (order * pow(s, -1, l)) % l
         d = next(dd for dd in range(1, isqrt(order) + 1) if (dd * dd - d2) % l == 0)
-        chi = [(d * u[t] * pow(sizes[t], -1, l)) % l for t in range(k)]
         degrees.append(d)
-        rows_mod.append(chi)
+        rows_mod.append([(d * u[t] * size_inv[t]) % l for t in range(k)])
 
     # lift to exact cyclotomic values through multiplicities of roots of unity
     w = _primitive_root(l)
-    elem_orders = [g.element_order(z) for z in reps]
-    powmaps = []
-    for t, z in enumerate(reps):
-        pm = [cls.class_of[0]]
-        y = z
-        for _ in range(elem_orders[t] - 1):
-            pm.append(cls.class_of[y])
-            y = g.mult(y, z)
-        powmaps.append(pm)
 
     # rational classes: the class of rep_t^u (u a unit mod o) gets its
     # multiplicities from its first class t0 as b_j = a_{j u^-1 mod o}
@@ -321,8 +293,8 @@ def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTabl
     # the value at its smallest conductor
     e_norm = _normalized(e)
     lifted = {}  # (o, multiplicities) -> (coordinates, sparse sum, value)
-    coords, sparse, values = [], [], []
-    for chi, d in zip(rows_mod, degrees):
+
+    def lift(chi, d):
         views, row_mults = [], []
         for t in range(k):
             o = elem_orders[t]
@@ -348,6 +320,27 @@ def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTabl
                     CycloNumber(e_norm, ints).minimal_conductor(),
                 )
             views.append(view)
+        return views
+
+    # one lift per Galois orbit of rows: sigma_u(chi) has the value of chi
+    # at the class of rep_t^u, so a conjugate row, found by its values mod
+    # l, takes the lifted values through the same class map
+    index = {tuple(chi): r for r, chi in enumerate(rows_mod)}
+    row_views = [None] * k
+    for r in range(k):
+        if row_views[r] is not None:
+            continue
+        row_views[r] = lift(rows_mod[r], degrees[r])
+        for r1 in (walk := [r]):
+            for cmap in gen_maps:
+                r2 = index.get(tuple(rows_mod[r1][c] for c in cmap))
+                if r2 is None:
+                    raise ArithmeticError("a Galois conjugate of a row is missing mod l")
+                if row_views[r2] is None:
+                    row_views[r2] = [row_views[r1][c] for c in cmap]
+                    walk.append(r2)
+    coords, sparse, values = [], [], []
+    for views in row_views:
         row_coords, row_sparse, row_values = zip(*views)
         coords.append(row_coords)
         sparse.append(list(row_sparse))
@@ -367,6 +360,39 @@ def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTabl
     )
     g._char_table = table
     return table
+
+
+def _power_maps(g, class_of, reps, elem_orders):
+    """power_maps[t][s] = class of rep_t^s for s < order of rep_t."""
+    out = []
+    for z, o in zip(reps, elem_orders):
+        pm = [class_of[0]]
+        y = z
+        for _ in range(o - 1):
+            pm.append(class_of[y])
+            y = g.mult(y, z)
+        out.append(pm)
+    return out
+
+
+def _class_map(power_maps, u):
+    """t -> class of rep_t^u: sigma_u(chi)(rep_t) = chi(rep_t^u)."""
+    return [pm[u % len(pm)] for pm in power_maps]
+
+
+def _unit_generators(e):
+    """Generators of the units mod e, each the least unit outside the
+    subgroup of the ones before it."""
+    gens, sub = [], {1}
+    for u in range(2, e):
+        if gcd(u, e) == 1 and u not in sub:
+            gens.append(u)
+            grown, x = set(sub), u
+            while x not in sub:
+                grown.update(x * s % e for s in sub)
+                x = x * u % e
+            sub = grown
+    return gens
 
 
 def _horner(poly, x, l):
@@ -389,6 +415,169 @@ def _lift_coeffs(vs, o, zinv, oinv, l):
         out.append((s_acc * oinv) % l)
         zj = (zj * zinv) % l
     return out
+
+
+# -- splitting the class matrices mod l --------------------------------------
+
+
+def _class_matrix(g, cls, i):
+    """Sparse M_i: row j lists the (t, a_ijt) with a_ijt != 0, where
+    c_i c_j = sum_t a_ijt c_t, so (M_i omega)_j = omega_i omega_j."""
+    class_of = cls.class_of
+    reps = cls.representatives()
+    rows = [{} for _ in reps]
+    for x in cls.classes[i]:
+        xi = g.inv(x)
+        for t, z in enumerate(reps):
+            row = rows[class_of[g.mult(xi, z)]]
+            row[t] = row.get(t, 0) + 1
+    return [list(row.items()) for row in rows]
+
+
+def _apply(mat, vec, l):
+    return [sum(a * vec[t] for t, a in row) % l for row in mat]
+
+
+def _split(g, cls, conj_maps, l):
+    """The central characters omega_chi mod l (identity coordinate 1): the
+    common eigenvectors of the class matrices, split in class order.
+
+    A space is (echelon basis, pivots, tag); the tag lists the (i, lambda)
+    of every matrix M_i applied so far, so an omega lies in the space
+    exactly when omega_i = lambda for each.  The trivial character is known
+    from the start; once a character splits off, the conj_maps give the
+    omegas of its Galois conjugates (u o class map).  A root of
+    multiplicity m whose m eigenvectors are all known needs no kernel.
+    """
+    k = len(cls.classes)
+    whole = ([[int(r == c) for c in range(k)] for r in range(k)], list(range(k)), ())
+    spaces, found = ([whole], []) if k > 1 else ([], [[1]])
+    # omega of every Galois conjugate of a split-off character, and from
+    # the start that of the trivial character, omega(t) = |C_t|
+    known = {tuple(size % l for size in cls.sizes): None}
+    for i in range(1, k):
+        if not spaces:
+            break
+        mat = _class_matrix(g, cls, i)
+        nxt = []
+        for basis, piv, tag in spaces:
+            if len(piv) == k:  # the whole space, where M_i acts as itself
+                act = [[0] * k for _ in range(k)]
+                for j, row in enumerate(mat):
+                    for t, a in row:
+                        act[j][t] = a % l
+            else:
+                # coordinates in an echelon basis are the entries at the
+                # pivots; echelon_coords also certifies the image is inside
+                cols = [echelon_coords(basis, piv, _apply(mat, b, l), l) for b in basis]
+                act = [list(row) for row in zip(*cols)]
+            lam = _scalar(act)
+            if lam is not None:
+                nxt.append((basis, piv, tag + ((i, lam),)))
+                continue
+            for lam, m in _roots(_charpoly(act, l), l):
+                sub_tag = tag + ((i, lam),)
+                conj = [v for v in known if all(v[j] == mu for j, mu in sub_tag)]
+                if len(conj) == m:
+                    sub, sub_piv = _conjugate_span(basis, piv, mat, lam, conj, l)
+                else:
+                    sub, sub_piv = _eigenspace(basis, piv, act, lam, l)
+                if len(sub_piv) != m:
+                    raise ArithmeticError(
+                        "eigenspace rank %d differs from the multiplicity %d" % (len(sub_piv), m)
+                    )
+                if m > 1:
+                    nxt.append((sub, sub_piv, sub_tag))
+                elif sub_piv[0] != 0:
+                    raise ArithmeticError("a central character vanishes at the identity")
+                else:
+                    found.append(sub[0])
+                    _orbit(tuple(sub[0]), conj_maps, known)
+        spaces = nxt
+    if spaces or len(found) != k:
+        raise ArithmeticError("class matrices failed to split")
+    return found
+
+
+def _scalar(act):
+    """lam when the square matrix act is lam times the identity, else None."""
+    lam = act[0][0]
+    for r, row in enumerate(act):
+        for c, x in enumerate(row):
+            if x != (lam if r == c else 0):
+                return None
+    return lam
+
+
+def _roots(poly, l):
+    """(root, multiplicity) pairs, ascending, of a polynomial over F_l
+    (ascending coefficients) that splits into linear factors."""
+    out = []
+    left = len(poly) - 1
+    for lam in range(l):
+        if not left:
+            break
+        m = 0
+        while _horner(poly, lam, l) == 0:
+            poly = _deflate(poly, lam, l)
+            m += 1
+        if m:
+            out.append((lam, m))
+            left -= m
+    if left:
+        raise ArithmeticError("characteristic polynomial does not split mod l")
+    return out
+
+
+def _deflate(poly, lam, l):
+    """Quotient of poly by x - lam (ascending coefficients, zero remainder)."""
+    acc, quo = 0, []
+    for c in reversed(poly[1:]):
+        acc = (acc * lam + c) % l
+        quo.append(acc)
+    return quo[::-1]
+
+
+def _eigenspace(basis, piv, act, lam, l):
+    """Echelon basis and pivots of the lam-eigenspace of act (coordinates in
+    the echelon basis) inside the span of basis."""
+    d = len(act)
+    shifted = [[(act[r][c] - (lam if r == c else 0)) % l for c in range(d)] for r in range(d)]
+    ker, kpiv = echelon(kernel(shifted, l), l)
+    # echelon coefficients of an echelon basis give an echelon basis: its
+    # entries at the pivot columns piv are the coefficients themselves
+    return [_combine(kv, basis, l) for kv in ker], [piv[j] for j in kpiv]
+
+
+def _combine(coeffs, basis, l):
+    out = [0] * len(basis[0])
+    for f, row in zip(coeffs, basis):
+        if f:
+            out = [x + f * y for x, y in zip(out, row)]
+    return [x % l for x in out]
+
+
+def _conjugate_span(basis, piv, mat, lam, conj, l):
+    """Echelon span of Galois conjugate omegas, each certified to lie in the
+    space and to satisfy M_i v = lam v."""
+    for v in conj:
+        echelon_coords(basis, piv, v, l)
+        if _apply(mat, v, l) != [lam * x % l for x in v]:
+            raise ArithmeticError("a Galois conjugate is not an eigenvector")
+    return echelon(conj, l)
+
+
+def _orbit(u, maps, seen):
+    """Add the orbit of the vector u under the class maps to the dict seen."""
+    if u in seen:
+        return
+    seen[u] = None
+    for v in (walk := [u]):
+        for cmap in maps:
+            w = tuple(v[c] for c in cmap)
+            if w not in seen:
+                seen[w] = None
+                walk.append(w)
 
 
 # -- orbits of rows and restriction ------------------------------------------
@@ -430,7 +619,7 @@ def galois_exponents(table: CharacterTable, base=None) -> list[int]:
 
 def galois_permutations(table: CharacterTable, base=None) -> list[list[int]]:
     """Row permutations of the Galois automorphisms over the base."""
-    maps = [[pm[k % len(pm)] for pm in table.power_maps] for k in galois_exponents(table, base)]
+    maps = [_class_map(table.power_maps, k) for k in galois_exponents(table, base)]
     return row_permutations(table, maps)
 
 

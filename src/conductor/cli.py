@@ -17,7 +17,7 @@ import sys
 import time
 
 from .chartab import character_table
-from .cyclo import CycloNumber, is_prime
+from .cyclo import CycloNumber, require_odd_prime
 from .errors import InputError, PrecisionExhaustedError
 from .finite import jacobinski_conductor
 from .fitting import _annihilates, fitting_generators
@@ -148,8 +148,8 @@ def _cmd_iwasawa(args):
 
 
 def _cmd_verify(args):
-    if args.p is not None and (args.p < 3 or not is_prime(args.p)):
-        raise InputError("p must be an odd prime (got %r)" % (args.p,))
+    if args.p is not None:
+        require_odd_prime(args.p)
     precision = _env_precision()
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     suites = []

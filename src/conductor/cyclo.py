@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import InvalidAutomorphismError
+from .errors import InputError, InvalidAutomorphismError
 from .padic import SpanSolver
 
 ZERO = Fraction(0)
@@ -47,15 +47,45 @@ def divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
+PRIME_BOUND = 1 << 64
+# the least strong pseudoprime to all of these bases is about 3.2 * 10^23
+# (Sorenson and Webster, Math. Comp. 86, 2017), so Miller-Rabin on them
+# decides primality exactly below 2^64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 2^64; ValueError above."""
+    if n >= PRIME_BOUND:
+        raise ValueError("primality is decided only below 2^64, got %d" % n)
     if n < 2:
         return False
-    q = 2
-    while q * q <= n:
+    for q in _MR_BASES:
         if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        q += 1
     return True
+
+
+def require_odd_prime(p: int) -> None:
+    """InputError unless p is an odd prime below 2^64."""
+    if p >= PRIME_BOUND:
+        raise InputError("p = %d is too large: primes are decided only below 2^64" % p)
+    if p < 3 or not is_prime(p):
+        raise InputError("p must be an odd prime (got %r)" % (p,))
 
 
 def prime_factors(n: int) -> list[int]:

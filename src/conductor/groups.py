@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .cyclo import is_prime
+from .cyclo import require_odd_prime
 from .errors import GroupTooLargeError, InputError, InvalidQuotientError
 
 TABLE_BOUND = 512
+ELEMENT_BOUND = 100000  # largest permutation closure, and largest degree
 
 
 class FiniteGroup:
@@ -70,8 +71,10 @@ class FiniteGroup:
                 if nxt not in index:
                     index[nxt] = len(elems)
                     elems.append(nxt)
-                    if len(elems) > 100000:
-                        raise GroupTooLargeError("permutation closure exceeded 100000 elements")
+                    if len(elems) > ELEMENT_BOUND:
+                        raise GroupTooLargeError(
+                            "permutation closure exceeded %d elements" % ELEMENT_BOUND
+                        )
             cursor += 1
         n = len(elems)
 
@@ -274,8 +277,7 @@ class SemidirectData:
     alpha_pows: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.p < 3 or not is_prime(self.p):
-            raise InputError("p must be an odd prime, got %r" % (self.p,))
+        require_odd_prime(self.p)
         o = self.alpha.order()
         n = 0
         while o % self.p == 0:
@@ -298,7 +300,8 @@ def finite_quotient(sd: SemidirectData, m: int) -> FiniteGroup:
 
     H sits at indices 0..|H|-1 and conjugation by the coset generator
     (index |H|) acts on H through alpha.  Requires m >= n so that the
-    automorphism factors through the quotient.
+    automorphism factors through the quotient.  Up to TABLE_BOUND the
+    multiplication table is assembled from the rows of H's table.
     """
     if m < sd.n:
         raise InvalidQuotientError("level m=%d is below the action exponent n=%d" % (m, sd.n))
@@ -313,10 +316,23 @@ def finite_quotient(sd: SemidirectData, m: int) -> FiniteGroup:
         xs = sd.alpha_power(-j, x)
         return ((i + j) % pm) * hn + sd.h.mult(xs, y)
 
+    table = None
+    if order <= TABLE_BOUND:
+        # block j of row gamma^i x is the row of alpha^(-j)(x) in H's
+        # table, shifted into the coset of gamma^(i+j)
+        shifted = [[c * hn + y for y in row] for c in range(pm) for row in sd.h.table]
+        table = []
+        for i in range(pm):
+            for x in range(hn):
+                row = []
+                for j in range(pm):
+                    row += shifted[((i + j) % pm) * hn + sd.alpha_power(-j, x)]
+                table.append(row)
+
     gens = list(sd.h.generators)
     if pm > 1:
         gens.append(hn)
-    g = FiniteGroup(order, mult, gens, name="%s:|Z/%d^%d" % (sd.h.name, sd.p, m))
+    g = FiniteGroup(order, mult, gens, name="%s:|Z/%d^%d" % (sd.h.name, sd.p, m), table=table)
     g.semidirect = (sd, m)
     return g
 

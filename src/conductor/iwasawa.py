@@ -569,9 +569,14 @@ def extension_dual_basis_check(kprime: AbelianLocalField, n: int, level: int) ->
 
 def quotient_degree_check(sd, m) -> bool:
     """Every irreducible character of G_m restricts to H multiplicity-free,
-    supported on exactly one alpha-orbit, with chi(1) = w * eta(1)."""
+    supported on exactly one alpha-orbit, with chi(1) = w * eta(1).
+
+    The table of G_m must first be complete: one row per class, and the
+    squared degrees summing to |G_m|."""
     g = finite_quotient(sd, m)
     big = character_table(g)
+    if len(big.values) != big.n_classes or sum(d * d for d in big.degrees) != g.order:
+        return False
     small = character_table(sd.h)
     orbits = alpha_orbits(small, sd.alpha)
     orbit_of_row = {r: oi for oi, orb in enumerate(orbits) for r in orb.members}

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .fitting import PresentationMatrix
-from .groups import FiniteGroup, GroupAutomorphism, SemidirectData
+from .groups import ELEMENT_BOUND, FiniteGroup, GroupAutomorphism, SemidirectData
 from .localfields import AbelianLocalField
 
 
@@ -78,6 +78,10 @@ def group_from_json(obj, where="group"):
         degree = _integer(_require(obj, "degree", where), "%s.degree" % where)
         if degree < 1:
             raise InputError("%s: degree must be a positive integer" % where)
+        if degree > ELEMENT_BOUND:
+            raise InputError(
+                "%s.degree: %d exceeds the bound %d" % (where, degree, ELEMENT_BOUND)
+            )
         _integer_rows(gens, "%s.perm_gens" % where, degree)
         return FiniteGroup.from_permutations(
             [tuple(g) for g in gens], degree, name=name

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .cyclo import is_prime, prime_factors
+from .cyclo import is_prime, prime_factors, require_odd_prime
 from .errors import ContainmentError, InputError
 
 
@@ -92,8 +92,7 @@ class AbelianLocalField:
     __slots__ = ("p", "m", "stab", "galois_group", "_ram")
 
     def __init__(self, p: int, m: int, stab_gens=()):
-        if p < 3 or not is_prime(p):
-            raise InputError("p must be an odd prime (got %r)" % (p,))
+        require_odd_prime(p)
         if m < 1:
             raise InputError("conductor must be positive (got %r)" % (m,))
         if m % 4 == 2:

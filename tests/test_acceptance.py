@@ -72,7 +72,7 @@ def test_criterion_05_scalar_extension_duals():
 
 def test_criterion_06_restriction_degrees():
     ok, checks, dt, bad = _suite("degrees")
-    ok = ok and dt < 60
+    ok = ok and dt < 30
     _report(6, "multiplicity-free restriction, chi(1) = w eta(1)", ok, "%d quotients, %.0fs" % (len(checks), dt) + (("; " + bad) if bad else ""))
 
 

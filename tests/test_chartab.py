@@ -2,14 +2,23 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
 from conductor import chartab
-from conductor.catalog import s3_x_c9, sd_c7, semidirect_catalog, symmetric_3
+from conductor.catalog import (
+    c7_c3,
+    s3_x_c9,
+    sd_c7,
+    semidirect_catalog,
+    symmetric_3,
+    table_catalog,
+)
 from conductor.chartab import alpha_orbits, character_table, restrict_and_decompose
-from conductor.cyclo import CycloNumber
-from conductor.groups import cyclic_group, finite_quotient
+from conductor.cyclo import CycloNumber, int_coords
+from conductor.groups import conjugacy_classes, cyclic_group, finite_quotient
+from conductor.padic import echelon, echelon_coords, kernel
 
 
 def test_s3_table_values():
@@ -28,7 +37,7 @@ def test_s3_table_values():
 
 
 def test_degree_squares_sum_to_order():
-    for g in (symmetric_3(), cyclic_group(8), s3_x_c9()):
+    for g in (cyclic_group(1), symmetric_3(), cyclic_group(8), s3_x_c9()):
         t = character_table(g)
         assert sum(d * d for d in t.degrees) == g.order
 
@@ -157,3 +166,148 @@ def test_json_export_shape():
     assert obj["order"] == 6
     assert len(obj["rows"]) == t.n_classes
     assert [c["size"] for c in obj["classes"]] == list(t.sizes())
+
+
+# -- the dense split and the per-row lift, the reference for character_table --
+
+
+def _reference_table(g):
+    """to_json() and power maps from the dense k x k x k class matrices,
+    every eigenspace split by its own kernel in ambient coordinates, and
+    every row lifted on its own."""
+    cls = conjugacy_classes(g)
+    k = len(cls.classes)
+    reps = cls.representatives()
+    sizes = cls.sizes
+    order = g.order
+    e = g.exponent()
+    l = chartab._split_prime(e, order)
+    mats = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for x in range(order):
+        xi = g.inv(x)
+        for t, z in enumerate(reps):
+            mats[cls.class_of[x]][cls.class_of[g.mult(xi, z)]][t] += 1
+    spaces = [([[int(c == r) for c in range(k)] for r in range(k)], list(range(k)))]
+    for i in range(1, k):
+        nxt = []
+        for basis, piv in spaces:
+            if len(piv) == 1:
+                nxt.append((basis, piv))
+                continue
+            imgs = [[sum(a * b for a, b in zip(mrow, row)) % l for mrow in mats[i]] for row in basis]
+            act = [list(col) for col in zip(*(echelon_coords(basis, piv, v, l) for v in imgs))]
+            poly = chartab._charpoly(act, l)
+            for lam in range(l):
+                if chartab._horner(poly, lam, l) == 0:
+                    shifted = [[(x - (lam if r == c else 0)) % l for c, x in enumerate(row)] for r, row in enumerate(act)]
+                    sub = [[sum(kv[r] * basis[r][c] for r in range(len(basis))) % l for c in range(k)] for kv in kernel(shifted, l)]
+                    nxt.append(echelon(sub, l))
+        spaces = nxt
+    assert len(spaces) == k and all(len(piv) == 1 for _, piv in spaces)
+    inv_class = [cls.class_of[g.inv(z)] for z in reps]
+    orders = [g.element_order(z) for z in reps]
+    powmaps = []
+    for z, o in zip(reps, orders):
+        pm, y = [], 0
+        for _ in range(o):
+            pm.append(cls.class_of[y])
+            y = g.mult(y, z)
+        powmaps.append(pm)
+    w = chartab._primitive_root(l)
+    e_norm = chartab._normalized(e)
+    rows = []
+    for (u,), _ in spaces:
+        s = sum(u[t] * u[inv_class[t]] * pow(sizes[t], -1, l) for t in range(k)) % l
+        d = next(dd for dd in range(1, isqrt(order) + 1) if (dd * dd * s - order) % l == 0)
+        chi = [d * u[t] * pow(sizes[t], -1, l) % l for t in range(k)]
+        coords = []
+        for t, o in enumerate(orders):
+            zinv = pow(pow(w, (l - 1) // o, l), -1, l)
+            mults = chartab._lift_coeffs([chi[c] for c in powmaps[t]], o, zinv, pow(o, -1, l), l)
+            assert max(mults) <= d
+            coords.append(tuple(int_coords(e, ((j * (e // o), c) for j, c in enumerate(mults)))))
+        rows.append((d, coords))
+    rows.sort()
+    table = chartab.CharacterTable(
+        group=g,
+        classes=cls,
+        values=[[CycloNumber(e_norm, c).minimal_conductor() for c in coords] for _, coords in rows],
+        degrees=[d for d, _ in rows],
+        exponent=e,
+        split_prime=l,
+        power_maps=powmaps,
+    )
+    return table.to_json(), powmaps
+
+
+def _reference_groups():
+    out = [(g.name, g) for g in table_catalog()]
+    for sd in semidirect_catalog():
+        for m in range(sd.n, sd.n + 3):
+            if sd.h.order * sd.p**m <= 250:
+                out.append(("%s-%d" % (sd.name(), m), finite_quotient(sd, m)))
+    return out
+
+
+@pytest.mark.parametrize("g", [g for _, g in _reference_groups()], ids=[n for n, _ in _reference_groups()])
+def test_table_equals_dense_reference(g):
+    table = character_table(g)
+    assert (table.to_json(), table.power_maps) == _reference_table(g)
+
+
+def test_scalar_action():
+    assert chartab._scalar([[3, 0], [0, 3]]) == 3
+    assert chartab._scalar([[5]]) == 5
+    assert chartab._scalar([[3, 0], [0, 4]]) is None
+    assert chartab._scalar([[3, 1], [0, 3]]) is None
+    assert chartab._scalar([[3, 0], [1, 3]]) is None
+
+
+def test_unit_generators_generate_the_units():
+    for e in (1, 2, 3, 4, 8, 12, 15, 24, 27, 100, 1375):
+        got = {1 % e}
+        for u in chartab._unit_generators(e):
+            got |= {x * u**j % e for x in got for j in range(e)}
+        assert got == {u % e for u in range(1, e + 1) if gcd(u, e) == 1}
+
+
+def test_wrong_multiplicity_fails_the_rank_certificate(monkeypatch):
+    # a root reported with one more than its multiplicity leaves its
+    # eigenspace short of the multiplicity
+    roots = chartab._roots
+
+    def inflated(poly, l):
+        out = roots(poly, l)
+        return [(out[0][0], out[0][1] + 1)] + out[1:]
+
+    monkeypatch.setattr(chartab, "_roots", inflated)
+    for g in (symmetric_3(), c7_c3()):
+        with pytest.raises(ArithmeticError, match="rank"):
+            character_table(g)
+
+
+def test_conjugate_span_certificates():
+    # S3 at l: omega_chi(t) = |C_t| chi(t) / chi(1), eigenvalue omega_chi(1)
+    # of M_1; classes (identity, transpositions, 3-cycles)
+    g = symmetric_3()
+    table = character_table(g)
+    l = table.split_prime
+    mat = chartab._class_matrix(g, table.classes, 1)
+    trivial, sign, standard = ([1, 3, 2], [1, l - 3, 2], [1, 0, l - 1])
+    whole = ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2])
+    assert chartab._conjugate_span(*whole, mat, l - 3, [sign], l) == ([sign], [0])
+    assert chartab._conjugate_span(*whole, mat, 0, [standard], l) == ([standard], [0])
+    mixed = [(a + b) % l for a, b in zip(sign, trivial)]
+    with pytest.raises(ArithmeticError, match="not an eigenvector"):
+        chartab._conjugate_span(*whole, mat, l - 3, [mixed], l)
+    with pytest.raises(ArithmeticError, match="escaped"):
+        chartab._conjugate_span([trivial], [0], mat, l - 3, [sign], l)
+
+
+def test_missing_conjugate_row_raises(monkeypatch):
+    # a constant class map is no power map: the conjugate of a row it
+    # names is not a row of the table mod l
+    monkeypatch.setattr(chartab, "_class_map", lambda power_maps, u: [0] * len(power_maps))
+    for g in (symmetric_3(), c7_c3(), s3_x_c9()):
+        with pytest.raises(ArithmeticError, match="missing mod l"):
+            character_table(g)

@@ -210,6 +210,8 @@ MALFORMED = [
     ("base", {"p": 3}, "missing key 'm'"),
     ("base", {"p": 3, "m": "x"}, ".m: expected an integer"),
     ("base", {"p": 3, "m": 9, "stab_gens": 5}, ".stab_gens: expected a list"),
+    ("group", {"perm_gens": [], "degree": 2000000}, "group.degree: 2000000 exceeds the bound 100000"),
+    ("base", {"p": 2**64 + 13, "m": 1}, "too large"),
 ]
 
 
@@ -217,7 +219,16 @@ MALFORMED = [
 @pytest.mark.parametrize(
     "flag,payload,message",
     MALFORMED,
-    ids=["no-rows", "int-rows", "string-entry", "no-m", "string-m", "int-stab-gens"],
+    ids=[
+        "no-rows",
+        "int-rows",
+        "string-entry",
+        "no-m",
+        "string-m",
+        "int-stab-gens",
+        "trivial-perm-degree",
+        "huge-base-p",
+    ],
 )
 def test_malformed_json_is_input_error(capsys, tmp_path, flag, payload, message, optimize):
     path = tmp_path / "bad.json"
@@ -247,6 +258,25 @@ def test_bad_json_is_input_error(tmp_path, capsys):
 
 def test_bad_prime_is_input_error(capsys):
     assert run(["finite", "--group", sample("s3.json"), "--p", "4"]) == 2
+
+
+def test_prime_near_2_to_61_is_accepted(capsys):
+    # 2^61 - 1 is prime and prime to |S3|: decided at once, every valuation 0
+    code, out = run_capture(capsys, ["finite", "--group", sample("s3.json"), "--p", str(2**61 - 1)])
+    assert code == 0
+    assert all(c["valuation"] == 0 for c in json.loads(out)["components"])
+
+
+@pytest.mark.parametrize("command", ["finite", "iwasawa", "verify"])
+def test_prime_above_2_to_64_is_input_error(capsys, command):
+    p = str(2**64 + 13)
+    argv = {
+        "finite": ["finite", "--group", sample("s3.json"), "--p", p],
+        "iwasawa": ["iwasawa", "--h", sample("c7.json"), "--alpha", sample("sq.json"), "--p", p],
+        "verify": ["verify", "--suite", "all", "--p", p],
+    }[command]
+    assert run(argv) == 2
+    assert "too large" in capsys.readouterr().err
 
 
 def test_verify_prime_must_be_odd_prime(capsys):

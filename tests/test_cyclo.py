@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,9 +14,11 @@ from conductor.cyclo import (
     ONE,
     ZERO,
     CycloNumber,
+    PRIME_BOUND,
     _poly_divmod,
     _reduction_context,
     divisors,
+    is_prime,
     totient,
 )
 from conductor.errors import InvalidAutomorphismError
@@ -244,3 +246,21 @@ def test_certificates_raise_in_every_build(optimize):
             CycloNumber.root(3).lift(5)
         with pytest.raises(ArithmeticError, match="remainder"):
             _poly_divmod([1, 0, 1], [1, 1])
+
+
+def test_is_prime_matches_trial_division():
+    sieve = [False, False] + [True] * (10**5 - 2)
+    for q in range(2, isqrt(10**5) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = [False] * len(sieve[q * q :: q])
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if sieve[n]]
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to the bases 2..7, 2..11, 2..13 and 2..17
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(PRIME_BOUND - 59)
+    assert not is_prime(2**61 + 1) and not is_prime(PRIME_BOUND - 1)
+    with pytest.raises(ValueError):
+        is_prime(PRIME_BOUND)

@@ -10,11 +10,13 @@ from conductor.catalog import (
     quaternion_8,
     sd_c3_trivial,
     sd_c7,
+    semidirect_catalog,
     symmetric_3,
     table_catalog,
 )
 from conductor.errors import InputError, InvalidQuotientError
 from conductor.groups import (
+    TABLE_BOUND,
     FiniteGroup,
     GroupAutomorphism,
     SemidirectData,
@@ -171,6 +173,30 @@ def test_finite_quotient_level_zero():
     assert g.order == 3
     assert all(gen < g.order for gen in g.generators)
     assert len(conjugacy_classes(g).classes) == 3
+
+
+def _quotient_entries():
+    out = list(semidirect_catalog())
+    for q in (7, 13):
+        out += [
+            SemidirectData(cyclic_group(q), cyclic_automorphism(q, k), 3)
+            for k in range(2, q)
+            if pow(k, 3, q) == 1
+        ]
+    return out
+
+
+@pytest.mark.parametrize("sd", _quotient_entries(), ids=lambda sd: "%s-%s" % (sd.name(), sd.alpha.images[1]))
+def test_finite_quotient_table_matches_the_law(sd):
+    # the table built from H's rows, block by block, against the closure
+    m = sd.n
+    while sd.h.order * sd.p**m <= TABLE_BOUND:
+        g = finite_quotient(sd, m)
+        assert g.table is not None
+        law = g._mult_func
+        assert g.table == [[law(a, b) for b in range(g.order)] for a in range(g.order)]
+        m += 1
+    assert finite_quotient(sd, m).table is None
 
 
 def test_finite_quotient_below_action_exponent():

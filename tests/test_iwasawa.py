@@ -270,6 +270,27 @@ def test_quotient_degrees_small():
     assert quotient_degree_check(sd_c3_trivial(), 1)
 
 
+@pytest.mark.parametrize("sd", semidirect_catalog(), ids=lambda sd: sd.name())
+def test_quotient_degrees_need_a_complete_table(sd, monkeypatch):
+    assert quotient_degree_check(sd, sd.n)
+    # the same table of G_n with one character dropped, each in turn
+    g_table = character_table(finite_quotient(sd, sd.n))
+    for drop in (0, g_table.n_classes - 1):
+        short = dataclasses.replace(
+            g_table,
+            values=g_table.values[:drop] + g_table.values[drop + 1 :],
+            degrees=g_table.degrees[:drop] + g_table.degrees[drop + 1 :],
+            _sparse=None,
+        )
+        monkeypatch.setattr(
+            iwasawa,
+            "character_table",
+            lambda g: short if hasattr(g, "semidirect") else character_table(g),
+        )
+        assert not quotient_degree_check(sd, sd.n)
+        monkeypatch.undo()
+
+
 def test_full_description_round_trips_to_json():
     import json
 

@@ -63,6 +63,22 @@ def test_semidirect_from_json():
         semidirect_from_json(obj, p=5)  # contradicts the embedded prime
 
 
+def test_primes_above_2_to_64_are_input_errors():
+    table = [[(i + j) % 7 for j in range(7)] for i in range(7)]
+    huge = 2**64 + 13
+    obj = {"h": {"mult_table": table}, "alpha_images": list(range(7)), "p": huge}
+    with pytest.raises(InputError, match="too large"):
+        semidirect_from_json(obj)
+    with pytest.raises(InputError, match="too large"):
+        field_from_json({"p": huge, "m": 1})
+
+
+def test_permutation_degree_is_bounded():
+    assert group_from_json({"perm_gens": [], "degree": 100000}).order == 1
+    with pytest.raises(InputError, match="group.degree: 100001 exceeds the bound 100000"):
+        group_from_json({"perm_gens": [], "degree": 100001})
+
+
 def test_load_json_reports_location(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"a": [1, 2,]}')
