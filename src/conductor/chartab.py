@@ -21,9 +21,8 @@ They carry the Galois action: sigma_u(chi)(g) = chi(g^u), so the class
 maps t -> class of rep_t^u, u a unit mod the exponent, permute rows and
 central characters alike (Schneider, "Dixon's character table algorithm
 revisited", J. Symbolic Comput. 9, 1990).  The power maps come first:
-  - Split.  The trivial character's omega, |C_t|, is known from the
-    start; once a character splits off, the omegas of all its Galois
-    conjugates are known too (omega o class map).  Each space is tagged with
+  - Split.  Once a character splits off, the omegas of all its Galois
+    conjugates are known (omega o class map).  Each space is tagged with
     the eigenvalues it has seen, so a known omega lies in it exactly when
     it matches the tag.  When the m known omegas matching a root of
     multiplicity m are all there, their echelon span is the eigenspace and
@@ -444,33 +443,25 @@ def _split(g, cls, conj_maps, l):
 
     A space is (echelon basis, pivots, tag); the tag lists the (i, lambda)
     of every matrix M_i applied so far, so an omega lies in the space
-    exactly when omega_i = lambda for each.  The trivial character is known
-    from the start; once a character splits off, the conj_maps give the
-    omegas of its Galois conjugates (u o class map).  A root of
-    multiplicity m whose m eigenvectors are all known needs no kernel.
+    exactly when omega_i = lambda for each.  Once a character splits off,
+    the conj_maps give the omegas of its Galois conjugates (u o class map).
+    A root of multiplicity m whose m eigenvectors are all known needs no
+    kernel.
     """
     k = len(cls.classes)
     whole = ([[int(r == c) for c in range(k)] for r in range(k)], list(range(k)), ())
     spaces, found = ([whole], []) if k > 1 else ([], [[1]])
-    # omega of every Galois conjugate of a split-off character, and from
-    # the start that of the trivial character, omega(t) = |C_t|
-    known = {tuple(size % l for size in cls.sizes): None}
+    known = {}  # omega of every Galois conjugate of a split-off character
     for i in range(1, k):
         if not spaces:
             break
         mat = _class_matrix(g, cls, i)
         nxt = []
         for basis, piv, tag in spaces:
-            if len(piv) == k:  # the whole space, where M_i acts as itself
-                act = [[0] * k for _ in range(k)]
-                for j, row in enumerate(mat):
-                    for t, a in row:
-                        act[j][t] = a % l
-            else:
-                # coordinates in an echelon basis are the entries at the
-                # pivots; echelon_coords also certifies the image is inside
-                cols = [echelon_coords(basis, piv, _apply(mat, b, l), l) for b in basis]
-                act = [list(row) for row in zip(*cols)]
+            # coordinates in an echelon basis are the entries at the pivots;
+            # echelon_coords also certifies the image is inside
+            cols = [echelon_coords(basis, piv, _apply(mat, b, l), l) for b in basis]
+            act = [list(row) for row in zip(*cols)]
             lam = _scalar(act)
             if lam is not None:
                 nxt.append((basis, piv, tag + ((i, lam),)))

@@ -9,6 +9,8 @@ import pytest
 from conductor import chartab
 from conductor.catalog import (
     c7_c3,
+    dihedral,
+    quaternion_8,
     s3_x_c9,
     sd_c7,
     semidirect_catalog,
@@ -302,6 +304,26 @@ def test_conjugate_span_certificates():
         chartab._conjugate_span(*whole, mat, l - 3, [mixed], l)
     with pytest.raises(ArithmeticError, match="escaped"):
         chartab._conjugate_span([trivial], [0], mat, l - 3, [sign], l)
+
+
+def test_partly_known_eigenspace_takes_the_kernel(monkeypatch):
+    # with every central character but one known after the first split, a
+    # root whose eigenspace holds the unknown one is found by its kernel
+    orbit = chartab._orbit
+    for g in (dihedral(4), quaternion_8(), dihedral(6)):
+        cls = conjugacy_classes(g)
+        l = character_table(g).split_prime
+        omegas = chartab._split(g, cls, [], l)
+        for j in range(len(omegas)):
+            others = [tuple(u) for r, u in enumerate(omegas) if r != j]
+
+            def partial(u, maps, seen, others=others):
+                orbit(u, maps, seen)
+                seen.update(dict.fromkeys(others))
+
+            monkeypatch.setattr(chartab, "_orbit", partial)
+            assert chartab._split(g, cls, [], l) == omegas
+            monkeypatch.setattr(chartab, "_orbit", orbit)
 
 
 def test_missing_conjugate_row_raises(monkeypatch):
