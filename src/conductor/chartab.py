@@ -35,15 +35,17 @@ revisited", J. Symbolic Comput. 9, 1990).  The power maps come first:
     takes the multiplicities permuted, b_j = a_{j k^-1 mod o}, certified by
     evaluating them at the class's own value mod l.
 
-Values stay integers until the end: each distinct multiplicity vector
+Values are stored once, as integers: each distinct multiplicity vector
 gives the value's integer power-basis coordinates at the exponent
-conductor E (normalized, never 2 mod 4) once.  Those coordinates are the
-table's sparse sums {exponent: count} of zeta_E, on which restriction
-and the orthogonality checks compute, and the row sort key; the stored
-CycloNumber is the same value at its smallest conductor.  Certificates
+conductor E (normalized, never 2 mod 4) once, kept as the sparse dict
+{i: count} of zeta_E^i (``coords``).  Restriction, the orthogonality
+checks, the row permutations and the idempotent sums compute on them,
+and the dense coordinates are the row sort key.  ``values``, the same
+numbers as CycloNumbers at their smallest conductor, is built on first
+read, one ``minimal_conductor`` per distinct dict.  Certificates
 (invariant subspaces, conjugate eigenvectors, eigenspace ranks, conjugate
-rows mod l, the lift bound, the permuted lifts, integrality) raise
-ArithmeticError.
+rows mod l, the lift bound, the permuted lifts, integral restriction
+multiplicities) raise ArithmeticError.
 
 Everything is deterministic: classes are ordered by smallest member
 (identity first), matrices are consumed in class order, eigenvalues
@@ -54,12 +56,12 @@ at the exponent conductor).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, isqrt, lcm
 
 from .cyclo import CycloNumber, _common_conductor, int_coords, is_prime, prime_factors
 from .errors import GroupTooLargeError
 from .groups import ClassData, FiniteGroup, conjugacy_classes, orbits
-from .localfields import decomposition_group
 from .padic import echelon, echelon_coords, kernel
 
 DEFAULT_BOUND = 2000
@@ -129,12 +131,11 @@ def _charpoly(a, l):
 class CharacterTable:
     group: FiniteGroup
     classes: ClassData
-    values: list  # values[row][class] as CycloNumber, minimal conductor
+    coords: list  # coords[row][class] = {i: count} on zeta_E^i, E = _normalized(exponent)
     degrees: list
     exponent: int
     split_prime: int
     power_maps: list  # power_maps[t][s] = class of rep_t^s, s < order of rep_t
-    _sparse: list = None  # values as {exponent mod E: int} at the exponent conductor
 
     @property
     def n_classes(self):
@@ -150,30 +151,28 @@ class CharacterTable:
         g = self.group
         return self.classes.class_of[g.inv(self.classes.classes[t][0])]
 
+    @cached_property
+    def values(self):
+        """values[row][class] as CycloNumbers at their smallest conductor,
+        built on first read, once per distinct coordinate dict."""
+        e_norm = _normalized(self.exponent)
+        built = {}
+
+        def value(d):
+            key = frozenset(d.items())
+            if key not in built:
+                dense = [d.get(i, 0) for i in range(max(d, default=0) + 1)]
+                built[key] = CycloNumber(e_norm, dense).minimal_conductor()
+            return built[key]
+
+        return [[value(d) for d in row] for row in self.coords]
+
     def value(self, row, elem):
         """Character value at a group element."""
         return self.values[row][self.classes.class_of[elem]]
 
-    # sparse integer root-of-unity sums at the normalized exponent conductor
-    def _sparse_values(self):
-        if self._sparse is None:
-            e_norm = _normalized(self.exponent)
-            sp = []
-            for row in self.values:
-                srow = []
-                for v in row:
-                    lifted = v.lift(e_norm)
-                    # the power basis of zeta_E is an integral basis, so the
-                    # coordinates of a character value are plain integers
-                    if any(c.denominator != 1 for c in lifted.coeffs):
-                        raise ArithmeticError("character value %r is not integral" % (v,))
-                    srow.append({i: int(c) for i, c in enumerate(lifted.coeffs) if c})
-                sp.append(srow)
-            self._sparse = (e_norm, sp)
-        return self._sparse
-
     def verify_row_orthogonality(self):
-        e_norm, sp = self._sparse_values()
+        e_norm, sp = _normalized(self.exponent), self.coords
         sizes = self.sizes()
         k = self.n_classes
         inv = [self.inverse_class(t) for t in range(k)]
@@ -185,7 +184,7 @@ class CharacterTable:
         return True
 
     def verify_column_orthogonality(self):
-        e_norm, sp = self._sparse_values()
+        e_norm, sp = _normalized(self.exponent), self.coords
         sizes = self.sizes()
         order = self.group.order
         k = self.n_classes
@@ -288,10 +287,9 @@ def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTabl
     zetas = [pow(w, (l - 1) // o, l) for o in elem_orders]
 
     # each distinct multiplicity vector gives integer coordinates at the
-    # exponent conductor once; they yield the sparse sums, the sort key and
-    # the value at its smallest conductor
-    e_norm = _normalized(e)
-    lifted = {}  # (o, multiplicities) -> (coordinates, sparse sum, value)
+    # exponent conductor once: the dense tuple is the row sort key, the dict
+    # of its nonzero entries the stored value
+    lifted = {}  # (o, multiplicities) -> (coordinate tuple, coordinate dict)
 
     def lift(chi, d):
         views, row_mults = [], []
@@ -313,11 +311,7 @@ def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTabl
             view = lifted.get((o, mults))
             if view is None:
                 ints = int_coords(e, ((j * (e // o), c) for j, c in enumerate(mults)))
-                view = lifted[o, mults] = (
-                    tuple(ints),
-                    {i: c for i, c in enumerate(ints) if c},
-                    CycloNumber(e_norm, ints).minimal_conductor(),
-                )
+                view = lifted[o, mults] = (tuple(ints), {i: c for i, c in enumerate(ints) if c})
             views.append(view)
         return views
 
@@ -338,24 +332,17 @@ def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTabl
                 if row_views[r2] is None:
                     row_views[r2] = [row_views[r1][c] for c in cmap]
                     walk.append(r2)
-    coords, sparse, values = [], [], []
-    for views in row_views:
-        row_coords, row_sparse, row_values = zip(*views)
-        coords.append(row_coords)
-        sparse.append(list(row_sparse))
-        values.append(list(row_values))
 
     # deterministic row order: integer coordinates compare like the values'
-    perm = sorted(range(len(values)), key=lambda i: (degrees[i], coords[i]))
+    perm = sorted(range(k), key=lambda r: (degrees[r], [key for key, _ in row_views[r]]))
     table = CharacterTable(
         group=g,
         classes=cls,
-        values=[values[i] for i in perm],
-        degrees=[degrees[i] for i in perm],
+        coords=[[d for _, d in row_views[r]] for r in perm],
+        degrees=[degrees[r] for r in perm],
         exponent=e,
         split_prime=l,
         power_maps=powmaps,
-        _sparse=(e_norm, [sparse[i] for i in perm]),
     )
     g._char_table = table
     return table
@@ -585,7 +572,7 @@ def row_permutations(table: CharacterTable, class_maps) -> list[list[int]]:
     """
     ids = {}
     keys = [
-        tuple(ids.setdefault((v.m, v.coeffs), len(ids)) for v in row) for row in table.values
+        tuple(ids.setdefault(frozenset(d.items()), len(ids)) for d in row) for row in table.coords
     ]
     index = {key: r for r, key in enumerate(keys)}
     return [[index[tuple(key[c] for c in cmap)] for key in keys] for cmap in class_maps]
@@ -601,11 +588,8 @@ def galois_exponents(table: CharacterTable, base=None) -> list[int]:
         e *= 2
     if base is None:
         return [k for k in range(1, e + 1) if gcd(k, e) == 1]
-    ks = set()
-    for a in decomposition_group(base.p, _common_conductor(e, base.m)):
-        if base.m == 1 or a % base.m in base.stab:
-            ks.add(a % e if e > 1 else 1)
-    return sorted(ks)
+    residues = base.galois_residues(_common_conductor(e, base.m))
+    return sorted({a % e if e > 1 else 1 for a in residues})
 
 
 def galois_permutations(table: CharacterTable, base=None) -> list[list[int]]:
@@ -658,8 +642,8 @@ def restrict_and_decompose(
     h = small.group
     if embedding is None:
         embedding = list(range(h.order))
-    e_big, sp_big = big._sparse_values()
-    e_small, sp_small = small._sparse_values()
+    e_big, sp_big = _normalized(big.exponent), big.coords
+    e_small, sp_small = _normalized(small.exponent), small.coords
     if e_big % e_small:
         raise ArithmeticError(
             "exponent conductor %d does not divide %d" % (e_small, e_big)
@@ -685,4 +669,18 @@ def restrict_and_decompose(
         m = total[0] // h.order
         if m:
             out.append((j, m))
+    return out
+
+
+def idempotent_coords(table: CharacterTable, rows) -> list[dict]:
+    """Per class t, the coordinates {i: count} of the sum over the given
+    rows of chi(1) chi(g_t^-1): |G| times the coefficient of g_t in the sum
+    of the central idempotents e_chi = (chi(1)/|G|) sum_g chi(g^-1) g."""
+    out = []
+    for t in range(table.n_classes):
+        acc = {}
+        for r in rows:
+            for i, c in table.coords[r][table.inverse_class(t)].items():
+                acc[i] = acc.get(i, 0) + table.degrees[r] * c
+        out.append({i: c for i, c in acc.items() if c})
     return out

@@ -21,7 +21,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
-from .chartab import character_table, galois_orbits
+from .chartab import character_table, galois_orbits, idempotent_coords
 from .cyclo import CycloNumber, _common_conductor, cyclotomic_poly, totient
 from .errors import InputError, UnsupportedPresentationError
 from .localfields import AbelianLocalField, field_of_values, relative_data
@@ -170,25 +170,15 @@ def _character_order(table, row):
     return d
 
 
-def _orbit_value_sum(table, orbit, j):
-    """Sum of chi(g_j) over one full rational orbit; always rational."""
-    acc = None
-    for r in orbit:
-        v = table.values[r][j]
-        acc = v if acc is None else acc + v
-    if not acc.is_rational():
-        raise ArithmeticError("rational-orbit value sum came out irrational")
-    return acc.as_fraction()
-
-
 def _orbit_idempotent(table, orbit):
-    """Per-class coefficients of the rational central idempotent sum e_chi."""
+    """Per-class coefficients of the central idempotent sum e_chi over a
+    rational orbit; ArithmeticError unless every one is rational."""
     n = table.group.order
-    degree = table.degrees[orbit[0]]
     coeffs = []
-    for j in range(table.n_classes):
-        s = _orbit_value_sum(table, orbit, table.inverse_class(j))
-        coeffs.append(Fraction(degree, n) * s)
+    for d in idempotent_coords(table, orbit):
+        if set(d) - {0}:
+            raise ArithmeticError("rational-orbit idempotent came out irrational")
+        coeffs.append(Fraction(d.get(0, 0), n))
     return coeffs
 
 
@@ -435,7 +425,7 @@ def formula_conductor_lattice(g, p, precision=None):
         degree = table.degrees[rep]
         d = 1
         for j in range(k):
-            d = _common_conductor(d, table.values[rep][j].minimal_conductor().m)
+            d = _common_conductor(d, table.values[rep][j].m)
         mult_vp = vp(Fraction(g.order, degree), p)
         local = AbelianLocalField(p, d, [])
         target = local.ramification_index * mult_vp - local.different_exponent

@@ -104,16 +104,17 @@ class FiniteGroup:
 
     def inv(self, a):
         if self._inv is None:
-            inv = [0] * self.order
-            if self.table is not None:
-                for x in range(self.order):
-                    inv[x] = self.table[x].index(0)
-            else:
-                for x in range(self.order):
-                    y = x
-                    while self.mult(y, x) != 0:
+            # one walk over the cycle of each element not yet seen:
+            # (x^k)^-1 = x^(o-k), o the order of x
+            inv = [None] * self.order
+            for x in range(self.order):
+                if inv[x] is None:
+                    cycle, y = [0], x
+                    while y != 0:
+                        cycle.append(y)
                         y = self.mult(y, x)
-                    inv[x] = y  # x^(order(x)-1)
+                    for k, y in enumerate(cycle):
+                        inv[y] = cycle[-k % len(cycle)]
             self._inv = inv
         return self._inv[a]
 

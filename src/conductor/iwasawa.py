@@ -21,24 +21,27 @@ suite, and the degree bookkeeping check against character tables of the
 finite quotients.
 
 The truncated algebra and the idempotent suite compute on plain integers.
-The structure constants of Z[G_m] over Z[u]/(u^r - 1), r = p^{m-n}, are
-integers, and the dual basis is checked as the pairing against
-h^-1 gamma^-i being p^n|H| times the identity.  The idempotents are scaled by |H|: |H| e_eta has coefficients
-eta(1) eta(h^-1), integer sums of powers of zeta_E (E the exponent
-conductor of H), and products are reduced to power-basis coordinates only
-to be compared.
+The certificates multiply only monomials u^s gamma^i h of Z[G_m] over
+Z[u]/(u^r - 1), r = p^{m-n}, whose products are again monomials, and the
+dual basis is checked as the pairing against h^-1 gamma^-i being p^n|H|
+times the identity.  The idempotents are scaled by |H|: |H| e_eta has
+coefficients eta(1) eta(h^-1), read from the table's integer coordinates
+at E, the exponent conductor of H, and products are reduced to
+power-basis coordinates only to be compared.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .chartab import (
+    _normalized,
     _sparse_sum,
     alpha_orbits,
     character_table,
     galois_exponents,
     galois_orbits,
     galois_permutations,
+    idempotent_coords,
     restrict_and_decompose,
 )
 from .cyclo import _common_conductor, int_coords
@@ -46,12 +49,7 @@ from .errors import InputError, InvalidQuotientError
 from .finite import jacobinski_conductor
 from .groups import commutator_subgroup, finite_quotient, subgroup_closure
 from .groups import orbits as group_orbits
-from .localfields import (
-    AbelianLocalField,
-    decomposition_group,
-    field_of_values,
-    relative_data,
-)
+from .localfields import AbelianLocalField, field_of_values, relative_data
 from .orders import GlobalFieldModel
 from .padic import fraction_inverse, vp
 
@@ -189,7 +187,6 @@ class ConductorDescription:
     classes: list
     r_cap_exponent: int
     splitting_field: AbelianLocalField
-    commutator_criterion: bool
 
     def to_json(self):
         return {
@@ -224,7 +221,6 @@ def central_conductor(sd, base=None):
         classes=classes,
         r_cap_exponent=scalar_conductor_exponent(classes, base),
         splitting_field=e_field,
-        commutator_criterion=commutator_criterion(sd),
     )
 
 
@@ -271,11 +267,7 @@ def splitting_field_bound(sd, base=None):
     if exph % 4 == 2:
         exph //= 2
     m = _common_conductor(exph, base.m)
-    stab = [
-        a
-        for a in decomposition_group(base.p, m)
-        if (base.m == 1 or a % base.m in base.stab) and (exph == 1 or a % exph == 1)
-    ]
+    stab = [a for a in base.galois_residues(m) if exph == 1 or a % exph == 1]
     e_field = AbelianLocalField(base.p, m, stab)
     table = character_table(sd.h)
     singleton = True
@@ -299,17 +291,8 @@ def _scaled_idempotent(table, rows) -> list:
     given rows: per element of H, the power-basis coordinates {exponent:
     count} of zeta_E (E the table's exponent conductor), zeros dropped, so
     two coefficients are equal exactly when their dicts are."""
-    h = table.group
-    _, sp = table._sparse_values()
-    class_of = table.classes.class_of
-    out = []
-    for x in range(h.order):
-        acc = {}
-        for r in rows:
-            for e, c in sp[r][class_of[h.inv(x)]].items():
-                acc[e] = acc.get(e, 0) + table.degrees[r] * c
-        out.append({e: c for e, c in acc.items() if c})
-    return out
+    per_class = idempotent_coords(table, rows)
+    return [per_class[t] for t in table.classes.class_of]
 
 
 def _coords(e_norm, a, scale=1, k=1) -> list:
@@ -353,7 +336,7 @@ def idempotent_suite(sd, base=None, level=None) -> dict:
         level = sd.n
     h = sd.h
     table = character_table(h)
-    e_norm, _ = table._sparse_values()
+    e_norm = _normalized(table.exponent)
     classes = character_classes(sd, base)
     stab_ks = galois_exponents(table, base)
     g = finite_quotient(sd, level)
@@ -398,8 +381,9 @@ class TruncatedAlgebra:
     """o[G_m] on the basis gamma^i h (i < p^n, h in H) over
     R_m = o[u]/(u^{p^{m-n}} - 1), u the image of gamma^{p^n}.
 
-    Elements are dicts basis_index -> u-coefficient list of ints; the basis
-    index is i*|H| + h as in the finite quotient.
+    The certificates only multiply monomials u^s gamma^i h, and products of
+    monomials are monomials, so an element is a pair (basis index, s) with
+    the basis index i*|H| + h as in the finite quotient and s read mod p^{m-n}.
     """
 
     def __init__(self, sd, level):
@@ -413,41 +397,18 @@ class TruncatedAlgebra:
         self.ru = sd.p ** (level - sd.n)
         self.rank = self.pn * sd.h.order
 
-    def basis_mult(self, b1, b2):
-        """(index, u-shift) of a product of basis elements:
-        gamma^i h * gamma^j k = gamma^(i+j) alpha^(-j)(h) k."""
+    def mul(self, a, b):
+        """u^s gamma^i h * u^t gamma^j k = u^(s+t+carry) gamma^((i+j) mod p^n)
+        alpha^(-j)(h) k, carry = (i+j) // p^n."""
         hn = self.sd.h.order
-        i, x = divmod(b1, hn)
-        j, y = divmod(b2, hn)
+        i, x = divmod(a[0], hn)
+        j, y = divmod(b[0], hn)
         carry, rest = divmod(i + j, self.pn)
         z = self.sd.h.mult(self.sd.alpha_power(-j, x), y)
-        return rest * hn + z, carry % self.ru
-
-    def r_mul(self, a, b, shift=0):
-        out = [0] * self.ru
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[(i + j + shift) % self.ru] += ai * bj
-        return out
-
-    def mul(self, a, b):
-        out = {}
-        for b1, r1 in a.items():
-            for b2, r2 in b.items():
-                idx, shift = self.basis_mult(b1, b2)
-                term = self.r_mul(r1, r2, shift)
-                if idx in out:
-                    out[idx] = [x + y for x, y in zip(out[idx], term)]
-                else:
-                    out[idx] = term
-        return {k: v for k, v in out.items() if any(v)}
+        return rest * hn + z, (a[1] + b[1] + carry) % self.ru
 
     def basis_element(self, i, h, ushift=0):
-        r = [0] * self.ru
-        r[ushift % self.ru] = 1
-        return {i * self.sd.h.order + h: r}
+        return i * self.sd.h.order + h, ushift % self.ru
 
     def inverse_basis_element(self, i, h):
         """(gamma^i h)^-1 = h^-1 gamma^-i; for i > 0 that is
@@ -461,11 +422,10 @@ class TruncatedAlgebra:
 def trace_truncated(alg: TruncatedAlgebra, x) -> list:
     """R_m-trace of right multiplication: p^n |H| times the coefficient of
     the identity basis element."""
-    coeff = x.get(0)
-    scale = alg.pn * alg.sd.h.order
-    if coeff is None:
-        return [0] * alg.ru
-    return [scale * c for c in coeff]
+    out = [0] * alg.ru
+    if x[0] == 0:
+        out[x[1]] = alg.pn * alg.sd.h.order
+    return out
 
 
 def trace_oracle(alg: TruncatedAlgebra, x) -> list:
@@ -473,10 +433,9 @@ def trace_oracle(alg: TruncatedAlgebra, x) -> list:
     R_m-entries of right multiplication over the full basis."""
     total = [0] * alg.ru
     for b in range(alg.rank):
-        i, h = divmod(b, alg.sd.h.order)
-        row = alg.mul(alg.basis_element(i, h), x)
-        if b in row:
-            total = [s + c for s, c in zip(total, row[b])]
+        idx, s = alg.mul((b, 0), x)
+        if idx == b:
+            total[s] += 1
     return total
 
 
@@ -575,7 +534,7 @@ def quotient_degree_check(sd, m) -> bool:
     squared degrees summing to |G_m|."""
     g = finite_quotient(sd, m)
     big = character_table(g)
-    if len(big.values) != big.n_classes or sum(d * d for d in big.degrees) != g.order:
+    if len(big.coords) != big.n_classes or sum(d * d for d in big.degrees) != g.order:
         return False
     small = character_table(sd.h)
     orbits = alpha_orbits(small, sd.alpha)

@@ -212,16 +212,19 @@ class AbelianLocalField:
 
     # -- comparisons ---------------------------------------------------------
 
-    def _stab_preimage(self, big_m: int, big_group) -> set:
-        return {a for a in big_group if a % self.m in set(self.stab)}
+    def galois_residues(self, big_m: int) -> list:
+        """Gal(Q_p(zeta_M)/self) for M = big_m a multiple of self.m: the
+        residues mod M in the decomposition group whose residue mod m lies in
+        the stabilizer, ascending."""
+        stab = set(self.stab)
+        return [a for a in decomposition_group(self.p, big_m) if a % self.m in stab]
 
     def contains(self, other: "AbelianLocalField") -> bool:
         """Whether other is a subfield of self."""
         if self.p != other.p:
             return False
         big = lcm(self.m, other.m)
-        group = decomposition_group(self.p, big)
-        return self._stab_preimage(big, group) <= other._stab_preimage(big, group)
+        return set(self.galois_residues(big)) <= set(other.galois_residues(big))
 
     def equals(self, other: "AbelianLocalField") -> bool:
         return self.contains(other) and other.contains(self)
@@ -236,17 +239,12 @@ def field_of_values(base: AbelianLocalField, values) -> AbelianLocalField:
     The stabilizer is cut out inside the decomposition group at the joint
     conductor by fixing the base pointwise and fixing every value.
     """
-    big = base.m
     values = list(values)
-    for v in values:
-        big = lcm(big, v.m)
-    group = decomposition_group(base.p, big)
-    base_stab = set(base.stab)
+    big = lcm(base.m, *(v.m for v in values))
     stab = [
         a
-        for a in group
-        if a % base.m in base_stab
-        and all(v.galois(a % v.m if v.m > 1 else 1) == v for v in values)
+        for a in base.galois_residues(big)
+        if all(v.galois(a % v.m if v.m > 1 else 1) == v for v in values)
     ]
     return AbelianLocalField(base.p, big, stab)
 

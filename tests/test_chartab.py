@@ -17,7 +17,12 @@ from conductor.catalog import (
     symmetric_3,
     table_catalog,
 )
-from conductor.chartab import alpha_orbits, character_table, restrict_and_decompose
+from conductor.chartab import (
+    alpha_orbits,
+    character_table,
+    galois_permutations,
+    restrict_and_decompose,
+)
 from conductor.cyclo import CycloNumber, int_coords
 from conductor.groups import conjugacy_classes, cyclic_group, finite_quotient
 from conductor.padic import echelon, echelon_coords, kernel
@@ -111,10 +116,13 @@ def test_restriction_of_perturbed_table_raises():
     tb = character_table(s3_x_c9())
     ts = character_table(symmetric_3())
     embedding = [x * 9 for x in range(6)]
-    for row, bump in ((0, 1), (1, Fraction(1, 2))):
-        values = [list(r) for r in tb.values]
-        values[row][0] = values[row][0] + bump
-        bad = replace(tb, values=values, _sparse=None)
+    # chi(1) + 1 at a rational coordinate, chi(1) + zeta_9 at another
+    for row, i in ((0, 0), (1, 1)):
+        coords = [list(r) for r in tb.coords]
+        cell = dict(coords[row][0])
+        cell[i] = cell.get(i, 0) + 1
+        coords[row][0] = cell
+        bad = replace(tb, coords=coords)
         with pytest.raises(ArithmeticError):
             restrict_and_decompose(bad, row, ts, embedding=embedding)
 
@@ -160,6 +168,39 @@ def test_trivial_character_row_need_not_come_first():
         if all(v == CycloNumber.rational(1) for v in row)
     ]
     assert len(trivial) == 1
+
+
+@pytest.mark.parametrize("make", [c7_c3, s3_x_c9, quaternion_8])
+def test_values_are_built_on_first_read(make, monkeypatch):
+    # once per distinct coordinate dict, each at its smallest conductor
+    calls = []
+    minimal = CycloNumber.minimal_conductor
+
+    def counted(self):
+        calls.append(self)
+        return minimal(self)
+
+    monkeypatch.setattr(CycloNumber, "minimal_conductor", counted)
+    table = character_table(make())
+    assert not calls
+    values = table.values
+    assert len(calls) == len({frozenset(d.items()) for row in table.coords for d in row})
+    assert table.values is values
+    monkeypatch.undo()
+    e_norm = chartab._normalized(table.exponent)
+    for row, coords in zip(values, table.coords):
+        for v, d in zip(row, coords):
+            assert v == CycloNumber(e_norm, [d.get(i, 0) for i in range(max(d, default=0) + 1)])
+            assert v.minimal_conductor().m == v.m
+
+
+@pytest.mark.parametrize("sd", semidirect_catalog(), ids=lambda sd: sd.name())
+def test_row_permutations_compare_values_not_objects(sd):
+    # equal coordinate dicts held as distinct objects name the same value
+    table = character_table(sd.h)
+    copied = replace(table, coords=[[dict(d) for d in row] for row in table.coords])
+    assert galois_permutations(copied) == galois_permutations(table)
+    assert alpha_orbits(copied, sd.alpha) == alpha_orbits(table, sd.alpha)
 
 
 def test_json_export_shape():
@@ -216,7 +257,6 @@ def _reference_table(g):
             y = g.mult(y, z)
         powmaps.append(pm)
     w = chartab._primitive_root(l)
-    e_norm = chartab._normalized(e)
     rows = []
     for (u,), _ in spaces:
         s = sum(u[t] * u[inv_class[t]] * pow(sizes[t], -1, l) for t in range(k)) % l
@@ -233,7 +273,7 @@ def _reference_table(g):
     table = chartab.CharacterTable(
         group=g,
         classes=cls,
-        values=[[CycloNumber(e_norm, c).minimal_conductor() for c in coords] for _, coords in rows],
+        coords=[[{i: c for i, c in enumerate(cs) if c} for cs in coords] for _, coords in rows],
         degrees=[d for d, _ in rows],
         exponent=e,
         split_prime=l,

@@ -183,6 +183,18 @@ def test_fitting_rejects_non_integral_entry(capsys, tmp_path, optimize):
     assert "3-integral" in err and "Traceback" not in err
 
 
+def test_iwasawa_above_the_table_bound(capsys, tmp_path):
+    # S6 (order 720) with the identity action: n = 0, one component per
+    # irreducible character, all of them rational
+    h, alpha = tmp_path / "s6.json", tmp_path / "id.json"
+    gens = [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]
+    h.write_text(json.dumps({"name": "S6", "perm_gens": gens, "degree": 6}))
+    alpha.write_text(json.dumps({"alpha_images": list(range(720))}))
+    code, out = run_capture(capsys, ["iwasawa", "--h", str(h), "--alpha", str(alpha), "--p", "3"])
+    assert code == 0
+    assert len(json.loads(out)["components"]) == 11
+
+
 def test_iwasawa_level_checks(capsys):
     code, out = run_capture(
         capsys,

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conductor.catalog import sd_c7, sd_c9, sd_s3_inner, splitting_reps, symmetric_3, table_catalog
-from conductor.chartab import character_table, galois_exponents, galois_permutations
+from conductor.chartab import character_table, galois_exponents, galois_orbits, galois_permutations
 from conductor.errors import InputError
 from conductor.finite import (
     ExtComputation,
     _convolve,
+    _orbit_idempotent,
     _group_algebra_inverse,
     annihilation_check,
     augmentation_module,
@@ -243,3 +244,12 @@ def test_a4_agrees_even_at_the_bad_prime():
     brute = brute_force_conductor(g, 3, reps=splitting_reps("A4"))
     assert brute == formula_conductor_lattice(g, 3)
     assert brute.index_valuation() == 1
+
+
+def test_orbit_idempotent_needs_a_rational_orbit():
+    table = character_table(cyclic_group(3))
+    (orbit,) = [o for o in galois_orbits(table) if len(o) == 2]
+    # (zeta + zeta^2) / 3 = -1/3 off the identity
+    assert _orbit_idempotent(table, orbit) == [Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)]
+    with pytest.raises(ArithmeticError, match="irrational"):
+        _orbit_idempotent(table, orbit[:1])

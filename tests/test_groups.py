@@ -10,6 +10,7 @@ from conductor.catalog import (
     quaternion_8,
     sd_c3_trivial,
     sd_c7,
+    sd_c11,
     semidirect_catalog,
     symmetric_3,
     table_catalog,
@@ -214,3 +215,9 @@ def test_element_orders():
     g = quaternion_8()
     orders = sorted(g.element_order(x) for x in range(8))
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
+
+
+def test_inverses():
+    # table groups and a quotient above TABLE_BOUND (order 1375)
+    for g in [finite_quotient(sd_c11(), 3)] + table_catalog():
+        assert all(g.mult(x, g.inv(x)) == 0 for x in range(g.order)), g.name

@@ -278,9 +278,8 @@ def test_quotient_degrees_need_a_complete_table(sd, monkeypatch):
     for drop in (0, g_table.n_classes - 1):
         short = dataclasses.replace(
             g_table,
-            values=g_table.values[:drop] + g_table.values[drop + 1 :],
+            coords=g_table.coords[:drop] + g_table.coords[drop + 1 :],
             degrees=g_table.degrees[:drop] + g_table.degrees[drop + 1 :],
-            _sparse=None,
         )
         monkeypatch.setattr(
             iwasawa,
@@ -289,6 +288,17 @@ def test_quotient_degrees_need_a_complete_table(sd, monkeypatch):
         )
         assert not quotient_degree_check(sd, sd.n)
         monkeypatch.undo()
+
+
+def test_quotient_degrees_build_no_cyclo_values(monkeypatch):
+    # the degree check reads only the stored integer coordinates
+    def refuse(self):
+        raise AssertionError("a CycloNumber value was built")
+
+    monkeypatch.setattr(CycloNumber, "minimal_conductor", refuse)
+    for sd in semidirect_catalog():
+        for m in (sd.n, sd.n + 1):
+            assert quotient_degree_check(sd, m), (sd.name(), m)
 
 
 def test_full_description_round_trips_to_json():
@@ -330,9 +340,11 @@ def test_idempotent_suite_rejects_a_wrong_degree(monkeypatch):
 def test_idempotent_suite_rejects_a_wrong_value(monkeypatch):
     sd = sd_c7()
     table = character_table(sd.h)
-    values = [list(row) for row in table.values]
-    values[1][1] = values[1][1] + 1
-    bad = dataclasses.replace(table, values=values, _sparse=None)
+    coords = [list(row) for row in table.coords]
+    cell = dict(coords[1][1])
+    cell[0] = cell.get(0, 0) + 1
+    coords[1][1] = cell
+    bad = dataclasses.replace(table, coords=coords)
     results = _perturbed_suite(monkeypatch, sd, bad)
     assert not all(results.values()), results
 
