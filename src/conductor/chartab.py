@@ -40,9 +40,11 @@ gives the value's integer power-basis coordinates at the exponent
 conductor E (normalized, never 2 mod 4) once, kept as the sparse dict
 {i: count} of zeta_E^i (``coords``).  Restriction, the orthogonality
 checks, the row permutations and the idempotent sums compute on them,
-and the dense coordinates are the row sort key.  ``values``, the same
-numbers as CycloNumbers at their smallest conductor, is built on first
-read, one ``minimal_conductor`` per distinct dict.  Certificates
+and the dense coordinates are the row sort key; fields of values come
+from the class maps (``galois_fixed``).  ``values``, the same numbers as
+CycloNumbers at their smallest conductor, serves JSON and ``fitting``:
+it is built on first read, one ``minimal_conductor`` per distinct dict.
+Certificates
 (invariant subspaces, conjugate eigenvectors, eigenspace ranks, conjugate
 rows mod l, the lift bound, the permuted lifts, integral restriction
 multiplicities) raise ArithmeticError.
@@ -672,15 +674,30 @@ def restrict_and_decompose(
     return out
 
 
+def _row_sums(table: CharacterTable, rows, weights) -> list[dict]:
+    """Per class t, the coordinates {i: count} of the sum over the rows of
+    weight * chi(g_t), zeros dropped (so equal sums have equal dicts)."""
+    out = []
+    for t in range(table.n_classes):
+        acc = {}
+        for r, w in zip(rows, weights):
+            for i, c in table.coords[r][t].items():
+                acc[i] = acc.get(i, 0) + w * c
+        out.append({i: c for i, c in acc.items() if c})
+    return out
+
+
+def galois_fixed(table: CharacterTable, rows):
+    """fixed(k) of ``field_of_values`` for the rows' summed values: zeta ->
+    zeta^k (k a unit mod the exponent) sends the sum at class t to the sum
+    at the class of rep_t^k, so it fixes the sums when the class map does."""
+    sums = _row_sums(table, rows, [1] * len(rows))
+    return lambda k: all(sums[c] == s for c, s in zip(_class_map(table.power_maps, k), sums))
+
+
 def idempotent_coords(table: CharacterTable, rows) -> list[dict]:
     """Per class t, the coordinates {i: count} of the sum over the given
     rows of chi(1) chi(g_t^-1): |G| times the coefficient of g_t in the sum
     of the central idempotents e_chi = (chi(1)/|G|) sum_g chi(g^-1) g."""
-    out = []
-    for t in range(table.n_classes):
-        acc = {}
-        for r in rows:
-            for i, c in table.coords[r][table.inverse_class(t)].items():
-                acc[i] = acc.get(i, 0) + table.degrees[r] * c
-        out.append({i: c for i, c in acc.items() if c})
-    return out
+    sums = _row_sums(table, rows, [table.degrees[r] for r in rows])
+    return [sums[table.inverse_class(t)] for t in range(table.n_classes)]

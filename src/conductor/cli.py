@@ -135,11 +135,13 @@ def _cmd_iwasawa(args):
     payload = central_conductor(sd, base).to_json()
     code = 0
     if args.level is not None:
+        # the degree check comes first: it refuses a G_m above the table
+        # bound before the O(p^(m-n)) trace and dual-basis checks run
         checks = {
             "level": args.level,
+            "degrees": quotient_degree_check(sd, args.level),
             "trace_lemma": trace_lemma_check(sd, args.level),
             "dual_basis": dual_basis_check(sd, args.level),
-            "degrees": quotient_degree_check(sd, args.level),
         }
         payload["level_checks"] = checks
         if not (checks["trace_lemma"] and checks["dual_basis"] and checks["degrees"]):

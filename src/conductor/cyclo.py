@@ -312,41 +312,20 @@ class CycloNumber:
         return self.galois(self.m - 1) if self.m > 1 else self
 
     def trace_to_q(self) -> Fraction:
-        """Trace to Q, via Tr(zeta_m^e) = mu(m/g) * phi(m)/phi(m/g), g = gcd(e, m)."""
-        tot = ZERO
-        phi_m = totient(self.m)
-        for e, c in enumerate(self.coeffs):
-            if c:
-                g = gcd(e, self.m)
-                tot += c * (_mu(self.m // g) * phi_m // totient(self.m // g))
-        return tot
+        """Trace to Q, one ``root_trace`` per nonzero coordinate."""
+        return sum((c * root_trace(self.m, e) for e, c in enumerate(self.coeffs) if c), ZERO)
 
     def minimal_conductor(self) -> "CycloNumber":
-        """Rewrite at the smallest conductor (never 2 mod 4); idempotent.
-
-        The conductors whose field contains the number are the multiples of
-        the smallest one (Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b))),
-        so the descent drops one prime at a time while a generator of the
-        kernel of (Z/d)* -> (Z/d')* fixes the number: one Galois image of
-        the integer-scaled coordinates per step.
-        """
+        """Rewrite at the smallest conductor (never 2 mod 4); idempotent."""
         scale = lcm(*(c.denominator for c in self.coeffs))
         ints = [c.numerator * (scale // c.denominator) for c in self.coeffs]
         if not any(ints[1:]):
             return CycloNumber(1, self.coeffs[:1])
-        m = d = self.m
-        for q in prime_factors(m):
-            while d % q == 0:
-                sub = d // q
-                if sub % 4 == 2:
-                    sub //= 2
-                k = _descent_exponent(m, d, sub)
-                if _fold(m, ((e * k, c) for e, c in enumerate(ints)), 0) != ints:
-                    break
-                d = sub
-        if d == m:
-            return self
-        return CycloNumber(d, _rebase_solver(m, d).solve(self.coeffs))
+        m = self.m
+        d = value_conductor(
+            m, lambda k: _fold(m, ((e * k, c) for e, c in enumerate(ints)), 0) == ints
+        )
+        return self if d == m else CycloNumber(d, _rebase_solver(m, d).solve(self.coeffs))
 
     def to_json(self) -> dict:
         return {
@@ -401,6 +380,39 @@ def _common_conductor(a: int, b: int) -> int:
     return m
 
 
+def value_conductor(w: int, fixed) -> int:
+    """The smallest d (never 2 mod 4) with values in Q(zeta_w) inside
+    Q(zeta_d), fixed(k) telling whether zeta_w -> zeta_w^k (k a unit mod w)
+    fixes them.  Such d are the multiples of the smallest, so the descent
+    drops one prime at a time while a generator of the kernel of
+    (Z/d)* -> (Z/d')* fixes the values."""
+    d = w // 2 if w % 4 == 2 else w
+    for q in prime_factors(d):
+        while d % q == 0:
+            sub = d // q
+            if sub % 4 == 2:
+                sub //= 2
+            if not fixed(_descent_exponent(w, d, sub)):
+                break
+            d = sub
+    return d
+
+
+def unit_lift(a: int, c: int, w: int) -> int:
+    """A unit mod w that is a mod c, for c dividing w and a a unit mod c."""
+    k = (a - 1) % c + 1
+    while gcd(k, w) != 1:
+        k += c
+    return k
+
+
+@lru_cache(maxsize=None)
+def root_trace(m: int, e: int) -> int:
+    """Tr_{Q(zeta_m)/Q}(zeta_m^e) = mu(m/g) phi(m)/phi(m/g), g = gcd(e, m)."""
+    g = gcd(e, m)
+    return _mu(m // g) * totient(m) // totient(m // g)
+
+
 @lru_cache(maxsize=None)
 def _descent_exponent(m: int, d: int, sub: int) -> int:
     """A unit mod m whose residue generates the kernel of (Z/d)* -> (Z/sub)*.
@@ -409,18 +421,8 @@ def _descent_exponent(m: int, d: int, sub: int) -> int:
     kernel is cyclic: of order q, or (Z/q^a)*.
     """
     kernel = [k for k in range(1, d, sub) if gcd(k, d) == 1]
-    gen = next(k for k in kernel if _unit_order(k, d) == len(kernel))
-    while gcd(gen, m) != 1:
-        gen += d
-    return gen
-
-
-def _unit_order(k: int, d: int) -> int:
-    n, x = 1, k % d
-    while x != 1 % d:
-        x = x * k % d
-        n += 1
-    return n
+    gen = next(k for k in kernel if len({pow(k, i, d) for i in range(len(kernel))}) == len(kernel))
+    return unit_lift(gen, d, m)
 
 
 @lru_cache(maxsize=None)

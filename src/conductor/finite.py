@@ -19,10 +19,10 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
-from .chartab import character_table, galois_orbits, idempotent_coords
-from .cyclo import CycloNumber, _common_conductor, cyclotomic_poly, totient
+from .chartab import _normalized, character_table, galois_fixed, galois_orbits, idempotent_coords
+from .cyclo import cyclotomic_poly, root_trace, totient, value_conductor
 from .errors import InputError, UnsupportedPresentationError
 from .localfields import AbelianLocalField, field_of_values, relative_data
 from .orders import lattice_power, radical_lattice
@@ -115,7 +115,7 @@ def jacobinski_conductor(g, p, base=None):
     for orbit in galois_orbits(table, base):
         rep = orbit[0]
         degree = table.degrees[rep]
-        field = field_of_values(base, table.values[rep])
+        field = field_of_values(base, table.exponent, galois_fixed(table, [rep]))
         mult = Fraction(g.order, degree)
         mvp = vp(mult, p)
         if mvp < 0:
@@ -149,25 +149,17 @@ def jacobinski_conductor(g, p, base=None):
 # Block bookkeeping shared by the two lattice routes
 
 
-def _value_order(v):
-    """Multiplicative order of a root-of-unity character value."""
-    o, acc = 1, v
-    while not (acc.is_rational() and acc.as_fraction() == 1):
-        acc = acc * v
-        o += 1
-        if o > 4 * v.m + 4:
-            raise ArithmeticError("character value is not a root of unity")
-    return o
-
-
-def _character_order(table, row):
+def _value_orders(table, row):
+    """Per class, the multiplicative order of a linear character's value:
+    chi(g)^s = chi(g^s), so at class t it is the least s >= 1 with
+    chi(rep_t^s) = 1, read off the power map."""
     if table.degrees[row] != 1:
         raise InputError("character in row %d is not linear" % row)
-    d = 1
-    for j in range(table.n_classes):
-        o = _value_order(table.values[row][j])
-        d = d * o // gcd(d, o)
-    return d
+    chi = table.coords[row]
+    return [
+        next(s for s in range(1, len(pm) + 1) if chi[pm[s % len(pm)]] == {0: 1})
+        for pm in table.power_maps
+    ]
 
 
 def _orbit_idempotent(table, orbit):
@@ -187,16 +179,12 @@ def _abelian_block_basis(g, table, orbit):
     rational orbit: the block is Q_p[x]/Phi_d(x), d the character order,
     and eps * g0^j pulls back the power basis for any g0 on which the
     character has full order."""
-    rep = orbit[0]
-    d = _character_order(table, rep)
-    classes = table.classes
-    g0 = None
-    for j in range(table.n_classes):
-        if _value_order(table.values[rep][j]) == d:
-            g0 = classes.classes[j][0]
-            break
-    if g0 is None:
+    orders = _value_orders(table, orbit[0])
+    d = lcm(*orders)
+    if d not in orders:
         raise ArithmeticError("the linear character never attains its order %d" % d)
+    classes = table.classes
+    g0 = classes.classes[orders.index(d)][0]
     eps = _orbit_idempotent(table, orbit)
     vecs = []
     g0_pow = 0
@@ -254,18 +242,12 @@ def _verify_representation(g, rep_matrices):
 
 
 def _rep_character_row(table, rep_matrices):
-    classes = table.classes
-    traces = [
-        sum(rep_matrices[cls[0]][i][i] for i in range(len(rep_matrices[0])))
-        for cls in classes.classes
-    ]
-    for r in range(table.n_classes):
-        if all(
-            table.values[r][j].is_rational() and table.values[r][j].as_fraction() == traces[j]
-            for j in range(table.n_classes)
-        ):
-            return r
-    raise InputError("supplied representation matches no irreducible character")
+    """The row whose coordinates are the traces of the representation."""
+    traces = [sum(row[i] for i, row in enumerate(rep_matrices[z])) for z in table.representatives()]
+    want = [{0: tr} if tr else {} for tr in traces]
+    if want not in table.coords:
+        raise InputError("supplied representation matches no irreducible character")
+    return table.coords.index(want)
 
 
 def maximal_order_basis(g, p, reps=None):
@@ -418,25 +400,25 @@ def formula_conductor_lattice(g, p, precision=None):
     if precision is None:
         precision = working_precision(g, p)
     table = character_table(g)
-    k = table.n_classes
+    e_norm = _normalized(table.exponent)
     columns = []
     for orbit in galois_orbits(table, None):
         rep = orbit[0]
         degree = table.degrees[rep]
-        d = 1
-        for j in range(k):
-            d = _common_conductor(d, table.values[rep][j].m)
+        d = value_conductor(table.exponent, galois_fixed(table, [rep]))
         mult_vp = vp(Fraction(g.order, degree), p)
         local = AbelianLocalField(p, d, [])
         target = local.ramification_index * mult_vp - local.different_exponent
+        # at E = e_norm, z = sum_a z_a zeta_E^(a E/d), chi = sum_b chi_b zeta_E^b
+        # and Tr_{Q(zeta_d)/Q} = phi(d)/phi(E) Tr_{Q(zeta_E)/Q}
+        scale = Fraction(degree * totient(d), g.order * totient(e_norm))
+        chis = [table.coords[rep][table.inverse_class(j)].items() for j in range(table.n_classes)]
         for col in _cyclotomic_ideal_basis(p, d, target, precision):
-            coeffs = [Fraction(c) for c in col]
-            z = CycloNumber(d, coeffs + [Fraction(0)] * (totient(d) - len(coeffs)))
-            vec = []
-            for j in range(k):
-                val = table.values[rep][table.inverse_class(j)]
-                vec.append(Fraction(degree, g.order) * (z * val).trace_to_q())
-            columns.append(vec)
+            z = [(a * (e_norm // d), za) for a, za in enumerate(col) if za]
+            columns.append([
+                scale * sum(za * cb * root_trace(e_norm, a + b) for a, za in z for b, cb in chi)
+                for chi in chis
+            ])
     return hnf_columns(p, precision, columns)
 
 

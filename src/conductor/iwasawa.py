@@ -39,6 +39,7 @@ from .chartab import (
     alpha_orbits,
     character_table,
     galois_exponents,
+    galois_fixed,
     galois_orbits,
     galois_permutations,
     idempotent_coords,
@@ -141,14 +142,7 @@ def character_classes(sd, base=None):
                 raise ArithmeticError("merged orbits disagree on w or eta(1)")
         if pn % w != 0:
             raise ArithmeticError("orbit length %d does not divide p^n = %d" % (w, pn))
-        rep = members[0]
-        sums = []
-        for j in range(table.n_classes):
-            acc = table.values[rep.members[0]][j]
-            for r in rep.members[1:]:
-                acc = acc + table.values[r][j]
-            sums.append(acc)
-        k_chi = field_of_values(base, sums)
+        k_chi = field_of_values(base, table.exponent, galois_fixed(table, members[0].members))
         mult = Fraction(sd.h.order, eta_degree)
         mvp = vp(mult, sd.p)
         if mvp < 0:
@@ -270,13 +264,12 @@ def splitting_field_bound(sd, base=None):
     stab = [a for a in base.galois_residues(m) if exph == 1 or a % exph == 1]
     e_field = AbelianLocalField(base.p, m, stab)
     table = character_table(sd.h)
-    singleton = True
-    values_in_field = True
-    for orbit in galois_orbits(table, e_field):
-        if len(orbit) != 1:
-            singleton = False
-        if not field_of_values(e_field, table.values[orbit[0]]).equals(e_field):
-            values_in_field = False
+    orbits = galois_orbits(table, e_field)
+    singleton = all(len(orbit) == 1 for orbit in orbits)
+    values_in_field = all(
+        field_of_values(e_field, table.exponent, galois_fixed(table, orbit[:1])).equals(e_field)
+        for orbit in orbits
+    )
     if not (singleton and values_in_field):
         raise ArithmeticError("claimed splitting field failed its certificate")
     return e_field, {"orbits_singleton": singleton, "values_in_field": values_in_field}

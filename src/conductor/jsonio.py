@@ -128,9 +128,13 @@ def semidirect_from_json(obj, p=None, where="semidirect"):
 
 
 def field_from_json(obj, p=None, where="field"):
-    """{"p": p, "m": m, "stab_gens": [...]}; stab_gens defaults to []."""
+    """{"p": p, "m": m, "stab_gens": [...]}; stab_gens defaults to [] and
+    m is at most ELEMENT_BOUND."""
     for key in ("p", "m"):
         _integer(_require(obj, key, where), "%s.%s" % (where, key))
+    # the field materializes its decomposition group, of up to m residues
+    if obj["m"] > ELEMENT_BOUND:
+        raise InputError("%s.m: %d exceeds the bound %d" % (where, obj["m"], ELEMENT_BOUND))
     gens = obj.get("stab_gens", [])
     if not isinstance(gens, list):
         raise InputError("%s.stab_gens: expected a list of integers" % where)

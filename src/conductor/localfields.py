@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .cyclo import is_prime, prime_factors, require_odd_prime
+from .cyclo import is_prime, prime_factors, require_odd_prime, unit_lift, value_conductor
 from .errors import ContainmentError, InputError
 
 
@@ -233,19 +233,16 @@ class AbelianLocalField:
         return "AbelianLocalField(p=%d, m=%d, stab=%r)" % (self.p, self.m, self.generating_set())
 
 
-def field_of_values(base: AbelianLocalField, values) -> AbelianLocalField:
-    """The compositum of base with Q_p(all the given cyclotomic values).
+def field_of_values(base: AbelianLocalField, w: int, fixed) -> AbelianLocalField:
+    """The compositum of base with Q_p(values in Q(zeta_w)), where fixed(k)
+    says whether zeta_w -> zeta_w^k (k a unit mod w) fixes every value.
 
-    The stabilizer is cut out inside the decomposition group at the joint
-    conductor by fixing the base pointwise and fixing every value.
-    """
-    values = list(values)
-    big = lcm(base.m, *(v.m for v in values))
-    stab = [
-        a
-        for a in base.galois_residues(big)
-        if all(v.galois(a % v.m if v.m > 1 else 1) == v for v in values)
-    ]
+    It sits at m = lcm(base.m, c), c the values' conductor; its stabilizer
+    is the residues a mod m fixing the base pointwise and the values, on
+    which a acts as any unit mod w that is a mod c."""
+    c = value_conductor(w, fixed)
+    big = lcm(base.m, c)
+    stab = [a for a in base.galois_residues(big) if fixed(unit_lift(a, c, w))]
     return AbelianLocalField(base.p, big, stab)
 
 

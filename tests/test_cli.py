@@ -215,6 +215,19 @@ def test_iwasawa_level_checks(capsys):
     assert checks == {"level": 1, "trace_lemma": True, "dual_basis": True, "degrees": True}
 
 
+def test_iwasawa_level_refuses_large_quotient_first(capsys, monkeypatch):
+    # G_12 has order 7 * 3^12: the degree check refuses it at once, before
+    # the trace and dual-basis checks, which grow like 3^12, would run
+    def must_not_run(sd, level):
+        raise AssertionError("level check ran before the table bound")
+
+    monkeypatch.setattr("conductor.cli.trace_lemma_check", must_not_run)
+    monkeypatch.setattr("conductor.cli.dual_basis_check", must_not_run)
+    argv = ["iwasawa", "--h", sample("c7.json"), "--alpha", sample("sq.json"), "--p", "3"]
+    assert run(argv + ["--level", "12"]) == 2
+    assert "character table limited to order <= 2000" in capsys.readouterr().err
+
+
 MALFORMED = [
     ("group", {"mult_table": []}, "group: mult_table has no rows"),
     ("group", {"mult_table": [1, 2]}, "group.mult_table[0]"),
@@ -224,6 +237,7 @@ MALFORMED = [
     ("base", {"p": 3, "m": 9, "stab_gens": 5}, ".stab_gens: expected a list"),
     ("group", {"perm_gens": [], "degree": 2000000}, "group.degree: 2000000 exceeds the bound 100000"),
     ("base", {"p": 2**64 + 13, "m": 1}, "too large"),
+    ("base", {"p": 3, "m": 10**6}, ".m: 1000000 exceeds the bound 100000"),
 ]
 
 
@@ -240,6 +254,7 @@ MALFORMED = [
         "int-stab-gens",
         "trivial-perm-degree",
         "huge-base-p",
+        "huge-base-m",
     ],
 )
 def test_malformed_json_is_input_error(capsys, tmp_path, flag, payload, message, optimize):

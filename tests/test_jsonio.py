@@ -79,6 +79,12 @@ def test_permutation_degree_is_bounded():
         group_from_json({"perm_gens": [], "degree": 100001})
 
 
+def test_base_field_conductor_is_bounded():
+    assert field_from_json({"p": 3, "m": 9}).m == 9
+    with pytest.raises(InputError, match="base.m: 100001 exceeds the bound 100000"):
+        field_from_json({"p": 3, "m": 100001}, where="base")
+
+
 def test_load_json_reports_location(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"a": [1, 2,]}')
