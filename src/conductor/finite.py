@@ -25,7 +25,6 @@ from .chartab import _normalized, character_table, galois_fixed, galois_orbits, 
 from .cyclo import cyclotomic_poly, root_trace, totient, value_conductor
 from .errors import InputError, UnsupportedPresentationError
 from .localfields import AbelianLocalField, field_of_values, relative_data
-from .orders import lattice_power, radical_lattice
 from .padic import (
     SpanSolver,
     exact_kernel,
@@ -300,37 +299,72 @@ def maximal_order_basis(g, p, reps=None):
 
 
 def brute_force_conductor(g, p, reps=None, twist_seed=None, precision=None):
-    """Lattice {x central : x * maximal_order <= Z_p[G]}, in class-sum
-    coordinates, found by solving the divisibility constraints directly.
+    """Lattice {x central : x * O <= Z_p[G]}, O the maximal order of
+    ``maximal_order_basis``, in class-sum coordinates, found by solving the
+    divisibility constraints directly.
 
-    ``twist_seed`` first conjugates the maximal order by a random unit
-    u = 1 + p*lambda; the resulting lattice must not move, and tests
-    compare it bit for bit against the untwisted run.
+    O is a ring containing Z_p[G], so x * O <= Z_p[G] exactly when the
+    identity coefficient eps(x * b) is p-integral for every basis vector b:
+    the coefficient of g in x * o is eps(x * o * g^-1), and o * g^-1 lies in
+    O.  The plain run solves these n constraints.
+
+    ``twist_seed`` conjugates the basis by a seeded unit u = 1 + p*lambda,
+    lambda an integer combination of the basis.  Both u and u^-1 lie in O,
+    so u O u^-1 = O and the lattice must not move; for abelian G,
+    u b u^-1 = b exactly.  On the n constraints the twist changes nothing,
+    eps(C_l u b u^-1) = eps(C_l b), so the twisted run solves the full n^2
+    constraints (x * b)[g] in Z_p instead: a second route, which also checks
+    that O is closed under right multiplication by G.
     """
     if precision is None:
         precision = working_precision(g, p)
-    classes = character_table(g).classes
     basis, _ = maximal_order_basis(g, p, reps)
-    if twist_seed is not None:
-        basis = _twist_basis(g, p, basis, twist_seed)
+    if twist_seed is None:
+        return _conductor_lattice(g, p, basis, False, precision)
+    return _conductor_lattice(g, p, _twist_basis(g, p, basis, twist_seed), True, precision)
+
+
+def _integer_scaled(vectors):
+    """(D, D * vectors) as integers, D the lcm of every denominator."""
+    den = lcm(*(x.denominator for vec in vectors for x in vec))
+    return den, [[x.numerator * (den // x.denominator) for x in vec] for vec in vectors]
+
+
+def _conductor_lattice(g, p, vectors, full, precision):
+    """{x central : x * M <= Z_p[G]} in class-sum coordinates, M the Z_p-span
+    of ``vectors`` (rational coordinates on group elements, any spanning set).
+
+    Constraint (b, g) is sum_l c_l (C_l b)[g] in Z_p, where
+    (C_l b)[g] = sum over h in C_l of b[h^-1 g]; ``full`` takes every g, else
+    only the identity.  The rows are summed on D * b and carried to
+    p^scale * b mod p^(precision + scale), scale = v_p(D).  The Hermite basis
+    of the row module has at most k vectors, and its Smith form gives the
+    solutions.
+    """
+    classes = character_table(g).classes
+    class_of = classes.class_of
     k = len(classes.classes)
-    indicators = [[int(classes.class_of[x] == l) for x in range(g.order)] for l in range(k)]
-    rows = []
-    scale = 0
-    for vec in basis:
-        per_class = [_convolve(g, indicators[l], vec) for l in range(k)]
-        for elt in range(g.order):
-            row = [per_class[l][elt] for l in range(k)]
-            for x in row:
-                if x:
-                    v = vp(x, p)
-                    if v < 0:
-                        scale = max(scale, -v)
-            rows.append(row)
+    den, ints = _integer_scaled(vectors)
+    scale = vp(den, p)
     n_work = precision + scale
     modulus = p**n_work
-    int_rows = [[residue(x * p**scale, p, modulus) for x in row] for row in rows]
-    vals, c_cols = smith_with_column_transform(p, n_work, int_rows)
+    unit = pow(den // p**scale, -1, modulus)
+    rows = {}  # distinct rows; on abelian G the full system repeats most of its n^2
+    for vec in ints:
+        if full:
+            block = [[0] * k for _ in range(g.order)]
+            for x, c in enumerate(vec):
+                if c:
+                    for h in range(g.order):
+                        block[g.mult(h, x)][class_of[h]] += c
+        else:
+            block = [[0] * k]
+            for x, c in enumerate(vec):
+                if c:
+                    block[0][class_of[g.inv(x)]] += c
+        rows.update(dict.fromkeys(tuple(x * unit % modulus for x in row) for row in block))
+    row_basis = hnf_columns(p, n_work, list(rows)).cols
+    vals, c_cols = smith_with_column_transform(p, n_work, row_basis)
     if len(vals) != k:
         raise ArithmeticError("conductor constraint system is not of full rank")
     columns = [
@@ -340,23 +374,31 @@ def brute_force_conductor(g, p, reps=None, twist_seed=None, precision=None):
 
 
 def _twist_basis(g, p, basis, seed):
+    """u b u^-1 for every basis vector b, u = 1 + p*lambda for a seeded
+    integer combination lambda of the basis.  The conjugation runs on the
+    integer-scaled D * b, D * u and E * (D * u)^-1, divided once at the end."""
     rng = random.Random(seed)
     n = g.order
-    lam = [Fraction(0)] * n
-    while all(c == 0 for c in lam):
-        for vec in basis:
+    den, ints = _integer_scaled(basis)
+    lam = [0] * n
+    while not any(lam):
+        for vec in ints:
             c = rng.randrange(-2, 3)
             if c:
                 for i in range(n):
                     lam[i] += c * vec[i]
-    u = [Fraction(p) * c for c in lam]
-    u[0] += 1
-    u_inv = _group_algebra_inverse(g, u)
-    return [_convolve(g, _convolve(g, u, vec), u_inv) for vec in basis]
+    u = [p * c for c in lam]
+    u[0] += den
+    inv_den, (u_inv,) = _integer_scaled([_group_algebra_inverse(g, u)])
+    total = den * inv_den
+    return [
+        [Fraction(x, total) for x in _convolve(g, _convolve(g, u, vec), u_inv)]
+        for vec in ints
+    ]
 
 
 def _convolve(g, a, b):
-    out = [Fraction(0)] * g.order
+    out = [0] * g.order
     for x in range(g.order):
         ax = a[x]
         if not ax:
@@ -373,7 +415,7 @@ def _group_algebra_inverse(g, u):
     """Exact inverse of a unit of Q_p[G], by solving u * y = 1."""
     n = g.order
     # column y of left multiplication by u is u * y
-    cols = [[Fraction(0)] * n for _ in range(n)]
+    cols = [[0] * n for _ in range(n)]
     for x in range(n):
         if u[x]:
             for y in range(n):
@@ -424,23 +466,43 @@ def formula_conductor_lattice(g, p, precision=None):
 
 def _cyclotomic_ideal_basis(p, d, target, precision):
     """Power-basis coordinates of a basis of J^target in Z_p[x]/Phi_d(x),
-    J the radical; ``target`` may be negative."""
-    if d == 1:
-        return [[Fraction(p**target) if target >= 0 else Fraction(1, p**-target)]]
+    J the radical; ``target`` may be negative.
+
+    Write d = p^k d' with p not dividing d'.  The ring is a product of DVRs,
+    each an unramified extension of Z_p[zeta_(p^k)], so J is principal: it is
+    generated by p when k = 0 and by 1 - x^d' when k >= 1, x^d' being a
+    primitive p^k-th root of unity.  J^t for t >= 0 is the image of
+    multiplication by the t-th power of the generator, one Hermite form;
+    J^-t = p^-a J^(a e - t) for e = phi(p^k) and the least a with
+    a e >= t.
+    """
     deg = totient(d)
-    local = AbelianLocalField(p, d, [])
-    e = local.ramification_index
+    d_prime = d
+    while d_prime % p == 0:
+        d_prime //= p
+    e = totient(d // d_prime)
+    modulus = p**precision
     mult = _cyclotomic_mult(d)
-    one = [1] + [0] * (deg - 1)
-    a = 0
-    while target + a * e < 0:
-        a += 1
-    power = target + a * e
-    if power == 0:
-        cols = [[1 if i == j else 0 for i in range(deg)] for j in range(deg)]
+
+    def power(u, t):
+        acc = [1] + [0] * (deg - 1)
+        while t:
+            if t & 1:
+                acc = [c % modulus for c in mult(acc, u)]
+            t >>= 1
+            if t:
+                u = [c % modulus for c in mult(u, u)]
+        return acc
+
+    if d_prime == d:
+        gen = [p] + [0] * (deg - 1)
     else:
-        rad = radical_lattice(p, precision, mult, deg, one)
-        cols = [list(c) for c in lattice_power(p, precision, mult, rad, power).cols]
+        gen = [-c for c in power([0, 1] + [0] * (deg - 2), d_prime)]
+        gen[0] += 1
+    a = max(0, -(target // e))
+    pi = power(gen, target + a * e)
+    units = [[int(i == j) for i in range(deg)] for j in range(deg)]
+    cols = hnf_columns(p, precision, [mult(pi, u) for u in units]).cols
     if a:
         cols = [[Fraction(x, p**a) for x in col] for col in cols]
     return cols

@@ -13,8 +13,8 @@ unverified maximality assumption enters downstream results.
 The maximal ideal is computed as the preimage of the nilradical of
 O/pO, which is the kernel of a power of the Frobenius map - an F_p
 -linear map here, so plain linear algebra mod p with no element search.
-The same routine serves the cyclotomic blocks Z_p[x]/Phi_d used by the
-finite-level brute-force oracle.
+``ideal_power`` takes its powers as products of lattices, one Hermite
+form per product.
 """
 
 from __future__ import annotations

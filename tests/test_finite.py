@@ -1,6 +1,7 @@
 """Finite group rings: the conductor formula against the brute-force
 oracle, and the Ext annihilation consequences."""
 
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,14 +9,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conductor.catalog import sd_c7, sd_c9, sd_s3_inner, splitting_reps, symmetric_3, table_catalog
+from conductor.catalog import (
+    alternating_4,
+    conductor_catalog,
+    sd_c7,
+    sd_c9,
+    sd_s3_inner,
+    splitting_reps,
+    symmetric_3,
+    table_catalog,
+)
 from conductor.chartab import character_table, galois_exponents, galois_orbits, galois_permutations
+from conductor.cyclo import totient
 from conductor.errors import InputError
 from conductor.finite import (
     ExtComputation,
+    _conductor_lattice,
     _convolve,
+    _cyclotomic_ideal_basis,
+    _cyclotomic_mult,
     _orbit_idempotent,
     _group_algebra_inverse,
+    _twist_basis,
     annihilation_check,
     augmentation_module,
     brute_force_conductor,
@@ -29,8 +44,10 @@ from conductor.finite import (
     trivial_module,
     working_precision,
 )
-from conductor.groups import cyclic_group, finite_quotient
-from conductor.padic import lattice_contains, sublattice_of
+from conductor.groups import cyclic_group, direct_product, finite_quotient
+from conductor.localfields import AbelianLocalField
+from conductor.orders import lattice_power, radical_lattice
+from conductor.padic import hnf_columns, lattice_contains, sublattice_of
 
 
 def _value_key(v):
@@ -135,6 +152,102 @@ def test_twist_does_not_change_conductor():
     plain = brute_force_conductor(g, 3, reps=reps)
     for seed in (1, 7):
         assert brute_force_conductor(g, 3, reps=reps, twist_seed=seed) == plain
+
+
+def test_constraint_systems_differ_off_a_ring():
+    # M = Z_3[C3] + Z_3 (1 - g)/3 is not closed under multiplication by g:
+    # eps(x (1 - g)/3) = (c0 - c2)/3, while x (1 - g)/3 has coefficients
+    # (c0 - c2, c1 - c0, c2 - c1)/3
+    g = cyclic_group(3)
+    third = Fraction(1, 3)
+    span = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [third, -third, 0]]
+    prec = working_precision(g, 3)
+    identity_rows = _conductor_lattice(g, 3, span, False, prec)
+    full = _conductor_lattice(g, 3, span, True, prec)
+    assert identity_rows == hnf_columns(3, prec, [[1, 0, 1], [0, 1, 0], [3, 0, 0]])
+    assert full == hnf_columns(3, prec, [[1, 1, 1], [3, 0, 0], [0, 3, 0]])
+    assert sublattice_of(full, identity_rows) and full != identity_rows
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+def test_constraint_systems_agree_on_maximal_orders(p):
+    for g in conductor_catalog():
+        basis, _ = maximal_order_basis(g, p, splitting_reps(g.name))
+        prec = working_precision(g, p)
+        assert _conductor_lattice(g, p, basis, False, prec) == _conductor_lattice(
+            g, p, basis, True, prec
+        ), g.name
+
+
+def test_twist_fixes_abelian_bases_and_moves_the_others():
+    cases = [
+        (direct_product(cyclic_group(3), cyclic_group(9), name="C3xC9"), None),
+        (symmetric_3(), splitting_reps("S3")),
+        (alternating_4(), splitting_reps("A4")),
+    ]
+    for g, reps in cases:
+        basis, _ = maximal_order_basis(g, 3, reps)
+        twisted = _twist_basis(g, 3, basis, 2026)
+        assert (twisted == basis) == g.is_abelian(), g.name
+        # u = 1 + 3 lambda and its inverse lie in O, so u O u^-1 = O
+        scaled = [
+            hnf_columns(3, 16, [[x * g.order for x in vec] for vec in vecs])
+            for vecs in (basis, twisted)
+        ]
+        assert scaled[0] == scaled[1], g.name
+
+
+def _radical_power_by_products(p, d, t, precision):
+    """J^t from repeated products of the radical, shifted by p^a for t < 0."""
+    deg = totient(d)
+    e = AbelianLocalField(p, d, []).ramification_index
+    a = 0
+    while t + a * e < 0:
+        a += 1
+    if t + a * e == 0:
+        cols = [[int(i == j) for i in range(deg)] for j in range(deg)]
+    else:
+        mult = _cyclotomic_mult(d)
+        rad = radical_lattice(p, precision, mult, deg, [1] + [0] * (deg - 1))
+        cols = lattice_power(p, precision, mult, rad, t + a * e).cols
+    return [[Fraction(x, p**a) for x in col] for col in cols]
+
+
+# d = p^k d'; at p = 3, d = 6, 12, 24, 30, 42 and 66 have d' >= phi(d), so
+# the generator 1 - x^d' must be reduced mod Phi_d.  The negative powers of
+# d = 81 at p = 3 need J^51..J^53 by products, about 9 s each, so only
+# t = 0..2 run there.
+RADICAL_GRID = [
+    (p, d)
+    for p, ds in (
+        (3, (1, 2, 3, 4, 6, 9, 12, 18, 24, 27, 30, 42, 66, 81)),
+        (5, (1, 2, 4, 5, 10, 15, 20, 25, 30)),
+        (7, (1, 2, 7, 14, 21, 28, 42)),
+    )
+    for d in ds
+]
+
+
+@pytest.mark.parametrize("p,d", RADICAL_GRID)
+def test_radical_power_generator_matches_radical_products(p, d):
+    for t in range(3) if d == 81 else range(-3, 5):
+        assert _cyclotomic_ideal_basis(p, d, t, 30) == _radical_power_by_products(p, d, t, 30), t
+
+
+def test_order_27_and_81_formula_matches_brute_force():
+    c = cyclic_group
+    groups = [
+        direct_product(direct_product(c(3), c(3)), c(3), name="C3^3"),
+        direct_product(c(9), c(3), name="C9xC3"),
+        c(27),
+        direct_product(c(9), c(9), name="C9xC9"),
+        direct_product(direct_product(c(3), c(3)), direct_product(c(3), c(3)), name="C3^4"),
+        c(81),
+    ]
+    start = time.perf_counter()
+    for g in groups:
+        assert formula_conductor_lattice(g, 3) == brute_force_conductor(g, 3), g.name
+    assert time.perf_counter() - start < 30
 
 
 def test_group_algebra_inverse_is_a_two_sided_inverse():
