@@ -39,11 +39,12 @@ Values are stored once, as integers: each distinct multiplicity vector
 gives the value's integer power-basis coordinates at the exponent
 conductor E (normalized, never 2 mod 4) once, kept as the sparse dict
 {i: count} of zeta_E^i (``coords``).  Restriction, the orthogonality
-checks, the row permutations and the idempotent sums compute on them,
-and the dense coordinates are the row sort key; fields of values come
-from the class maps (``galois_fixed``).  ``values``, the same numbers as
-CycloNumbers at their smallest conductor, serves JSON and ``fitting``:
-it is built on first read, one ``minimal_conductor`` per distinct dict.
+checks, the row permutations, the idempotent sums and the centre elements
+of ``fitting`` compute on them, and the dense coordinates are the row sort
+key; fields of values come from the class maps (``galois_fixed``).
+``values``, the same numbers as CycloNumbers at their smallest conductor,
+serves JSON and ``fitting.reduced_norm``: it is built on first read, one
+``minimal_conductor`` per distinct dict.
 Certificates
 (invariant subspaces, conjugate eigenvectors, eigenspace ranks, conjugate
 rows mod l, the lift bound, the permuted lifts, integral restriction

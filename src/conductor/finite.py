@@ -438,9 +438,23 @@ def formula_conductor_lattice(g, p, precision=None):
     pushed into the centre of Q_p[G] through
     z |-> (chi(1)/|G|) sum_j Tr(z * chi(g_j^-1)) c_j, which hits the value z
     on the chosen orbit and zero on every other one.
+
+    The lattice is built once per (p, precision) and kept on the group, as
+    the character table is; a call that raises stores nothing.  The
+    returned PLattice is shared between callers and must not be mutated.
     """
     if precision is None:
         precision = working_precision(g, p)
+    cache = getattr(g, "_formula_lattices", None)
+    if cache is None:
+        cache = g._formula_lattices = {}
+    if (p, precision) not in cache:
+        cache[p, precision] = _formula_lattice(g, p, precision)
+    return cache[p, precision]
+
+
+def _formula_lattice(g, p, precision):
+    """formula_conductor_lattice, uncached."""
     table = character_table(g)
     e_norm = _normalized(table.exponent)
     columns = []

@@ -13,15 +13,20 @@ The annihilation statement under test: central conductor times Fitting
 invariant annihilates the cokernel.  Each Fitting generator is a center
 element given per character; multiplied by a conductor element it lands in
 o[G] and must carry every unit vector of Lambda^b into the presentation
-image, which is a lattice membership check.
+image, which is a lattice membership check.  The generator is turned into
+a vector on G one class at a time, summed on the table's integer
+coordinates (``materialize_center``), which also certifies that it is
+Galois-coherent; the conductor lattice is the group's shared
+``formula_conductor_lattice``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from .chartab import character_table
-from .cyclo import CycloNumber
+from .chartab import _normalized, _sparse_sum, character_table
+from .cyclo import CycloNumber, _common_conductor
 from .errors import InputError
 from .finite import _convolve, formula_conductor_lattice, working_precision
 from .groups import FiniteGroup, conjugacy_classes
@@ -134,23 +139,54 @@ def reduced_norm(g, matrix):
 
 
 def materialize_center(g, values):
-    """sum_chi v_chi e_chi as a rational coefficient vector on G; the
-    component values must be Galois-coherent for this to land in K[G]."""
+    """sum_chi v_chi e_chi as a rational coefficient vector on G, given one
+    CycloNumber v_chi per character row.
+
+    The element is central, so its coefficient at x is one rational per
+    class t of x: (1/|G|) sum_chi chi(1) v_chi chi(g_t^-1), the
+    ``idempotent_coords`` sum with cyclotomic weights.  It is summed on
+    integer coordinates at the common conductor L of the table's exponent
+    conductor E and the components: each v_chi is lifted to L and scaled
+    to integers by one common denominator D, and chi(g_t^-1) = sum_i c_i
+    zeta_E^i is read at L as sum_i c_i zeta_L^(i L/E).  The components must
+    be Galois-coherent, so that the element lies in Q[G]: a class whose sum
+    has a nonzero coordinate past the first raises InputError.
+    """
     table = character_table(g)
-    n = g.order
-    out = []
-    for x in range(n):
-        xi = g.inv(x)
-        acc = CycloNumber.rational(0)
-        for row, v in enumerate(values):
-            acc = acc + v * table.value(row, xi) * Fraction(table.degrees[row], n)
-        if not acc.is_rational():
+    if len(values) != table.n_classes:
+        raise InputError(
+            "expected one center component per character (%d), got %d"
+            % (table.n_classes, len(values))
+        )
+    e_norm = _normalized(table.exponent)
+    big = e_norm
+    for v in values:
+        big = _common_conductor(big, v.m)
+    denom = lcm(*(c.denominator for v in values for c in v.coeffs))
+    scaled = [  # D v_chi as {exponent at L: integer}
+        {j * (big // v.m): denom // c.denominator * c.numerator
+         for j, c in enumerate(v.coeffs) if c}
+        for v in values
+    ]
+    shift = big // e_norm
+    per_class = []
+    for t in range(table.n_classes):
+        s = table.inverse_class(t)
+        folded = _sparse_sum(
+            (
+                (deg, ints, {i * shift: c for i, c in row[s].items()})
+                for deg, ints, row in zip(table.degrees, scaled, table.coords)
+            ),
+            big,
+        )
+        if any(folded[1:]):
             raise InputError(
                 "center components are not Galois-coherent; the element "
                 "does not descend to the rational group algebra"
             )
-        out.append(acc.as_fraction())
-    return out
+        per_class.append(Fraction(folded[0], denom * g.order))
+    class_of = table.classes.class_of
+    return [per_class[class_of[x]] for x in range(g.order)]
 
 
 def fitting_generators(pres: PresentationMatrix, reps=None) -> FittingGenerators:

@@ -21,7 +21,7 @@ from conductor.catalog import (
 )
 from conductor.chartab import character_table, galois_exponents, galois_orbits, galois_permutations
 from conductor.cyclo import totient
-from conductor.errors import InputError
+from conductor.errors import InputError, PrecisionExhaustedError
 from conductor.finite import (
     ExtComputation,
     _conductor_lattice,
@@ -248,6 +248,28 @@ def test_order_27_and_81_formula_matches_brute_force():
     for g in groups:
         assert formula_conductor_lattice(g, 3) == brute_force_conductor(g, 3), g.name
     assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_formula_lattice_is_kept_per_group_prime_and_precision(p):
+    for g, fresh in zip(conductor_catalog(), conductor_catalog()):
+        lat = formula_conductor_lattice(g, p)
+        assert formula_conductor_lattice(g, p) is lat, g.name
+        assert formula_conductor_lattice(g, p, precision=working_precision(g, p)) is lat
+        assert lat == formula_conductor_lattice(fresh, p), g.name
+        other = formula_conductor_lattice(g, p, precision=12)
+        assert other.precision == 12 and lat.precision == working_precision(g, p) != 12
+        assert formula_conductor_lattice(g, p, precision=12) is other
+        assert formula_conductor_lattice(g, p) is lat
+
+
+def test_formula_lattice_failure_is_not_kept():
+    g = cyclic_group(9)
+    with pytest.raises(PrecisionExhaustedError):
+        formula_conductor_lattice(g, 3, precision=7)
+    assert formula_conductor_lattice(g, 3) == formula_conductor_lattice(cyclic_group(9), 3)
+    with pytest.raises(PrecisionExhaustedError):
+        formula_conductor_lattice(g, 3, precision=7)
 
 
 def test_group_algebra_inverse_is_a_two_sided_inverse():

@@ -1,23 +1,28 @@
 """Fitting generators via reduced norms, and conductor-times-Fitting
 annihilation of presentation cokernels."""
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
+from conductor import finite
 from conductor.catalog import (
+    alternating_4,
     alternating_5,
     c7_c3,
+    dihedral,
     frobenius_20,
     quaternion_8,
     symmetric_3,
     symmetric_4,
+    table_catalog,
 )
 from conductor.chartab import character_table
 from conductor.cyclo import CycloNumber
 from conductor.errors import InputError
-from conductor.finite import _convolve
+from conductor.finite import _convolve, formula_conductor_lattice
 from conductor.fitting import (
     PresentationMatrix,
     annihilation_check,
@@ -26,8 +31,9 @@ from conductor.fitting import (
     materialize_center,
     reduced_norm,
 )
-from conductor.groups import cyclic_group
+from conductor.groups import FiniteGroup, cyclic_group, direct_product
 from conductor.padic import fraction_determinant
+from conductor.verify import run_suite
 
 
 def unit_vec(order, coeffs):
@@ -170,6 +176,124 @@ def test_materialize_center_requires_galois_coherence():
     with pytest.raises(InputError):
         # equal values on a conjugate pair of characters are not coherent
         materialize_center(g, [z, z, CycloNumber.rational(1)])
+
+
+def _reference_center(g, values):
+    """materialize_center by CycloNumber products, one per (element,
+    character row): (1/|G|) sum_chi chi(1) v_chi chi(x^-1) at each x."""
+    table = character_table(g)
+    n = g.order
+    out = []
+    for x in range(n):
+        acc = CycloNumber.rational(0)
+        for row, v in enumerate(values):
+            acc = acc + v * table.value(row, g.inv(x)) * Fraction(table.degrees[row], n)
+        if not acc.is_rational():
+            raise InputError("center components are not Galois-coherent")
+        out.append(acc.as_fraction())
+    return out
+
+
+def _relabelled(g, rng):
+    """g with its non-identity elements renumbered at random."""
+    n = g.order
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    inv = [0] * n
+    for i, x in enumerate(perm):
+        inv[x] = i
+    table = [[perm[g.mult(inv[a], inv[b])] for b in range(n)] for a in range(n)]
+    return FiniteGroup.from_table(table, name=g.name)
+
+
+def _oracle_groups():
+    """The groups of the finite-oracle benchmark: three catalog groups in
+    catalog numbering, and abelian groups renumbered as there (C5xC5 is
+    run there at two primes)."""
+    rng = random.Random(2026)
+    c = cyclic_group
+    abelian = [
+        direct_product(c(5), c(5), name="C5xC5"),
+        direct_product(c(9), c(3), name="C9xC3"),
+        direct_product(direct_product(c(3), c(3)), c(3), name="C3^3"),
+        direct_product(c(3), c(5), name="C3xC5"),
+    ]
+    return [symmetric_3(), dihedral(4), alternating_4()] + [_relabelled(g, rng) for g in abelian]
+
+
+def test_materialize_center_matches_cyclonumber_route():
+    groups = [g for g in table_catalog() if g.order <= 60] + _oracle_groups()
+    for g in groups:
+        rng = random.Random(g.order)
+        n = g.order
+        for k in (1, 2):
+            matrix = [
+                [
+                    unit_vec(n, {rng.randrange(n): rng.randint(-3, 3) for _ in range(3)})
+                    for _ in range(k)
+                ]
+                for _ in range(k)
+            ]
+            values = reduced_norm(g, matrix)
+            want = _reference_center(g, values)
+            assert materialize_center(g, values) == want, (g.name, k)
+            # the same components written at five times their conductor
+            lifted = [v.lift(5 * v.m) for v in values]
+            assert materialize_center(g, lifted) == want, (g.name, k)
+        zero = [CycloNumber.rational(0)] * len(character_table(g).degrees)
+        assert materialize_center(g, zero) == [0] * n
+
+
+def test_materialize_center_rejects_incoherent_and_misshapen_components():
+    z3, z5 = CycloNumber.root(3), CycloNumber.root(5)
+    c3, s3 = cyclic_group(3), symmetric_3()
+    cases = [
+        (c3, [z3, z3, CycloNumber.rational(1)]),
+        # zeta_5 lies outside Q(zeta_E), E = 3 the exponent conductor of S3
+        (s3, [z5] * 3),
+        # one component per character: S3 has three
+        (s3, [CycloNumber.rational(1)] * 2),
+        (s3, [CycloNumber.rational(1)] * 5),
+    ]
+    for g, values in cases:
+        with pytest.raises(InputError):
+            materialize_center(g, values)
+    for g, values in cases[:2]:
+        with pytest.raises(InputError):
+            _reference_center(g, values)
+
+
+def test_materialize_center_multiplies_no_cyclonumbers(monkeypatch):
+    g = symmetric_3()
+    values = reduced_norm(g, [[unit_vec(6, {0: 2, 1: 1, 3: -1})]])
+    want = _reference_center(g, values)
+
+    def refuse(*args):
+        raise AssertionError("CycloNumber product")
+
+    monkeypatch.setattr(CycloNumber, "__mul__", refuse)
+    monkeypatch.setattr(CycloNumber, "__rmul__", refuse)
+    assert materialize_center(g, values) == want
+
+
+def test_fitting_suite_builds_each_formula_lattice_once(monkeypatch):
+    # the three Fitting checks of a (group, p) share one formula lattice,
+    # and none of them changes it
+    builds = []
+    exact = finite._formula_lattice
+
+    def counted(g, p, precision):
+        lat = exact(g, p, precision)
+        builds.append((g, p, lat, copy.deepcopy(lat.cols)))
+        return lat
+
+    monkeypatch.setattr(finite, "_formula_lattice", counted)
+    ok, checks = run_suite("fitting", p=3)
+    assert ok
+    assert len(checks) == 3 * len(builds)
+    assert len({(id(g), p) for g, p, _, _ in builds}) == len(builds)
+    for g, p, lat, cols in builds:
+        assert lat.cols == cols, g.name
+        assert formula_conductor_lattice(g, p) is lat
 
 
 def test_classical_determinant_cross_check():
