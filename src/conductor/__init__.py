@@ -20,7 +20,6 @@ from .groups import (
     FiniteGroup,
     GroupAutomorphism,
     SemidirectData,
-    commutator_subgroup,
     conjugacy_classes,
     cyclic_automorphism,
     cyclic_group,
@@ -50,10 +49,8 @@ from .iwasawa import (
     TruncatedAlgebra,
     central_conductor,
     character_classes,
-    commutator_criterion,
     dual_basis_check,
     extension_dual_basis_check,
-    filtered_annihilator,
     idempotent_suite,
     quotient_degree_check,
     scalar_conductor_exponent,
@@ -78,7 +75,6 @@ __all__ = [
     "FiniteGroup",
     "GroupAutomorphism",
     "SemidirectData",
-    "commutator_subgroup",
     "conjugacy_classes",
     "cyclic_automorphism",
     "cyclic_group",
@@ -116,10 +112,8 @@ __all__ = [
     "TruncatedAlgebra",
     "central_conductor",
     "character_classes",
-    "commutator_criterion",
     "dual_basis_check",
     "extension_dual_basis_check",
-    "filtered_annihilator",
     "idempotent_suite",
     "quotient_degree_check",
     "scalar_conductor_exponent",

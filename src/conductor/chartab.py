@@ -240,10 +240,10 @@ def _equals_integer(coords: list[int], n: int) -> bool:
     return coords[0] == n and not any(coords[1:])
 
 
-def character_table(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> CharacterTable:
-    if g.order > bound:
+def character_table(g: FiniteGroup) -> CharacterTable:
+    if g.order > DEFAULT_BOUND:
         raise GroupTooLargeError(
-            "character table limited to order <= %d (got %d)" % (bound, g.order)
+            "character table limited to order <= %d (got %d)" % (DEFAULT_BOUND, g.order)
         )
     cached = getattr(g, "_char_table", None)
     if cached is not None:

@@ -20,7 +20,7 @@ from .chartab import character_table
 from .cyclo import CycloNumber, require_odd_prime
 from .errors import InputError, PrecisionExhaustedError
 from .finite import jacobinski_conductor
-from .fitting import _annihilates, fitting_generators
+from .fitting import annihilation_check, fitting_generators
 from .groups import GroupAutomorphism, SemidirectData
 from .iwasawa import (
     central_conductor,
@@ -182,7 +182,7 @@ def _cmd_fitting(args):
     g = group_from_json(load_json(args.group))
     pres = presentation_from_json(load_json(args.matrix), g, where=args.matrix)
     generators = fitting_generators(pres)
-    verdict = _annihilates(pres, args.p, generators, precision=_env_precision())
+    verdict = annihilation_check(pres, args.p, precision=_env_precision())
     payload = {
         "group": g.name,
         "order": g.order,

@@ -26,6 +26,7 @@ from .cyclo import cyclotomic_poly, root_trace, totient, value_conductor
 from .errors import InputError, UnsupportedPresentationError
 from .localfields import AbelianLocalField, field_of_values, relative_data
 from .padic import (
+    DEFAULT_PRECISION,
     SpanSolver,
     exact_kernel,
     hnf_columns,
@@ -35,8 +36,6 @@ from .padic import (
     smith_with_column_transform,
     vp,
 )
-
-DEFAULT_PRECISION = 24
 
 
 def working_precision(g, p):
@@ -192,7 +191,7 @@ def _abelian_block_basis(g, table, orbit):
         vec = [eps[classes.class_of[g.mult(x, inv_pow)]] for x in range(g.order)]
         vecs.append(vec)
         g0_pow = g.mult(g0_pow, g0)
-    return d, vecs
+    return vecs
 
 
 def _matrix_block_basis(g, rep_matrices, degree):
@@ -251,7 +250,7 @@ def _rep_character_row(table, rep_matrices):
 
 def maximal_order_basis(g, p, reps=None):
     """Basis, in rational coordinates on group elements, of a maximal order
-    containing Z_p[G], together with per-block bookkeeping.
+    containing Z_p[G].
 
     Linear-character blocks need no input: each rational orbit of linear
     characters contributes a copy of Z_p[x]/Phi_d(x).  Blocks of degree > 1
@@ -267,12 +266,10 @@ def maximal_order_basis(g, p, reps=None):
             _verify_representation(g, mats)
             rep_rows[_rep_character_row(table, mats)] = mats
     basis = []
-    blocks = []
     for orbit in galois_orbits(table, None):
         degree = table.degrees[orbit[0]]
         if degree == 1:
-            d, vecs = _abelian_block_basis(g, table, orbit)
-            blocks.append(("cyclotomic", orbit, d))
+            vecs = _abelian_block_basis(g, table, orbit)
         elif orbit[0] in rep_rows:
             if len(orbit) != 1:
                 raise UnsupportedPresentationError(
@@ -280,7 +277,6 @@ def maximal_order_basis(g, p, reps=None):
                     "blocks are only built over their rational forms" % degree
                 )
             vecs = _matrix_block_basis(g, rep_rows[orbit[0]], degree)
-            blocks.append(("matrix", orbit, 1))
         else:
             raise UnsupportedPresentationError(
                 "no splitting representation supplied for the degree-%d "
@@ -291,7 +287,7 @@ def maximal_order_basis(g, p, reps=None):
         raise UnsupportedPresentationError(
             "block bases span dimension %d, expected %d" % (len(basis), g.order)
         )
-    return basis, blocks
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +314,7 @@ def brute_force_conductor(g, p, reps=None, twist_seed=None, precision=None):
     """
     if precision is None:
         precision = working_precision(g, p)
-    basis, _ = maximal_order_basis(g, p, reps)
+    basis = maximal_order_basis(g, p, reps)
     if twist_seed is None:
         return _conductor_lattice(g, p, basis, False, precision)
     return _conductor_lattice(g, p, _twist_basis(g, p, basis, twist_seed), True, precision)
@@ -566,18 +562,12 @@ class GModule:
             if len(mat) != self.rank or any(len(row) != self.rank for row in mat):
                 raise InputError("action matrices must be rank x rank")
 
-    def mod_p_power(self, q, name=None):
-        return GModule(
-            self.group,
-            self.rank,
-            self.gen_actions,
-            name or "%s/p^%d" % (self.name, q),
-            q,
-        )
+    def mod_p_power(self, q):
+        return GModule(self.group, self.rank, self.gen_actions, "%s/p^%d" % (self.name, q), q)
 
 
-def trivial_module(g, name="trivial"):
-    return GModule(g, 1, [[[1]] for _ in g.generators], name)
+def trivial_module(g):
+    return GModule(g, 1, [[[1]] for _ in g.generators], "trivial")
 
 
 def regular_module(g):
@@ -668,7 +658,8 @@ def _transpose(m):
 
 class ExtComputation:
     """Ext^1(M, N) over Z_p[G] from the presentation 0 -> K -> P -> M -> 0
-    with P = (Z_p[G])^rank(M).
+    with P = (Z_p[G])^rank(M), for a lattice M and a finite module
+    N = lattice/p^q (``GModule.mod_p_power``).
 
     Everything is reduced to integer linear algebra: Hom(K, N) is the
     solution lattice of the equivariance equations, the comparison map from
@@ -678,18 +669,18 @@ class ExtComputation:
     the constructor and in ``annihilates`` reuses that factorisation.
     """
 
-    def __init__(self, mod_m, mod_n, p, precision=None):
+    def __init__(self, mod_m, mod_n, p):
         if mod_m.group is not mod_n.group:
             raise InputError("modules live over different groups")
         if mod_m.quotient_exponent is not None:
             raise InputError("the first argument must be a lattice")
+        if mod_n.quotient_exponent is None:
+            raise InputError("the second argument must be a lattice mod p^q")
         self.g = mod_m.group
         self.p = p
         self.mod_m = mod_m
         self.mod_n = mod_n
-        self.precision = precision or (
-            vp(self.g.order, p) + (mod_n.quotient_exponent or 0) + DEFAULT_PRECISION
-        )
+        self.precision = vp(self.g.order, p) + mod_n.quotient_exponent + DEFAULT_PRECISION
         self._run()
 
     def _run(self):
@@ -728,21 +719,16 @@ class ExtComputation:
                     if any(row):
                         eqs.append(row)
         q = self.mod_n.quotient_exponent
-        if q is None:
-            self.hom_basis = exact_kernel(_transpose(eqs)) if eqs else [
-                [1 if i == j else 0 for i in range(self.vec_dim)] for j in range(self.vec_dim)
+        if eqs:
+            vals, c_cols = smith_with_column_transform(p, self.precision, eqs)
+            self.hom_basis = [
+                [x * p ** max(0, q - vals[i]) if i < len(vals) else x for x in c_cols[i]]
+                for i in range(self.vec_dim)
             ]
         else:
-            if eqs:
-                vals, c_cols = smith_with_column_transform(p, self.precision, eqs)
-                self.hom_basis = [
-                    [x * p ** max(0, q - vals[i]) if i < len(vals) else x for x in c_cols[i]]
-                    for i in range(self.vec_dim)
-                ]
-            else:
-                self.hom_basis = [
-                    [1 if i == j else 0 for i in range(self.vec_dim)] for j in range(self.vec_dim)
-                ]
+            self.hom_basis = [
+                [1 if i == j else 0 for i in range(self.vec_dim)] for j in range(self.vec_dim)
+            ]
         # restriction of Hom(P, N) = N^r along K
         acts_n = _element_actions(self.g, self.mod_n.gen_actions, rank_n)
         self.acts_n = acts_n
@@ -757,11 +743,10 @@ class ExtComputation:
                             for irow in range(rank_n):
                                 vec[t * rank_n + irow] += c * acts_n[x][irow][b]
                 image.append(vec)
-        if q is not None:
-            for j in range(self.vec_dim):
-                vec = [0] * self.vec_dim
-                vec[j] = self.p**q
-                image.append(vec)
+        for j in range(self.vec_dim):
+            vec = [0] * self.vec_dim
+            vec[j] = self.p**q
+            image.append(vec)
         self.image_gens = image
         self._hom = SpanSolver(self.hom_basis)
         modulus = self.p**self.precision
@@ -804,12 +789,6 @@ class ExtComputation:
         return True
 
 
-def annihilation_check(class_coords, mod_m, mod_n, p, precision=None) -> bool:
-    """Whether a central element, given by class-sum coordinates, kills
-    Ext^1(M, N)."""
-    return ExtComputation(mod_m, mod_n, p, precision).annihilates(class_coords)
-
-
 def conductor_annihilates(g, p, mod_m, mod_n, reps=None) -> bool:
     """Every generator of the computed conductor annihilates Ext^1(M, N)."""
     lat = brute_force_conductor(g, p, reps)
@@ -820,7 +799,7 @@ def conductor_annihilates(g, p, mod_m, mod_n, reps=None) -> bool:
 def maximal_order_module(g, p, reps=None):
     """The maximal order as a Z_p[G]-lattice inside the regular lattice,
     scaled by |G| to clear denominators."""
-    basis, _ = maximal_order_basis(g, p, reps)
+    basis = maximal_order_basis(g, p, reps)
     columns = []
     for vec in basis:
         col = [Fraction(x) * g.order for x in vec]
@@ -830,15 +809,15 @@ def maximal_order_module(g, p, reps=None):
     return module_from_columns(g, columns, "maximal-order")
 
 
-def sharpness_probe(g, p, reps=None, pool=None):
+def sharpness_probe(g, p, pool):
     """A central element of Z_p[G] just outside the conductor, together with
-    a pair (M, N) whose Ext^1 it fails to annihilate.
+    a pair (M, N) from ``pool`` whose Ext^1 it fails to annihilate.
 
     Returns (class_coords, name_m, name_n).  Raises if the search pool is
     exhausted, which would contradict the conductor being exactly the
     annihilator ideal.
     """
-    lat = brute_force_conductor(g, p, reps)
+    lat = brute_force_conductor(g, p)
     k = len(lat.cols[0]) if lat.cols else 0
     candidates = []
     ident = [Fraction(0)] * k
@@ -849,13 +828,6 @@ def sharpness_probe(g, p, reps=None, pool=None):
         vec[l] = Fraction(1)
         candidates.append(vec)
     outside = [c for c in candidates if not lattice_contains(lat, c)]
-    if pool is None:
-        t = trivial_module(g)
-        pool = [
-            (t, t.mod_p_power(1)),
-            (augmentation_module(g), t.mod_p_power(1)),
-            (t, augmentation_module(g).mod_p_power(1)),
-        ]
     for mod_m, mod_n in pool:
         comp = ExtComputation(mod_m, mod_n, p)
         if not comp.divisors:

@@ -71,7 +71,10 @@ class FittingGenerators:
 
     subsets: list
     values: list
-    zero: bool
+
+    @property
+    def zero(self):
+        return not self.subsets
 
     def to_json(self):
         return {
@@ -192,17 +195,16 @@ def materialize_center(g, values):
 def fitting_generators(pres: PresentationMatrix, reps=None) -> FittingGenerators:
     """Reduced norms of all b x b submatrices; zero class when a < b.
 
-    ``reps`` is ignored.  It stays only for the benchmark's call sites and
-    goes with the next benchmark change."""
-    if pres.a < pres.b:
-        return FittingGenerators(subsets=[], values=[], zero=True)
-    subsets = []
-    values = []
-    for rows in combinations(range(pres.a), pres.b):
-        sub = [pres.entries[i] for i in rows]
-        subsets.append(rows)
-        values.append(reduced_norm(pres.group, sub))
-    return FittingGenerators(subsets=subsets, values=values, zero=False)
+    Computed once per presentation and kept on it, as the character table
+    is kept on its group.  ``reps`` is ignored.  It stays only for the
+    benchmark's call sites and goes with the next benchmark change."""
+    cached = getattr(pres, "_fitting", None)
+    if cached is not None:
+        return cached
+    subsets = list(combinations(range(pres.a), pres.b))  # none when a < b
+    values = [reduced_norm(pres.group, [pres.entries[i] for i in rows]) for rows in subsets]
+    pres._fitting = FittingGenerators(subsets=subsets, values=values)
+    return pres._fitting
 
 
 def presentation_image(pres: PresentationMatrix, p, precision=None):
@@ -236,14 +238,11 @@ def annihilation_check(pres: PresentationMatrix, p, reps=None, precision=None) -
     Every product of a central conductor generator with a Fitting generator
     must be p-integral and carry each unit vector of Lambda^b into the
     presentation image.  Vacuously true for the zero Fitting class and for
-    b = 0, where the cokernel is 0.
+    b = 0, where the cokernel is 0.  The Fitting generators are those of
+    ``fitting_generators``, computed once per presentation.
     ``reps`` is ignored, as in ``fitting_generators``.
     """
-    return _annihilates(pres, p, fitting_generators(pres), precision)
-
-
-def _annihilates(pres: PresentationMatrix, p, fit: FittingGenerators, precision=None) -> bool:
-    """annihilation_check for Fitting generators already computed."""
+    fit = fitting_generators(pres)
     g = pres.group
     n = g.order
     if fit.zero or pres.b == 0:

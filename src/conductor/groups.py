@@ -33,7 +33,7 @@ class FiniteGroup:
     # -- construction -------------------------------------------------
 
     @staticmethod
-    def from_table(table, generators=None, name="G"):
+    def from_table(table, name="G"):
         n = len(table)
         for row in table:
             if len(row) != n or sorted(row) != list(range(n)):
@@ -50,7 +50,7 @@ class FiniteGroup:
                 row_x = table[x]
                 if list(table[row_x[s]]) != [row_x[sy] for sy in row_s]:
                     raise InputError("table is not associative")
-        g.generators = list(generators or gens)
+        g.generators = gens
         return g
 
     @staticmethod
@@ -158,11 +158,6 @@ def _closure(g, seed):
     return got
 
 
-def subgroup_closure(g, elements):
-    """Sorted list of the subgroup generated by the given elements."""
-    return sorted(_closure(g, set(elements) | {0}))
-
-
 @dataclass
 class ClassData:
     classes: list  # list of sorted element lists, identity class first
@@ -209,18 +204,6 @@ def conjugacy_classes(g: FiniteGroup) -> ClassData:
         for x in members:
             class_of[x] = idx
     return ClassData(classes, class_of)
-
-
-def commutator_subgroup(g: FiniteGroup) -> list:
-    """Sorted elements of [G, G] (all commutators, then subgroup closure)."""
-    if g.order > TABLE_BOUND:
-        raise GroupTooLargeError("commutator subgroup needs the table bound %d" % TABLE_BOUND)
-    comms = set()
-    for a in range(g.order):
-        ia = g.inv(a)
-        for b in range(g.order):
-            comms.add(g.mult(g.mult(a, b), g.mult(ia, g.inv(b))))
-    return sorted(_closure(g, comms | {0}))
 
 
 class GroupAutomorphism:

@@ -48,7 +48,7 @@ from .chartab import (
 from .cyclo import _common_conductor, int_coords
 from .errors import InputError, InvalidQuotientError
 from .finite import jacobinski_conductor
-from .groups import commutator_subgroup, finite_quotient, subgroup_closure
+from .groups import finite_quotient
 from .groups import orbits as group_orbits
 from .localfields import AbelianLocalField, field_of_values, relative_data
 from .orders import GlobalFieldModel
@@ -73,15 +73,22 @@ class CharacterClass:
     orbits: list
     w: int
     eta_degree: int
-    chi_degree: int
     field: AbelianLocalField
     multiplier: Fraction
     multiplier_vp: int
-    invdiff_v: int
     e: int
     f: int
     d_rel: int
     embedding_exponent: int
+
+    @property
+    def chi_degree(self):
+        return self.w * self.eta_degree
+
+    @property
+    def invdiff_v(self):
+        """pi_chi-valuation of the inverse different D^-1(o_chi / o)."""
+        return -self.d_rel
 
     def total_valuation(self):
         """pi_chi-valuation of the conductor component."""
@@ -148,17 +155,14 @@ def character_classes(sd, base=None):
         if mvp < 0:
             raise ArithmeticError("multiplier %s is not p-integral" % mult)
         e_rel, f_rel, d_rel = relative_data(base, k_chi)
-        chi_degree = w * eta_degree
         classes.append(
             CharacterClass(
                 orbits=[list(orb.members) for orb in members],
                 w=w,
                 eta_degree=eta_degree,
-                chi_degree=chi_degree,
                 field=k_chi,
                 multiplier=mult,
                 multiplier_vp=mvp,
-                invdiff_v=-d_rel,
                 e=e_rel,
                 f=f_rel,
                 d_rel=d_rel,
@@ -227,30 +231,6 @@ def scalar_conductor_exponent(classes, base) -> int:
     return max(e_base * c.multiplier_vp - c.d_rel // c.e for c in classes)
 
 
-def filtered_annihilator(classes, base, vanishing=()) -> int:
-    """Annihilator exponent when the components listed in ``vanishing``
-    (class indices) act by zero on the module in question; the remaining
-    classes still constrain it.  Clamped at 0: a negative threshold just
-    means all of R annihilates."""
-    vanishing = set(vanishing)
-    live = [c for i, c in enumerate(classes) if i not in vanishing]
-    if not live:
-        return 0
-    e_base = base.ramification_index
-    return max(0, max(e_base * c.multiplier_vp - c.d_rel // c.e for c in live))
-
-
-def commutator_criterion(sd) -> bool:
-    """Whether p avoids the order of the subgroup generated by [H, H] and
-    the displacements h^-1 alpha(h).  When true, the central annihilator
-    ideal attached to the conductor behaves as in the commutative case."""
-    h = sd.h
-    gens = set(commutator_subgroup(h))
-    for x in range(h.order):
-        gens.add(h.mult(h.inv(x), sd.alpha(x)))
-    return len(subgroup_closure(h, gens)) % sd.p != 0
-
-
 def splitting_field_bound(sd, base=None):
     """E = K(zeta_exp(H)), with certificates that E[H] splits: every Galois
     class of Irr(H) over E is a singleton whose value field is E itself.
@@ -314,17 +294,16 @@ def _central_at_level(g, h_coeffs) -> bool:
     return True
 
 
-def idempotent_suite(sd, base=None, level=None) -> dict:
-    """Exact verification of the idempotent relations: e_eta and e_chi are
-    idempotent, e_chi is central in E[G_m], distinct orbit idempotents are
-    orthogonal, the class idempotents epsilon_chi have coefficients fixed
-    by the base-field Galois action and sum to 1.
+def idempotent_suite(sd, level=None) -> dict:
+    """Exact verification of the idempotent relations over Q_p: e_eta and
+    e_chi are idempotent, e_chi is central in E[G_m], distinct orbit
+    idempotents are orthogonal, the class idempotents epsilon_chi have
+    coefficients fixed by the Galois action of Q_p and sum to 1.
 
     Every idempotent is scaled by |H| to an integral element of Z[zeta_E][H],
     so idempotency reads (|H|e)^2 = |H| (|H|e), orthogonality
     (|H|e_i)(|H|e_j) = 0 and the partition of unity sum |H|eps = |H|."""
-    if base is None:
-        base = AbelianLocalField.qp(sd.p)
+    base = AbelianLocalField.qp(sd.p)
     if level is None:
         level = sd.n
     h = sd.h
@@ -472,14 +451,19 @@ def dual_basis_check(sd, level) -> bool:
 
 
 def extension_dual_basis_check(kprime: AbelianLocalField, n: int, level: int) -> bool:
-    """For Lambda^{o'}(Gamma) over R with 1 + T |-> gamma^(p^n): on the
-    R-basis {x_j gamma^i} the trace pairing against the claimed duals
-    p^-n x_j_dual gamma^-i is exactly the identity.
+    """For Lambda^{o'}(Gamma) over R with 1 + T |-> gamma^(p^n): the trace
+    dual of o' is the inverse different, and on the R-basis {x_j gamma^i}
+    the trace pairing against the claimed duals p^-n x_j_dual gamma^-i is
+    exactly the identity.
 
-    The field part of the pairing comes from the certified integral model
-    of o' (the Gram matrix of its trace form), the gamma part from the
-    truncated structure constants with the u-carry kept exact; nothing is
-    assumed about either.
+    The inverse different is certified by the integral model of o'
+    (``inverse_different_dual_check``): the columns of the inverse Gram
+    matrix of its trace form must span J^-d, with d from the
+    conductor-discriminant formula.  The pairing loop then certifies the
+    gamma part, from the truncated structure constants with the u-carry
+    kept exact.  Its field part, gram times the inverse of gram, is the
+    identity by construction, so the loop alone says nothing about the
+    Gram matrix.
     """
     if level < n:
         raise InvalidQuotientError(
@@ -487,6 +471,8 @@ def extension_dual_basis_check(kprime: AbelianLocalField, n: int, level: int) ->
         )
     p = kprime.p
     model = GlobalFieldModel(kprime)
+    if not model.inverse_different_dual_check():
+        return False
     gram = [[Fraction(x) for x in row] for row in model.gram]
     deg = len(gram)
     dual = fraction_inverse(gram)
@@ -547,15 +533,13 @@ def quotient_degree_check(sd, m) -> bool:
     return True
 
 
-def degeneration_matches_finite(sd, base=None) -> bool:
+def degeneration_matches_finite(sd) -> bool:
     """With n = 0 the class data must reproduce the finite-group conductor
-    of H over the base, component by component."""
+    of H over Q_p, component by component."""
     if sd.n != 0:
         raise InputError("degeneration check needs a trivial action (n = 0)")
-    if base is None:
-        base = AbelianLocalField.qp(sd.p)
-    classes = character_classes(sd, base)
-    report = jacobinski_conductor(sd.h, sd.p, base)
+    classes = character_classes(sd)
+    report = jacobinski_conductor(sd.h, sd.p)
     if len(classes) != len(report.components):
         return False
     for klass, comp in zip(classes, report.components):
@@ -566,7 +550,7 @@ def degeneration_matches_finite(sd, base=None) -> bool:
             return False
         if not klass.field.equals(comp.field):
             return False
-        if klass.invdiff_v != -comp.d_rel:
+        if klass.d_rel != comp.d_rel:
             return False
         if klass.total_valuation() != comp.valuation:
             return False

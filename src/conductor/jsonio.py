@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .fitting import PresentationMatrix
-from .groups import ELEMENT_BOUND, FiniteGroup, GroupAutomorphism, SemidirectData
+from .groups import ELEMENT_BOUND, FiniteGroup
 from .localfields import AbelianLocalField
 
 
@@ -107,24 +107,6 @@ def alpha_images_from_json(obj, where="alpha"):
     if not isinstance(obj, list) or not all(isinstance(x, int) for x in obj):
         raise InputError("%s: automorphism images must be a list of indices" % where)
     return obj
-
-
-def semidirect_from_json(obj, p=None, where="semidirect"):
-    """{"h": <group>, "alpha_images": [...], "p": p}; an explicit p argument
-    overrides (and must match) the embedded one."""
-    h = group_from_json(_require(obj, "h", where), where="%s.h" % where)
-    images = alpha_images_from_json(_require(obj, "alpha_images", where), where)
-    embedded = obj.get("p")
-    if embedded is not None:
-        _integer(embedded, "%s.p" % where)
-    if embedded is not None and p is not None and embedded != p:
-        raise InputError(
-            "%s: file says p=%r but the command line says p=%d" % (where, embedded, p)
-        )
-    p = p if p is not None else embedded
-    if p is None:
-        raise InputError("%s: no prime given (key 'p' or --p)" % where)
-    return SemidirectData(h, GroupAutomorphism(h, images), p)
 
 
 def field_from_json(obj, p=None, where="field"):

@@ -26,6 +26,7 @@ from .cyclo import CycloNumber, totient
 from .errors import UnsupportedPresentationError
 from .localfields import AbelianLocalField
 from .padic import (
+    DEFAULT_PRECISION,
     PLattice,
     SpanSolver,
     fraction_determinant,
@@ -35,8 +36,6 @@ from .padic import (
     residue,
     vp,
 )
-
-DEFAULT_PRECISION = 24
 
 
 # -- radical of a commutative algebra over Z_p --------------------------------
@@ -110,9 +109,8 @@ def lattice_power(p, precision, mult, lattice, k) -> PLattice:
 class GlobalFieldModel:
     """Ring of integers of an abelian local field as an exact lattice."""
 
-    def __init__(self, field: AbelianLocalField, precision: int = DEFAULT_PRECISION):
+    def __init__(self, field: AbelianLocalField):
         self.field = field
-        self.precision = precision
         p, m = field.p, field.m
         units = [a for a in range(m) if gcd(a, m) == 1] or [0]
         covered = sorted({(u * s) % m for u in field.galois_group for s in field.stab})
@@ -208,36 +206,12 @@ class GlobalFieldModel:
 
     # -- invariants ------------------------------------------------------------
 
-    def element_valuation(self, x: CycloNumber) -> int:
-        """Normalized valuation (uniformizer has valuation 1) via the norm."""
-        if x.is_zero():
-            raise ValueError("valuation of zero")
-        m = self.field.m
-        stab = set(self.field.stab)
-        norm = CycloNumber.rational(1)
-        seen = set()
-        for a in range(max(m, 2)):
-            if m == 1:
-                break
-            if gcd(a, m) != 1 or a in seen:
-                continue
-            seen.update((a * s) % m for s in stab)
-            norm = norm * x.galois(a)
-        if m == 1:
-            norm = x
-        q = norm.as_fraction()
-        f = self.field.residue_degree
-        v = vp(q, self.field.p)
-        if v % f:
-            raise ArithmeticError("norm valuation must be divisible by the residue degree")
-        return v // f
-
     def maximal_ideal(self) -> PLattice:
         if self._radical is None:
             p = self.field.p
             self._radical = radical_lattice(
                 p,
-                self.precision,
+                DEFAULT_PRECISION,
                 lambda u, v: [residue(c, p, p) for c in self.mult_coords(list(u), list(v))],
                 self.degree,
                 [residue(c, p, p) for c in self.one_coords()],
@@ -248,9 +222,9 @@ class GlobalFieldModel:
         """J^k for k >= 0 as a lattice in basis coordinates."""
         if k == 0:
             unit_cols = [[1 if i == j else 0 for i in range(self.degree)] for j in range(self.degree)]
-            return hnf_columns(self.field.p, self.precision, unit_cols)
+            return hnf_columns(self.field.p, DEFAULT_PRECISION, unit_cols)
         return lattice_power(
-            self.field.p, self.precision, self.mult_coords, self.maximal_ideal(), k
+            self.field.p, DEFAULT_PRECISION, self.mult_coords, self.maximal_ideal(), k
         )
 
     def inverse_different_dual_check(self) -> bool:
@@ -265,6 +239,6 @@ class GlobalFieldModel:
         # p^q * dual lattice (columns of the inverse Gram) vs J^r
         dual_cols = [list(col) for col in zip(*fraction_inverse(self.gram))]
         scaled = [[x * p**q for x in col] for col in dual_cols]
-        left = hnf_columns(p, self.precision, scaled)
+        left = hnf_columns(p, DEFAULT_PRECISION, scaled)
         right = self.ideal_power(r)
         return left == right

@@ -35,6 +35,8 @@ from math import gcd, lcm
 from .errors import PrecisionExhaustedError
 
 DEFAULT_GUARD = 8
+# working precision p^N beyond a problem's own valuations (finite, orders)
+DEFAULT_PRECISION = 24
 
 
 def vp(n, p: int) -> int:
@@ -255,7 +257,7 @@ class PLattice:
         )
 
 
-def hnf_columns(p, precision, columns, guard: int = DEFAULT_GUARD) -> PLattice:
+def hnf_columns(p, precision, columns) -> PLattice:
     """Canonical column Hermite form mod p^precision.
 
     columns: vectors of ints or p-integral Fractions; a Fraction with p
@@ -280,10 +282,10 @@ def hnf_columns(p, precision, columns, guard: int = DEFAULT_GUARD) -> PLattice:
                 best, best_v = idx, v
         if best is None:
             continue
-        if best_v > precision - guard:
+        if best_v > precision - DEFAULT_GUARD:
             raise PrecisionExhaustedError(
                 "pivot valuation %d in row %d exceeds precision %d - guard %d"
-                % (best_v, row, precision, guard)
+                % (best_v, row, precision, DEFAULT_GUARD)
             )
         piv = work.pop(best)
         unit = piv[row] // p**best_v
@@ -319,7 +321,7 @@ def hnf_columns(p, precision, columns, guard: int = DEFAULT_GUARD) -> PLattice:
     return PLattice(p, precision, dim, pivots, pivot_vals, placed)
 
 
-def lattice_contains(lat: PLattice, vector, guard: int = DEFAULT_GUARD) -> bool:
+def lattice_contains(lat: PLattice, vector) -> bool:
     """Whether the vector lies in the lattice, mod p^precision."""
     p, modulus = lat.p, lat.p**lat.precision
     v = [residue(x, p, modulus) for x in vector]
@@ -332,7 +334,7 @@ def lattice_contains(lat: PLattice, vector, guard: int = DEFAULT_GUARD) -> bool:
         q = x // p**a
         for r in range(lat.dim):
             v[r] = (v[r] - q * col[r]) % modulus
-    floor = p ** max(lat.precision - guard, 1)
+    floor = p ** max(lat.precision - DEFAULT_GUARD, 1)
     return all(x % floor == 0 for x in v)
 
 
@@ -340,25 +342,25 @@ def sublattice_of(inner: PLattice, outer: PLattice) -> bool:
     return all(lattice_contains(outer, col) for col in inner.cols)
 
 
-def smith_valuations(p, precision, rows, guard: int = DEFAULT_GUARD) -> list:
+def smith_valuations(p, precision, rows) -> list:
     """Elementary divisor valuations of an integer matrix over Z_p.
 
     Returns the list of valuations (ascending), one per invariant factor
     with valuation < precision - guard; a divisor indistinguishable from
     zero at this precision raises PrecisionExhaustedError.
     """
-    return _smith(p, precision, rows, guard, False)[0]
+    return _smith(p, precision, rows, False)[0]
 
 
-def smith_with_column_transform(p, precision, rows, guard: int = DEFAULT_GUARD):
+def smith_with_column_transform(p, precision, rows):
     """Smith form tracking column operations: returns (vals, c_cols) where
     R * A * C = diag(p^vals) for unimodular R (discarded) and C, and c_cols
     lists the columns of C.  Columns beyond len(vals) span directions on
     which A vanishes mod p^precision."""
-    return _smith(p, precision, rows, guard, True)
+    return _smith(p, precision, rows, True)
 
 
-def _smith(p, precision, rows, guard, track):
+def _smith(p, precision, rows, track):
     """Smith elimination mod p^precision; the column transform C (as a list
     of columns) is kept only when ``track`` is set, else None."""
     modulus = p**precision
@@ -378,10 +380,10 @@ def _smith(p, precision, rows, guard, track):
             # every remaining entry vanishes mod p^N: the rank is len(out)
             break
         v, bi, bj = best
-        if v > precision - guard:
+        if v > precision - DEFAULT_GUARD:
             raise PrecisionExhaustedError(
                 "invariant factor valuation %d exceeds precision %d - guard %d"
-                % (v, precision, guard)
+                % (v, precision, DEFAULT_GUARD)
             )
         a[top], a[bi] = a[bi], a[top]
         if bj != top:

@@ -24,7 +24,7 @@ from .catalog import (
 from .chartab import character_table
 from .errors import InputError
 from .finite import (
-    annihilation_check as ext_annihilation_check,
+    ExtComputation,
     augmentation_module,
     brute_force_conductor,
     conductor_annihilates,
@@ -331,7 +331,7 @@ def suite_ext(p=None, seed=None, precision=None):
     triv = trivial_module(g)
     target = triv.mod_p_power(1)
     coords, name_m, name_n = sharpness_probe(g, 3, pool=[(triv, target)])
-    fails = not ext_annihilation_check(coords, triv, target, 3)
+    fails = not ExtComputation(triv, target, 3).annihilates(coords)
     checks.append(
         CheckResult(
             "Z3[C3] sharpness: element outside the conductor fails",

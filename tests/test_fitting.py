@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conductor import finite
+from conductor import finite, fitting
 from conductor.catalog import (
     alternating_4,
     alternating_5,
@@ -109,6 +109,27 @@ def test_tall_presentation():
     fit = fitting_generators(pres)
     assert len(fit.subsets) == 2
     assert annihilation_check(pres, 3)
+
+
+def test_fitting_generators_are_computed_once_per_presentation(monkeypatch):
+    calls = []
+
+    def counted(g, matrix):
+        calls.append(len(matrix))
+        return reduced_norm(g, matrix)
+
+    monkeypatch.setattr(fitting, "reduced_norm", counted)
+    g = symmetric_3()
+    pres = PresentationMatrix(
+        g, 3, 2,
+        [[unit_vec(6, {0: 3}), unit_vec(6, {})],
+         [unit_vec(6, {}), unit_vec(6, {0: 1, 3: -1})],
+         [unit_vec(6, {0: 1}), unit_vec(6, {0: 3})]],
+    )
+    fit = fitting_generators(pres)
+    assert annihilation_check(pres, 3)
+    assert calls == [2] * len(fit.subsets) == [2, 2, 2]  # one per 2 x 2 minor
+    assert fitting_generators(pres) is fit
 
 
 def test_wide_presentation_is_zero_class():

@@ -21,7 +21,6 @@ from conductor.groups import (
     FiniteGroup,
     GroupAutomorphism,
     SemidirectData,
-    commutator_subgroup,
     conjugacy_classes,
     cyclic_automorphism,
     cyclic_group,
@@ -64,12 +63,6 @@ def test_conjugacy_classes_match_brute_force(g):
     brute = sorted({tuple(sorted({g.conj(a, x) for a in range(g.order)})) for x in range(g.order)})
     assert [tuple(c) for c in cls.classes] == brute
     assert all(cls.class_of[x] == i for i, c in enumerate(cls.classes) for x in c)
-
-
-def test_commutator_subgroups():
-    assert len(commutator_subgroup(symmetric_3())) == 3
-    assert len(commutator_subgroup(quaternion_8())) == 2
-    assert len(commutator_subgroup(cyclic_group(12))) == 1
 
 
 def test_from_table_rejects_non_group():

@@ -30,11 +30,9 @@ from conductor.iwasawa import (
     TruncatedAlgebra,
     central_conductor,
     character_classes,
-    commutator_criterion,
     degeneration_matches_finite,
     dual_basis_check,
     extension_dual_basis_check,
-    filtered_annihilator,
     idempotent_suite,
     quotient_degree_check,
     scalar_conductor_exponent,
@@ -44,6 +42,7 @@ from conductor.iwasawa import (
     trace_truncated,
 )
 from conductor.localfields import AbelianLocalField
+from conductor.verify import run_suite
 
 
 def test_c7_worked_case():
@@ -84,24 +83,11 @@ def test_scalar_conductor_exponents():
     assert scalar_conductor_exponent(character_classes(sd_c3_trivial()), q3) == 1
 
 
-def test_filtered_annihilator_drops_vanishing_classes():
-    q3 = AbelianLocalField.qp(3)
-    cls = character_classes(sd_c7())
-    assert filtered_annihilator(cls, q3) == 0
-    assert filtered_annihilator(cls, q3, vanishing=(0,)) == 0
-    assert filtered_annihilator(cls, q3, vanishing=(0, 1)) == 0
-
-
 def test_degeneration_to_finite_formula():
     assert degeneration_matches_finite(sd_s3_trivial())
     assert degeneration_matches_finite(sd_c3_trivial())
     with pytest.raises(InputError):
         degeneration_matches_finite(sd_c7())  # n = 1 is not a degeneration
-
-
-def test_commutator_criterion():
-    assert commutator_criterion(sd_c7())
-    assert not commutator_criterion(sd_s3_inner())
 
 
 def test_splitting_field_bound_c7():
@@ -147,6 +133,20 @@ def test_extension_dual_bases():
     for k in fields:
         for n in (0, 1):
             assert extension_dual_basis_check(k, n, n + 1)
+
+
+def test_different_suite_rejects_a_wrong_gram_matrix(monkeypatch):
+    # the trace form divided by p pairs its own inverse to the identity
+    # just as well; only the inverse-different certificate can tell
+    class WrongGram(iwasawa.GlobalFieldModel):
+        def __init__(self, field):
+            super().__init__(field)
+            self.gram = [[x / field.p for x in row] for row in self.gram]
+
+    monkeypatch.setattr(iwasawa, "GlobalFieldModel", WrongGram)
+    ok, checks = run_suite("different")
+    assert checks and not ok
+    assert not any(c.ok for c in checks)
 
 
 def test_idempotent_suite_all_relations():

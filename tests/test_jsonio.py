@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conductor.errors import InputError
+from conductor.groups import GroupAutomorphism, SemidirectData
 from conductor.jsonio import (
     alpha_images_from_json,
     base_field,
@@ -15,7 +16,6 @@ from conductor.jsonio import (
     group_from_json,
     load_json,
     presentation_from_json,
-    semidirect_from_json,
 )
 
 
@@ -50,25 +50,14 @@ def test_alpha_images_accepts_bare_and_wrapped():
         alpha_images_from_json([0, "x"])
 
 
-def test_semidirect_from_json():
-    table = [[(i + j) % 7 for j in range(7)] for i in range(7)]
-    obj = {
-        "h": {"mult_table": table},
-        "alpha_images": [(2 * x) % 7 for x in range(7)],
-        "p": 3,
-    }
-    sd = semidirect_from_json(obj)
-    assert sd.p == 3 and sd.n == 1
-    with pytest.raises(InputError):
-        semidirect_from_json(obj, p=5)  # contradicts the embedded prime
-
-
 def test_primes_above_2_to_64_are_input_errors():
     table = [[(i + j) % 7 for j in range(7)] for i in range(7)]
     huge = 2**64 + 13
-    obj = {"h": {"mult_table": table}, "alpha_images": list(range(7)), "p": huge}
+    # the iwasawa command builds its semidirect product this way
+    h = group_from_json({"mult_table": table})
+    alpha = GroupAutomorphism(h, alpha_images_from_json(list(range(7))))
     with pytest.raises(InputError, match="too large"):
-        semidirect_from_json(obj)
+        SemidirectData(h, alpha, huge)
     with pytest.raises(InputError, match="too large"):
         field_from_json({"p": huge, "m": 1})
 
@@ -132,7 +121,7 @@ def test_dump_json_round_trip():
 # JSON values over the keys the loaders read, with small integers so that
 # any group that parses stays tiny
 KEYS = ["name", "perm_gens", "degree", "mult_table", "p", "m", "stab_gens",
-        "h", "alpha_images", "images", "a", "b", "entries"]
+        "alpha_images", "images", "a", "b", "entries"]
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-1, 4) | st.sampled_from(["", "x", "1/2", "3"]),
     lambda inner: st.lists(inner, max_size=4)
@@ -144,7 +133,6 @@ LOADERS = [
     group_from_json,
     field_from_json,
     alpha_images_from_json,
-    semidirect_from_json,
     lambda obj: presentation_from_json(obj, C2),
 ]
 

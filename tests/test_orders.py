@@ -58,12 +58,3 @@ def test_trace_dual_matches_inverse_different():
         AbelianLocalField.unramified(3, 2),
     ):
         assert GlobalFieldModel(field).inverse_different_dual_check()
-
-
-def test_element_valuation():
-    m = GlobalFieldModel(AbelianLocalField.cyclotomic(3, 1))
-    z = m.basis[1]
-    one = m.basis[0]
-    # 1 - zeta_3 is a uniformizer, 3 has valuation e = 2
-    assert m.element_valuation(one - z) == 1
-    assert m.element_valuation(one * 3) == 2
