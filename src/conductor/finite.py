@@ -819,15 +819,9 @@ def sharpness_probe(g, p, pool):
     """
     lat = brute_force_conductor(g, p)
     k = len(lat.cols[0]) if lat.cols else 0
-    candidates = []
-    ident = [Fraction(0)] * k
-    ident[0] = Fraction(1)
-    candidates.append(ident)
-    for l in range(k):
-        vec = [Fraction(0)] * k
-        vec[l] = Fraction(1)
-        candidates.append(vec)
-    outside = [c for c in candidates if not lattice_contains(lat, c)]
+    # the class-sum unit vectors, the identity class (l = 0) first
+    units = ([Fraction(int(j == l)) for j in range(k)] for l in range(k))
+    outside = [c for c in units if not lattice_contains(lat, c)]
     for mod_m, mod_n in pool:
         comp = ExtComputation(mod_m, mod_n, p)
         if not comp.divisors:

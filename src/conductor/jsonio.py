@@ -11,7 +11,6 @@ import json
 from fractions import Fraction
 
 from .errors import InputError
-from .fitting import PresentationMatrix
 from .groups import ELEMENT_BOUND, FiniteGroup
 from .localfields import AbelianLocalField
 
@@ -104,8 +103,10 @@ def alpha_images_from_json(obj, where="alpha"):
                 break
         else:
             raise InputError("%s: missing key 'alpha_images'" % where)
-    if not isinstance(obj, list) or not all(isinstance(x, int) for x in obj):
+    if not isinstance(obj, list):
         raise InputError("%s: automorphism images must be a list of indices" % where)
+    for i, x in enumerate(obj):
+        _integer(x, "%s[%d]" % (where, i))
     return obj
 
 
@@ -153,10 +154,12 @@ def _coefficient(v, where):
 def presentation_from_json(obj, group, where="matrix"):
     """{"a": rows, "b": cols, "entries": [[entry, ...], ...]} with each entry
     a length-|G| coefficient vector over the group's element indices."""
-    a = _require(obj, "a", where)
-    b = _require(obj, "b", where)
+    from .fitting import PresentationMatrix
+
+    a = _integer(_require(obj, "a", where), "%s.a" % where)
+    b = _integer(_require(obj, "b", where), "%s.b" % where)
     entries = _require(obj, "entries", where)
-    if not isinstance(a, int) or not isinstance(b, int) or a < 0 or b < 0:
+    if a < 0 or b < 0:
         raise InputError("%s: a and b must be nonnegative integers" % where)
     if not isinstance(entries, list) or len(entries) != a:
         raise InputError("%s: entries must be a list of %d rows" % (where, a))

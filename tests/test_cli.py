@@ -221,8 +221,8 @@ def test_iwasawa_level_refuses_large_quotient_first(capsys, monkeypatch):
     def must_not_run(sd, level):
         raise AssertionError("level check ran before the table bound")
 
-    monkeypatch.setattr("conductor.cli.trace_lemma_check", must_not_run)
-    monkeypatch.setattr("conductor.cli.dual_basis_check", must_not_run)
+    monkeypatch.setattr("conductor.iwasawa.trace_lemma_check", must_not_run)
+    monkeypatch.setattr("conductor.iwasawa.dual_basis_check", must_not_run)
     argv = ["iwasawa", "--h", sample("c7.json"), "--alpha", sample("sq.json"), "--p", "3"]
     assert run(argv + ["--level", "12"]) == 2
     assert "character table limited to order <= 2000" in capsys.readouterr().err
@@ -324,6 +324,13 @@ def test_verify_suite_without_cases_at_p_is_input_error(capsys):
     assert "'different'" in capsys.readouterr().err
 
 
+def test_unknown_suite_is_input_error(capsys):
+    assert run(["verify", "--suite", "nosuch"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert "unknown suite 'nosuch'; available: conductor, degrees," in err
+
+
 def test_verify_all_skips_suites_without_cases(capsys, monkeypatch):
     from conductor import verify
 
@@ -357,3 +364,40 @@ def test_table_view_of_verify(capsys):
     )
     assert code == 0
     assert out.startswith("suite exponents: PASS")
+
+
+# Run one subcommand in a fresh interpreter; print its exit code and the
+# conductor modules it loaded.
+_FOOTPRINT = """\
+import json, sys
+from contextlib import redirect_stdout
+from io import StringIO
+from conductor.cli import run
+with redirect_stdout(StringIO()):
+    code = run(sys.argv[1:])
+loaded = [m.split(".", 1)[1] for m in sys.modules if m.startswith("conductor.")]
+print(json.dumps([code, loaded]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["chartab", "--group", "s3.json"],
+         {"finite", "fitting", "iwasawa", "orders", "verify", "catalog"}),
+        (["finite", "--group", "s3.json", "--p", "3"], {"fitting", "iwasawa", "verify"}),
+        (["fitting", "--group", "s3.json", "--p", "3", "--matrix", "times3.json"],
+         {"iwasawa", "verify"}),
+    ],
+    ids=["chartab", "finite", "fitting"],
+)
+def test_subcommand_loads_only_what_it_runs(argv, absent):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    argv = [sample(a) if a.endswith(".json") else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT] + argv,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert "cli" in loaded and not absent & set(loaded)

@@ -374,6 +374,25 @@ def test_sub_conductor_element_fails_somewhere():
     coords, name_m, name_n = sharpness_probe(g, 3, pool=[(triv, target)])
     assert not ExtComputation(triv, target, 3).annihilates(coords)
     assert (name_m, name_n) == (triv.name, target.name)
+    # the identity class sum comes first
+    assert coords == [1, 0, 0]
+
+
+def test_sharpness_probe_tries_each_candidate_once(monkeypatch):
+    # at C3, p = 3 all three class sums lie outside the conductor; with
+    # every element annihilating, the probe exhausts them, each one once
+    g = cyclic_group(3)
+    triv = trivial_module(g)
+    tried = []
+
+    def annihilates(self, class_coords):
+        tried.append(tuple(class_coords))
+        return True
+
+    monkeypatch.setattr(ExtComputation, "annihilates", annihilates)
+    with pytest.raises(ArithmeticError, match="not sharp"):
+        sharpness_probe(g, 3, pool=[(triv, triv.mod_p_power(1))])
+    assert sorted(tried) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_a4_agrees_even_at_the_bad_prime():

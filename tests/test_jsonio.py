@@ -48,6 +48,8 @@ def test_alpha_images_accepts_bare_and_wrapped():
         alpha_images_from_json({"wrong": []})
     with pytest.raises(InputError):
         alpha_images_from_json([0, "x"])
+    with pytest.raises(InputError):
+        alpha_images_from_json([0, True, 2])
 
 
 def test_primes_above_2_to_64_are_input_errors():
@@ -110,6 +112,8 @@ def test_presentation_parsing():
         presentation_from_json({"a": 2, "b": 1, "entries": [[[1, 0]]]}, g)
     with pytest.raises(InputError):
         presentation_from_json({"a": 1, "b": 1, "entries": [[[1, "x"]]]}, g)
+    with pytest.raises(InputError):
+        presentation_from_json({"a": True, "b": True, "entries": [[[1, 0]]]}, g)
 
 
 def test_dump_json_round_trip():
