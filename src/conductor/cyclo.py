@@ -235,16 +235,6 @@ class CycloNumber:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return CycloNumber(self.m, [-x for x in self.coeffs])
-
-    def __sub__(self, other):
-        a, b = self._pair(other)
-        return CycloNumber(a.m, [x - y for x, y in zip(a.coeffs, b.coeffs)])
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return CycloNumber(self.m, [c * other for c in self.coeffs])
@@ -259,12 +249,6 @@ class CycloNumber:
         return CycloNumber(a.m, _fold(a.m, enumerate(prod)))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        q = Fraction(other)
-        return CycloNumber(self.m, [c / q for c in self.coeffs])
 
     def __pow__(self, n: int) -> "CycloNumber":
         if n < 0:
@@ -289,9 +273,6 @@ class CycloNumber:
         red = self.minimal_conductor()
         return hash((red.m, red.coeffs))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
@@ -307,9 +288,6 @@ class CycloNumber:
                 "exponent %d is not coprime to conductor %d" % (k, self.m)
             )
         return CycloNumber(self.m, _fold(self.m, ((e * k, c) for e, c in enumerate(self.coeffs))))
-
-    def conjugate(self) -> "CycloNumber":
-        return self.galois(self.m - 1) if self.m > 1 else self
 
     def trace_to_q(self) -> Fraction:
         """Trace to Q, one ``root_trace`` per nonzero coordinate."""

@@ -7,30 +7,32 @@ Wedderburn component at a time from the character table alone: the
 component of chi has reduced trace chi, so the traces of the powers of the
 matrix give the power sums of its reduced characteristic polynomial, and
 Newton's identities give its constant term.  No representation is needed,
-whatever the degree or Schur index of chi.
+whatever the degree or Schur index of chi.  On integers, with D the
+common denominator: S_j = D^j s_j, F_j = j! D^j e_j, and
+F_j = sum_{i<=j} (-1)^(i-1) ((j-1)!/(j-i)!) F_(j-i) S_i with F_0 = 1, at
+each row's own output conductor, not at E (``reduced_norm``).
 
 The annihilation statement under test: central conductor times Fitting
-invariant annihilates the cokernel.  Each Fitting generator is a center
-element given per character; multiplied by a conductor element it lands in
-o[G] and must carry every unit vector of Lambda^b into the presentation
-image, which is a lattice membership check.  The generator is turned into
-a vector on G one class at a time, summed on the table's integer
-coordinates (``materialize_center``), which also certifies that it is
-Galois-coherent; the conductor lattice is the group's shared
-``formula_conductor_lattice``.
+invariant annihilates the cokernel.  Both factors are central, so the
+product of a column of the group's ``formula_conductor_lattice`` with a
+generator's integer class sums over one denominator (``_center_classes``,
+which certifies Galois coherence) is formed in class-sum coordinates with
+the class multiplication coefficients of ``chartab._class_matrix``.  It
+must be p-integral and carry each unit vector of Lambda^b into the
+presentation image: a lattice membership check on residues mod p^N.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import factorial, lcm
 
-from .chartab import _normalized, _sparse_sum, character_table
-from .cyclo import CycloNumber, _common_conductor
+from .chartab import _class_matrix, _normalized, _sparse_sum, character_table
+from .cyclo import CycloNumber, _common_conductor, _fold, _reduction_context
 from .errors import InputError
 from .finite import _convolve, formula_conductor_lattice, working_precision
 from .groups import FiniteGroup, conjugacy_classes
-from .padic import hnf_columns, lattice_contains, vp
+from .padic import hnf_columns, lattice_contains, residue, vp
 
 
 @dataclass
@@ -51,12 +53,8 @@ class PresentationMatrix:
                 raise InputError("expected %d columns per row" % self.b)
             for vec in row:
                 if len(vec) != n:
-                    raise InputError(
-                        "entries must have one coefficient per group element"
-                    )
-        self.entries = [
-            [[Fraction(c) for c in vec] for vec in row] for row in self.entries
-        ]
+                    raise InputError("entries must have one coefficient per group element")
+        self.entries = [[[Fraction(c) for c in vec] for vec in row] for row in self.entries]
 
 
 @dataclass
@@ -80,31 +78,24 @@ class FittingGenerators:
         return {
             "zero": self.zero,
             "generators": [
-                {
-                    "rows": list(subset),
-                    "components": [v.to_json() for v in vals],
-                }
+                {"rows": list(subset), "components": [v.to_json() for v in vals]}
                 for subset, vals in zip(self.subsets, self.values)
             ],
         }
 
 
 def _power_traces(g, matrix, top):
-    """Class sums of the trace sum_i (M^j)_ii over Q[G], for j = 1..top."""
+    """Class sums of the trace sum_i (M^j)_ii over Z[G] of an integer matrix
+    M, for j = 1..top."""
     k = len(matrix)
     classes = conjugacy_classes(g)
     out = []
     power = matrix
     for j in range(1, top + 1):
-        if j > 1:  # M^j = M^(j-1) M over Q[G]
-            power = [
-                [
-                    [sum(t) for t in zip(*(_convolve(g, prow[l], matrix[l][c]) for l in range(k)))]
-                    for c in range(k)
-                ]
-                for prow in power
-            ]
-        sums = [Fraction(0)] * len(classes.classes)
+        if j > 1:  # M^j = M^(j-1) M over Z[G]
+            power = [[[sum(t) for t in zip(*(_convolve(g, r[l], matrix[l][c]) for l in range(k)))]
+                      for c in range(k)] for r in power]
+        sums = [0] * len(classes.classes)
         for i in range(k):
             for x, c in enumerate(power[i][i]):
                 if c:
@@ -113,47 +104,80 @@ def _power_traces(g, matrix, top):
     return out
 
 
+def _newton(m, sums):
+    """F_top from S_1..S_top, integer coordinates at conductor m."""
+    phi, _ = _reduction_context(m)
+    f = [[1] + [0] * (phi - 1)]
+    for j in range(1, len(sums) + 1):
+        acc = [0] * (2 * phi - 1)
+        w = 1  # (j-1)!/(j-i)!
+        for i in range(1, j + 1):
+            sw = w if i % 2 else -w
+            for x, a in enumerate(f[j - i]):
+                if a:
+                    for y, b in enumerate(sums[i - 1]):
+                        if b:
+                            acc[x + y] += sw * a * b
+            w *= j - i
+        f.append(_fold(m, enumerate(acc), 0))
+    return f[-1]
+
+
 def reduced_norm(g, matrix):
     """nrd of a square matrix over K[G], one CycloNumber per character row.
 
     The block of row chi has reduced trace chi, so the reduced
     characteristic polynomial of a k x k matrix M there has degree
-    k chi(1) and power sums s_j = sum_i chi((M^j)_ii).  Newton's identities
-    e_j = (1/j) sum_{i=1..j} (-1)^(i-1) e_{j-i} s_i give its coefficients,
-    and nrd_chi(M) = e_{k chi(1)}, for every Schur index.
+    top = k chi(1) and power sums s_j = sum_i chi((M^j)_ii); nrd_chi(M) is
+    its e_top, for every Schur index.  With D the common denominator of M
+    and of the values used, S_j = D^j s_j are integer coordinates and
+    F_j = j! D^j e_j = sum_{i=1..j} (-1)^(i-1) ((j-1)!/(j-i)!) F_(j-i) S_i,
+    F_0 = 1, so e_top = F_top / (top! D^top).  A row is written at its
+    output conductor m, the common conductor of chi(t) over the classes t
+    where some tr(M^j), j <= top, is nonzero; a zero norm is the rational
+    0.  Not at the exponent conductor E, where each product would cost
+    phi(E)^2 against phi(m)^2.
     """
     k = len(matrix)
     for row in matrix:
         if len(row) != k:
             raise InputError("reduced norm needs a square matrix")
     table = character_table(g)
-    traces = _power_traces(g, matrix, k * max(table.degrees))
+    den = lcm(*(c.denominator for row in matrix for vec in row for c in vec))
+    scaled = [[[c.numerator * (den // c.denominator) for c in v] for v in row] for row in matrix]
+    traces = _power_traces(g, scaled, k * max(table.degrees))  # D^j tr(M^j)
     zero = CycloNumber.rational(0)
     out = []
     for chi, deg in zip(table.values, table.degrees):
         top = k * deg
-        s = [sum((v * c for v, c in zip(chi, t) if c), zero) for t in traces[:top]]
-        e = [CycloNumber.rational(1)]
-        for j in range(1, top + 1):
-            terms = (e[j - i] * s[i - 1] for i in range(1, j + 1))
-            e.append(sum((t if i % 2 else -t for i, t in enumerate(terms, 1)), zero) / j)
-        out.append(zero if e[top].is_zero() else e[top])
+        live = {t for tr in traces[:top] for t, c in enumerate(tr) if c}
+        # the values' conductors are never 2 mod 4, so neither is their lcm
+        m = lcm(*(chi[t].m for t in live))
+        # delta chi(t) at m, delta the values' denominator (1 for characters)
+        delta = lcm(*(c.denominator for t in live for c in chi[t].coeffs))
+        terms = [(t, e * (m // chi[t].m), c.numerator * (delta // c.denominator))
+                 for t in live for e, c in enumerate(chi[t].coeffs) if c]
+        sums = [  # S_j for D delta
+            [x * delta ** (j - 1) for x in _fold(m, ((e, c * tr[t]) for t, e, c in terms), 0)]
+            for j, tr in enumerate(traces[:top], 1)
+        ]
+        f = _newton(m, sums)
+        scale = factorial(top) * (den * delta) ** top
+        out.append(CycloNumber(m, [Fraction(c, scale) for c in f]) if any(f) else zero)
     return out
 
 
-def materialize_center(g, values):
-    """sum_chi v_chi e_chi as a rational coefficient vector on G, given one
-    CycloNumber v_chi per character row.
+def _center_classes(g, values):
+    """sum_chi v_chi e_chi, given one CycloNumber v_chi per character row, as
+    integer class sums over one denominator: (sums, D |G|).
 
-    The element is central, so its coefficient at x is one rational per
-    class t of x: (1/|G|) sum_chi chi(1) v_chi chi(g_t^-1), the
-    ``idempotent_coords`` sum with cyclotomic weights.  It is summed on
-    integer coordinates at the common conductor L of the table's exponent
-    conductor E and the components: each v_chi is lifted to L and scaled
-    to integers by one common denominator D, and chi(g_t^-1) = sum_i c_i
-    zeta_E^i is read at L as sum_i c_i zeta_L^(i L/E).  The components must
-    be Galois-coherent, so that the element lies in Q[G]: a class whose sum
-    has a nonzero coordinate past the first raises InputError.
+    The coefficient at class t is (1/|G|) sum_chi chi(1) v_chi chi(g_t^-1),
+    summed on integer coordinates at the common conductor L of the table's
+    exponent conductor E and the components: each v_chi lifted to L and
+    scaled to integers by one common denominator D, chi(g_t^-1) =
+    sum_i c_i zeta_E^i read at L as sum_i c_i zeta_L^(i L/E).  A class sum
+    with a nonzero coordinate past the first means the components are not
+    Galois-coherent and raises InputError.
     """
     table = character_table(g)
     if len(values) != table.n_classes:
@@ -172,24 +196,28 @@ def materialize_center(g, values):
         for v in values
     ]
     shift = big // e_norm
-    per_class = []
+    coords = table.coords
+    if shift > 1:
+        coords = [[{i * shift: c for i, c in d.items()} for d in row] for row in coords]
+    sums = []
     for t in range(table.n_classes):
         s = table.inverse_class(t)
         folded = _sparse_sum(
-            (
-                (deg, ints, {i * shift: c for i, c in row[s].items()})
-                for deg, ints, row in zip(table.degrees, scaled, table.coords)
-            ),
-            big,
+            ((deg, ints, row[s]) for deg, ints, row in zip(table.degrees, scaled, coords)), big
         )
         if any(folded[1:]):
             raise InputError(
                 "center components are not Galois-coherent; the element "
                 "does not descend to the rational group algebra"
             )
-        per_class.append(Fraction(folded[0], denom * g.order))
-    class_of = table.classes.class_of
-    return [per_class[class_of[x]] for x in range(g.order)]
+        sums.append(folded[0])
+    return sums, denom * g.order
+
+
+def materialize_center(g, values):
+    """``_center_classes`` as a rational coefficient vector on G."""
+    sums, den = _center_classes(g, values)
+    return [Fraction(sums[t], den) for t in conjugacy_classes(g).class_of]
 
 
 def fitting_generators(pres: PresentationMatrix, reps=None) -> FittingGenerators:
@@ -207,23 +235,28 @@ def fitting_generators(pres: PresentationMatrix, reps=None) -> FittingGenerators
     return pres._fitting
 
 
+def _require_integral(pres, p):
+    bad = [c for row in pres.entries for vec in row for c in vec if c.denominator % p == 0]
+    if bad:
+        raise InputError("presentation entries must be %d-integral, got %s" % (p, bad[0]))
+
+
 def presentation_image(pres: PresentationMatrix, p, precision=None):
     """Image of Lambda^a -> Lambda^b as a lattice in Z_p^(b|G|): spanned by
     the rows of the matrix under all left translations."""
     g = pres.group
     n = g.order
-    bad = [c for row in pres.entries for vec in row for c in vec if c and vp(c, p) < 0]
-    if bad:
-        raise InputError("presentation entries must be %d-integral, got %s" % (p, bad[0]))
+    _require_integral(pres, p)
     if precision is None:
         precision = working_precision(g, p)
+    modulus = p**precision
     cols = []
-    for i in range(pres.a):
+    for entries in pres.entries:
+        row = [[residue(c, p, modulus) for c in entry] for entry in entries]
         for x in range(n):
             vec = []
-            for j in range(pres.b):
-                entry = pres.entries[i][j]
-                shifted = [Fraction(0)] * n
+            for entry in row:
+                shifted = [0] * n
                 for y, c in enumerate(entry):
                     if c:
                         shifted[g.mult(x, y)] = c
@@ -235,13 +268,14 @@ def presentation_image(pres: PresentationMatrix, p, precision=None):
 def annihilation_check(pres: PresentationMatrix, p, reps=None, precision=None) -> bool:
     """Conductor times Fitting invariant annihilates the cokernel.
 
-    Every product of a central conductor generator with a Fitting generator
-    must be p-integral and carry each unit vector of Lambda^b into the
-    presentation image.  Vacuously true for the zero Fitting class and for
-    b = 0, where the cokernel is 0.  The Fitting generators are those of
-    ``fitting_generators``, computed once per presentation.
-    ``reps`` is ignored, as in ``fitting_generators``.
+    Entries that are not p-integral raise InputError.  Every product of a
+    central conductor generator with a Fitting generator (those of
+    ``fitting_generators``) must be p-integral and carry each unit vector
+    of Lambda^b into the presentation image.  Vacuously true for the zero
+    Fitting class and for b = 0, where the cokernel is 0.  ``reps`` is
+    ignored, as in ``fitting_generators``.
     """
+    _require_integral(pres, p)
     fit = fitting_generators(pres)
     g = pres.group
     n = g.order
@@ -249,46 +283,33 @@ def annihilation_check(pres: PresentationMatrix, p, reps=None, precision=None) -
         return True
     if precision is None:
         precision = working_precision(g, p)
+    modulus = p**precision
     conductor = formula_conductor_lattice(g, p, precision=precision)
     image = presentation_image(pres, p, precision=precision)
-    class_of = conjugacy_classes(g).class_of
+    classes = conjugacy_classes(g)
+    k = len(classes.classes)
     for vals in fit.values:
-        zc = materialize_center(g, vals)
+        z, den = _center_classes(g, vals)
+        times_z = [[0] * k for _ in range(k)]  # c_s z = sum_j z_j c_s c_j, on class sums
+        for s, acc in enumerate(times_z):
+            for zj, row in zip(z, _class_matrix(g, classes, s)):
+                if zj:
+                    for t, a in row:
+                        acc[t] += a * zj
+        pa = p ** vp(den, p)
+        unit_inv = pow(den // pa, -1, modulus)
         for col in conductor.cols:
-            # conductor columns are class-sum coordinates; spread over elements
-            spread = [Fraction(col[class_of[x]]) for x in range(n)]
-            prod = _convolve(g, spread, zc)
-            if any(vp(c, p) < 0 for c in prod if c):
+            prod = [0] * k  # den times col * z
+            for c, row in zip(col, times_z):
+                if c:
+                    for t, x in enumerate(row):
+                        prod[t] += c * x
+            if any(x % pa for x in prod):
                 return False
-            for k in range(pres.b):
-                vec = [Fraction(0)] * (pres.b * n)
-                vec[k * n : (k + 1) * n] = prod
+            res = [x // pa * unit_inv % modulus for x in prod]
+            spread = [res[t] for t in classes.class_of]
+            for j in range(pres.b):
+                vec = [0] * (j * n) + spread + [0] * ((pres.b - 1 - j) * n)
                 if not lattice_contains(image, vec):
                     return False
     return True
-
-
-def group_algebra_determinant(g, matrix):
-    """Determinant of a square matrix over a commutative group algebra by
-    cofactor expansion; the classical-minor cross-check for reduced norms."""
-    if not g.is_abelian():
-        raise InputError("classical determinant needs an abelian group")
-    k = len(matrix)
-    for row in matrix:
-        if len(row) != k:
-            raise InputError("determinant needs a square matrix")
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return matrix[rows[0]][cols[0]]
-        acc = [Fraction(0)] * g.order
-        rest = rows[1:]
-        for t, c in enumerate(cols):
-            minor = det(rest, cols[:t] + cols[t + 1 :])
-            term = _convolve(g, matrix[rows[0]][c], minor)
-            if t % 2:
-                term = [-x for x in term]
-            acc = [x + y for x, y in zip(acc, term)]
-        return acc
-
-    return det(list(range(k)), list(range(k)))

@@ -92,7 +92,7 @@ def _inner_products(big, row, small, embedding):
         acc = CycloNumber.rational(0)
         for t, size in enumerate(small.sizes()):
             acc = acc + res[t] * eta[small.inverse_class(t)] * size
-        mult = (acc / h.order).as_fraction()
+        mult = acc.as_fraction() / h.order
         assert mult.denominator == 1
         if mult:
             out.append((j, int(mult)))

@@ -183,6 +183,22 @@ def test_fitting_rejects_non_integral_entry(capsys, tmp_path, optimize):
     assert "3-integral" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("optimize", [False, True])
+def test_fitting_rejects_non_integral_entry_of_zero_class(capsys, tmp_path, optimize):
+    # a 1 x 2 matrix has the zero Fitting class; its entries are still checked
+    matrix = {"a": 1, "b": 2, "entries": [[["1/3", 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]]]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(matrix))
+    argv = ["fitting", "--group", sample("s3.json"), "--p", "3", "--matrix", str(path)]
+    if optimize:
+        code, out, err = _run_optimized(argv)
+    else:
+        code = run(argv)
+        out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "3-integral" in err and "Traceback" not in err
+
+
 def test_iwasawa_above_the_table_bound(capsys, tmp_path):
     # S6 (order 720) with the identity action: n = 0, one component per
     # irreducible character, all of them rational

@@ -2,8 +2,10 @@
 annihilation of presentation cokernels."""
 
 import copy
+import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -24,15 +26,16 @@ from conductor.cyclo import CycloNumber
 from conductor.errors import InputError
 from conductor.finite import _convolve, formula_conductor_lattice
 from conductor.fitting import (
+    FittingGenerators,
     PresentationMatrix,
     annihilation_check,
     fitting_generators,
-    group_algebra_determinant,
     materialize_center,
+    presentation_image,
     reduced_norm,
 )
-from conductor.groups import FiniteGroup, cyclic_group, direct_product
-from conductor.padic import fraction_determinant
+from conductor.groups import FiniteGroup, conjugacy_classes, cyclic_group, direct_product
+from conductor.padic import fraction_determinant, hnf_columns, lattice_contains
 from conductor.verify import run_suite
 
 
@@ -55,8 +58,8 @@ def test_reduced_norm_c3_augmentation_style_element():
     nr = reduced_norm(g, [[unit_vec(3, {0: 1, 1: -1})]])
     z = CycloNumber.root(3)
     zero = CycloNumber.rational(0)
-    assert sorted(v.is_zero() for v in nr) == [False, False, True]
-    assert {v for v in nr if not v.is_zero()} == {1 - z, 1 - z**2}
+    assert sorted(any(v.coeffs) for v in nr) == [False, True, True]
+    assert {v for v in nr if any(v.coeffs)} == {1 + z * -1, 1 + z**2 * -1}
     trivial_rows = [i for i, v in enumerate(nr) if v == zero]
     assert len(trivial_rows) == 1
     # a singular block reads as the rational zero at conductor 1, also
@@ -317,13 +320,31 @@ def test_fitting_suite_builds_each_formula_lattice_once(monkeypatch):
         assert formula_conductor_lattice(g, p) is lat
 
 
+def _cofactor_determinant(g, matrix):
+    """Determinant of a square matrix over a commutative group algebra by
+    cofactor expansion: the classical-minor route for reduced norms."""
+    if not g.is_abelian():
+        raise InputError("classical determinant needs an abelian group")
+
+    def det(rows, cols):
+        if len(rows) == 1:
+            return matrix[rows[0]][cols[0]]
+        acc = [Fraction(0)] * g.order
+        for t, c in enumerate(cols):
+            term = _convolve(g, matrix[rows[0]][c], det(rows[1:], cols[:t] + cols[t + 1 :]))
+            acc = [x - y if t % 2 else x + y for x, y in zip(acc, term)]
+        return acc
+
+    return det(list(range(len(matrix))), list(range(len(matrix))))
+
+
 def test_classical_determinant_cross_check():
     g = cyclic_group(4)
     mat = [
         [unit_vec(4, {0: 2, 1: 1}), unit_vec(4, {2: 1})],
         [unit_vec(4, {3: -1}), unit_vec(4, {0: 1, 1: 1})],
     ]
-    det = group_algebra_determinant(g, mat)
+    det = _cofactor_determinant(g, mat)
     nr_det = reduced_norm(g, [[det]])
     prodwise = reduced_norm(g, mat)
     assert nr_det == prodwise
@@ -340,4 +361,219 @@ def test_mismatched_shapes_rejected():
 def test_nonabelian_classical_determinant_rejected():
     g = symmetric_3()
     with pytest.raises(InputError):
-        group_algebra_determinant(g, [[unit_vec(6, {0: 1})]])
+        _cofactor_determinant(g, [[unit_vec(6, {0: 1})]])
+
+
+# -- reference routes: CycloNumber Newton identities and Fraction products --
+
+
+def _reference_norm(g, matrix):
+    """reduced_norm in CycloNumber arithmetic: power traces over Q[G] by
+    Fraction convolutions, e_j = (1/j) sum_i (-1)^(i-1) e_(j-i) s_i."""
+    k = len(matrix)
+    table = character_table(g)
+    class_of = table.classes.class_of
+    traces, power = [], matrix
+    for j in range(1, k * max(table.degrees) + 1):
+        if j > 1:
+            power = [
+                [[sum(t) for t in zip(*(_convolve(g, r[l], matrix[l][c]) for l in range(k)))]
+                 for c in range(k)]
+                for r in power
+            ]
+        sums = [Fraction(0)] * table.n_classes
+        for i in range(k):
+            for x, c in enumerate(power[i][i]):
+                sums[class_of[x]] += c
+        traces.append(sums)
+    zero = CycloNumber.rational(0)
+    out = []
+    for chi, deg in zip(table.values, table.degrees):
+        top = k * deg
+        s = [sum((v * c for v, c in zip(chi, t) if c), zero) for t in traces[:top]]
+        e = [CycloNumber.rational(1)]
+        for j in range(1, top + 1):
+            terms = (e[j - i] * s[i - 1] * (1 if i % 2 else -1) for i in range(1, j + 1))
+            e.append(sum(terms, zero) * Fraction(1, j))
+        out.append(e[top] if any(e[top].coeffs) else zero)
+    return out
+
+
+def _reference_generators(pres):
+    subsets = list(combinations(range(pres.a), pres.b))
+    values = [_reference_norm(pres.group, [pres.entries[i] for i in rows]) for rows in subsets]
+    return FittingGenerators(subsets, values)
+
+
+def _reference_annihilation(pres, p, fit):
+    """annihilation_check on the reference generators ``fit``, with Fraction
+    convolutions over all of G: True, or the failing test, "integrality" or
+    "lattice"."""
+    g, n = pres.group, pres.group.order
+    if any(c.denominator % p == 0 for row in pres.entries for vec in row for c in vec):
+        raise InputError("presentation entries must be %d-integral" % p)
+    if fit.zero or pres.b == 0:
+        return True
+    precision = finite.working_precision(g, p)
+    conductor = fitting.formula_conductor_lattice(g, p, precision=precision)
+    image = hnf_columns(p, precision, [
+        [c for entry in row for c in _convolve(g, unit_vec(n, {x: 1}), entry)]
+        for row in pres.entries for x in range(n)
+    ])
+    class_of = conjugacy_classes(g).class_of
+    for values in fit.values:
+        zc = _reference_center(g, values)
+        for col in conductor.cols:
+            prod = _convolve(g, [Fraction(col[class_of[x]]) for x in range(n)], zc)
+            if any(c.denominator % p == 0 for c in prod):
+                return "integrality"
+            for k in range(pres.b):
+                vec = [0] * (k * n) + prod + [0] * ((pres.b - 1 - k) * n)
+                if not lattice_contains(image, vec):
+                    return "lattice"
+    return True
+
+
+def _seeded_entry(rng, n, p, fractions):
+    vec = [0] * n
+    for _ in range(rng.randint(1, 3)):
+        c = Fraction(rng.randint(-4, 4))
+        if fractions and rng.random() < 0.5:
+            c /= rng.choice([d for d in (2, 4, 5, 7) if d % p])
+        vec[rng.randrange(n)] = c
+    return vec
+
+
+def _small_tables():
+    return [(g, next((q for q in (3, 5, 7) if g.order % q == 0), 3))
+            for g in table_catalog() if g.order <= 24]
+
+
+def test_integer_routes_match_reference_routes():
+    # seeded k x k presentations, k = 1..3, integer and Fraction entries
+    # with denominators prime to p, plus singular blocks: the Fitting
+    # generators' JSON and the verdict are the reference routes'
+    tops, zeros = set(), 0
+    zero = json.dumps(CycloNumber.rational(0).to_json())
+    for g, p in _small_tables():
+        n = g.order
+        rng = random.Random(n * 31 + p)
+        degrees = character_table(g).degrees
+        for k in (1, 2, 3):
+            for fractions in (False, True):
+                entries = [[_seeded_entry(rng, n, p, fractions) for _ in range(k)]
+                           for _ in range(k)]
+                cases = [entries]
+                if k == 1:  # the norm element: singular away from the trivial block
+                    cases.append([[[1] * n]])
+                else:  # two equal rows: singular in every block
+                    cases.append([entries[0]] * 2 + entries[2:])
+                for rows in cases:
+                    pres = PresentationMatrix(g, k, k, rows)
+                    want = _reference_generators(pres)
+                    got = fitting_generators(pres)
+                    assert json.dumps(got.to_json()) == json.dumps(want.to_json()), (g.name, k)
+                    verdict = _reference_annihilation(pres, p, want)
+                    assert annihilation_check(pres, p) is verdict is True, (g.name, k)
+                    tops.update((g.name, k * d) for d in degrees)
+                    zeros += sum(json.dumps(v.to_json()) == zero for v in got.values[0])
+    assert ("A4", 6) in tops  # the degree-3 rows of A4 at k = 2
+    assert zeros > 0
+
+
+def _unit_lattice(g, p, precision=None):
+    """The class-sum unit vectors, in place of the conductor."""
+    k = len(character_table(g).degrees)
+    precision = precision or finite.working_precision(g, p)
+    return hnf_columns(p, precision, [[int(i == j) for i in range(k)] for j in range(k)])
+
+
+@pytest.mark.parametrize(
+    "label, coeffs, branch",
+    [
+        # 2 e_sign = (1/3) sum sign(x) x is not 3-integral
+        ("1 - t", {0: 1, 1: -1}, "integrality"),
+        # 3-integral products outside the presentation image
+        ("3 + 3t", {0: 3, 1: 3}, "lattice"),
+        ("2 + r", {0: 2, 2: 1}, "lattice"),
+    ],
+)
+def test_annihilation_false_branches(monkeypatch, label, coeffs, branch):
+    # the class-sum unit vectors do not lie in the conductor, so each of
+    # annihilation_check's two failures can be reached on S3 at p = 3
+    monkeypatch.setattr(fitting, "formula_conductor_lattice", _unit_lattice)
+    g = symmetric_3()
+    pres = PresentationMatrix(g, 1, 1, [[unit_vec(6, coeffs)]])
+    assert _reference_annihilation(pres, 3, _reference_generators(pres)) == branch, label
+    assert annihilation_check(pres, 3) is False, label
+
+
+def test_unit_lattice_verdicts_match_reference(monkeypatch):
+    monkeypatch.setattr(fitting, "formula_conductor_lattice", _unit_lattice)
+    seen = set()
+    for g, p in _small_tables():
+        if g.order > 12:
+            continue
+        rng = random.Random(g.order)
+        for k, a in ((1, 1), (1, 2), (2, 2)):
+            for fractions in (False, True):
+                rows = [[_seeded_entry(rng, g.order, p, fractions) for _ in range(k)]
+                        for _ in range(a)]
+                pres = PresentationMatrix(g, a, k, rows)
+                want = _reference_annihilation(pres, p, _reference_generators(pres))
+                assert annihilation_check(pres, p) is (want is True), (g.name, a, k)
+                seen.add(want)
+    assert seen == {True, "integrality", "lattice"}
+
+
+@pytest.mark.parametrize("rows", [
+    [[["1/3"] + [0] * 5, [1] + [0] * 5]],  # 1 x 2: the zero Fitting class
+    [[["1/3"] + [0] * 5, [1] + [0] * 5], [[0] * 6, [1] + [0] * 5]],
+    [[["2/9"] + [0] * 5]],
+])
+def test_non_integral_entries_are_rejected_before_any_verdict(rows):
+    pres = PresentationMatrix(symmetric_3(), len(rows), len(rows[0]), rows)
+    with pytest.raises(InputError, match="3-integral"):
+        annihilation_check(pres, 3)
+    with pytest.raises(InputError, match="3-integral"):
+        presentation_image(pres, 3)
+
+
+def test_annihilation_multiplies_no_cyclonumbers_and_convolves_nothing(monkeypatch):
+    c3c9 = _relabelled(direct_product(cyclic_group(3), cyclic_group(9), name="C3xC9"),
+                       random.Random(9))
+    cases = [(symmetric_3(), 3), (alternating_4(), 3), (c3c9, 3)]
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for g, p in cases:
+        n = g.order
+        pres = PresentationMatrix(g, 2, 2, [[unit_vec(n, {0: p * p}), unit_vec(n, {})],
+                                            [unit_vec(n, {}), unit_vec(n, {0: 1, 1: -1})]])
+        fitting_generators(pres)
+        with monkeypatch.context() as m:
+            for attr in ("__mul__", "__rmul__"):
+                m.setattr(CycloNumber, attr, counted("mul", getattr(CycloNumber, attr)))
+            for mod in (fitting, finite):
+                m.setattr(mod, "_convolve", counted("convolve", finite._convolve))
+            assert annihilation_check(pres, p)
+        assert calls == [], (g.name, calls)
+
+
+def test_value_denominators_join_the_common_denominator(monkeypatch):
+    # character values have integer coordinates; halved values exercise the
+    # denominator that a value would add to D, on both routes alike
+    for g in (symmetric_3(), alternating_4()):
+        table = character_table(g)
+        halved = [[v * Fraction(1, 2) for v in row] for row in table.values]
+        monkeypatch.setitem(table.__dict__, "values", halved)
+        rng = random.Random(g.order)
+        for k in (1, 2):
+            matrix = [[_seeded_entry(rng, g.order, 3, True) for _ in range(k)] for _ in range(k)]
+            got = [v.to_json() for v in reduced_norm(g, matrix)]
+            assert got == [v.to_json() for v in _reference_norm(g, matrix)], (g.name, k)

@@ -161,9 +161,9 @@ def test_idempotent_suite_all_relations():
 def _h_convolve(h, a, b):
     out = [CycloNumber.rational(0)] * h.order
     for x in range(h.order):
-        if not a[x].is_zero():
+        if any(a[x].coeffs):
             for y in range(h.order):
-                if not b[y].is_zero():
+                if any(b[y].coeffs):
                     z = h.mult(x, y)
                     out[z] = out[z] + a[x] * b[y]
     return out
