@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt, lcm
 
-from .cyclo import CycloNumber, _common_conductor, int_coords, is_prime, prime_factors
+from .cyclo import CycloNumber, generating_set, int_coords, is_prime, normalized, prime_factors
 from .errors import GroupTooLargeError
 from .groups import ClassData, FiniteGroup, conjugacy_classes, orbits
 from .padic import echelon, echelon_coords, kernel
@@ -134,7 +134,7 @@ def _charpoly(a, l):
 class CharacterTable:
     group: FiniteGroup
     classes: ClassData
-    coords: list  # coords[row][class] = {i: count} on zeta_E^i, E = _normalized(exponent)
+    coords: list  # coords[row][class] = {i: count} on zeta_E^i, E = normalized(exponent)
     degrees: list
     exponent: int
     split_prime: int
@@ -158,7 +158,7 @@ class CharacterTable:
     def values(self):
         """values[row][class] as CycloNumbers at their smallest conductor,
         built on first read, once per distinct coordinate dict."""
-        e_norm = _normalized(self.exponent)
+        e_norm = normalized(self.exponent)
         built = {}
 
         def value(d):
@@ -175,7 +175,7 @@ class CharacterTable:
         return self.values[row][self.classes.class_of[elem]]
 
     def verify_row_orthogonality(self):
-        e_norm, sp = _normalized(self.exponent), self.coords
+        e_norm, sp = normalized(self.exponent), self.coords
         sizes = self.sizes()
         k = self.n_classes
         inv = [self.inverse_class(t) for t in range(k)]
@@ -187,7 +187,7 @@ class CharacterTable:
         return True
 
     def verify_column_orthogonality(self):
-        e_norm, sp = _normalized(self.exponent), self.coords
+        e_norm, sp = normalized(self.exponent), self.coords
         sizes = self.sizes()
         order = self.group.order
         k = self.n_classes
@@ -217,11 +217,6 @@ class CharacterTable:
             "degrees": list(self.degrees),
             "rows": [[v.to_json() for v in row] for row in self.values],
         }
-
-
-def _normalized(exponent: int) -> int:
-    """The exponent conductor, never 2 mod 4 (Q(zeta_2u) = Q(zeta_u), u odd)."""
-    return exponent // 2 if exponent % 4 == 2 else exponent
 
 
 def _sparse_sum(terms, e_norm: int) -> list[int]:
@@ -260,7 +255,8 @@ def character_table(g: FiniteGroup) -> CharacterTable:
     powmaps = _power_maps(g, cls.class_of, reps, elem_orders)
     # zeta -> zeta^u for u in a generating set of the units mod e: their
     # class maps generate every Galois conjugation of rows and vectors
-    gen_maps = [_class_map(powmaps, u) for u in _unit_generators(e)]
+    units = [u for u in range(e) if gcd(u, e) == 1]
+    gen_maps = [_class_map(powmaps, u) for u in generating_set(units, e)]
 
     # central characters -> degrees -> values mod l
     inv_class = [cls.class_of[g.inv(z)] for z in reps]
@@ -367,21 +363,6 @@ def _power_maps(g, class_of, reps, elem_orders):
 def _class_map(power_maps, u):
     """t -> class of rep_t^u: sigma_u(chi)(rep_t) = chi(rep_t^u)."""
     return [pm[u % len(pm)] for pm in power_maps]
-
-
-def _unit_generators(e):
-    """Generators of the units mod e, each the least unit outside the
-    subgroup of the ones before it."""
-    gens, sub = [], {1}
-    for u in range(2, e):
-        if gcd(u, e) == 1 and u not in sub:
-            gens.append(u)
-            grown, x = set(sub), u
-            while x not in sub:
-                grown.update(x * s % e for s in sub)
-                x = x * u % e
-            sub = grown
-    return gens
 
 
 def _horner(poly, x, l):
@@ -591,7 +572,7 @@ def galois_exponents(table: CharacterTable, base=None) -> list[int]:
         e *= 2
     if base is None:
         return [k for k in range(1, e + 1) if gcd(k, e) == 1]
-    residues = base.galois_residues(_common_conductor(e, base.m))
+    residues = base.galois_residues(lcm(e, base.m))
     return sorted({a % e if e > 1 else 1 for a in residues})
 
 
@@ -645,8 +626,8 @@ def restrict_and_decompose(
     h = small.group
     if embedding is None:
         embedding = list(range(h.order))
-    e_big, sp_big = _normalized(big.exponent), big.coords
-    e_small, sp_small = _normalized(small.exponent), small.coords
+    e_big, sp_big = normalized(big.exponent), big.coords
+    e_small, sp_small = normalized(small.exponent), small.coords
     if e_big % e_small:
         raise ArithmeticError(
             "exponent conductor %d does not divide %d" % (e_small, e_big)

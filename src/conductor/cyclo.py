@@ -226,7 +226,7 @@ class CycloNumber:
         other = other if isinstance(other, CycloNumber) else CycloNumber.rational(other)
         if self.m == other.m:
             return self, other
-        m = _common_conductor(self.m, other.m)
+        m = lcm(self.m, other.m)  # neither is 2 mod 4, so nor is the lcm
         return self.lift(m), other.lift(m)
 
     def __add__(self, other):
@@ -351,26 +351,50 @@ def _mu(n: int) -> int:
     return out
 
 
-def _common_conductor(a: int, b: int) -> int:
-    m = a * b // gcd(a, b)
-    while m % 4 == 2:
-        m //= 2
-    return m
+def normalized(m: int) -> int:
+    """m halved when 2 mod 4: Q(zeta_2u) = Q(zeta_u) for odd u, so a
+    conductor is never 2 mod 4."""
+    return m // 2 if m % 4 == 2 else m
+
+
+def unit_closure(gens, m: int) -> tuple:
+    """The subgroup of (Z/m)* generated by the residues gens, sorted."""
+    one = 1 % m
+    out = {one}
+    frontier = [one]
+    gens = [g % m for g in gens]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = x * g % m
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return tuple(sorted(out))
+
+
+def generating_set(elements, m: int) -> tuple:
+    """Generators of the subgroup of (Z/m)* whose residues are the ascending
+    elements: each the least element outside the subgroup of those before it."""
+    gens, sub = [], {1 % m}
+    for a in elements:
+        if a not in sub:
+            gens.append(a)
+            sub = set(unit_closure(gens, m))
+    return tuple(gens)
 
 
 def value_conductor(w: int, fixed) -> int:
     """The smallest d (never 2 mod 4) with values in Q(zeta_w) inside
     Q(zeta_d), fixed(k) telling whether zeta_w -> zeta_w^k (k a unit mod w)
     fixes them.  Such d are the multiples of the smallest, so the descent
-    drops one prime at a time while a generator of the kernel of
-    (Z/d)* -> (Z/d')* fixes the values."""
-    d = w // 2 if w % 4 == 2 else w
+    drops one prime at a time while the generators of the kernel of
+    (Z/d)* -> (Z/d')* fix the values."""
+    d = normalized(w)
     for q in prime_factors(d):
         while d % q == 0:
-            sub = d // q
-            if sub % 4 == 2:
-                sub //= 2
-            if not fixed(_descent_exponent(w, d, sub)):
+            sub = normalized(d // q)
+            if not all(fixed(k) for k in _descent_exponents(w, d, sub)):
                 break
             d = sub
     return d
@@ -392,15 +416,10 @@ def root_trace(m: int, e: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _descent_exponent(m: int, d: int, sub: int) -> int:
-    """A unit mod m whose residue generates the kernel of (Z/d)* -> (Z/sub)*.
-
-    sub is d with one prime q dropped once (or q^a = 4 dropped), so the
-    kernel is cyclic: of order q, or (Z/q^a)*.
-    """
+def _descent_exponents(m: int, d: int, sub: int) -> tuple:
+    """Units mod m whose residues generate the kernel of (Z/d)* -> (Z/sub)*."""
     kernel = [k for k in range(1, d, sub) if gcd(k, d) == 1]
-    gen = next(k for k in kernel if len({pow(k, i, d) for i in range(len(kernel))}) == len(kernel))
-    return unit_lift(gen, d, m)
+    return tuple(unit_lift(a, d, m) for a in generating_set(kernel, d))
 
 
 @lru_cache(maxsize=None)

@@ -21,8 +21,8 @@ from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
-from .chartab import _normalized, character_table, galois_fixed, galois_orbits, idempotent_coords
-from .cyclo import cyclotomic_poly, root_trace, totient, value_conductor
+from .chartab import character_table, galois_fixed, galois_orbits, idempotent_coords
+from .cyclo import cyclotomic_poly, normalized, root_trace, totient, value_conductor
 from .errors import InputError, UnsupportedPresentationError
 from .localfields import AbelianLocalField, field_of_values, relative_data
 from .padic import (
@@ -452,7 +452,7 @@ def formula_conductor_lattice(g, p, precision=None):
 def _formula_lattice(g, p, precision):
     """formula_conductor_lattice, uncached."""
     table = character_table(g)
-    e_norm = _normalized(table.exponent)
+    e_norm = normalized(table.exponent)
     columns = []
     for orbit in galois_orbits(table, None):
         rep = orbit[0]
@@ -696,14 +696,8 @@ class ExtComputation:
                     surj[row][i * n + x] = acts_m[x][row][i]
         kern = exact_kernel(_transpose(surj))
         self.k_dim = len(kern)
-        self.kern = kern
         rank_n = self.mod_n.rank
         self.vec_dim = rank_n * self.k_dim
-        if self.k_dim == 0:
-            self.hom_basis = []
-            self.image_gens = []
-            self.divisors = []
-            return
         # action of the generators on K, through the P-permutation action
         k_acts = _permutation_action(g, kern)
         # equivariance equations for f : K -> N, vec index t*rank_n + i
@@ -738,7 +732,7 @@ class ExtComputation:
                 vec = [0] * self.vec_dim
                 for t in range(self.k_dim):
                     for x in range(n):
-                        c = self.kern[t][i * n + x]
+                        c = kern[t][i * n + x]
                         if c:
                             for irow in range(rank_n):
                                 vec[t * rank_n + irow] += c * acts_n[x][irow][b]
@@ -747,7 +741,6 @@ class ExtComputation:
             vec = [0] * self.vec_dim
             vec[j] = self.p**q
             image.append(vec)
-        self.image_gens = image
         self._hom = SpanSolver(self.hom_basis)
         modulus = self.p**self.precision
         self._image_rows = [

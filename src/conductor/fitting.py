@@ -27,8 +27,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
 
-from .chartab import _class_matrix, _normalized, _sparse_sum, character_table
-from .cyclo import CycloNumber, _common_conductor, _fold, _reduction_context
+from .chartab import _class_matrix, _sparse_sum, character_table
+from .cyclo import CycloNumber, _fold, _reduction_context, normalized
 from .errors import InputError
 from .finite import _convolve, formula_conductor_lattice, working_precision
 from .groups import FiniteGroup, conjugacy_classes
@@ -185,10 +185,8 @@ def _center_classes(g, values):
             "expected one center component per character (%d), got %d"
             % (table.n_classes, len(values))
         )
-    e_norm = _normalized(table.exponent)
-    big = e_norm
-    for v in values:
-        big = _common_conductor(big, v.m)
+    e_norm = normalized(table.exponent)
+    big = lcm(e_norm, *(v.m for v in values))
     denom = lcm(*(c.denominator for v in values for c in v.coeffs))
     scaled = [  # D v_chi as {exponent at L: integer}
         {j * (big // v.m): denom // c.denominator * c.numerator
@@ -286,13 +284,14 @@ def annihilation_check(pres: PresentationMatrix, p, reps=None, precision=None) -
     modulus = p**precision
     conductor = formula_conductor_lattice(g, p, precision=precision)
     image = presentation_image(pres, p, precision=precision)
-    classes = conjugacy_classes(g)
+    classes = character_table(g).classes
     k = len(classes.classes)
+    mats = [_class_matrix(g, classes, s) for s in range(k)]
     for vals in fit.values:
         z, den = _center_classes(g, vals)
         times_z = [[0] * k for _ in range(k)]  # c_s z = sum_j z_j c_s c_j, on class sums
-        for s, acc in enumerate(times_z):
-            for zj, row in zip(z, _class_matrix(g, classes, s)):
+        for acc, mat in zip(times_z, mats):
+            for zj, row in zip(z, mat):
                 if zj:
                     for t, a in row:
                         acc[t] += a * zj

@@ -28,7 +28,6 @@ class FiniteGroup:
         self.table = table
         self._mult_func = mult_func
         self._inv = None
-        self._orders = None
 
     # -- construction -------------------------------------------------
 
@@ -316,9 +315,7 @@ def finite_quotient(sd: SemidirectData, m: int) -> FiniteGroup:
     gens = list(sd.h.generators)
     if pm > 1:
         gens.append(hn)
-    g = FiniteGroup(order, mult, gens, name="%s:|Z/%d^%d" % (sd.h.name, sd.p, m), table=table)
-    g.semidirect = (sd, m)
-    return g
+    return FiniteGroup(order, mult, gens, name="%s:|Z/%d^%d" % (sd.h.name, sd.p, m), table=table)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name=None) -> FiniteGroup:

@@ -32,9 +32,9 @@ power-basis coordinates only to be compared.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .chartab import (
-    _normalized,
     _sparse_sum,
     alpha_orbits,
     character_table,
@@ -45,7 +45,7 @@ from .chartab import (
     idempotent_coords,
     restrict_and_decompose,
 )
-from .cyclo import _common_conductor, int_coords
+from .cyclo import int_coords, normalized
 from .errors import InputError, InvalidQuotientError
 from .finite import jacobinski_conductor
 from .groups import finite_quotient
@@ -237,10 +237,8 @@ def splitting_field_bound(sd, base=None):
     Returns (E, certificates)."""
     if base is None:
         base = AbelianLocalField.qp(sd.p)
-    exph = sd.h.exponent()
-    if exph % 4 == 2:
-        exph //= 2
-    m = _common_conductor(exph, base.m)
+    exph = normalized(sd.h.exponent())
+    m = lcm(exph, base.m)
     stab = [a for a in base.galois_residues(m) if exph == 1 or a % exph == 1]
     e_field = AbelianLocalField(base.p, m, stab)
     table = character_table(sd.h)
@@ -308,7 +306,7 @@ def idempotent_suite(sd, level=None) -> dict:
         level = sd.n
     h = sd.h
     table = character_table(h)
-    e_norm = _normalized(table.exponent)
+    e_norm = normalized(table.exponent)
     classes = character_classes(sd, base)
     stab_ks = galois_exponents(table, base)
     g = finite_quotient(sd, level)

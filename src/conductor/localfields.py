@@ -5,47 +5,23 @@ generated by stab_gens inside the decomposition group
 
     U = Gal(Q_p(zeta_m)/Q_p) <= (Z/m)*,
 
-which is generated by the inertia part (residues = 1 mod m', arbitrary
-mod p^k, where m = p^k m' with p not dividing m') and the Frobenius lift
-(= p mod m', = 1 mod p^k).  Ramification data comes from the
+the units a mod m whose residue mod m' is a power of p, where m = p^k m'
+with p not dividing m'.  Its inertia group I is the units = 1 mod m'.
+The closures and generating sets of subgroups of (Z/m)* are ``cyclo``'s
+``unit_closure`` and ``generating_set``.  Ramification data comes from the
 conductor-discriminant formula evaluated on the higher unit filtration
 I_i = {a in I : a = 1 mod p^i}, so everything stays integer arithmetic.
 
-Only odd p is supported.
+Only odd p is supported, though ``decomposition_group`` holds for every p.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .cyclo import is_prime, prime_factors, require_odd_prime, unit_lift, value_conductor
+from .cyclo import generating_set, is_prime, normalized, require_odd_prime
+from .cyclo import unit_closure, unit_lift, value_conductor
 from .errors import ContainmentError, InputError
-
-
-def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
-    """x = a1 mod m1, x = a2 mod m2 for coprime moduli."""
-    if m1 == 1:
-        return a2 % m2
-    if m2 == 1:
-        return a1 % m1
-    inv = pow(m1, -1, m2)
-    return (a1 + m1 * ((a2 - a1) * inv % m2)) % (m1 * m2)
-
-
-def _mult_closure(gens, m: int) -> tuple:
-    """Multiplicative closure of residues mod m (a subgroup of (Z/m)*)."""
-    one = 1 % m
-    out = {one}
-    frontier = [one]
-    gens = [g % m for g in gens]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = (x * g) % m
-            if y not in out:
-                out.add(y)
-                frontier.append(y)
-    return tuple(sorted(out))
 
 
 def _split_conductor(p: int, m: int) -> tuple[int, int]:
@@ -58,32 +34,12 @@ def _split_conductor(p: int, m: int) -> tuple[int, int]:
     return pk, rest
 
 
-def _primitive_root_mod_pk(p: int, pk: int) -> int:
-    """Generator of the cyclic group (Z/p^k)*, p odd."""
-    for g in range(2, p + 2):
-        ok = True
-        for q in prime_factors(p - 1):
-            if pow(g, (p - 1) // q, p) == 1:
-                ok = False
-                break
-        if ok:
-            # a primitive root mod p generates mod p^k unless g^(p-1) = 1 mod p^2
-            if pk > p and pow(g, p - 1, p * p) == 1:
-                g += p
-            return g % pk
-    raise AssertionError("no primitive root mod %d" % p)
-
-
 def decomposition_group(p: int, m: int) -> tuple:
-    """Gal(Q_p(zeta_m)/Q_p) as a sorted tuple of residues mod m."""
-    pk, rest = _split_conductor(p, m)
-    gens = []
-    if pk > 1:
-        g = _primitive_root_mod_pk(p, pk)
-        gens.append(_crt(1, rest, g, pk))
-    if rest > 1:
-        gens.append(_crt(p % rest, rest, 1, pk))
-    return _mult_closure(gens, m)
+    """Gal(Q_p(zeta_m)/Q_p) as a sorted tuple of residues mod m: the units
+    whose residue mod m' (m = p^k m', p not dividing m') is a power of p."""
+    _, rest = _split_conductor(p, m)
+    frobenius = set(unit_closure([p], rest))
+    return tuple(a for a in range(m) if gcd(a, m) == 1 and a % rest in frobenius)
 
 
 class AbelianLocalField:
@@ -95,9 +51,9 @@ class AbelianLocalField:
         require_odd_prime(p)
         if m < 1:
             raise InputError("conductor must be positive (got %r)" % (m,))
-        if m % 4 == 2:
+        if normalized(m) != m:
             # zeta_{2u} and zeta_u generate the same field for odd u
-            m //= 2
+            m = normalized(m)
             stab_gens = [g % m for g in stab_gens]
         self.p = p
         self.m = m
@@ -110,7 +66,7 @@ class AbelianLocalField:
                 raise InputError(
                     "residue %d is outside the decomposition group mod %d" % (g, m)
                 )
-        self.stab = _mult_closure(stab_gens, m)
+        self.stab = unit_closure(stab_gens, m)
         self._ram = None
 
     # -- constructors ------------------------------------------------------
@@ -131,14 +87,8 @@ class AbelianLocalField:
             return AbelianLocalField.qp(p)
         l = 2
         while True:
-            if l != p and is_prime(l):
-                order = 1
-                x = p % l
-                while x != 1:
-                    x = (x * p) % l
-                    order += 1
-                if order % f == 0:
-                    return AbelianLocalField(p, l, [pow(p, f, l)])
+            if l != p and is_prime(l) and len(unit_closure([p], l)) % f == 0:
+                return AbelianLocalField(p, l, [pow(p, f, l)])
             l += 1
 
     @staticmethod
@@ -152,13 +102,7 @@ class AbelianLocalField:
 
     def generating_set(self) -> tuple:
         """A short generating set of the stabilizer subgroup."""
-        gens = []
-        cur = {1 % self.m}
-        for a in self.stab:
-            if a not in cur:
-                gens.append(a)
-                cur = set(_mult_closure(gens, self.m))
-        return tuple(gens)
+        return generating_set(self.stab, self.m)
 
     # -- invariants ----------------------------------------------------------
 

@@ -112,13 +112,14 @@ class GlobalFieldModel:
     def __init__(self, field: AbelianLocalField):
         self.field = field
         p, m = field.p, field.m
-        units = [a for a in range(m) if gcd(a, m) == 1] or [0]
-        covered = sorted({(u * s) % m for u in field.galois_group for s in field.stab})
-        if covered != units:
+        # the stabilizer lies in the decomposition group D, so D times it
+        # is D, and the presentation is globally inert when D is all units
+        units = [a for a in range(m) if gcd(a, m) == 1]
+        if len(field.galois_group) != len(units):
             raise UnsupportedPresentationError(
                 "presentation is not globally inert: decomposition group times "
                 "stabilizer covers %d of %d residues mod %d"
-                % (len(covered), len(units), m)
+                % (len(field.galois_group), len(units), m)
             )
 
         if len(field.stab) == 1:

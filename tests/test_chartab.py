@@ -23,7 +23,7 @@ from conductor.chartab import (
     galois_permutations,
     restrict_and_decompose,
 )
-from conductor.cyclo import CycloNumber, int_coords
+from conductor.cyclo import CycloNumber, generating_set, int_coords, normalized
 from conductor.groups import conjugacy_classes, cyclic_group, finite_quotient
 from conductor.padic import echelon, echelon_coords, kernel
 
@@ -187,7 +187,7 @@ def test_values_are_built_on_first_read(make, monkeypatch):
     assert len(calls) == len({frozenset(d.items()) for row in table.coords for d in row})
     assert table.values is values
     monkeypatch.undo()
-    e_norm = chartab._normalized(table.exponent)
+    e_norm = normalized(table.exponent)
     for row, coords in zip(values, table.coords):
         for v, d in zip(row, coords):
             assert v == CycloNumber(e_norm, [d.get(i, 0) for i in range(max(d, default=0) + 1)])
@@ -307,10 +307,11 @@ def test_scalar_action():
 
 def test_unit_generators_generate_the_units():
     for e in (1, 2, 3, 4, 8, 12, 15, 24, 27, 100, 1375):
+        units = [u for u in range(e) if gcd(u, e) == 1]
         got = {1 % e}
-        for u in chartab._unit_generators(e):
+        for u in generating_set(units, e):
             got |= {x * u**j % e for x in got for j in range(e)}
-        assert got == {u % e for u in range(1, e + 1) if gcd(u, e) == 1}
+        assert got == set(units)
 
 
 def test_wrong_multiplicity_fails_the_rank_certificate(monkeypatch):

@@ -160,6 +160,28 @@ def test_fitting_empty_presentation(capsys, tmp_path, optimize):
     assert [gen["rows"] for gen in payload["fitting"]["generators"]] == [[]]
 
 
+@pytest.mark.parametrize("precision,code", [(None, 3), ("40", 0), ("0", 2)])
+def test_fitting_precision_exit_codes(capsys, tmp_path, monkeypatch, precision, code):
+    # 3^19 at the identity: the image lattice has a pivot of valuation 19,
+    # past the default precision 26 less its guard 8
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"a": 1, "b": 1, "entries": [[[3**19, 0, 0, 0, 0, 0]]]}))
+    if precision is None:
+        monkeypatch.delenv("CONDUCTOR_PRECISION", raising=False)
+    else:
+        monkeypatch.setenv("CONDUCTOR_PRECISION", precision)
+    argv = ["fitting", "--group", sample("s3.json"), "--p", "3", "--matrix", str(path)]
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    if code == 3:
+        assert out == ""
+        assert err == "error: pivot valuation 19 in row 0 exceeds precision 26 - guard 8\n"
+    elif code == 0:
+        assert json.loads(out)["annihilates"] is True
+    else:
+        assert out == "" and "CONDUCTOR_PRECISION must be positive" in err
+
+
 def test_ext_details_print_plain_numbers():
     details = [c.detail for c in suite_ext()]
     assert any("coords [1, 0, 0]" in d for d in details)

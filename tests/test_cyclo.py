@@ -18,8 +18,12 @@ from conductor.cyclo import (
     _poly_divmod,
     _reduction_context,
     divisors,
+    generating_set,
     is_prime,
+    normalized,
     totient,
+    unit_closure,
+    value_conductor,
 )
 from conductor.errors import InvalidAutomorphismError
 from conductor.padic import SpanSolver
@@ -182,6 +186,56 @@ def test_minimal_conductor_matches_divisor_scan(x):
     again = got.minimal_conductor()
     assert (again.m, again.coeffs) == (got.m, got.coeffs)
     assert got == x
+
+
+def test_normalized_halves_only_2_mod_4():
+    got = [normalized(m) for m in (1, 2, 3, 4, 6, 8, 10, 12, 30, 36)]
+    assert got == [1, 1, 3, 4, 3, 8, 5, 12, 15, 36]
+
+
+def _powers(a, m):
+    out, x = {1 % m}, a % m
+    while x not in out:
+        out.add(x)
+        x = x * a % m
+    return out
+
+
+def test_generating_set_generates_each_subgroup():
+    # every subgroup of (Z/m)* generated by two units, built from powers
+    for m in range(1, 49):
+        units = [a for a in range(m) if gcd(a, m) == 1]
+        for a in units:
+            for b in units:
+                sub = tuple(sorted({x * y % m for x in _powers(a, m) for y in _powers(b, m)}))
+                assert unit_closure([a, b], m) == sub
+                gens = generating_set(sub, m)
+                assert unit_closure(gens, m) == sub, (m, a, b)
+                for i, g in enumerate(gens):
+                    assert g == min(set(sub) - set(unit_closure(gens[:i], m)))
+
+
+def _smallest_fixing_divisor(w, fixed):
+    for d in divisors(w):
+        if d % 4 != 2 and all(fixed(k) for k in range(1, w) if gcd(k, w) == 1 and k % d == 1 % d):
+            return d
+
+
+@pytest.mark.parametrize("w", [8, 16, 24, 32, 40, 48])
+def test_value_conductor_descends_through_multiples_of_8(w):
+    # single roots, real parts and sums of two roots: conductors 1 to w,
+    # the descent from w passing through every multiple of 8 it divides
+    z = [CycloNumber.root(w, e) for e in range(w)]
+    for e in range(w):
+        for x in (z[e], z[e] + z[-e % w], z[e] + z[3 * e % w], z[1] + z[e]):
+            x = x.lift(w)
+
+            def fixed(k):
+                return x.galois(k) == x
+
+            want = _smallest_fixing_divisor(w, fixed)
+            assert value_conductor(w, fixed) == want, (w, e, x)
+            assert x.minimal_conductor().m == want
 
 
 def test_json_round_trip():

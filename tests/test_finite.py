@@ -24,6 +24,7 @@ from conductor.cyclo import totient
 from conductor.errors import InputError, PrecisionExhaustedError
 from conductor.finite import (
     ExtComputation,
+    GModule,
     _conductor_lattice,
     _convolve,
     _cyclotomic_ideal_basis,
@@ -39,6 +40,7 @@ from conductor.finite import (
     maximal_order_basis,
     maximal_order_module,
     module_from_columns,
+    regular_module,
     sharpness_probe,
     trivial_module,
     working_precision,
@@ -330,6 +332,26 @@ def test_ext_needs_a_lattice_and_a_lattice_mod_p_power():
         ExtComputation(triv, triv, 3)
     with pytest.raises(InputError):
         ExtComputation(triv.mod_p_power(1), triv.mod_p_power(1), 3)
+
+
+@pytest.mark.parametrize("make_m", [trivial_module, regular_module, augmentation_module])
+@pytest.mark.parametrize("make_n", [trivial_module, regular_module])
+def test_ext_over_the_trivial_group_vanishes(make_m, make_n):
+    # K = 0, so Hom(K, N) and Ext^1 are 0 and every element annihilates
+    g = cyclic_group(1)
+    comp = ExtComputation(make_m(g), make_n(g).mod_p_power(2), 3)
+    assert (comp.k_dim, comp.divisors, comp.hom_basis) == (0, [], [])
+    assert comp.annihilates([1]) and comp.annihilates([0])
+
+
+def test_ext_without_equivariance_equations():
+    # C2 acting by -1 on Z_3: K is spanned by 1 + s, on which s acts
+    # trivially, as on N, so no equation constrains Hom(K, N)
+    g = cyclic_group(2)
+    sign = GModule(g, 1, [[[-1]]], "sign")
+    comp = ExtComputation(sign, trivial_module(g).mod_p_power(1), 3)
+    assert (comp.vec_dim, comp.hom_basis, comp.divisors) == (1, [[1]], [])
+    assert comp.annihilates([1, 0])
 
 
 def test_s3_ext_of_augmentation_mod_p2_vanishes():

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from conductor import finite, fitting
+from conductor import chartab, finite, fitting
 from conductor.catalog import (
     alternating_4,
     alternating_5,
@@ -133,6 +133,24 @@ def test_fitting_generators_are_computed_once_per_presentation(monkeypatch):
     assert annihilation_check(pres, 3)
     assert calls == [2] * len(fit.subsets) == [2, 2, 2]  # one per 2 x 2 minor
     assert fitting_generators(pres) is fit
+
+
+def test_annihilation_builds_each_class_matrix_once(monkeypatch):
+    # three Fitting generators share the k class matrices of S3
+    calls = []
+
+    def counted(g, classes, i):
+        calls.append(i)
+        return chartab._class_matrix(g, classes, i)
+
+    monkeypatch.setattr(fitting, "_class_matrix", counted)
+    g = symmetric_3()
+    pres = PresentationMatrix(
+        g, 3, 1, [[unit_vec(6, {0: 3})], [unit_vec(6, {0: 1, 3: -1})], [unit_vec(6, {0: 9})]]
+    )
+    assert len(fitting_generators(pres).values) == 3
+    assert annihilation_check(pres, 3)
+    assert calls == list(range(character_table(g).n_classes))
 
 
 def test_wide_presentation_is_zero_class():

@@ -1,8 +1,10 @@
 """Abelian local fields inside cyclotomic towers."""
 
+from math import gcd
+
 import pytest
 
-from conductor.cyclo import CycloNumber
+from conductor.cyclo import CycloNumber, totient
 from conductor.errors import ContainmentError, InputError
 from conductor.localfields import (
     AbelianLocalField,
@@ -57,6 +59,22 @@ def test_decomposition_group_is_cyclic_on_p():
     # generated by p mod m; for 3 mod 7 that is everything
     assert set(decomposition_group(3, 7)) == {1, 2, 3, 4, 5, 6}
     assert set(decomposition_group(3, 4)) == {1, 3}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_decomposition_group_by_its_congruence(p):
+    # the units mod m = p^k m' whose residue mod m' is a power of p; there
+    # are phi(p^k) f of them, f the order of p mod m'
+    for m in range(1, 201):
+        rest = m
+        while rest % p == 0:
+            rest //= p
+        powers = {pow(p, i, rest) for i in range(rest)}
+        want = tuple(a for a in range(m) if gcd(a, m) == 1 and a % rest in powers)
+        assert decomposition_group(p, m) == want, (p, m)
+        assert len(want) == totient(m // rest) * len(powers)
+    if p == 2:
+        assert decomposition_group(2, 8) == (1, 3, 5, 7)
 
 
 def test_field_of_values_detects_rationality():
