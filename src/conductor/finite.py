@@ -207,38 +207,6 @@ def _matrix_block_basis(g, rep_matrices, degree):
     return vecs
 
 
-def _expand_representation(g, gen_mats):
-    """Matrices for every group element from matrices for the generators."""
-    mats = [[list(row) for row in m] for m in gen_mats]
-    if len(mats) != len(g.generators):
-        raise InputError(
-            "representation needs %d generator matrices, got %d"
-            % (len(g.generators), len(mats))
-        )
-    return _element_actions(g, mats, len(mats[0]))
-
-
-def _verify_representation(g, rep_matrices):
-    if len(rep_matrices) != g.order:
-        raise InputError("need one matrix per group element")
-    deg = len(rep_matrices[0])
-    ident = [[1 if i == j else 0 for j in range(deg)] for i in range(deg)]
-    if [list(r) for r in rep_matrices[0]] != ident:
-        raise InputError("representation must send the identity to the identity")
-    for x in range(g.order):
-        for y in g.generators:
-            z = g.mult(x, y)
-            prod = [
-                [
-                    sum(rep_matrices[x][i][k] * rep_matrices[y][k][j] for k in range(deg))
-                    for j in range(deg)
-                ]
-                for i in range(deg)
-            ]
-            if prod != [list(r) for r in rep_matrices[z]]:
-                raise InputError("representation matrices do not respect the group law")
-
-
 def _rep_character_row(table, rep_matrices):
     """The row whose coordinates are the traces of the representation."""
     traces = [sum(row[i] for i, row in enumerate(rep_matrices[z])) for z in table.representatives()]
@@ -254,17 +222,14 @@ def maximal_order_basis(g, p, reps=None):
 
     Linear-character blocks need no input: each rational orbit of linear
     characters contributes a copy of Z_p[x]/Phi_d(x).  Blocks of degree > 1
-    require an integral splitting representation; without one the input is
-    rejected as unsupported.
+    require an integral splitting representation, one matrix per generator;
+    without one the input is rejected as unsupported.
     """
     table = character_table(g)
     rep_rows = {}
-    if reps:
-        for mats in reps:
-            if len(mats) != g.order:
-                mats = _expand_representation(g, mats)
-            _verify_representation(g, mats)
-            rep_rows[_rep_character_row(table, mats)] = mats
+    for gen_mats in reps or ():
+        mats = _element_actions(g, gen_mats, len(gen_mats[0]) if gen_mats else 0)
+        rep_rows[_rep_character_row(table, mats)] = mats
     basis = []
     for orbit in galois_orbits(table, None):
         degree = table.degrees[orbit[0]]
@@ -549,18 +514,14 @@ def _cyclotomic_mult(d):
 class GModule:
     """A Z_p[G]-lattice: Z_p^rank with one action matrix per group generator
     (columns are images of basis vectors).  ``quotient_exponent`` q presents
-    the finite module lattice/p^q instead."""
+    the finite module lattice/p^q instead.  ``ExtComputation`` checks the
+    matrices as it grows the action (``_element_actions``)."""
 
     group: object
     rank: int
     gen_actions: list
     name: str = "module"
     quotient_exponent: int = None
-
-    def __post_init__(self):
-        for mat in self.gen_actions:
-            if len(mat) != self.rank or any(len(row) != self.rank for row in mat):
-                raise InputError("action matrices must be rank x rank")
 
     def mod_p_power(self, q):
         return GModule(self.group, self.rank, self.gen_actions, "%s/p^%d" % (self.name, q), q)
@@ -631,23 +592,38 @@ def _permutation_action(g, basis):
 
 
 def _element_actions(g, gen_mats, rank):
-    """Action matrix of every group element, grown over the Cayley graph."""
+    """Action matrix of every group element, grown over the Cayley graph.
+
+    The generator matrices must be one per generator, each rank x rank.
+    Every edge y = s x is checked: the matrix of y must equal M_s A(x)
+    whether y is new or already reached.  Consistent edges make A well
+    defined on words, hence a homomorphism, so this is the whole check that
+    the generator matrices define a representation."""
+    if len(gen_mats) != len(g.generators):
+        raise InputError(
+            "need %d generator matrices, got %d" % (len(g.generators), len(gen_mats))
+        )
+    if any(len(mat) != rank or any(len(row) != rank for row in mat) for mat in gen_mats):
+        raise InputError("generator matrices must be %d x %d" % (rank, rank))
     acts = {0: [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]}
     frontier = [0]
     while frontier:
         x = frontier.pop()
         for s, mat in zip(g.generators, gen_mats):
             y = g.mult(s, x)
+            prod = _mat_mul(mat, acts[x])
             if y not in acts:
-                acts[y] = _mat_mul(mat, acts[x])
+                acts[y] = prod
                 frontier.append(y)
+            elif acts[y] != prod:
+                raise InputError("the generator matrices do not respect the group law")
     if len(acts) != g.order:
         raise ArithmeticError("the generators do not reach every group element")
     return [acts[x] for x in range(g.order)]
 
 
 def _mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
+    k = len(b)
     bt = list(zip(*b))
     return [[sum(ar[t] * bc[t] for t in range(k)) for bc in bt] for ar in a]
 
@@ -687,7 +663,9 @@ class ExtComputation:
         g, p = self.g, self.p
         n = g.order
         r = self.mod_m.rank
+        rank_n = self.mod_n.rank
         acts_m = _element_actions(g, self.mod_m.gen_actions, r)
+        self.acts_n = acts_n = _element_actions(g, self.mod_n.gen_actions, rank_n)
         # surjection P = (Z_p G)^r -> M, basis vector (i, x) |-> x * m_i
         surj = [[0] * (r * n) for _ in range(r)]
         for i in range(r):
@@ -696,7 +674,6 @@ class ExtComputation:
                     surj[row][i * n + x] = acts_m[x][row][i]
         kern = exact_kernel(_transpose(surj))
         self.k_dim = len(kern)
-        rank_n = self.mod_n.rank
         self.vec_dim = rank_n * self.k_dim
         # action of the generators on K, through the P-permutation action
         k_acts = _permutation_action(g, kern)
@@ -724,8 +701,6 @@ class ExtComputation:
                 [1 if i == j else 0 for i in range(self.vec_dim)] for j in range(self.vec_dim)
             ]
         # restriction of Hom(P, N) = N^r along K
-        acts_n = _element_actions(self.g, self.mod_n.gen_actions, rank_n)
-        self.acts_n = acts_n
         image = []
         for i in range(r):
             for b in range(rank_n):

@@ -31,7 +31,7 @@ from .chartab import _class_matrix, _sparse_sum, character_table
 from .cyclo import CycloNumber, _fold, _reduction_context, normalized
 from .errors import InputError
 from .finite import _convolve, formula_conductor_lattice, working_precision
-from .groups import FiniteGroup, conjugacy_classes
+from .groups import FiniteGroup
 from .padic import hnf_columns, lattice_contains, residue, vp
 
 
@@ -88,7 +88,7 @@ def _power_traces(g, matrix, top):
     """Class sums of the trace sum_i (M^j)_ii over Z[G] of an integer matrix
     M, for j = 1..top."""
     k = len(matrix)
-    classes = conjugacy_classes(g)
+    classes = character_table(g).classes
     out = []
     power = matrix
     for j in range(1, top + 1):
@@ -215,7 +215,7 @@ def _center_classes(g, values):
 def materialize_center(g, values):
     """``_center_classes`` as a rational coefficient vector on G."""
     sums, den = _center_classes(g, values)
-    return [Fraction(sums[t], den) for t in conjugacy_classes(g).class_of]
+    return [Fraction(sums[t], den) for t in character_table(g).classes.class_of]
 
 
 def fitting_generators(pres: PresentationMatrix, reps=None) -> FittingGenerators:

@@ -233,13 +233,6 @@ class GroupAutomorphism:
             o += 1
         return o
 
-    def power_images(self, t):
-        cur = list(range(self.group.order))
-        t %= self.order()
-        for _ in range(t):
-            cur = [self.images[x] for x in cur]
-        return cur
-
     @staticmethod
     def identity(group):
         return GroupAutomorphism(group, list(range(group.order)))
@@ -269,7 +262,10 @@ class SemidirectData:
         if o != 1:
             raise InputError("automorphism order must be a power of p")
         self.n = n
-        self.alpha_pows = [self.alpha.power_images(t) for t in range(self.p**self.n)]
+        pows = [list(range(self.alpha.group.order))]
+        for _ in range(1, self.p**self.n):
+            pows.append([self.alpha.images[x] for x in pows[-1]])
+        self.alpha_pows = pows
 
     def alpha_power(self, t, x):
         return self.alpha_pows[t % (self.p**self.n)][x]

@@ -6,9 +6,10 @@ the stabilizer covers all of (Z/m)*), because then the ring of integers
 of the global fixed field tensored with Z_p IS the local ring and the
 global trace form agrees with the local one.  The basis is the power
 basis of zeta_m for the full cyclotomic field and the Gauss period
-basis otherwise; either way maximality at p is certified by comparing
-v_p(det Gram) against the conductor-discriminant prediction, so no
-unverified maximality assumption enters downstream results.
+basis otherwise; a presentation whose Gauss periods are linearly
+dependent is refused.  Either way maximality at p is certified by
+comparing v_p(det Gram) against the conductor-discriminant prediction, so
+no unverified maximality assumption enters downstream results.
 
 The maximal ideal is computed as the preimage of the nilradical of
 O/pO, which is the kernel of a power of the Frobenius map - an F_p
@@ -144,6 +145,11 @@ class GlobalFieldModel:
                 "basis has %d elements for a field of degree %d" % (self.degree, field.degree)
             )
         self._solver = SpanSolver([b.lift(m).coeffs for b in self.basis])
+        if len(self._solver.positions) < self.degree:
+            raise UnsupportedPresentationError(
+                "the %d Gauss periods span a space of dimension %d only"
+                % (self.degree, len(self._solver.positions))
+            )
 
         # structure constants must be p-integral for the span to be an
         # order over the local ring; a failure here means the basis does
@@ -161,14 +167,13 @@ class GlobalFieldModel:
             self.structure.append(row)
 
         # Gram certificate: v_p(det) must equal the conductor-discriminant
-        # prediction, which certifies maximality at p
+        # prediction, which certifies maximality at p.  Tr(b_i b_j) is
+        # sum_k s_ijk Tr(b_k), read off the structure constants
         stab_size = len(field.stab)
+        traces = [b.trace_to_q() / stab_size for b in self.basis]
         self.gram = [
-            [
-                (self.basis[i] * self.basis[j]).trace_to_q() / stab_size
-                for j in range(self.degree)
-            ]
-            for i in range(self.degree)
+            [sum((c * t for c, t in zip(coords, traces) if c), Fraction(0)) for coords in row]
+            for row in self.structure
         ]
         det = fraction_determinant(self.gram)
         if det == 0:

@@ -253,6 +253,24 @@ def test_iwasawa_level_checks(capsys):
     assert checks == {"level": 1, "trace_lemma": True, "dual_basis": True, "degrees": True}
 
 
+def test_iwasawa_failed_level_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("conductor.iwasawa.dual_basis_check", lambda sd, level: False)
+    argv = ["iwasawa", "--h", sample("c7.json"), "--alpha", sample("sq.json"), "--p", "3"]
+    code, out = run_capture(capsys, argv + ["--level", "1", "--format", "table"])
+    assert code == 1
+    assert "level 1 checks: trace=True dual=False degrees=True" in out
+
+
+def test_fitting_table_of_a_zero_class(capsys, tmp_path):
+    matrix = tmp_path / "wide.json"
+    entries = [[[3, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]]]
+    matrix.write_text(json.dumps({"a": 1, "b": 2, "entries": entries}))
+    argv = ["fitting", "--group", sample("s3.json"), "--p", "3", "--matrix", str(matrix)]
+    code, out = run_capture(capsys, argv + ["--format", "table"])
+    assert code == 0
+    assert "  zero Fitting class (a < b); annihilation vacuous\n" in out
+
+
 def test_iwasawa_level_refuses_large_quotient_first(capsys, monkeypatch):
     # G_12 has order 7 * 3^12: the degree check refuses it at once, before
     # the trace and dual-basis checks, which grow like 3^12, would run

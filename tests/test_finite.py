@@ -29,6 +29,7 @@ from conductor.finite import (
     _convolve,
     _cyclotomic_ideal_basis,
     _cyclotomic_mult,
+    _element_actions,
     _orbit_idempotent,
     _group_algebra_inverse,
     _twist_basis,
@@ -332,6 +333,43 @@ def test_ext_needs_a_lattice_and_a_lattice_mod_p_power():
         ExtComputation(triv, triv, 3)
     with pytest.raises(InputError):
         ExtComputation(triv.mod_p_power(1), triv.mod_p_power(1), 3)
+
+
+def _non_representations():
+    """Generator matrices that define no representation: C3 acting by 2,
+    S3 with its two generator matrices swapped, and one matrix for S3's two
+    generators."""
+    s3 = symmetric_3()
+    a, b = ([list(row) for row in mat] for mat in splitting_reps("S3")[0])
+    return [
+        GModule(cyclic_group(3), 1, [[[2]]], "times 2"),
+        GModule(s3, 2, [b, a], "swapped"),
+        GModule(s3, 2, [a], "one matrix"),
+    ]
+
+
+@pytest.mark.parametrize("bad", _non_representations(), ids=lambda m: m.name)
+def test_ext_refuses_non_representations(bad):
+    triv = trivial_module(bad.group)
+    with pytest.raises(InputError, match="group law|generator matrices"):
+        ExtComputation(bad, triv.mod_p_power(1), 3)
+    with pytest.raises(InputError, match="group law|generator matrices"):
+        ExtComputation(triv, bad.mod_p_power(1), 3)
+
+
+def test_maximal_order_basis_refuses_non_representations():
+    g = symmetric_3()
+    a, b = splitting_reps("S3")[0]
+    corrupted = ((0, -1), (1, 0))  # of order 4, so no image of the 3-cycle
+    with pytest.raises(InputError, match="group law"):
+        maximal_order_basis(g, 3, [[a, corrupted]])
+    with pytest.raises(InputError, match="need 2 generator matrices, got 1"):
+        maximal_order_basis(g, 3, [[a]])
+    with pytest.raises(InputError, match="must be 2 x 2"):
+        maximal_order_basis(g, 3, [[((0, 1, 0), (1, 0, 0)), b]])
+    # one matrix per generator only: the list of all |G| matrices is refused
+    with pytest.raises(InputError, match="need 2 generator matrices, got 6"):
+        maximal_order_basis(g, 3, [_element_actions(g, [a, b], 2)])
 
 
 @pytest.mark.parametrize("make_m", [trivial_module, regular_module, augmentation_module])

@@ -136,8 +136,8 @@ def test_extension_dual_bases():
 
 
 def test_different_suite_rejects_a_wrong_gram_matrix(monkeypatch):
-    # the trace form divided by p pairs its own inverse to the identity
-    # just as well; only the inverse-different certificate can tell
+    # the trace form divided by p is still invertible; the inverse-different
+    # certificate, the field part of each check, tells it from the true one
     class WrongGram(iwasawa.GlobalFieldModel):
         def __init__(self, field):
             super().__init__(field)

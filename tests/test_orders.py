@@ -1,9 +1,12 @@
 """Rational models of the rings of integers used for scalar extensions."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from conductor.cyclo import cyclotomic_poly
+from conductor.errors import UnsupportedPresentationError
 from conductor.localfields import AbelianLocalField
 from conductor.orders import GlobalFieldModel
 from conductor.padic import fraction_inverse
@@ -58,3 +61,58 @@ def test_trace_dual_matches_inverse_different():
         AbelianLocalField.unramified(3, 2),
     ):
         assert GlobalFieldModel(field).inverse_different_dual_check()
+
+
+def _periods_are_dependent(field):
+    """Whether the Gauss periods sum_{s in S} zeta_m^(c s), one per coset
+    cS of the stabilizer S in (Z/m)*, are linearly dependent over Q: their
+    power-basis coordinates mod Phi_m, ranked by Fraction elimination.  A
+    trivial stabilizer gets the power basis, which is independent."""
+    m = field.m
+    if len(field.stab) == 1:
+        return False
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    powers = [[1] + [0] * (deg - 1)]  # x^e mod Phi_m, e = 0..m-1
+    for _ in range(1, m):
+        top = powers[-1][-1]
+        shifted = [0] + powers[-1][:-1]
+        powers.append([a - top * c for a, c in zip(shifted, phi)])
+    cosets = {frozenset(c * s % m for s in field.stab) for c in range(m) if gcd(c, m) == 1}
+    rows = [[Fraction(sum(col)) for col in zip(*(powers[e] for e in coset))] for coset in cosets]
+    rank = 0
+    for col in range(deg):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank < len(rows)
+
+
+def test_dependent_gauss_periods_are_refused():
+    # globally inert fields for p in {3, 5, 7, 11} and m <= 60, the
+    # stabilizer trivial or generated by one of the first five nontrivial
+    # elements of the decomposition group; e.g. (3, 4, [3]), where
+    # zeta4 + zeta4^3 = 0, and (3, 9, [8]), where the periods sum to 0
+    refused = built = 0
+    for p in (3, 5, 7, 11):
+        for m in range(1, 61):
+            if m % 4 == 2:
+                continue
+            decomposition = AbelianLocalField(p, m).galois_group
+            if len(decomposition) != sum(1 for a in range(m) if gcd(a, m) == 1):
+                continue
+            for gens in [()] + [(a,) for a in decomposition if a != 1][:5]:
+                field = AbelianLocalField(p, m, gens)
+                if _periods_are_dependent(field):
+                    with pytest.raises(UnsupportedPresentationError, match="Gauss periods"):
+                        GlobalFieldModel(field)
+                    refused += 1
+                elif m <= 20:  # larger ones build too, at about 0.07 s each
+                    assert GlobalFieldModel(field).degree == field.degree
+                    built += 1
+    assert (refused, built) == (86, 117)
