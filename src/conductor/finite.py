@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from .chartab import character_table, galois_fixed, galois_orbits, idempotent_coords
-from .cyclo import cyclotomic_poly, normalized, root_trace, totient, value_conductor
+from .cyclo import _fold, normalized, root_trace, totient, value_conductor
 from .errors import InputError, UnsupportedPresentationError
 from .localfields import AbelianLocalField, field_of_values, relative_data
 from .padic import (
@@ -269,13 +269,12 @@ def brute_force_conductor(g, p, reps=None, twist_seed=None, precision=None):
     the coefficient of g in x * o is eps(x * o * g^-1), and o * g^-1 lies in
     O.  The plain run solves these n constraints.
 
-    ``twist_seed`` conjugates the basis by a seeded unit u = 1 + p*lambda,
-    lambda an integer combination of the basis.  Both u and u^-1 lie in O,
-    so u O u^-1 = O and the lattice must not move; for abelian G,
-    u b u^-1 = b exactly.  On the n constraints the twist changes nothing,
-    eps(C_l u b u^-1) = eps(C_l b), so the twisted run solves the full n^2
-    constraints (x * b)[g] in Z_p instead: a second route, which also checks
-    that O is closed under right multiplication by G.
+    ``twist_seed`` spans O by u * b instead, for a seeded unit
+    u = 1 + p*lambda of O, lambda an integer combination of the basis: u and
+    u^-1 lie in O, so u O = O and the lattice must not move.  The twisted
+    run solves the full n^2 constraints (x * u b)[g] in Z_p: a second
+    route, which also checks that O is closed under right multiplication
+    by G.
     """
     if precision is None:
         precision = working_precision(g, p)
@@ -335,9 +334,9 @@ def _conductor_lattice(g, p, vectors, full, precision):
 
 
 def _twist_basis(g, p, basis, seed):
-    """u b u^-1 for every basis vector b, u = 1 + p*lambda for a seeded
-    integer combination lambda of the basis.  The conjugation runs on the
-    integer-scaled D * b, D * u and E * (D * u)^-1, divided once at the end."""
+    """u * b for every basis vector b, u = 1 + p*lambda for a seeded integer
+    combination lambda of the basis.  The products run on the
+    integer-scaled D * u and D * b, divided by D^2 once."""
     rng = random.Random(seed)
     n = g.order
     den, ints = _integer_scaled(basis)
@@ -350,12 +349,7 @@ def _twist_basis(g, p, basis, seed):
                     lam[i] += c * vec[i]
     u = [p * c for c in lam]
     u[0] += den
-    inv_den, (u_inv,) = _integer_scaled([_group_algebra_inverse(g, u)])
-    total = den * inv_den
-    return [
-        [Fraction(x, total) for x in _convolve(g, _convolve(g, u, vec), u_inv)]
-        for vec in ints
-    ]
+    return [[Fraction(x, den * den) for x in _convolve(g, u, vec)] for vec in ints]
 
 
 def _convolve(g, a, b):
@@ -370,21 +364,6 @@ def _convolve(g, a, b):
                 # class sums and group elements have unit coefficients
                 out[g.mult(x, y)] += by if ax == 1 else ax * by
     return out
-
-
-def _group_algebra_inverse(g, u):
-    """Exact inverse of a unit of Q_p[G], by solving u * y = 1."""
-    n = g.order
-    # column y of left multiplication by u is u * y
-    cols = [[0] * n for _ in range(n)]
-    for x in range(n):
-        if u[x]:
-            for y in range(n):
-                cols[y][g.mult(x, y)] += u[x]
-    solver = SpanSolver(cols)
-    if len(solver.positions) < n:
-        raise ArithmeticError("twist element is not a unit of Q_p[G]")
-    return solver.solve([1] + [0] * (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +436,10 @@ def _cyclotomic_ideal_basis(p, d, target, precision):
         d_prime //= p
     e = totient(d // d_prime)
     modulus = p**precision
-    mult = _cyclotomic_mult(d)
+
+    def mult(u, v):
+        # x^d = 1 mod Phi_d, so exponents are read mod d
+        return _fold(d, ((i + j, a * b) for i, a in enumerate(u) for j, b in enumerate(v)), 0)
 
     def power(u, t):
         acc = [1] + [0] * (deg - 1)
@@ -481,29 +463,6 @@ def _cyclotomic_ideal_basis(p, d, target, precision):
     if a:
         cols = [[Fraction(x, p**a) for x in col] for col in cols]
     return cols
-
-
-def _cyclotomic_mult(d):
-    deg = totient(d)
-    phi = cyclotomic_poly(d)
-
-    def mult(u, v):
-        prod = [0] * (2 * deg - 1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    if vj:
-                        prod[i + j] += ui * vj
-        for top in range(2 * deg - 2, deg - 1, -1):
-            c = prod[top]
-            if c:
-                prod[top] = 0
-                for j in range(deg):
-                    if phi[j]:
-                        prod[top - deg + j] -= c * phi[j]
-        return prod[:deg]
-
-    return mult
 
 
 # ---------------------------------------------------------------------------
@@ -736,16 +695,16 @@ class ExtComputation:
             return True
         classes = character_table(self.g).classes
         rank_n = self.mod_n.rank
-        z_mat = [[Fraction(0)] * rank_n for _ in range(rank_n)]
+        z_mat = [[0] * rank_n for _ in range(rank_n)]
         for l, c in enumerate(class_coords):
             if c:
                 for h in classes.classes[l]:
                     for i in range(rank_n):
                         for j in range(rank_n):
                             if self.acts_n[h][i][j]:
-                                z_mat[i][j] += Fraction(c) * self.acts_n[h][i][j]
+                                z_mat[i][j] += c * self.acts_n[h][i][j]
         for f in self.hom_basis:
-            moved = [Fraction(0)] * self.vec_dim
+            moved = [0] * self.vec_dim
             for t in range(self.k_dim):
                 for i in range(rank_n):
                     c = f[t * rank_n + i]

@@ -207,11 +207,11 @@ def central_conductor(sd, base=None):
     """The conductor of o[[H x| Gamma]] over the base field: one component
     per character class, each a multiplier/inverse-different scaled copy of
     Lambda^{o_chi}(Gamma_chi), plus the scalar intersection exponent and a
-    splitting field with certificates."""
+    certified splitting field."""
     if base is None:
         base = AbelianLocalField.qp(sd.p)
     classes = character_classes(sd, base)
-    e_field, _ = splitting_field_bound(sd, base)
+    e_field = splitting_field_bound(sd, base)
     return ConductorDescription(
         name=sd.name(),
         p=sd.p,
@@ -233,9 +233,9 @@ def scalar_conductor_exponent(classes, base) -> int:
 
 
 def splitting_field_bound(sd, base=None):
-    """E = K(zeta_exp(H)), with certificates that E[H] splits: every Galois
-    class of Irr(H) over E is a singleton whose value field is E itself.
-    Returns (E, certificates)."""
+    """E = K(zeta_exp(H)), certified to split E[H]: every Galois class of
+    Irr(H) over E is a singleton whose value field is E itself.  Raises
+    ArithmeticError when the certificate fails."""
     if base is None:
         base = AbelianLocalField.qp(sd.p)
     exph = normalized(sd.h.exponent())
@@ -244,14 +244,13 @@ def splitting_field_bound(sd, base=None):
     e_field = AbelianLocalField(base.p, m, stab)
     table = character_table(sd.h)
     orbits = galois_orbits(table, e_field)
-    singleton = all(len(orbit) == 1 for orbit in orbits)
-    values_in_field = all(
-        field_of_values(e_field, table.exponent, galois_fixed(table, orbit[:1])).equals(e_field)
+    if not all(
+        len(orbit) == 1
+        and field_of_values(e_field, table.exponent, galois_fixed(table, orbit)).equals(e_field)
         for orbit in orbits
-    )
-    if not (singleton and values_in_field):
+    ):
         raise ArithmeticError("claimed splitting field failed its certificate")
-    return e_field, {"orbits_singleton": singleton, "values_in_field": values_in_field}
+    return e_field
 
 
 # ---------------------------------------------------------------------------

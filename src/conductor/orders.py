@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .cyclo import CycloNumber, totient
+from .cyclo import _fold, root_trace, totient
 from .errors import UnsupportedPresentationError
 from .localfields import AbelianLocalField
 from .padic import (
@@ -123,42 +123,38 @@ class GlobalFieldModel:
                 % (len(field.galois_group), len(units), m)
             )
 
+        # basis element i is the sum of zeta_m^a over the exponents a of its
+        # coset of the stabilizer: zeta_m^i itself when the stabilizer is
+        # trivial, a Gauss period otherwise
         if len(field.stab) == 1:
-            self.basis = [CycloNumber.root(m) ** i for i in range(totient(m))]
+            cosets = [(i,) for i in range(totient(m))]
         else:
-            stab = set(field.stab)
-            reps, seen = [], set()
+            cosets, seen = [], set()
             for a in units:
                 if a not in seen:
-                    reps.append(a)
-                    seen.update((a * s) % m for s in stab)
-            self.basis = [
-                sum(
-                    (CycloNumber.root(m, (c * s) % m) for s in field.stab),
-                    CycloNumber.rational(0),
-                )
-                for c in reps
-            ]
-        self.degree = len(self.basis)
+                    cosets.append(tuple((a * s) % m for s in field.stab))
+                    seen.update(cosets[-1])
+        self.degree = len(cosets)
         if self.degree != field.degree:
             raise ArithmeticError(
                 "basis has %d elements for a field of degree %d" % (self.degree, field.degree)
             )
-        self._solver = SpanSolver([b.lift(m).coeffs for b in self.basis])
+        self._solver = SpanSolver([_fold(m, ((a, 1) for a in c), 0) for c in cosets])
         if len(self._solver.positions) < self.degree:
             raise UnsupportedPresentationError(
                 "the %d Gauss periods span a space of dimension %d only"
                 % (self.degree, len(self._solver.positions))
             )
+        self._one = self._solver.solve(_fold(m, ((0, 1),), 0))
 
         # structure constants must be p-integral for the span to be an
         # order over the local ring; a failure here means the basis does
         # not span a ring at p and the model is unusable
         self.structure = []
-        for i in range(self.degree):
+        for ci in cosets:
             row = []
-            for j in range(self.degree):
-                coords = self.to_coords(self.basis[i] * self.basis[j])
+            for cj in cosets:
+                coords = self._solver.solve(_fold(m, ((a + b, 1) for a in ci for b in cj), 0))
                 if any(c.denominator % p == 0 for c in coords):
                     raise UnsupportedPresentationError(
                         "basis products leave the lattice at p=%d" % p
@@ -168,9 +164,9 @@ class GlobalFieldModel:
 
         # Gram certificate: v_p(det) must equal the conductor-discriminant
         # prediction, which certifies maximality at p.  Tr(b_i b_j) is
-        # sum_k s_ijk Tr(b_k), read off the structure constants
-        stab_size = len(field.stab)
-        traces = [b.trace_to_q() / stab_size for b in self.basis]
+        # sum_k s_ijk Tr(b_k), read off the structure constants; Tr(b_k) is
+        # the trace to Q of its coset sum over the stabilizer size
+        traces = [Fraction(sum(root_trace(m, a) for a in c), len(field.stab)) for c in cosets]
         self.gram = [
             [sum((c * t for c, t in zip(coords, traces) if c), Fraction(0)) for coords in row]
             for row in self.structure
@@ -186,17 +182,7 @@ class GlobalFieldModel:
             )
         self._radical = None
 
-    # -- coordinates ---------------------------------------------------------
-
-    def to_coords(self, x: CycloNumber) -> list:
-        lifted = x.lift(self.field.m) if x.m != self.field.m else x
-        try:
-            return self._solver.solve(lifted.coeffs)
-        except ArithmeticError:
-            raise ValueError("element does not lie in the field") from None
-
-    def one_coords(self) -> list:
-        return self.to_coords(CycloNumber.rational(1))
+    # -- arithmetic ------------------------------------------------------------
 
     def mult_coords(self, u, v) -> list:
         out = [Fraction(0)] * self.degree
@@ -220,7 +206,7 @@ class GlobalFieldModel:
                 DEFAULT_PRECISION,
                 lambda u, v: [residue(c, p, p) for c in self.mult_coords(list(u), list(v))],
                 self.degree,
-                [residue(c, p, p) for c in self.one_coords()],
+                [residue(c, p, p) for c in self._one],
             )
         return self._radical
 

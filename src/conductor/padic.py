@@ -171,8 +171,8 @@ class SpanSolver:
         ]
 
     def solve(self, target):
-        """Coordinates of target; ArithmeticError if it is outside the span."""
-        target = [Fraction(x) for x in target]
+        """Coordinates of target (ints or Fractions); ArithmeticError if it
+        is outside the span."""
         if not self.size and any(target):
             raise ArithmeticError("target is outside the span of the basis")
         scale = lcm(*(x.denominator for x in target))

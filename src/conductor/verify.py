@@ -106,11 +106,10 @@ def suite_twists(p=None, seed=None, precision=None):
     """Seeded unit twists: the full constraint system of the twisted basis
     against the identity-coefficient system of the plain one.
 
-    u = 1 + p*lambda is built from the maximal order O, so u O u^-1 = O and
-    both runs solve for the same lattice; for abelian G, u b u^-1 = b
-    exactly.  The twisted run reads every coefficient of x * b, so it is a
-    second route, and it also checks that O is closed under right
-    multiplication by G."""
+    The twisted run spans the maximal order O by u * b, u = 1 + p*lambda a
+    unit of O, so u O = O and both runs solve for the same lattice.  It
+    reads every coefficient of x * u b, so it is a second route, and it
+    also checks that O is closed under right multiplication by G."""
     checks = []
     seeds = (seed,) if seed is not None else TWIST_SEEDS
     for g in conductor_catalog():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conductor.errors import PrecisionExhaustedError
 from conductor.padic import (
+    SpanSolver,
     echelon,
     fraction_determinant,
     fraction_inverse,
@@ -196,3 +197,13 @@ def test_fraction_inverse_and_determinant(rows):
     prod = [[sum(inv[i][k] * rows[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     assert prod == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     assert det * fraction_determinant(inv) == 1
+
+
+def test_span_solver_takes_int_and_fraction_targets_alike():
+    solver = SpanSolver([[1, 2, 0], [Fraction(1, 2), 0, 1]])
+    coords = solver.solve([0, 4, -4])
+    assert coords == solver.solve([Fraction(0), Fraction(4), Fraction(-4)]) == [2, -4]
+    assert all(type(x) is Fraction for x in coords)
+    for target in ([1, 0, 0], [Fraction(1), Fraction(0), Fraction(0)]):
+        with pytest.raises(ArithmeticError, match="outside the span"):
+            solver.solve(target)
