@@ -9,10 +9,11 @@ defining {x central : x * maximal_order <= Z_p[G]}, and solves them by
 elimination.  ``formula_conductor_lattice`` turns the formula into a lattice
 in the same coordinates so the two can be compared bit for bit.
 
-The second half of the module computes Ext^1 groups from a projective
-presentation and checks that the conductor annihilates them, including the
-sharpness probe that exhibits a central element just outside the conductor
-which fails to annihilate.
+The second half of the module computes Ext^1(M, N) as the cohomology group
+H^1(G, Hom(M, N)), from cocycles fixed by their values on the generators,
+and checks that the conductor annihilates it, including the sharpness probe
+that exhibits a central element just outside the conductor which fails to
+annihilate.
 """
 
 import random
@@ -28,7 +29,6 @@ from .localfields import AbelianLocalField, field_of_values, relative_data
 from .padic import (
     DEFAULT_PRECISION,
     SpanSolver,
-    exact_kernel,
     hnf_columns,
     lattice_contains,
     residue,
@@ -516,29 +516,18 @@ def augmentation_module(g):
     return GModule(g, r, mats, "augmentation")
 
 
-def module_from_columns(g, columns, name="sublattice"):
-    """G-stable sublattice of the regular lattice spanned by integer columns."""
-    from .padic import exact_row_hnf
-
-    rows = exact_row_hnf([list(c) for c in columns])
-    basis = [r for r in rows if any(r)]
-    return GModule(g, len(basis), _permutation_action(g, basis), name)
-
-
 def _permutation_action(g, basis):
-    """Matrices of the generators on the lattice spanned by basis inside
-    (Z_p[G])^r, where they permute each block of |G| coordinates."""
-    n = g.order
+    """Matrices of the generators on the lattice with the given basis
+    inside the regular lattice Z_p[G], where they permute coordinates;
+    InputError unless the lattice is G-stable."""
     solver = SpanSolver(basis)
     mats = []
     for s in g.generators:
-        perm = [g.mult(s, x) for x in range(n)]
         mat = []
         for v in basis:
-            moved = [0] * len(v)
-            for idx, c in enumerate(v):
-                if c:
-                    moved[idx - idx % n + perm[idx % n]] += c
+            moved = [0] * g.order
+            for x, c in enumerate(v):
+                moved[g.mult(s, x)] = c
             try:
                 coords = solver.solve(moved)
             except ArithmeticError:
@@ -582,9 +571,10 @@ def _element_actions(g, gen_mats, rank):
 
 
 def _mat_mul(a, b):
-    k = len(b)
+    # the action matrices are mostly zero, so each row of a is read sparsely
     bt = list(zip(*b))
-    return [[sum(ar[t] * bc[t] for t in range(k)) for bc in bt] for ar in a]
+    rows = ([(t, x) for t, x in enumerate(ar) if x] for ar in a)
+    return [[sum(x * bc[t] for t, x in terms) for bc in bt] for terms in rows]
 
 
 def _transpose(m):
@@ -592,16 +582,22 @@ def _transpose(m):
 
 
 class ExtComputation:
-    """Ext^1(M, N) over Z_p[G] from the presentation 0 -> K -> P -> M -> 0
-    with P = (Z_p[G])^rank(M), for a lattice M and a finite module
-    N = lattice/p^q (``GModule.mod_p_power``).
+    """Ext^1(M, N) over Z_p[G] for a lattice M and a finite module
+    N = lattice/p^q (``GModule.mod_p_power``), as the first cohomology
+    H^1(G, A) of A = Hom_{Z_p}(M, N): M is Z_p-free, so
+    Ext^1_{Z_p[G]}(M, N) = H^1(G, A) (K. S. Brown, Cohomology of Groups,
+    GTM 87, III.2).  A is the rank N x rank M matrices mod p^q, with
+    x . f = N(x) f M(x^-1).
 
-    Everything is reduced to integer linear algebra: Hom(K, N) is the
-    solution lattice of the equivariance equations, the comparison map from
-    Hom(P, N) = N^rank(M) restricts along K, and the elementary divisors of
-    the quotient are read off a Smith form.  The bases of K and of Hom(K, N)
-    are each factored once (``SpanSolver``), and every coordinate solve in
-    the constructor and in ``annihilates`` reuses that factorisation.
+    A cocycle f is fixed by its values F_s = f(s) on the generators: the
+    walk of the Cayley graph from 1 sets f(s x) = F_s + s . f(x), and each
+    edge into an element already reached is a linear condition on F mod
+    p^q.  The cocycles Z are the solution lattice of these conditions, the
+    coboundaries B are spanned by (s . a - a)_s and p^q on each coordinate,
+    and the elementary divisors of Z/B are read off a Smith form of B in
+    coordinates on Z.  The basis of Z is factored once (``SpanSolver``),
+    and every coordinate solve in the constructor and in ``annihilates``
+    reuses that factorisation.
     """
 
     def __init__(self, mod_m, mod_n, p):
@@ -620,61 +616,55 @@ class ExtComputation:
 
     def _run(self):
         g, p = self.g, self.p
-        n = g.order
-        r = self.mod_m.rank
-        rank_n = self.mod_n.rank
-        acts_m = _element_actions(g, self.mod_m.gen_actions, r)
-        self.acts_n = acts_n = _element_actions(g, self.mod_n.gen_actions, rank_n)
-        # surjection P = (Z_p G)^r -> M, basis vector (i, x) |-> x * m_i
-        surj = [[0] * (r * n) for _ in range(r)]
-        for i in range(r):
-            for x in range(n):
-                for row in range(r):
-                    surj[row][i * n + x] = acts_m[x][row][i]
-        kern = exact_kernel(_transpose(surj))
-        self.k_dim = len(kern)
-        self.vec_dim = rank_n * self.k_dim
-        # action of the generators on K, through the P-permutation action
-        k_acts = _permutation_action(g, kern)
-        # equivariance equations for f : K -> N, vec index t*rank_n + i
-        eqs = []
-        for mat_n, mat_k in zip(self.mod_n.gen_actions, k_acts):
-            for tp in range(self.k_dim):
-                for ip in range(rank_n):
-                    row = [0] * self.vec_dim
-                    for i in range(rank_n):
-                        row[tp * rank_n + i] += mat_n[ip][i]
-                    for t in range(self.k_dim):
-                        row[t * rank_n + ip] -= mat_k[t][tp]
-                    if any(row):
-                        eqs.append(row)
+        rank_n, rank_m = self.mod_n.rank, self.mod_m.rank
+        acts_m = _element_actions(g, self.mod_m.gen_actions, rank_m)
+        self.acts_n = _element_actions(g, self.mod_n.gen_actions, rank_n)
+        # a in A is a vector of length dim, entry (i, k) at i * rank M + k;
+        # the generator s = generators[j] acts on it by the matrix acts_a[j]
+        dim = rank_n * rank_m
+        acts_a = []
+        for s in g.generators:
+            n_s, m_inv = self.acts_n[s], acts_m[g.inv(s)]
+            acts_a.append([
+                [n_s[i][a] * m_inv[b][k] for a in range(rank_n) for b in range(rank_m)]
+                for i in range(rank_n) for k in range(rank_m)
+            ])
+        # f(x) as its matrix on the unknowns F: dim rows, F_s at columns
+        # j * dim .. (j + 1) * dim - 1
+        width = len(g.generators) * dim
+        values = {0: [[0] * width for _ in range(dim)]}
+        frontier, conditions = [0], []
+        while frontier:
+            x = frontier.pop()
+            for j, s in enumerate(g.generators):
+                y = g.mult(s, x)
+                moved = _mat_mul(acts_a[j], values[x])
+                for t, row in enumerate(moved):
+                    row[j * dim + t] += 1
+                if y not in values:
+                    values[y] = moved
+                    frontier.append(y)
+                else:
+                    conditions += [
+                        [u - v for u, v in zip(a, b)] for a, b in zip(values[y], moved)
+                    ]
+        # consistent edges make f well defined on words, hence a cocycle
+        eqs = list(dict.fromkeys(tuple(row) for row in conditions if any(row)))
         q = self.mod_n.quotient_exponent
         if eqs:
             vals, c_cols = smith_with_column_transform(p, self.precision, eqs)
             self.hom_basis = [
                 [x * p ** max(0, q - vals[i]) if i < len(vals) else x for x in c_cols[i]]
-                for i in range(self.vec_dim)
+                for i in range(width)
             ]
         else:
-            self.hom_basis = [
-                [1 if i == j else 0 for i in range(self.vec_dim)] for j in range(self.vec_dim)
-            ]
-        # restriction of Hom(P, N) = N^r along K
-        image = []
-        for i in range(r):
-            for b in range(rank_n):
-                vec = [0] * self.vec_dim
-                for t in range(self.k_dim):
-                    for x in range(n):
-                        c = kern[t][i * n + x]
-                        if c:
-                            for irow in range(rank_n):
-                                vec[t * rank_n + irow] += c * acts_n[x][irow][b]
-                image.append(vec)
-        for j in range(self.vec_dim):
-            vec = [0] * self.vec_dim
-            vec[j] = self.p**q
-            image.append(vec)
+            self.hom_basis = [[int(i == j) for i in range(width)] for j in range(width)]
+        # the coboundaries x |-> x . a - a, and p^q on each coordinate
+        image = [
+            [mat[t][k] - int(t == k) for mat in acts_a for t in range(dim)]
+            for k in range(dim)
+        ]
+        image += [[p**q * int(i == j) for i in range(width)] for j in range(width)]
         self._hom = SpanSolver(self.hom_basis)
         modulus = self.p**self.precision
         self._image_rows = [
@@ -703,14 +693,17 @@ class ExtComputation:
                         for j in range(rank_n):
                             if self.acts_n[h][i][j]:
                                 z_mat[i][j] += c * self.acts_n[h][i][j]
+        # z acts through N: (z . F)_s = N(z) F_s, F_s the rank N x rank M
+        # block of rows at [j * rank N, (j + 1) * rank N), s = generators[j]
+        rank_m = self.mod_m.rank
         for f in self.hom_basis:
-            moved = [0] * self.vec_dim
-            for t in range(self.k_dim):
-                for i in range(rank_n):
-                    c = f[t * rank_n + i]
-                    if c:
-                        for irow in range(rank_n):
-                            moved[t * rank_n + irow] += z_mat[irow][i] * c
+            rows = [f[t : t + rank_m] for t in range(0, len(f), rank_m)]
+            moved = [
+                x
+                for j in range(0, len(rows), rank_n)
+                for row in _mat_mul(z_mat, rows[j : j + rank_n])
+                for x in row
+            ]
             if not lattice_contains(self._image_lattice, self._hom.solve(moved)):
                 return False
         return True
@@ -725,7 +718,8 @@ def conductor_annihilates(g, p, mod_m, mod_n, reps=None) -> bool:
 
 def maximal_order_module(g, p, reps=None):
     """The maximal order as a Z_p[G]-lattice inside the regular lattice,
-    scaled by |G| to clear denominators."""
+    scaled by |G| to clear denominators: the scaled basis of
+    ``maximal_order_basis`` is a basis of it."""
     basis = maximal_order_basis(g, p, reps)
     columns = []
     for vec in basis:
@@ -733,7 +727,7 @@ def maximal_order_module(g, p, reps=None):
         if any(c.denominator != 1 for c in col):
             raise ArithmeticError("|G| times the maximal order basis is not integral")
         columns.append([c.numerator for c in col])
-    return module_from_columns(g, columns, "maximal-order")
+    return GModule(g, g.order, _permutation_action(g, columns), "maximal-order")
 
 
 def sharpness_probe(g, p, pool):

@@ -30,12 +30,9 @@ from .padic import (
     DEFAULT_PRECISION,
     PLattice,
     SpanSolver,
-    fraction_determinant,
-    fraction_inverse,
     hnf_columns,
     kernel,
     residue,
-    vp,
 )
 
 
@@ -171,14 +168,15 @@ class GlobalFieldModel:
             [sum((c * t for c, t in zip(coords, traces) if c), Fraction(0)) for coords in row]
             for row in self.structure
         ]
-        det = fraction_determinant(self.gram)
-        if det == 0:
-            raise ArithmeticError("the trace form of the basis is degenerate")
-        if vp(det, p) != field.discriminant_valuation:
+        # v_p(det) is the index of the lattice the Gram columns span
+        try:
+            disc = hnf_columns(p, DEFAULT_PRECISION, self.gram).index_valuation()
+        except ValueError:
+            raise ArithmeticError("the trace form of the basis is degenerate") from None
+        if disc != field.discriminant_valuation:
             raise UnsupportedPresentationError(
                 "basis discriminant valuation %d does not match the "
-                "conductor-discriminant value %d"
-                % (vp(det, p), field.discriminant_valuation)
+                "conductor-discriminant value %d" % (disc, field.discriminant_valuation)
             )
         self._radical = None
 
@@ -228,9 +226,13 @@ class GlobalFieldModel:
         e = self.field.ramification_index
         q = -(-d // e)  # ceil(d/e)
         r = e * q - d
-        # p^q * dual lattice (columns of the inverse Gram) vs J^r
-        dual_cols = [list(col) for col in zip(*fraction_inverse(self.gram))]
-        scaled = [[x * p**q for x in col] for col in dual_cols]
-        left = hnf_columns(p, DEFAULT_PRECISION, scaled)
-        right = self.ideal_power(r)
-        return left == right
+        # the dual lattice is Gram^-1 Z_p^n, so p^q O^dual = J^r exactly
+        # when Gram J^r = p^q Z_p^n
+        images = [
+            [sum(x * c for x, c in zip(row, col)) for row in self.gram]
+            for col in self.ideal_power(r).cols
+        ]
+        if any(x.denominator % p == 0 for col in images for x in col):
+            return False
+        target = [[p**q * int(i == j) for i in range(self.degree)] for j in range(self.degree)]
+        return hnf_columns(p, DEFAULT_PRECISION, images) == hnf_columns(p, DEFAULT_PRECISION, target)

@@ -6,12 +6,12 @@ Four kinds of elimination, each written once:
   tables split eigenspaces with them; nilradicals of orders mod p are
   kernels of Frobenius powers);
 - over Q: ``SpanSolver`` factors one fixed basis once by integer
-  Gauss-Jordan and then solves for any target; ``fraction_inverse`` is
-  built on it, and ``fraction_determinant`` is plain Fraction elimination;
+  Gauss-Jordan and then solves for any target;
 - over Z/p^N: canonical column Hermite forms, lattice membership and
   Smith forms (optionally tracking the column transform);
-- over Z: exact row Hermite forms and integer kernels, for syzygies where
-  exactness matters more than speed.
+- over Z: exact row Hermite forms and integer kernels.  Nothing in the
+  package calls them; they are kept because ``perfbench/tracer.py`` wraps
+  them.
 
 ``residue`` is the one conversion of an int or p-integral Fraction into
 Z/p^N; a non-p-integral entry raises ArithmeticError in every build.
@@ -194,36 +194,6 @@ def _combine(a, row, b, other):
 def _primitive(row):
     g = gcd(*row)
     return row if g == 1 else [x // g for x in row]
-
-
-def fraction_inverse(rows):
-    """Inverse of a square matrix over Q; ValueError if it is singular."""
-    n = len(rows)
-    solver = SpanSolver(list(zip(*rows)))
-    if len(solver.positions) < n:
-        raise ValueError("singular matrix")
-    cols = [solver.solve([int(i == j) for i in range(n)]) for j in range(n)]
-    return [list(row) for row in zip(*cols)]
-
-
-def fraction_determinant(rows) -> Fraction:
-    a = [[Fraction(x) for x in row] for row in rows]
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
 
 
 # -- lattices mod p^N ---------------------------------------------------------

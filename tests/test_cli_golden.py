@@ -47,6 +47,8 @@ GOLDEN = [
     ("verify --suite different --p 3 --format table", 0, "ecc57352899aeec0d6dd094e8b39677efa7ef8956b3caa87a7e360c62ca3559e"),
     ("verify --suite exponents", 0, "49bbd39829de4bfdc1b3a2efd8743477633496ebb6fe76a38bb7ea4f920f2855"),
     ("verify --suite exponents --format table", 0, "d26e9317ede089fe297b3c6bc71b9a2f503a4fb66c479e918482b0fcc97df4c7"),
+    ("verify --suite ext", 0, "b1c67321577cd1104acc2188cca853b9b973920705573dc2bbb20e568e18e6fc"),
+    ("verify --suite ext --format table", 0, "b1d8ff3209ae534edc6d171aa3d382fd00b4feea1061d3b4db2934b40a6d50e9"),
 ]
 
 

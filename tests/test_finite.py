@@ -29,6 +29,7 @@ from conductor.finite import (
     _cyclotomic_ideal_basis,
     _element_actions,
     _orbit_idempotent,
+    _permutation_action,
     _twist_basis,
     augmentation_module,
     brute_force_conductor,
@@ -37,7 +38,6 @@ from conductor.finite import (
     jacobinski_conductor,
     maximal_order_basis,
     maximal_order_module,
-    module_from_columns,
     regular_module,
     sharpness_probe,
     trivial_module,
@@ -46,7 +46,7 @@ from conductor.finite import (
 from conductor.groups import cyclic_group, direct_product, finite_quotient
 from conductor.localfields import AbelianLocalField
 from conductor.orders import lattice_power, radical_lattice
-from conductor.padic import hnf_columns, lattice_contains, sublattice_of
+from conductor.padic import hnf_columns, lattice_contains, sublattice_of, vp
 
 
 def _value_key(v):
@@ -306,15 +306,16 @@ def test_conductor_annihilates_ext():
     assert conductor_annihilates(g, 3, maximal_order_module(g, 3), aug.mod_p_power(1))
 
 
-def test_module_from_columns_rejects_unstable_spans():
+def test_permutation_action_rejects_unstable_spans():
     g = cyclic_group(3)
-    assert module_from_columns(g, [[1, -1, 0], [0, 1, -1]]).rank == 2
+    # the augmentation lattice: the generator matrix is 2 x 2
+    assert [len(mat) for mat in _permutation_action(g, [[1, -1, 0], [0, 1, -1]])] == [2]
     # the generator moves e_1 to e_2, outside the Q-span
     with pytest.raises(InputError):
-        module_from_columns(g, [[1, 0, 0], [0, 1, 0]])
+        _permutation_action(g, [[1, 0, 0], [0, 1, 0]])
     # a G-stable Q-span whose lattice is not G-stable
     with pytest.raises(InputError):
-        module_from_columns(g, [[1, -1, 0], [0, 3, -3]])
+        _permutation_action(g, [[1, -1, 0], [0, 3, -3]])
 
 
 def test_ext_needs_a_lattice_and_a_lattice_mod_p_power():
@@ -366,32 +367,50 @@ def test_maximal_order_basis_refuses_non_representations():
 @pytest.mark.parametrize("make_m", [trivial_module, regular_module, augmentation_module])
 @pytest.mark.parametrize("make_n", [trivial_module, regular_module])
 def test_ext_over_the_trivial_group_vanishes(make_m, make_n):
-    # K = 0, so Hom(K, N) and Ext^1 are 0 and every element annihilates
+    # C1 has no generators, so a cocycle has no values to fix: the cocycle
+    # lattice and Ext^1 are 0 and every element annihilates
     g = cyclic_group(1)
     comp = ExtComputation(make_m(g), make_n(g).mod_p_power(2), 3)
-    assert (comp.k_dim, comp.divisors, comp.hom_basis) == (0, [], [])
+    assert (comp.divisors, comp.hom_basis) == ([], [])
     assert comp.annihilates([1]) and comp.annihilates([0])
 
 
 def test_ext_without_equivariance_equations():
-    # C2 acting by -1 on Z_3: K is spanned by 1 + s, on which s acts
-    # trivially, as on N, so no equation constrains Hom(K, N)
+    # C2 acting by -1 on Z_3, against the trivial N: s acts on
+    # Hom(M, N) by -1, so the one closing edge s s = 1 reads F - F = 0 and
+    # no condition constrains the cocycle value F = f(s)
     g = cyclic_group(2)
     sign = GModule(g, 1, [[[-1]]], "sign")
     comp = ExtComputation(sign, trivial_module(g).mod_p_power(1), 3)
-    assert (comp.vec_dim, comp.hom_basis, comp.divisors) == (1, [[1]], [])
+    assert (comp.hom_basis, comp.divisors) == ([[1]], [])
     assert comp.annihilates([1, 0])
 
 
 def test_s3_ext_of_augmentation_mod_p2_vanishes():
-    # Hom(K, N) has dimension 125 here
+    # the cocycle lattice has rank 50 here: two generators, each with a
+    # 5 x 5 value
     g = symmetric_3()
     aug = augmentation_module(g)
     comp = ExtComputation(aug, aug.mod_p_power(2), 3)
-    assert len(comp.hom_basis) == 125
+    assert len(comp.hom_basis) == 50
     assert comp.divisors == []
     lat = brute_force_conductor(g, 3, reps=splitting_reps("S3"))
     assert all(comp.annihilates(col) for col in lat.cols)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("factors", [(3,), (9,), (3, 3), (3, 9), (6,)], ids=str)
+def test_ext_of_trivial_modules_is_hom_into_z_mod_3q(factors, q):
+    # Ext^1(Z_3, Z_3/3^q) = H^1(G, Z/3^q) = Hom(G, Z/3^q), which is the sum
+    # of Z/gcd(n, 3^q) over the cyclic factors Z/n of G; the regular
+    # module is projective, so its Ext^1 vanishes
+    g = cyclic_group(factors[0])
+    for n in factors[1:]:
+        g = direct_product(g, cyclic_group(n))
+    target = trivial_module(g).mod_p_power(q)
+    want = sorted(min(q, vp(n, 3)) for n in factors if n % 3 == 0)
+    assert ExtComputation(trivial_module(g), target, 3).divisors == want
+    assert ExtComputation(regular_module(g), target, 3).divisors == []
 
 
 @lru_cache(maxsize=None)

@@ -5,11 +5,12 @@ from math import gcd
 
 import pytest
 
+from conductor import orders
 from conductor.cyclo import cyclotomic_poly
 from conductor.errors import UnsupportedPresentationError
 from conductor.localfields import AbelianLocalField
 from conductor.orders import GlobalFieldModel
-from conductor.padic import fraction_inverse
+from conductor.padic import SpanSolver
 
 
 def test_q_model_is_trivial():
@@ -31,19 +32,23 @@ def test_gram_is_invertible_and_integral():
         AbelianLocalField.unramified(3, 2),
     ):
         m = GlobalFieldModel(field)
-        inv = fraction_inverse(m.gram)
         n = m.degree
+        # column j of the inverse solves gram * x = e_j
+        solver = SpanSolver([list(col) for col in zip(*m.gram)])
+        inv_cols = [solver.solve([int(i == j) for i in range(n)]) for j in range(n)]
         prod = [
-            [sum(m.gram[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+            [sum(m.gram[i][k] * inv_cols[j][k] for k in range(n)) for j in range(n)]
             for i in range(n)
         ]
         assert prod == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         assert all(v.denominator == 1 for row in m.gram for v in row)
 
 
-def test_fraction_inverse_rejects_singular():
-    with pytest.raises(ValueError):
-        fraction_inverse([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
+def test_degenerate_trace_form_is_refused(monkeypatch):
+    # with every trace 0 the Gram columns span no full-rank lattice
+    monkeypatch.setattr(orders, "root_trace", lambda m, a: 0)
+    with pytest.raises(ArithmeticError, match="degenerate"):
+        GlobalFieldModel(AbelianLocalField.cyclotomic(3, 1))
 
 
 def test_unramified_needs_inert_model():
