@@ -50,6 +50,11 @@ Certificates
 rows mod l, the lift bound, the permuted lifts, integral restriction
 multiplicities) raise ArithmeticError.
 
+``character_table`` runs this on every group it is given.  The level checks
+of ``iwasawa`` run it on H and G_n only: the table of G_m, m > n, is built
+from the table of G_n as a fibre product (``iwasawa.fibre_product_table``),
+and comes out equal to this one.
+
 Everything is deterministic: classes are ordered by smallest member
 (identity first), matrices are consumed in class order, eigenvalues
 ascending, and finished rows are sorted by (degree, coefficient tuple
@@ -235,11 +240,19 @@ def _equals_integer(coords: list[int], n: int) -> bool:
     return coords[0] == n and not any(coords[1:])
 
 
-def character_table(g: FiniteGroup) -> CharacterTable:
+def require_table_bound(g: FiniteGroup) -> None:
+    """Refuse a group above the order for which tables are built."""
     if g.order > DEFAULT_BOUND:
         raise GroupTooLargeError(
             "character table limited to order <= %d (got %d)" % (DEFAULT_BOUND, g.order)
         )
+
+
+def character_table(g: FiniteGroup) -> CharacterTable:
+    """The Dixon-Schneider table of g, cached on g.  Every group goes this
+    way, the quotients G_m included; ``iwasawa.fibre_product_table`` builds
+    the same table of G_m (m > n) from that of G_n."""
+    require_table_bound(g)
     cached = getattr(g, "_char_table", None)
     if cached is not None:
         return cached

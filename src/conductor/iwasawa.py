@@ -19,7 +19,9 @@ R_m = o[u]/(u^{p^{m-n}} - 1), its trace form and dual basis, the dual
 basis of a scalar extension Lambda^{o'}(Gamma), whose field part is the
 inverse different of o' and is certified on its integral model, the
 idempotent suite, and the degree bookkeeping check against character tables
-of the finite quotients.
+of the finite quotients.  The tables of H and G_n come from Dixon-Schneider
+(``chartab.character_table``); the table of G_m, m > n, is built from that
+of G_n as a fibre product (``fibre_product_table``).
 
 The truncated algebra and the idempotent suite compute on plain integers.
 The certificates multiply only monomials u^s gamma^i h of Z[G_m] over
@@ -33,10 +35,14 @@ power-basis coordinates only to be compared.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cmp_to_key
+from math import gcd, lcm
 
 from .chartab import (
+    CharacterTable,
+    _power_maps,
     _sparse_sum,
+    _split_prime,
     alpha_orbits,
     character_table,
     galois_exponents,
@@ -44,12 +50,13 @@ from .chartab import (
     galois_orbits,
     galois_permutations,
     idempotent_coords,
+    require_table_bound,
     restrict_and_decompose,
 )
 from .cyclo import int_coords, normalized
 from .errors import InputError, InvalidQuotientError
 from .finite import jacobinski_conductor
-from .groups import finite_quotient
+from .groups import conjugacy_classes, finite_quotient
 from .groups import orbits as group_orbits
 from .localfields import AbelianLocalField, field_of_values, relative_data
 from .orders import GlobalFieldModel
@@ -471,21 +478,134 @@ def extension_dual_basis_check(kprime: AbelianLocalField, n: int, level: int) ->
 # Degree bookkeeping against the finite quotients
 
 
+def fibre_product_table(sd, m) -> CharacterTable:
+    """The character table of G_m = H x| Z/p^m, equal to
+    ``character_table(G_m)``; for m > n it is built from the table of G_n,
+    so Dixon-Schneider runs on G_n and not on G_m.
+
+    gamma^(p^n) acts trivially on H, so it is central in G_m.  The map
+    gamma^i h -> (gamma^i h mod gamma^(p^n), i mod p^m) embeds G_m in
+    G_n x C_(p^m).  The image is the pairs (x, i) with i = the
+    gamma-exponent of x mod p^n, of index p^n, and the image times the
+    central 1 x C_(p^m) is the whole product.  For characters of a direct
+    product and their restrictions see Isaacs, *Character Theory of Finite
+    Groups*, ch. 4.
+      - Classes.  G_m and the central factor generate the product, so
+        conjugacy in G_m is conjugacy in G_n x C_(p^m): the classes of G_m
+        are the pairs (c, i), c a class of G_n and i = the gamma-exponent
+        of c mod p^n.  So k(G_m) = p^(m-n) k(G_n).
+      - Characters.  The central factor acts by scalars on an irreducible
+        representation of the product, so a subspace invariant under G_m
+        is invariant under the product: each chi x lambda_a, with
+        lambda_a(i) = zeta_(p^m)^(a i), restricts irreducibly.  Two pairs
+        restrict alike exactly when they differ by (mu, mu^-1), mu a
+        character of G_n/H = C_(p^n) read on the product; that action is
+        free, and each orbit has exactly one a in [0, p^(m-n)).  These
+        k(G_n) p^(m-n) = k(G_m) restrictions are Irr(G_m).
+      - Values.  (chi x lambda_a)(c, i) = chi(c) zeta_(p^m)^(a i), of degree
+        chi(1).  The exponent conductor E of G_m (never 2 mod 4) is a
+        multiple of that of G_n and of p^m, so each value is folded once at
+        E, per distinct (row, class, a i mod p^m).
+    The classes, power maps and split prime are those of G_m itself, and
+    the rows are sorted by Dixon-Schneider's key (degree, coordinates at
+    E), so the table is the same.  Certificates (ArithmeticError): all the
+    members of a class of G_m map to one pair (c, i), with i = the
+    gamma-exponent of c mod p^n; distinct classes map to distinct pairs;
+    k(G_m) = p^(m-n) k(G_n); and E is a multiple of both conductors.
+    """
+    g = finite_quotient(sd, m)
+    if m == sd.n:
+        return character_table(g)
+    require_table_bound(g)
+    base = character_table(finite_quotient(sd, sd.n))
+    hn, pn, pm = sd.h.order, sd.p**sd.n, sd.p**m
+    base_of = base.classes.class_of
+    base_exponents = [c[0] // hn for c in base.classes.classes]
+    cls = conjugacy_classes(g)
+    pairs = []
+    for members in cls.classes:
+        got = {(base_of[x // hn % pn * hn + x % hn], x // hn) for x in members}
+        if len(got) != 1:
+            raise ArithmeticError("a class of G_m meets two classes of G_n x C_(p^m)")
+        c, i = got.pop()
+        if base_exponents[c] != i % pn:
+            raise ArithmeticError("a class of G_m has another gamma-exponent than its class in G_n")
+        pairs.append((c, i))
+    if len(set(pairs)) != len(pairs) or len(pairs) != base.n_classes * (pm // pn):
+        raise ArithmeticError("the classes of G_m are not the pairs (c, i)")
+    # the order of (c, i) in G_n x C_(p^m); power map lengths are orders
+    orders = [lcm(len(base.power_maps[c]), pm // gcd(i, pm)) for c, i in pairs]
+    e = lcm(*orders)
+    e_norm, e_base = normalized(e), normalized(base.exponent)
+    if e_norm % e_base or e_norm % pm:
+        raise ArithmeticError(
+            "exponent conductor %d is no multiple of %d and %d" % (e_norm, e_base, pm)
+        )
+    folded = {}  # (G_n row, G_n class, a i mod p^m) -> coordinate dict
+
+    def value(r, c, ai):
+        coords = folded.get((r, c, ai))
+        if coords is None:
+            shift = ai * (e_norm // pm)
+            terms = [(j * (e_norm // e_base) + shift, x) for j, x in base.coords[r][c].items()]
+            ints = int_coords(e_norm, terms)
+            coords = folded[r, c, ai] = {j: x for j, x in enumerate(ints) if x}
+        return coords
+
+    rows = sorted(
+        (
+            (base.degrees[r], [value(r, c, a * i % pm) for c, i in pairs])
+            for r in range(len(base.coords))
+            for a in range(pm // pn)
+        ),
+        key=cmp_to_key(_row_order),
+    )
+    return CharacterTable(
+        group=g,
+        classes=cls,
+        coords=[coords for _, coords in rows],
+        degrees=[degree for degree, _ in rows],
+        exponent=e,
+        split_prime=_split_prime(e, g.order),
+        power_maps=_power_maps(g, cls.class_of, cls.representatives(), orders),
+    )
+
+
+def _row_order(x, y):
+    """Dixon-Schneider's row order, by degree and then by the dense
+    coordinates class by class, read off (degree, coordinate dicts): two
+    dense vectors first differ at the least index where their dicts do."""
+    if x[0] != y[0]:
+        return x[0] - y[0]
+    for u, v in zip(x[1], y[1]):
+        if u != v:
+            i = min(i for i in u.keys() | v.keys() if u.get(i, 0) != v.get(i, 0))
+            return u.get(i, 0) - v.get(i, 0)
+    return 0
+
+
 def quotient_degree_check(sd, m) -> bool:
     """Every irreducible character of G_m restricts to H multiplicity-free,
     supported on exactly one alpha-orbit, with chi(1) = w * eta(1).
 
-    The table of G_m must first be complete: one row per class, and the
-    squared degrees summing to |G_m|."""
-    g = finite_quotient(sd, m)
-    big = character_table(g)
+    The table of G_m (``fibre_product_table``) must first be complete: one
+    row per class, and the squared degrees summing to |G_m|.  A
+    decomposition depends only on the row's values on H, so each distinct
+    restriction is decomposed once and every row is checked against it."""
+    big = fibre_product_table(sd, m)
+    g = big.group
     if len(big.coords) != big.n_classes or sum(d * d for d in big.degrees) != g.order:
         return False
     small = character_table(sd.h)
     orbits = alpha_orbits(small, sd.alpha)
     orbit_of_row = {r: oi for oi, orb in enumerate(orbits) for r in orb.members}
+    on_h = [big.classes.class_of[z] for z in small.classes.representatives()]
+    decomposed = {}
     for row in range(big.n_classes):
-        parts = restrict_and_decompose(big, row, small)
+        key = tuple(frozenset(big.coords[row][t].items()) for t in on_h)
+        if key not in decomposed:
+            decomposed[key] = restrict_and_decompose(big, row, small)
+        parts = decomposed[key]
         if any(mult != 1 for _, mult in parts):
             return False
         hit = {orbit_of_row[r] for r, _ in parts}

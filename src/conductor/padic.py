@@ -339,6 +339,8 @@ def _smith(p, precision, rows, track):
     c = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)] if track else None
     out = []
     for top in range(min(nrows, ncols)):
+        # the first entry of least valuation; a unit cannot be beaten, so
+        # the scan stops at the first one
         best = None
         for i in range(top, nrows):
             for j in range(top, ncols):
@@ -346,6 +348,10 @@ def _smith(p, precision, rows, track):
                     v = vp(a[i][j], p)
                     if best is None or v < best[0]:
                         best = (v, i, j)
+                        if not v:
+                            break
+            if best is not None and not best[0]:
+                break
         if best is None:
             # every remaining entry vanishes mod p^N: the rank is len(out)
             break

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conductor import iwasawa
+from conductor import chartab, iwasawa
 from conductor.catalog import (
     sd_c3_trivial,
     sd_c7,
@@ -25,7 +25,7 @@ from conductor.chartab import (
 )
 from conductor.cyclo import CycloNumber
 from conductor.errors import InputError, InvalidQuotientError
-from conductor.groups import finite_quotient
+from conductor.groups import ClassData, conjugacy_classes, finite_quotient
 from conductor.iwasawa import (
     TruncatedAlgebra,
     central_conductor,
@@ -33,6 +33,7 @@ from conductor.iwasawa import (
     degeneration_matches_finite,
     dual_basis_check,
     extension_dual_basis_check,
+    fibre_product_table,
     idempotent_suite,
     quotient_degree_check,
     scalar_conductor_exponent,
@@ -271,22 +272,82 @@ def test_quotient_degrees_small():
 
 @pytest.mark.parametrize("sd", semidirect_catalog(), ids=lambda sd: sd.name())
 def test_quotient_degrees_need_a_complete_table(sd, monkeypatch):
-    assert quotient_degree_check(sd, sd.n)
-    # the same table of G_n with one character dropped, each in turn
+    # the table of G_n with one character dropped, each in turn: checked
+    # itself at m = n, and through the table of G_m built from it at n + 1
     g_table = character_table(finite_quotient(sd, sd.n))
-    for drop in (0, g_table.n_classes - 1):
-        short = dataclasses.replace(
-            g_table,
-            coords=g_table.coords[:drop] + g_table.coords[drop + 1 :],
-            degrees=g_table.degrees[:drop] + g_table.degrees[drop + 1 :],
-        )
-        monkeypatch.setattr(
-            iwasawa,
-            "character_table",
-            lambda g: character_table(g) if g is sd.h else short,
-        )
-        assert not quotient_degree_check(sd, sd.n)
-        monkeypatch.undo()
+    for m in (sd.n, sd.n + 1):
+        assert quotient_degree_check(sd, m)
+        for drop in (0, g_table.n_classes - 1):
+            short = dataclasses.replace(
+                g_table,
+                coords=g_table.coords[:drop] + g_table.coords[drop + 1 :],
+                degrees=g_table.degrees[:drop] + g_table.degrees[drop + 1 :],
+            )
+            monkeypatch.setattr(
+                iwasawa,
+                "character_table",
+                lambda g: character_table(g) if g is sd.h else short,
+            )
+            assert not quotient_degree_check(sd, m)
+            monkeypatch.undo()
+
+
+# every catalog G_m at levels n + 1 and n + 2 of order at most 250
+FIBRE_CASES = [
+    (sd, m)
+    for sd in semidirect_catalog()
+    for m in (sd.n + 1, sd.n + 2)
+    if sd.h.order * sd.p**m <= 250
+]
+FIBRE_IDS = ["%s n=%d m=%d" % (sd.name(), sd.n, m) for sd, m in FIBRE_CASES]
+
+
+@pytest.mark.parametrize("sd,m", FIBRE_CASES, ids=FIBRE_IDS)
+def test_fibre_product_table_equals_dixon_schneider(sd, m):
+    fibre = fibre_product_table(sd, m)
+    table = character_table(finite_quotient(sd, m))
+    assert fibre.group.order == table.group.order
+    assert fibre.classes == table.classes
+    assert fibre.coords == table.coords
+    assert fibre.degrees == table.degrees
+    assert fibre.power_maps == table.power_maps
+    assert (fibre.exponent, fibre.split_prime) == (table.exponent, table.split_prime)
+    # k(G_m) = p^(m-n) k(G_n)
+    base = character_table(finite_quotient(sd, sd.n))
+    assert fibre.n_classes == sd.p ** (m - sd.n) * base.n_classes
+
+
+@pytest.mark.parametrize("sd,m", FIBRE_CASES, ids=FIBRE_IDS)
+def test_level_checks_split_class_matrices_only_up_to_g_n(sd, m, monkeypatch):
+    # Dixon-Schneider runs on H and G_n, never on G_m
+    orders = []
+    split = chartab._split
+    monkeypatch.setattr(
+        chartab, "_split", lambda g, *rest: orders.append(g.order) or split(g, *rest)
+    )
+    assert quotient_degree_check(sd, m)
+    assert orders and max(orders) <= sd.h.order * sd.p**sd.n
+
+
+def _merge_first_classes(g):
+    cls = conjugacy_classes(g)
+    classes = [cls.classes[0], sorted(cls.classes[1] + cls.classes[2])] + cls.classes[3:]
+    return ClassData(classes, [t - (t > 1) for t in cls.class_of])
+
+
+def _drop_last_class(g):
+    cls = conjugacy_classes(g)
+    return ClassData(cls.classes[:-1], cls.class_of)
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [(_merge_first_classes, "meets two classes"), (_drop_last_class, "not the pairs")],
+)
+def test_fibre_product_certifies_the_class_map(corrupt, message, monkeypatch):
+    monkeypatch.setattr(iwasawa, "conjugacy_classes", corrupt)
+    with pytest.raises(ArithmeticError, match=message):
+        fibre_product_table(sd_c7(), 2)
 
 
 def test_quotient_degrees_build_no_cyclo_values(monkeypatch):
