@@ -153,12 +153,17 @@ def _reduction_context(m: int):
 
 def _fold(m: int, terms, zero=ZERO) -> list:
     """Power-basis coordinates at conductor m (m != 2 mod 4) of the sum of
-    c * zeta_m^e over (e, c) in terms; exponents are read mod m."""
+    c * zeta_m^e over (e, c) in terms; exponents are read mod m.  For
+    e < phi(m) the row of zeta^e is the unit vector at e."""
     phi, powers = _reduction_context(m)
     out = [zero] * phi
     for e, c in terms:
         if c:
-            for i, t in enumerate(powers[e % m]):
+            e %= m
+            if e < phi:
+                out[e] += c
+                continue
+            for i, t in enumerate(powers[e]):
                 if t:
                     out[i] += c * t
     return out

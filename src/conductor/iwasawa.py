@@ -14,20 +14,23 @@ with chi(1) = w * eta(1), and Gamma_chi embedding through
 1 + T |-> gamma_chi^(p^n / w).
 
 The second half of the module provides the finite-level certificates: the
-truncated algebra o[G_m] as a free module of rank p^n|H| over
-R_m = o[u]/(u^{p^{m-n}} - 1), its trace form and dual basis, the dual
-basis of a scalar extension Lambda^{o'}(Gamma), whose field part is the
-inverse different of o' and is certified on its integral model, the
-idempotent suite, and the degree bookkeeping check against character tables
-of the finite quotients.  The tables of H and G_n come from Dixon-Schneider
-(``chartab.character_table``); the table of G_m, m > n, is built from that
-of G_n as a fibre product (``fibre_product_table``).
+trace form and dual basis of o[G_m] as a free module of rank p^n|H| over
+R_m = o[u]/(u^{p^{m-n}} - 1), u = gamma^{p^n}, computed on the finite
+quotient G_m itself; the dual basis of a scalar extension
+Lambda^{o'}(Gamma), whose field part is the inverse different of o' and is
+certified on its integral model; the idempotent suite; and the degree
+bookkeeping check against character tables of the finite quotients.  The
+tables of H and G_n come from Dixon-Schneider (``chartab.character_table``);
+the table of G_m, m > n, is built from that of G_n as a fibre product
+(``fibre_product_table``).
 
-The truncated algebra and the idempotent suite compute on plain integers.
-The certificates multiply only monomials u^s gamma^i h of Z[G_m] over
-Z[u]/(u^r - 1), r = p^{m-n}, whose products are again monomials, and the
-dual basis is checked as the pairing against h^-1 gamma^-i being p^n|H|
-times the identity.  The idempotents are scaled by |H|: |H| e_eta has
+The certificates and the idempotent suite compute on plain integers.  With
+rank = p^n|H|, the element of index x in G_m (``finite_quotient``) is
+u^s b, (s, b) = divmod(x, rank), since x = (s p^n + i)|H| + h and
+b = i|H| + h < rank is the R_m-basis element gamma^i h; an R_m-trace is the
+list of its coefficients at u^0, ..., u^{p^{m-n}-1}.  The dual basis is
+checked as the pairing against h^-1 gamma^-i being p^n|H| times the
+identity.  The idempotents are scaled by |H|: |H| e_eta has
 coefficients eta(1) eta(h^-1), read from the table's integer coordinates
 at E, the exponent conductor of H, and products are reduced to
 power-basis coordinates only to be compared.
@@ -351,102 +354,56 @@ def idempotent_suite(sd, level=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The truncated algebra o[G_m] as a free R_m-module of rank p^n |H|
+# The trace form of o[G_m] over R_m, on the elements u^s b of G_m
 
 
-class TruncatedAlgebra:
-    """o[G_m] on the basis gamma^i h (i < p^n, h in H) over
-    R_m = o[u]/(u^{p^{m-n}} - 1), u the image of gamma^{p^n}.
-
-    The certificates only multiply monomials u^s gamma^i h, and products of
-    monomials are monomials, so an element is a pair (basis index, s) with
-    the basis index i*|H| + h as in the finite quotient and s read mod p^{m-n}.
-    """
-
-    def __init__(self, sd, level):
-        if level < sd.n:
-            raise InvalidQuotientError(
-                "level m=%d is below the action exponent n=%d" % (level, sd.n)
-            )
-        self.sd = sd
-        self.level = level
-        self.pn = sd.p**sd.n
-        self.ru = sd.p ** (level - sd.n)
-        self.rank = self.pn * sd.h.order
-
-    def mul(self, a, b):
-        """u^s gamma^i h * u^t gamma^j k = u^(s+t+carry) gamma^((i+j) mod p^n)
-        alpha^(-j)(h) k, carry = (i+j) // p^n."""
-        hn = self.sd.h.order
-        i, x = divmod(a[0], hn)
-        j, y = divmod(b[0], hn)
-        carry, rest = divmod(i + j, self.pn)
-        z = self.sd.h.mult(self.sd.alpha_power(-j, x), y)
-        return rest * hn + z, (a[1] + b[1] + carry) % self.ru
-
-    def basis_element(self, i, h, ushift=0):
-        return i * self.sd.h.order + h, ushift % self.ru
-
-    def inverse_basis_element(self, i, h):
-        """(gamma^i h)^-1 = h^-1 gamma^-i; for i > 0 that is
-        u^-1 gamma^(p^n - i) alpha^i(h^-1), with the u-carry kept exact."""
-        hin = self.sd.h.inv(h)
-        if i == 0:
-            return self.basis_element(0, hin)
-        return self.basis_element(self.pn - i, self.sd.alpha_power(i, hin), -1)
-
-
-def trace_truncated(alg: TruncatedAlgebra, x) -> list:
-    """R_m-trace of right multiplication: p^n |H| times the coefficient of
-    the identity basis element."""
-    out = [0] * alg.ru
-    if x[0] == 0:
-        out[x[1]] = alg.pn * alg.sd.h.order
+def trace_closed_form(g, rank, x) -> list:
+    """The R_m-trace of right multiplication by x in closed form: p^n |H|
+    times the coefficient of the identity basis element."""
+    s, b = divmod(x, rank)
+    out = [0] * (g.order // rank)
+    if b == 0:
+        out[s] = rank
     return out
 
 
-def trace_oracle(alg: TruncatedAlgebra, x) -> list:
-    """The same trace computed from structure constants: sum of the diagonal
-    R_m-entries of right multiplication over the full basis."""
-    total = [0] * alg.ru
-    for b in range(alg.rank):
-        idx, s = alg.mul((b, 0), x)
-        if idx == b:
-            total[s] += 1
-    return total
+def trace_structure_constants(g, rank, x) -> list:
+    """The same trace from the structure constants of G_m: the sum of the
+    diagonal R_m-entries of right multiplication by x over the basis, where
+    c x = u^s c contributes u^s."""
+    out = [0] * (g.order // rank)
+    for c in range(rank):
+        s, b = divmod(g.mult(c, x), rank)
+        if b == c:
+            out[s] += 1
+    return out
 
 
 def trace_lemma_check(sd, level) -> bool:
-    """Structure-constant trace agrees with the closed form p^n|H| * delta
-    on every basis element of the truncated algebra."""
-    alg = TruncatedAlgebra(sd, level)
-    hn = sd.h.order
-    for b in range(alg.rank):
-        i, h = divmod(b, hn)
-        got = trace_oracle(alg, alg.basis_element(i, h))
-        want = [0] * alg.ru
-        if b == 0:
-            want[0] = alg.pn * hn
-        if got != want:
-            return False
-    return True
+    """The structure-constant trace agrees with the closed form p^n|H| delta
+    on every basis element gamma^i h of o[G_m] over R_m."""
+    g = finite_quotient(sd, level)
+    rank = sd.p**sd.n * sd.h.order
+    return all(
+        trace_structure_constants(g, rank, b) == trace_closed_form(g, rank, b)
+        for b in range(rank)
+    )
 
 
 def dual_basis_check(sd, level) -> bool:
     """The trace pairing of the basis gamma^i h against the claimed dual
     system (p^n |H|)^-1 h^-1 gamma^-i is exactly the identity over R_m;
     checked on integers as the pairing against h^-1 gamma^-i being
-    p^n |H| times the identity."""
-    alg = TruncatedAlgebra(sd, level)
-    hn = sd.h.order
-    scale = alg.pn * hn
-    for b1 in range(alg.rank):
-        i, h = divmod(b1, hn)
-        left = alg.basis_element(i, h)
-        for b2 in range(alg.rank):
-            j, k = divmod(b2, hn)
-            tr = trace_truncated(alg, alg.mul(left, alg.inverse_basis_element(j, k)))
-            if tr[0] != (scale if b1 == b2 else 0) or any(tr[1:]):
+    p^n |H| times the identity.  The inverse is G_m's own, so
+    (gamma^i h)^-1 = u^-1 gamma^(p^n - i) alpha^i(h^-1) for i > 0 carries
+    its u-exponent in its index."""
+    g = finite_quotient(sd, level)
+    rank = sd.p**sd.n * sd.h.order
+    for b2 in range(rank):
+        dual = g.inv(b2)
+        for b1 in range(rank):
+            tr = trace_closed_form(g, rank, g.mult(b1, dual))
+            if tr[0] != (rank if b1 == b2 else 0) or any(tr[1:]):
                 return False
     return True
 

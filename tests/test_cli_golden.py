@@ -42,6 +42,8 @@ GOLDEN = [
     ("fitting --group s3.json --p 3 --matrix times3.json --format table", 0, "aa789dc39ab85f7af9118897c641bd9c685431b2f55b9ee279a2bd75c1a1ea8b"),
     ("verify --suite iwasawa", 0, "c6cb73f5df22a5148510f6bd24625ddbe11bdb353d47b114f983316bdd25d863"),
     ("verify --suite iwasawa --format table", 0, "9b40899f693a0b4c751031a9ac20b68b6291ac0818f059a712d569820d0361f0"),
+    ("verify --suite trace", 0, "cab58d111a8db15ae8e546ea5ec60028877f62a6aa99e8e5801963d74700d72e"),
+    ("verify --suite trace --format table", 0, "7b07a765ed50b8c127243b2a539bd2074468f9fecbb5d517a4222b8de33e1270"),
     ("verify --suite different --p 3", 0, "83c9d12a0d5ed38a6232f80a1328f616a515a094d8a659444afb33fd5d404a83"),
     ("verify --suite different --p 3 --format table", 0, "ecc57352899aeec0d6dd094e8b39677efa7ef8956b3caa87a7e360c62ca3559e"),
     ("verify --suite exponents", 0, "49bbd39829de4bfdc1b3a2efd8743477633496ebb6fe76a38bb7ea4f920f2855"),

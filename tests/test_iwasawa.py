@@ -1,5 +1,6 @@
-"""Central conductor of o[[H x| Gamma]]: worked cases, truncated-algebra
-identities, idempotents, and the degeneration to the finite formula."""
+"""Central conductor of o[[H x| Gamma]]: worked cases, trace-form
+identities of o[G_m] over R_m, idempotents, and the degeneration to the
+finite formula."""
 
 import dataclasses
 from fractions import Fraction
@@ -27,7 +28,6 @@ from conductor.cyclo import CycloNumber
 from conductor.errors import InputError, InvalidQuotientError
 from conductor.groups import ClassData, conjugacy_classes, finite_quotient
 from conductor.iwasawa import (
-    TruncatedAlgebra,
     central_conductor,
     character_classes,
     degeneration_matches_finite,
@@ -38,9 +38,9 @@ from conductor.iwasawa import (
     quotient_degree_check,
     scalar_conductor_exponent,
     splitting_field_bound,
+    trace_closed_form,
     trace_lemma_check,
-    trace_oracle,
-    trace_truncated,
+    trace_structure_constants,
 )
 from conductor.localfields import AbelianLocalField
 from conductor.verify import run_suite
@@ -108,20 +108,48 @@ def test_trace_is_scaled_delta():
         assert dual_basis_check(sd, level)
 
 
-def test_trace_oracle_agrees_on_products():
+def test_structure_trace_agrees_across_the_u_carry():
+    # gamma^(p^n - 1) h times gamma k leaves the transversal: at level n + 2
+    # the product has u-exponent 1, so only a carried trace reads it right
     sd = sd_s3_inner()
-    alg = TruncatedAlgebra(sd, 2)
-    x = alg.basis_element(1, 2)
-    y = alg.basis_element(2, 4)
-    prod = alg.mul(x, y)
-    assert trace_truncated(alg, prod) == trace_oracle(alg, prod)
+    level = sd.n + 2
+    g = finite_quotient(sd, level)
+    hn = sd.h.order
+    rank = sd.p**sd.n * hn
+    top = (sd.p**sd.n - 1) * hn
+    carried = g.mult(top, hn)
+    assert divmod(carried, rank) == (1, 0)
+    want = [0, rank] + [0] * (sd.p**2 - 2)
+    assert trace_closed_form(g, rank, carried) == want
+    assert trace_structure_constants(g, rank, carried) == want
+    for x, y in ((top + 2, hn + 4), (hn + 2, 2 * hn + 4)):
+        prod = g.mult(x, y)
+        assert trace_structure_constants(g, rank, prod) == trace_closed_form(g, rank, prod)
 
 
 def test_truncation_below_action_exponent_rejected():
-    with pytest.raises(InvalidQuotientError):
-        TruncatedAlgebra(sd_c7(), 0)
+    sd = sd_c7()
+    for check in (trace_lemma_check, dual_basis_check):
+        with pytest.raises(InvalidQuotientError, match="below the action exponent n=1"):
+            check(sd, sd.n - 1)
     with pytest.raises(InvalidQuotientError):
         extension_dual_basis_check(AbelianLocalField.qp(3), 1, 0)
+
+
+def test_trace_lemma_reads_the_multiplication_of_g_m(monkeypatch):
+    sd = sd_s3_inner()
+    assert trace_lemma_check(sd, 2)
+    exact = iwasawa.finite_quotient
+
+    def swapped(sd, level):
+        # the identity times 0 and times 1 trade places in row 0
+        g = exact(sd, level)
+        row = g.table[0]
+        row[0], row[1] = row[1], row[0]
+        return g
+
+    monkeypatch.setattr(iwasawa, "finite_quotient", swapped)
+    assert not trace_lemma_check(sd, 2)
 
 
 def test_extension_dual_bases():
@@ -412,11 +440,10 @@ def test_idempotent_suite_rejects_a_wrong_value(monkeypatch):
 def test_dual_basis_rejects_a_scale_off_by_one(monkeypatch):
     sd = sd_s3_inner()
     assert dual_basis_check(sd, 2)
-    exact = iwasawa.trace_truncated
+    exact = iwasawa.trace_closed_form
 
-    def off_by_one(alg, x):
-        scale = alg.pn * alg.sd.h.order
-        return [t + t // scale for t in exact(alg, x)]
+    def off_by_one(g, rank, x):
+        return [t + t // rank for t in exact(g, rank, x)]
 
-    monkeypatch.setattr(iwasawa, "trace_truncated", off_by_one)
+    monkeypatch.setattr(iwasawa, "trace_closed_form", off_by_one)
     assert not dual_basis_check(sd, 2)
