@@ -40,8 +40,9 @@ gives the value's integer power-basis coordinates at the exponent
 conductor E (normalized, never 2 mod 4) once, kept as the sparse dict
 {i: count} of zeta_E^i (``coords``).  Restriction, the orthogonality
 checks, the row permutations, the idempotent sums and the centre elements
-of ``fitting`` compute on them, and the dense coordinates are the row sort
-key; fields of values come from the class maps (``galois_fixed``).
+of ``fitting`` compute on them, and rows are sorted as their dense
+coordinates would compare, read off the dicts (``_row_order``); fields of
+values come from the class maps (``galois_fixed``).
 ``values``, the same numbers as CycloNumbers at their smallest conductor,
 serves JSON and ``fitting.reduced_norm``: it is built on first read, one
 ``minimal_conductor`` per distinct dict.
@@ -58,13 +59,13 @@ and comes out equal to this one.
 Everything is deterministic: classes are ordered by smallest member
 (identity first), matrices are consumed in class order, eigenvalues
 ascending, and finished rows are sorted by (degree, coefficient tuple
-at the exponent conductor).
+at the exponent conductor), compared on the dicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from math import gcd, isqrt, lcm
 
 from .cyclo import CycloNumber, generating_set, int_coords, is_prime, normalized, prime_factors
@@ -224,9 +225,10 @@ class CharacterTable:
         }
 
 
-def _sparse_sum(terms, e_norm: int) -> list[int]:
-    """Integer coordinates at conductor e_norm of the sum of w * a * b over
-    (w, a, b) in terms, a and b sparse sums {exponent: count} of zeta_e_norm."""
+def _sparse_sum(terms, e_norm: int) -> dict:
+    """Integer coordinates {index: count}, zeros dropped, at conductor e_norm
+    of the sum of w * a * b over (w, a, b) in terms, a and b sparse sums
+    {exponent: count} of zeta_e_norm."""
     acc: dict = {}
     for w, a, b in terms:
         for ea, ca in a.items():
@@ -236,8 +238,21 @@ def _sparse_sum(terms, e_norm: int) -> list[int]:
     return int_coords(e_norm, acc.items())
 
 
-def _equals_integer(coords: list[int], n: int) -> bool:
-    return coords[0] == n and not any(coords[1:])
+def _equals_integer(coords: dict, n: int) -> bool:
+    return coords == ({0: n} if n else {})
+
+
+def _row_order(x, y):
+    """Dixon-Schneider's row order, by degree and then by the dense
+    coordinates class by class, read off (degree, coordinate dicts): two
+    dense vectors first differ at the least index where their dicts do."""
+    if x[0] != y[0]:
+        return x[0] - y[0]
+    for u, v in zip(x[1], y[1]):
+        if u != v:
+            i = min(i for i in u.keys() | v.keys() if u.get(i, 0) != v.get(i, 0))
+            return u.get(i, 0) - v.get(i, 0)
+    return 0
 
 
 def require_table_bound(g: FiniteGroup) -> None:
@@ -298,13 +313,12 @@ def character_table(g: FiniteGroup) -> CharacterTable:
                     source[c] = (t, pow(u, -1, o))
     zetas = [pow(w, (l - 1) // o, l) for o in elem_orders]
 
-    # each distinct multiplicity vector gives integer coordinates at the
-    # exponent conductor once: the dense tuple is the row sort key, the dict
-    # of its nonzero entries the stored value
-    lifted = {}  # (o, multiplicities) -> (coordinate tuple, coordinate dict)
+    # each distinct multiplicity vector gives the integer coordinates of its
+    # value at the exponent conductor once, as the dict that is stored
+    lifted = {}  # (o, multiplicities) -> coordinate dict
 
     def lift(chi, d):
-        views, row_mults = [], []
+        out, row_mults = [], []
         for t in range(k):
             o = elem_orders[t]
             t0, uinv = source[t]
@@ -320,38 +334,39 @@ def character_table(g: FiniteGroup) -> CharacterTable:
                 if _horner(mults, zetas[t], l) != chi[t]:
                     raise ArithmeticError("permuted multiplicities miss the value mod l")
             row_mults.append(mults)
-            view = lifted.get((o, mults))
-            if view is None:
-                ints = int_coords(e, ((j * (e // o), c) for j, c in enumerate(mults)))
-                view = lifted[o, mults] = (tuple(ints), {i: c for i, c in enumerate(ints) if c})
-            views.append(view)
-        return views
+            coords = lifted.get((o, mults))
+            if coords is None:
+                terms = ((j * (e // o), c) for j, c in enumerate(mults))
+                coords = lifted[o, mults] = int_coords(e, terms)
+            out.append(coords)
+        return out
 
     # one lift per Galois orbit of rows: sigma_u(chi) has the value of chi
     # at the class of rep_t^u, so a conjugate row, found by its values mod
     # l, takes the lifted values through the same class map
     index = {tuple(chi): r for r, chi in enumerate(rows_mod)}
-    row_views = [None] * k
+    row_coords = [None] * k
     for r in range(k):
-        if row_views[r] is not None:
+        if row_coords[r] is not None:
             continue
-        row_views[r] = lift(rows_mod[r], degrees[r])
+        row_coords[r] = lift(rows_mod[r], degrees[r])
         for r1 in (walk := [r]):
             for cmap in gen_maps:
                 r2 = index.get(tuple(rows_mod[r1][c] for c in cmap))
                 if r2 is None:
                     raise ArithmeticError("a Galois conjugate of a row is missing mod l")
-                if row_views[r2] is None:
-                    row_views[r2] = [row_views[r1][c] for c in cmap]
+                if row_coords[r2] is None:
+                    row_coords[r2] = [row_coords[r1][c] for c in cmap]
                     walk.append(r2)
 
-    # deterministic row order: integer coordinates compare like the values'
-    perm = sorted(range(k), key=lambda r: (degrees[r], [key for key, _ in row_views[r]]))
+    # deterministic row order: by degree, then as the dense coordinates at
+    # the exponent conductor compare, read off the dicts
+    rows = sorted(zip(degrees, row_coords), key=cmp_to_key(_row_order))
     table = CharacterTable(
         group=g,
         classes=cls,
-        coords=[[d for _, d in row_views[r]] for r in perm],
-        degrees=[degrees[r] for r in perm],
+        coords=[coords for _, coords in rows],
+        degrees=[degree for degree, _ in rows],
         exponent=e,
         split_prime=l,
         power_maps=powmaps,
@@ -661,9 +676,9 @@ def restrict_and_decompose(
             ),
             e_big,
         )
-        if any(total[1:]) or total[0] % h.order:
+        m, rest = divmod(total.pop(0, 0), h.order)
+        if total or rest:
             raise ArithmeticError("inner product is not an integer")
-        m = total[0] // h.order
         if m:
             out.append((j, m))
     return out

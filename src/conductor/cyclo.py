@@ -1,7 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
 Numbers are vectors of Fractions on the power basis 1, z, ..., z^(phi(m)-1)
-with z = exp(2*pi*i/m), reduced modulo the m-th cyclotomic polynomial.  No
+with z = exp(2*pi*i/m), reduced modulo the m-th cyclotomic polynomial.
+Reduction reads zeta^e from a table of rows stored sparse, as the nonzero
+(index, coefficient) pairs: a unit for e < phi(m), a few terms past it.
+One kernel (``_sparse_fold``) sums them into a dict {index: coefficient},
+the form character tables store; ``_fold`` is its dense view.  No
 floating point anywhere; equality is decided exactly after moving both sides
 to a common conductor.  Conductors are normalized to m != 2 (mod 4), using
 zeta_{2u} = -zeta_u^((u+1)/2) for odd u.
@@ -133,39 +137,49 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _reduction_context(m: int):
-    """Power basis data for Q(zeta_m): (phi, table of zeta^e for 0 <= e < max(m, 2*phi-1))."""
+    """Power basis data for Q(zeta_m): (phi, rows), rows[e] the nonzero
+    (index, coefficient) pairs of zeta^e for 0 <= e < max(m, 2*phi-1).
+    Row e < phi is ((e, 1),); each later row shifts the one before and
+    subtracts its top coefficient times Phi_m, over Phi_m's nonzero terms."""
     phi = totient(m)
-    mod = cyclotomic_poly(m)
-    top = [-c for c in mod[:-1]]  # z^phi in lower powers
-    powers: list[tuple[int, ...]] = []
-    cur = [0] * phi
-    cur[0] = 1
-    for _ in range(max(m, 2 * phi - 1)):
-        powers.append(tuple(cur))
-        nxt = [0] + cur[:-1]
-        lead = cur[-1]
-        if lead:
-            for i in range(phi):
-                nxt[i] += lead * top[i]
-        cur = nxt
-    return phi, powers
+    top = [(i, -c) for i, c in enumerate(cyclotomic_poly(m)[:-1]) if c]  # z^phi
+    rows = [((e, 1),) for e in range(phi)]
+    cur = {phi - 1: 1}
+    for _ in range(phi, max(m, 2 * phi - 1)):
+        lead = cur.pop(phi - 1, 0)
+        cur = {i + 1: c for i, c in cur.items()}
+        for i, c in top:
+            c = cur.get(i, 0) + lead * c
+            if c:
+                cur[i] = c
+            else:
+                cur.pop(i, None)
+        rows.append(tuple(sorted(cur.items())))
+    return phi, rows
+
+
+def _sparse_fold(m: int, terms) -> dict:
+    """Power-basis coordinates {index: coefficient}, zeros dropped, at
+    conductor m (m != 2 mod 4) of the sum of c * zeta_m^e over (e, c) in
+    terms; exponents are read mod m."""
+    rows = _reduction_context(m)[1]
+    out: dict = {}
+    for e, c in terms:
+        if c:
+            for i, t in rows[e % m]:
+                x = c if t == 1 else c * t
+                out[i] = out[i] + x if i in out else x
+    for i in [i for i, c in out.items() if not c]:  # in place: no second dict per call
+        del out[i]
+    return out
 
 
 def _fold(m: int, terms, zero=ZERO) -> list:
-    """Power-basis coordinates at conductor m (m != 2 mod 4) of the sum of
-    c * zeta_m^e over (e, c) in terms; exponents are read mod m.  For
-    e < phi(m) the row of zeta^e is the unit vector at e."""
-    phi, powers = _reduction_context(m)
-    out = [zero] * phi
-    for e, c in terms:
-        if c:
-            e %= m
-            if e < phi:
-                out[e] += c
-                continue
-            for i, t in enumerate(powers[e]):
-                if t:
-                    out[i] += c * t
+    """The dense view of ``_sparse_fold``: all phi(m) coordinates, zero
+    where the sum has none."""
+    out = [zero] * _reduction_context(m)[0]
+    for i, c in _sparse_fold(m, terms).items():
+        out[i] = c
     return out
 
 
@@ -179,11 +193,11 @@ def _normalize(m: int, terms):
     return u, ((e * s, -c if e % 2 else c) for e, c in terms)
 
 
-def int_coords(m: int, terms) -> list[int]:
-    """Integer power-basis coordinates, at m normalized (halved when 2 mod 4),
-    of the sum of c * zeta_m^e over integer pairs (e, c) in terms."""
-    m, terms = _normalize(m, terms)
-    return _fold(m, terms, 0)
+def int_coords(m: int, terms) -> dict:
+    """Integer power-basis coordinates {index: coefficient}, zeros dropped,
+    at m normalized (halved when 2 mod 4), of the sum of c * zeta_m^e over
+    integer pairs (e, c) in terms."""
+    return _sparse_fold(*_normalize(m, terms))
 
 
 class CycloNumber:
@@ -209,10 +223,8 @@ class CycloNumber:
     @staticmethod
     def root(m: int, e: int = 1) -> "CycloNumber":
         """zeta_m^e."""
-        if m % 4 == 2:
-            return CycloNumber(m, _unit_vector(m, e % m))
-        _, powers = _reduction_context(m)
-        return CycloNumber(m, powers[e % m])
+        m, terms = _normalize(m, ((e, ONE),))
+        return CycloNumber(m, _fold(m, terms))
 
     @staticmethod
     def rational(q) -> "CycloNumber":
@@ -301,12 +313,12 @@ class CycloNumber:
     def minimal_conductor(self) -> "CycloNumber":
         """Rewrite at the smallest conductor (never 2 mod 4); idempotent."""
         scale = lcm(*(c.denominator for c in self.coeffs))
-        ints = [c.numerator * (scale // c.denominator) for c in self.coeffs]
-        if not any(ints[1:]):
+        ints = {e: c.numerator * (scale // c.denominator) for e, c in enumerate(self.coeffs) if c}
+        if not ints.keys() - {0}:
             return CycloNumber(1, self.coeffs[:1])
         m = self.m
         d = value_conductor(
-            m, lambda k: _fold(m, ((e * k, c) for e, c in enumerate(ints)), 0) == ints
+            m, lambda k: _sparse_fold(m, ((e * k, c) for e, c in ints.items())) == ints
         )
         return self if d == m else CycloNumber(d, _rebase_solver(m, d).solve(self.coeffs))
 
@@ -333,12 +345,6 @@ class CycloNumber:
                     mono = "z%d" % self.m if e == 1 else "z%d^%d" % (self.m, e)
                     terms.append(mono if c == 1 else "%s*%s" % (c, mono))
         return " + ".join(terms).replace("+ -", "- ")
-
-
-def _unit_vector(m, e):
-    v = [0] * m
-    v[e] = 1
-    return v
 
 
 @lru_cache(maxsize=None)
@@ -430,6 +436,5 @@ def _descent_exponents(m: int, d: int, sub: int) -> tuple:
 @lru_cache(maxsize=None)
 def _rebase_solver(m: int, d: int) -> "SpanSolver":
     """Coordinates on zeta_d^j = zeta_m^(j m/d), 0 <= j < phi(d), inside Q(zeta_m)."""
-    _, powers = _reduction_context(m)
     step = m // d
-    return SpanSolver([powers[j * step] for j in range(totient(d))])
+    return SpanSolver([_fold(m, ((j * step, 1),), 0) for j in range(totient(d))])

@@ -203,12 +203,12 @@ def _center_classes(g, values):
         folded = _sparse_sum(
             ((deg, ints, row[s]) for deg, ints, row in zip(table.degrees, scaled, coords)), big
         )
-        if any(folded[1:]):
+        sums.append(folded.pop(0, 0))
+        if folded:
             raise InputError(
                 "center components are not Galois-coherent; the element "
                 "does not descend to the rational group algebra"
             )
-        sums.append(folded[0])
     return sums, denom * g.order
 
 

@@ -251,6 +251,8 @@ class SemidirectData:
     p: int
     n: int = field(init=False)
     alpha_pows: list = field(init=False, repr=False)
+    # G_n, built by the first finite_quotient(self, n): every level reads it
+    g_n: FiniteGroup | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         require_odd_prime(self.p)
@@ -280,10 +282,14 @@ def finite_quotient(sd: SemidirectData, m: int) -> FiniteGroup:
     H sits at indices 0..|H|-1 and conjugation by the coset generator
     (index |H|) acts on H through alpha.  Requires m >= n so that the
     automorphism factors through the quotient.  Up to TABLE_BOUND the
-    multiplication table is assembled from the rows of H's table.
+    multiplication table is assembled from the rows of H's table.  G_n is
+    built once and kept on sd, so the character table cached on it serves
+    every level; G_m, m > n, is built anew on every call.
     """
     if m < sd.n:
         raise InvalidQuotientError("level m=%d is below the action exponent n=%d" % (m, sd.n))
+    if m == sd.n and sd.g_n is not None:
+        return sd.g_n
     hn = sd.h.order
     pm = sd.p**m
     order = hn * pm
@@ -311,7 +317,10 @@ def finite_quotient(sd: SemidirectData, m: int) -> FiniteGroup:
     gens = list(sd.h.generators)
     if pm > 1:
         gens.append(hn)
-    return FiniteGroup(order, mult, gens, name="%s:|Z/%d^%d" % (sd.h.name, sd.p, m), table=table)
+    g = FiniteGroup(order, mult, gens, name="%s:|Z/%d^%d" % (sd.h.name, sd.p, m), table=table)
+    if m == sd.n:
+        sd.g_n = g
+    return g
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name=None) -> FiniteGroup:

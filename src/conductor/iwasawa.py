@@ -22,7 +22,9 @@ certified on its integral model; the idempotent suite; and the degree
 bookkeeping check against character tables of the finite quotients.  The
 tables of H and G_n come from Dixon-Schneider (``chartab.character_table``);
 the table of G_m, m > n, is built from that of G_n as a fibre product
-(``fibre_product_table``).
+(``fibre_product_table``).  G_n is built once per SemidirectData
+(``finite_quotient`` keeps it), so its table is computed once and serves
+every level; each G_m, m > n, is built for its call only.
 
 The certificates and the idempotent suite compute on plain integers.  With
 rank = p^n|H|, the element of index x in G_m (``finite_quotient``) is
@@ -44,6 +46,7 @@ from math import gcd, lcm
 from .chartab import (
     CharacterTable,
     _power_maps,
+    _row_order,
     _sparse_sum,
     _split_prime,
     alpha_orbits,
@@ -277,12 +280,14 @@ def _scaled_idempotent(table, rows) -> list:
 
 
 def _coords(e_norm, a, scale=1, k=1) -> list:
-    """Integer coordinates of sigma_k(scale * a) for each coefficient of a."""
+    """Integer coordinates {index: count}, zeros dropped, of sigma_k(scale * a)
+    for each coefficient of a."""
     return [int_coords(e_norm, ((e * k, scale * c) for e, c in ax.items())) for ax in a]
 
 
 def _product(h, a, b, e_norm) -> list:
-    """Integer coordinates of the coefficients of a * b in Z[zeta_E][H]."""
+    """Integer coordinates {index: count}, zeros dropped, of the coefficients
+    of a * b in Z[zeta_E][H]."""
     return [
         _sparse_sum(((1, a[x], b[h.mult(h.inv(x), z)]) for x in range(h.order)), e_norm)
         for z in range(h.order)
@@ -342,7 +347,7 @@ def idempotent_suite(sd, level=None) -> dict:
         eps = _scaled_idempotent(table, [r for orbit in klass.orbits for r in orbit])
         if any(_coords(e_norm, eps, k=k) != _coords(e_norm, eps) for k in stab_ks):
             results["class_base_stable"] = False
-    zero = _coords(e_norm, [{}] * h.order)
+    zero = [{}] * h.order
     for i in range(len(chis)):
         for j in range(i + 1, len(chis)):
             if _product(h, chis[i], chis[j], e_norm) != zero:
@@ -505,8 +510,7 @@ def fibre_product_table(sd, m) -> CharacterTable:
         if coords is None:
             shift = ai * (e_norm // pm)
             terms = [(j * (e_norm // e_base) + shift, x) for j, x in base.coords[r][c].items()]
-            ints = int_coords(e_norm, terms)
-            coords = folded[r, c, ai] = {j: x for j, x in enumerate(ints) if x}
+            coords = folded[r, c, ai] = int_coords(e_norm, terms)
         return coords
 
     rows = sorted(
@@ -526,19 +530,6 @@ def fibre_product_table(sd, m) -> CharacterTable:
         split_prime=_split_prime(e, g.order),
         power_maps=_power_maps(g, cls.class_of, cls.representatives(), orders),
     )
-
-
-def _row_order(x, y):
-    """Dixon-Schneider's row order, by degree and then by the dense
-    coordinates class by class, read off (degree, coordinate dicts): two
-    dense vectors first differ at the least index where their dicts do."""
-    if x[0] != y[0]:
-        return x[0] - y[0]
-    for u, v in zip(x[1], y[1]):
-        if u != v:
-            i = min(i for i in u.keys() | v.keys() if u.get(i, 0) != v.get(i, 0))
-            return u.get(i, 0) - v.get(i, 0)
-    return 0
 
 
 def quotient_degree_check(sd, m) -> bool:

@@ -23,7 +23,7 @@ from conductor.chartab import (
     galois_permutations,
     restrict_and_decompose,
 )
-from conductor.cyclo import CycloNumber, generating_set, int_coords, normalized
+from conductor.cyclo import CycloNumber, generating_set, int_coords, normalized, totient
 from conductor.groups import conjugacy_classes, cyclic_group, finite_quotient
 from conductor.padic import echelon, echelon_coords, kernel
 
@@ -267,7 +267,8 @@ def _reference_table(g):
             zinv = pow(pow(w, (l - 1) // o, l), -1, l)
             mults = chartab._lift_coeffs([chi[c] for c in powmaps[t]], o, zinv, pow(o, -1, l), l)
             assert max(mults) <= d
-            coords.append(tuple(int_coords(e, ((j * (e // o), c) for j, c in enumerate(mults)))))
+            ints = int_coords(e, ((j * (e // o), c) for j, c in enumerate(mults)))
+            coords.append(tuple(ints.get(i, 0) for i in range(totient(normalized(e)))))
         rows.append((d, coords))
     rows.sort()
     table = chartab.CharacterTable(

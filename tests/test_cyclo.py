@@ -17,14 +17,17 @@ from conductor.cyclo import (
     PRIME_BOUND,
     _poly_divmod,
     _reduction_context,
+    cyclotomic_poly,
     divisors,
     generating_set,
+    int_coords,
     is_prime,
     normalized,
     totient,
     unit_closure,
     value_conductor,
 )
+from conductor.chartab import _equals_integer
 from conductor.errors import InvalidAutomorphismError
 from conductor.padic import SpanSolver
 
@@ -151,8 +154,13 @@ def _divisor_scan(x):
         if all(x.galois(k) == x for k in units):
             if d == m:
                 return x
-            _, powers = _reduction_context(m)
-            cols = [powers[(j * (m // d)) % m] for j in range(totient(d))]
+            phi, rows = _reduction_context(m)
+            cols = []
+            for j in range(totient(d)):
+                col = [0] * phi  # the sparse row of zeta_m^(j m/d), expanded
+                for i, c in rows[(j * (m // d)) % m]:
+                    col[i] = c
+                cols.append(col)
             return CycloNumber(d, _solve_exact(cols, list(x.coeffs)))
     raise AssertionError("unreachable: d = m is always fixed")
 
@@ -186,6 +194,57 @@ def test_minimal_conductor_matches_divisor_scan(x):
     again = got.minimal_conductor()
     assert (again.m, again.coeffs) == (got.m, got.coeffs)
     assert got == x
+
+
+def _power_mod(e, mod):
+    """x^e mod the monic mod (ascending), by long division: {index: coeff}."""
+    phi = len(mod) - 1
+    r = [0] * e + [1]
+    for k in range(e, phi - 1, -1):
+        c = r[k]
+        if c:
+            for j, d in enumerate(mod):
+                r[k - phi + j] -= c * d
+    return {i: c for i, c in enumerate(r[:phi]) if c}
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# every m <= 150 not 2 mod 4, with 105 (Phi_105 has the coefficient -2) and
+# the benchmark's conductors 275 and 513
+ROW_CONDUCTORS = [m for m in range(1, 151) if m % 4 != 2] + [275, 513]
+
+
+def test_sparse_rows_equal_long_division():
+    assert -2 in cyclotomic_poly(105)
+    for m in ROW_CONDUCTORS:
+        mod = cyclotomic_poly(m)
+        # x^m - 1 is the product of Phi_d over d | m, which fixes each Phi_m
+        prod = [1]
+        for d in divisors(m):
+            prod = _poly_mul(prod, cyclotomic_poly(d))
+        assert prod == [-1] + [0] * (m - 1) + [1], m
+        phi, rows = _reduction_context(m)
+        assert phi == totient(m) == len(mod) - 1
+        assert len(rows) == max(m, 2 * phi - 1)
+        for e, row in enumerate(rows):
+            assert all(c for _, c in row) and [i for i, _ in row] == sorted({i for i, _ in row})
+            assert dict(row) == _power_mod(e, mod), (m, e)
+
+
+def test_int_coords_contract():
+    assert int_coords(3, [(0, 1), (1, 1), (2, 1)]) == {}
+    # zeta_6 = -zeta_3^2, at the normalized conductor 3: 1 + zeta_3
+    assert int_coords(6, [(1, 1)]) == int_coords(3, [(2, -1)]) == {0: 1, 1: 1}
+    assert _equals_integer({}, 0)
+    assert _equals_integer({0: 4}, 4) and not _equals_integer({0: 4}, 0)
+    assert not _equals_integer({0: 4, 1: 1}, 4)
 
 
 def test_normalized_halves_only_2_mod_4():

@@ -201,6 +201,18 @@ def test_finite_quotient_table_matches_the_law(sd):
     assert finite_quotient(sd, m).table is None
 
 
+@pytest.mark.parametrize("sd", semidirect_catalog(), ids=lambda sd: sd.name())
+def test_kept_g_n_adds_no_visible_state(sd):
+    # G_n is built once per sd and kept; G_m, m > n, lives only for its
+    # call; the kept group changes neither equality nor repr
+    sd = SemidirectData(sd.h, sd.alpha, sd.p)
+    before = repr(sd)
+    assert finite_quotient(sd, sd.n) is finite_quotient(sd, sd.n)
+    assert finite_quotient(sd, sd.n + 1) is not finite_quotient(sd, sd.n + 1)
+    assert sd == SemidirectData(sd.h, sd.alpha, sd.p)
+    assert repr(sd) == before
+
+
 def test_finite_quotient_below_action_exponent():
     with pytest.raises(InvalidQuotientError):
         finite_quotient(sd_c7(), 0)

@@ -26,7 +26,7 @@ from conductor.chartab import (
 )
 from conductor.cyclo import CycloNumber
 from conductor.errors import InputError, InvalidQuotientError
-from conductor.groups import ClassData, conjugacy_classes, finite_quotient
+from conductor.groups import ClassData, SemidirectData, conjugacy_classes, finite_quotient
 from conductor.iwasawa import (
     central_conductor,
     character_classes,
@@ -347,14 +347,20 @@ def test_fibre_product_table_equals_dixon_schneider(sd, m):
 
 @pytest.mark.parametrize("sd,m", FIBRE_CASES, ids=FIBRE_IDS)
 def test_level_checks_split_class_matrices_only_up_to_g_n(sd, m, monkeypatch):
-    # Dixon-Schneider runs on H and G_n, never on G_m
-    orders = []
+    # Dixon-Schneider runs on H and G_n, never on G_m, and on G_n once for
+    # the levels n+1 and n+2 together; a fresh sd, since the catalog's are
+    # shared across tests and may hold a G_n already tabled
+    sd = SemidirectData(sd.h, sd.alpha, sd.p)
+    split_on = []
     split = chartab._split
     monkeypatch.setattr(
-        chartab, "_split", lambda g, *rest: orders.append(g.order) or split(g, *rest)
+        chartab, "_split", lambda g, *rest: split_on.append(g) or split(g, *rest)
     )
     assert quotient_degree_check(sd, m)
-    assert orders and max(orders) <= sd.h.order * sd.p**sd.n
+    assert quotient_degree_check(sd, sd.n + 1) and quotient_degree_check(sd, sd.n + 2)
+    g_n = finite_quotient(sd, sd.n)
+    assert sum(g is g_n for g in split_on) == 1
+    assert all(g is g_n or g is sd.h for g in split_on)
 
 
 def _merge_first_classes(g):
