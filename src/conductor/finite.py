@@ -31,7 +31,6 @@ from .padic import (
     SpanSolver,
     hnf_columns,
     lattice_contains,
-    residue,
     smith_valuations,
     smith_with_column_transform,
     vp,
@@ -571,10 +570,17 @@ def _element_actions(g, gen_mats, rank):
 
 
 def _mat_mul(a, b):
-    # the action matrices are mostly zero, so each row of a is read sparsely
-    bt = list(zip(*b))
-    rows = ([(t, x) for t, x in enumerate(ar) if x] for ar in a)
-    return [[sum(x * bc[t] for t, x in terms) for bc in bt] for terms in rows]
+    # the action matrices are mostly zero: row i of the product sums the
+    # rows of b that the nonzero entries of row i of a pick out
+    width = len(b[0]) if b else 0
+    out = []
+    for ar in a:
+        acc = [0] * width
+        for t, x in enumerate(ar):
+            if x:
+                acc = [u + x * y for u, y in zip(acc, b[t])]
+        out.append(acc)
+    return out
 
 
 def _transpose(m):
@@ -597,7 +603,8 @@ class ExtComputation:
     and the elementary divisors of Z/B are read off a Smith form of B in
     coordinates on Z.  The basis of Z is factored once (``SpanSolver``),
     and every coordinate solve in the constructor and in ``annihilates``
-    reuses that factorisation.
+    reuses that factorisation and goes straight to Z/p^N
+    (``SpanSolver.solve_residues``).
     """
 
     def __init__(self, mod_m, mod_n, p):
@@ -666,10 +673,8 @@ class ExtComputation:
         ]
         image += [[p**q * int(i == j) for i in range(width)] for j in range(width)]
         self._hom = SpanSolver(self.hom_basis)
-        modulus = self.p**self.precision
-        self._image_rows = [
-            [residue(x, self.p, modulus) for x in self._hom.solve(v)] for v in image
-        ]
+        modulus = p**self.precision
+        self._image_rows = [self._hom.solve_residues(v, p, modulus) for v in image]
         vals = smith_valuations(self.p, self.precision, self._image_rows)
         if len(vals) != len(self.hom_basis):
             raise ArithmeticError("Ext group came out infinite; presentation is broken")
@@ -696,6 +701,7 @@ class ExtComputation:
         # z acts through N: (z . F)_s = N(z) F_s, F_s the rank N x rank M
         # block of rows at [j * rank N, (j + 1) * rank N), s = generators[j]
         rank_m = self.mod_m.rank
+        modulus = self.p**self.precision
         for f in self.hom_basis:
             rows = [f[t : t + rank_m] for t in range(0, len(f), rank_m)]
             moved = [
@@ -704,7 +710,8 @@ class ExtComputation:
                 for row in _mat_mul(z_mat, rows[j : j + rank_n])
                 for x in row
             ]
-            if not lattice_contains(self._image_lattice, self._hom.solve(moved)):
+            coords = self._hom.solve_residues(moved, self.p, modulus)
+            if not lattice_contains(self._image_lattice, coords):
                 return False
         return True
 

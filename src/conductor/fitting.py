@@ -32,7 +32,7 @@ from .cyclo import CycloNumber, _fold, _reduction_context, normalized
 from .errors import InputError
 from .finite import _convolve, formula_conductor_lattice, working_precision
 from .groups import FiniteGroup
-from .padic import hnf_columns, lattice_contains, residue, vp
+from .padic import hnf_columns, lattice_contains, residue, scaled_residues
 
 
 @dataclass
@@ -295,17 +295,16 @@ def annihilation_check(pres: PresentationMatrix, p, reps=None, precision=None) -
                 if zj:
                     for t, a in row:
                         acc[t] += a * zj
-        pa = p ** vp(den, p)
-        unit_inv = pow(den // pa, -1, modulus)
         for col in conductor.cols:
             prod = [0] * k  # den times col * z
             for c, row in zip(col, times_z):
                 if c:
                     for t, x in enumerate(row):
                         prod[t] += c * x
-            if any(x % pa for x in prod):
+            try:
+                res = scaled_residues(prod, den, p, modulus)
+            except ArithmeticError:  # col * z is not p-integral
                 return False
-            res = [x // pa * unit_inv % modulus for x in prod]
             spread = [res[t] for t in classes.class_of]
             for j in range(pres.b):
                 vec = [0] * (j * n) + spread + [0] * ((pres.b - 1 - j) * n)

@@ -293,13 +293,14 @@ def finite_quotient(sd: SemidirectData, m: int) -> FiniteGroup:
     hn = sd.h.order
     pm = sd.p**m
     order = hn * pm
+    pows, pn, h_table = sd.alpha_pows, sd.p**sd.n, sd.h.table
 
     def mult(a, b):
         i, x = divmod(a, hn)
         j, y = divmod(b, hn)
         # gamma^i x gamma^j y = gamma^(i+j) alpha^(-j)(x) y
-        xs = sd.alpha_power(-j, x)
-        return ((i + j) % pm) * hn + sd.h.mult(xs, y)
+        xs = pows[-j % pn][x]
+        return ((i + j) % pm) * hn + (h_table[xs][y] if h_table else sd.h.mult(xs, y))
 
     table = None
     if order <= TABLE_BOUND:
@@ -311,7 +312,7 @@ def finite_quotient(sd: SemidirectData, m: int) -> FiniteGroup:
             for x in range(hn):
                 row = []
                 for j in range(pm):
-                    row += shifted[((i + j) % pm) * hn + sd.alpha_power(-j, x)]
+                    row += shifted[((i + j) % pm) * hn + pows[-j % pn][x]]
                 table.append(row)
 
     gens = list(sd.h.generators)

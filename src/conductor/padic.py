@@ -6,7 +6,8 @@ Four kinds of elimination, each written once:
   tables split eigenspaces with them; nilradicals of orders mod p are
   kernels of Frobenius powers);
 - over Q: ``SpanSolver`` factors one fixed basis once by integer
-  Gauss-Jordan and then solves for any target;
+  Gauss-Jordan and then solves for any target, either as Fractions or
+  (``solve_residues``) straight into Z/p^N;
 - over Z/p^N: canonical column Hermite forms, lattice membership and
   Smith forms (optionally tracking the column transform);
 - over Z: exact row Hermite forms and integer kernels.  Nothing in the
@@ -14,7 +15,17 @@ Four kinds of elimination, each written once:
   them.
 
 ``residue`` is the one conversion of an int or p-integral Fraction into
-Z/p^N; a non-p-integral entry raises ArithmeticError in every build.
+Z/p^N; an int takes a fast path before the Fraction check.
+``scaled_residues`` reduces many numerators over one shared denominator
+with one inverse of its unit part: the residue solve and the Fitting
+annihilation check use it.  A non-p-integral entry raises ArithmeticError
+in every build, on either route.
+
+The Smith form sweeps rows only.  Once the rows below the pivot are
+cleared, the pivot column is p^v over zeros, so clearing the pivot row by
+column operations changes no other row, and each entry it clears is
+divisible by p^v because v is the least valuation in the block; the
+column transform still records those operations.
 
 Precision is never silent: any step that would need to certify a
 valuation >= N - guard raises PrecisionExhaustedError instead of
@@ -56,11 +67,30 @@ def vp(n, p: int) -> int:
 
 def residue(x, p: int, modulus: int) -> int:
     """x mod p^N for an int or a p-integral Fraction (modulus = p^N)."""
+    # ints, the common case, skip the isinstance check against the ABC
+    if type(x) is int:
+        return x % modulus
     if isinstance(x, Fraction):
         if x.denominator % p == 0:
             raise ArithmeticError("%s is not %d-integral" % (x, p))
         return x.numerator * pow(x.denominator, -1, modulus) % modulus
     return x % modulus
+
+
+def scaled_residues(nums, den, p: int, modulus: int) -> list:
+    """num / den mod p^N for each int num over one int den, with one
+    inverse of den's unit part; ArithmeticError if a quotient is not
+    p-integral."""
+    pa = 1
+    while den % p == 0:
+        den //= p
+        pa *= p
+    if pa > 1:
+        for x in nums:
+            if x % pa:
+                raise ArithmeticError("%s is not %d-integral" % (Fraction(x, pa * den), p))
+    inv = pow(den, -1, modulus)
+    return [x // pa * inv % modulus for x in nums]
 
 
 # -- elimination over F_l ------------------------------------------------------
@@ -173,6 +203,17 @@ class SpanSolver:
     def solve(self, target):
         """Coordinates of target (ints or Fractions); ArithmeticError if it
         is outside the span."""
+        nums, den = self._numerators(target)
+        return [Fraction(num, den) for num in nums]
+
+    def solve_residues(self, target, p, modulus):
+        """The coordinates of ``solve`` mod p^N (modulus = p^N), reduced
+        over their shared denominator; ArithmeticError if the target is
+        outside the span or a coordinate is not p-integral."""
+        return scaled_residues(*self._numerators(target), p, modulus)
+
+    def _numerators(self, target):
+        """(nums, den) with coordinate j = nums[j] / den."""
         if not self.size and any(target):
             raise ArithmeticError("target is outside the span of the basis")
         scale = lcm(*(x.denominator for x in target))
@@ -182,8 +223,7 @@ class SpanSolver:
         for i, terms in self.checks:
             if sum(nums[j] * c for j, c in terms) != self.denominator * ints[i]:
                 raise ArithmeticError("target is outside the span of the basis")
-        den = self.denominator * scale
-        return [Fraction(num * s, den) for num, s in zip(nums, self.scales)]
+        return [num * s for num, s in zip(nums, self.scales)], self.denominator * scale
 
 
 def _combine(a, row, b, other):
@@ -299,10 +339,12 @@ def lattice_contains(lat: PLattice, vector) -> bool:
         x = v[row]
         if x == 0:
             continue
-        if vp(x, p) < a:
+        pa = p**a
+        if x % pa:
             return False
-        q = x // p**a
-        for r in range(lat.dim):
+        q = x // pa
+        # a Hermite column is zero above its pivot row
+        for r in range(row, lat.dim):
             v[r] = (v[r] - q * col[r]) % modulus
     floor = p ** max(lat.precision - DEFAULT_GUARD, 1)
     return all(x % floor == 0 for x in v)
@@ -367,19 +409,24 @@ def _smith(p, precision, rows, track):
                 row[top], row[bj] = row[bj], row[top]
             if track:
                 c[top], c[bj] = c[bj], c[top]
-        inv = pow(a[top][top] // p**v, -1, modulus)
+        pv = p**v
+        inv = pow(a[top][top] // pv, -1, modulus)
         a[top] = [(x * inv) % modulus for x in a[top]]
         for i in range(top + 1, nrows):
             x = a[i][top]
             if x:
-                q = x // p**v
+                q = x // pv
                 a[i] = [(y - q * z) % modulus for y, z in zip(a[i], a[top])]
+        # column top is now p^v over zeros, so the column sweep only zeroes
+        # the tail of row top (each entry divisible by p^v; module docstring)
+        row = a[top]
         for j in range(top + 1, ncols):
-            x = a[top][j]
+            x = row[j]
             if x:
-                q = x // p**v
-                for i in range(top, nrows):
-                    a[i][j] = (a[i][j] - q * a[i][top]) % modulus
+                q, r = divmod(x, pv)
+                if r:
+                    raise ArithmeticError("entry below the least valuation %d" % v)
+                row[j] = 0
                 if track:
                     c[j] = [(y - q * z) % modulus for y, z in zip(c[j], c[top])]
         out.append(v)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conductor.catalog import (
     alternating_4,
+    c3_x_c3,
     conductor_catalog,
     sd_c7,
     sd_c9,
@@ -28,6 +29,7 @@ from conductor.finite import (
     _conductor_lattice,
     _cyclotomic_ideal_basis,
     _element_actions,
+    _mat_mul,
     _orbit_idempotent,
     _permutation_action,
     _twist_basis,
@@ -396,6 +398,61 @@ def test_s3_ext_of_augmentation_mod_p2_vanishes():
     assert comp.divisors == []
     lat = brute_force_conductor(g, 3, reps=splitting_reps("S3"))
     assert all(comp.annihilates(col) for col in lat.cols)
+
+
+def test_c3xc3_ext_of_augmentation_mod_p_is_killed_by_the_conductor():
+    # the pair with 512 distinct 128-column cocycle conditions: Ext^1 is
+    # (Z/3)^2, and every conductor generator annihilates it
+    g = c3_x_c3()
+    aug = augmentation_module(g)
+    comp = ExtComputation(aug, aug.mod_p_power(1), 3)
+    assert comp.divisors == [1, 1]
+    lat = brute_force_conductor(g, 3)
+    assert len(lat.cols) == 9
+    assert all(comp.annihilates(col) for col in lat.cols)
+
+
+def _dense_product(a, b):
+    width = len(b[0]) if b else 0
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(width)]
+        for i in range(len(a))
+    ]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[0, 0], [0, 0]], [[1, -2, 3], [4, 5, -6]]),
+        ([[2, 0, -1]], [[1], [-7], [3]]),
+        ([[1], [0], [-3]], [[4, -1, 0, 2]]),
+        ([[0, -1], [1, 0]], [[0, 0], [0, 0]]),
+        ([[-2]], [[5]]),
+    ],
+)
+def test_mat_mul_matches_the_dense_product(a, b):
+    assert _mat_mul(a, b) == _dense_product(a, b)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=k, max_size=k),
+                     min_size=1, max_size=5),
+            st.integers(1, 5).flatmap(
+                lambda w: st.lists(st.lists(st.integers(-9, 9), min_size=w, max_size=w),
+                                   min_size=k, max_size=k)
+            ),
+        )
+    )
+)
+def test_mat_mul_matches_the_dense_product_on_sparse_rows(ab):
+    a, b = ab
+    product = _mat_mul(a, b)
+    assert product == _dense_product(a, b)
+    # the rows are fresh lists: callers add into them
+    assert all(row is not other for row in product for other in b)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])

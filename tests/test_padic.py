@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 
 from conductor.errors import PrecisionExhaustedError
 from conductor.padic import (
+    DEFAULT_GUARD,
     SpanSolver,
     echelon,
     hnf_columns,
     kernel,
     lattice_contains,
     residue,
+    scaled_residues,
     smith_valuations,
     smith_with_column_transform,
     sublattice_of,
@@ -79,6 +81,9 @@ def test_smith_valuations():
     assert smith_valuations(3, 12, [[3, 0], [0, 9]]) == [1, 2]
     # unimodular moves do not change the valuations
     assert smith_valuations(3, 12, [[3, 9], [3, 18]]) == [1, 2]
+    # every pivot has valuation > 0; the determinantal divisors are 3, 3^3, 3^5
+    rows = [[9, 27, 18], [3, 0, 6], [27, 9, 0], [0, 81, 9]]
+    assert smith_valuations(3, 12, rows) == [1, 2, 2]
 
 
 def test_precision_exhaustion_is_loud():
@@ -127,6 +132,122 @@ def test_residue():
     assert residue(-4, 3, 9) == 5
     with pytest.raises(ArithmeticError):
         residue(Fraction(2, 9), 3, 9)
+
+
+def test_scaled_residues_equal_the_residues_of_the_quotients():
+    for den in (1, 2, 9, 18, 45):
+        nums = [x * 9 for x in range(-4, 5)] + [0, 27 * 7]
+        want = [residue(Fraction(x, den), 3, 3**6) for x in nums]
+        assert scaled_residues(nums, den, 3, 3**6) == want
+    with pytest.raises(ArithmeticError, match="not 3-integral"):
+        scaled_residues([9, 3], 9, 3, 3**6)
+
+
+# -- the Smith form against its earlier full column sweep --------------------------
+
+
+def _reference_smith(p, precision, rows):
+    """The tracked ``_smith`` as it was before the column sweep became
+    zeroing the tail of the pivot row: every column is swept over every row
+    from top."""
+    modulus = p**precision
+    a = [[x % modulus for x in row] for row in rows]
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    c = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+    out = []
+    for top in range(min(nrows, ncols)):
+        best = None
+        for i in range(top, nrows):
+            for j in range(top, ncols):
+                if a[i][j]:
+                    v = vp(a[i][j], p)
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+                        if not v:
+                            break
+            if best is not None and not best[0]:
+                break
+        if best is None:
+            break
+        v, bi, bj = best
+        if v > precision - DEFAULT_GUARD:
+            raise PrecisionExhaustedError("reference: valuation %d" % v)
+        a[top], a[bi] = a[bi], a[top]
+        if bj != top:
+            for row in a:
+                row[top], row[bj] = row[bj], row[top]
+            c[top], c[bj] = c[bj], c[top]
+        inv = pow(a[top][top] // p**v, -1, modulus)
+        a[top] = [(x * inv) % modulus for x in a[top]]
+        for i in range(top + 1, nrows):
+            x = a[i][top]
+            if x:
+                q = x // p**v
+                a[i] = [(y - q * z) % modulus for y, z in zip(a[i], a[top])]
+        for j in range(top + 1, ncols):
+            x = a[top][j]
+            if x:
+                q = x // p**v
+                for i in range(top, nrows):
+                    a[i][j] = (a[i][j] - q * a[i][top]) % modulus
+                c[j] = [(y - q * z) % modulus for y, z in zip(c[j], c[top])]
+        out.append(v)
+    return out, c
+
+
+def _outcome(call):
+    try:
+        return call()
+    except PrecisionExhaustedError:
+        return "exhausted"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.integers(0, 2),
+    st.integers(1, 12).flatmap(
+        lambda r: st.integers(1, 6).flatmap(
+            lambda c: st.lists(
+                st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 3)), min_size=c, max_size=c),
+                min_size=r, max_size=r,
+            )
+        )
+    ),
+)
+def test_smith_matches_the_full_column_sweep(p, shift, cells):
+    # entries x * p^e, all times p^shift, so that pivots of valuation > 0 occur
+    rows = [[x * p ** (e + shift) for x, e in row] for row in cells]
+    precision = 40
+    want = _outcome(lambda: _reference_smith(p, precision, rows))
+    assert _outcome(lambda: smith_with_column_transform(p, precision, rows)) == want
+    assert _outcome(lambda: smith_valuations(p, precision, rows)) == (
+        want if want == "exhausted" else want[0]
+    )
+
+
+_BROKEN_VALUATION = """
+import conductor.padic as padic
+# a valuation that overstates 1 makes the pivot 3 look least in its row
+padic.vp = lambda n, p: 1
+try:
+    padic.smith_valuations(3, 12, [[3, 1]])
+except ArithmeticError as exc:
+    print("ArithmeticError", exc)
+else:
+    print("accepted")
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_smith_checks_the_cleared_entries_in_every_build(optimize):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable] + (["-O"] if optimize else []) + ["-c", _BROKEN_VALUATION],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["ArithmeticError entry below the least valuation 1"]
 
 
 # -- properties of the merged routines -------------------------------------------
@@ -182,3 +303,28 @@ def test_span_solver_takes_int_and_fraction_targets_alike():
     for target in ([1, 0, 0], [Fraction(1), Fraction(0), Fraction(0)]):
         with pytest.raises(ArithmeticError, match="outside the span"):
             solver.solve(target)
+
+
+def test_solve_residues_equal_the_residues_of_solve():
+    solver = SpanSolver([[1, 2, 0], [Fraction(1, 2), 0, 1]])
+    p, modulus = 3, 3**6
+    coords = [Fraction(0), Fraction(5), Fraction(-7, 2), Fraction(1, 4), Fraction(9, 10)]
+    for a, b in product(coords, repeat=2):
+        target = [a + b / 2, 2 * a, b]
+        want = [residue(x, p, modulus) for x in solver.solve(target)]
+        assert solver.solve_residues(target, p, modulus) == want
+        if all(x.denominator == 1 for x in target):
+            ints = [x.numerator for x in target]
+            assert solver.solve_residues(ints, p, modulus) == want
+
+
+def test_solve_residues_refuse_coordinates_that_are_not_p_integral():
+    solver = SpanSolver([[3, 0], [0, 1]])
+    assert solver.solve_residues([6, 5], 3, 27) == [2, 5]
+    for target in ([1, 0], [Fraction(1, 2), 0], [Fraction(3, 2), Fraction(1, 3)]):
+        with pytest.raises(ArithmeticError, match="not 3-integral"):
+            solver.solve_residues(target, 3, 27)
+    solver = SpanSolver([[1, 2, 0], [Fraction(1, 2), 0, 1]])
+    for target in ([1, 0, 0], [Fraction(1), Fraction(0), Fraction(0)]):
+        with pytest.raises(ArithmeticError, match="outside the span"):
+            solver.solve_residues(target, 3, 27)
