@@ -32,7 +32,7 @@ from .padic import (
     hnf_columns,
     lattice_contains,
     smith_valuations,
-    smith_with_column_transform,
+    solution_lattice,
     vp,
 )
 
@@ -295,10 +295,11 @@ def _conductor_lattice(g, p, vectors, full, precision):
 
     Constraint (b, g) is sum_l c_l (C_l b)[g] in Z_p, where
     (C_l b)[g] = sum over h in C_l of b[h^-1 g]; ``full`` takes every g, else
-    only the identity.  The rows are summed on D * b and carried to
-    p^scale * b mod p^(precision + scale), scale = v_p(D).  The Hermite basis
-    of the row module has at most k vectors, and its Smith form gives the
-    solutions.
+    only the identity.  The rows are summed on D * b, so the constraint
+    reads row . c = 0 mod p^scale, scale = v_p(D), worked mod
+    p^(precision + scale); the unit part of D does not change the row
+    module.  The Hermite basis of the row module has at most k vectors, and
+    ``solution_lattice`` gives the solutions.
     """
     classes = character_table(g).classes
     class_of = classes.class_of
@@ -306,8 +307,6 @@ def _conductor_lattice(g, p, vectors, full, precision):
     den, ints = _integer_scaled(vectors)
     scale = vp(den, p)
     n_work = precision + scale
-    modulus = p**n_work
-    unit = pow(den // p**scale, -1, modulus)
     rows = {}  # distinct rows; on abelian G the full system repeats most of its n^2
     for vec in ints:
         if full:
@@ -321,14 +320,11 @@ def _conductor_lattice(g, p, vectors, full, precision):
             for x, c in enumerate(vec):
                 if c:
                     block[0][class_of[g.inv(x)]] += c
-        rows.update(dict.fromkeys(tuple(x * unit % modulus for x in row) for row in block))
+        rows.update(dict.fromkeys(tuple(row) for row in block))
     row_basis = hnf_columns(p, n_work, list(rows)).cols
-    vals, c_cols = smith_with_column_transform(p, n_work, row_basis)
+    vals, columns = solution_lattice(p, n_work, row_basis, k, scale)
     if len(vals) != k:
         raise ArithmeticError("conductor constraint system is not of full rank")
-    columns = [
-        [x * p ** max(0, scale - vals[i]) for x in c_cols[i]] for i in range(k)
-    ]
     return hnf_columns(p, precision, columns)
 
 
@@ -597,14 +593,24 @@ class ExtComputation:
 
     A cocycle f is fixed by its values F_s = f(s) on the generators: the
     walk of the Cayley graph from 1 sets f(s x) = F_s + s . f(x), and each
-    edge into an element already reached is a linear condition on F mod
-    p^q.  The cocycles Z are the solution lattice of these conditions, the
-    coboundaries B are spanned by (s . a - a)_s and p^q on each coordinate,
-    and the elementary divisors of Z/B are read off a Smith form of B in
-    coordinates on Z.  The basis of Z is factored once (``SpanSolver``),
-    and every coordinate solve in the constructor and in ``annihilates``
-    reuses that factorisation and goes straight to Z/p^N
-    (``SpanSolver.solve_residues``).
+    edge into an element already reached is a linear condition on F.  So
+    H^1(G, A) is the middle cohomology of the complex of free Z_p-modules
+    C: Z_p^(rank A) --D0--> Z_p^w --D1--> Z_p^(conditions), tensored with
+    Z/p^q; D0 gives the coboundaries a |-> (s . a - a)_s, D1 the distinct
+    conditions, and w = (number of generators) x rank A.  By the universal
+    coefficient theorem (Hatcher, Algebraic Topology, Thm 3A.3; Weibel, An
+    Introduction to Homological Algebra, Thm 3.6.2),
+    H^1(C / p^q) = H^1(C) / p^q + coker(D1)[p^q]: the divisors are min(v, q)
+    for each nonzero Smith valuation v of D0 and of D1, and q for each of
+    the w - rank D0 - rank D1 free directions.  Each such v is torsion of
+    H^1(G, A) or H^2(G, A), which |G| kills, so it stays below
+    ``precision`` - guard; a larger one raises PrecisionExhaustedError.
+
+    ``hom_basis`` is a basis of the cocycles Z~ = {F : D1 F = 0 mod p^q},
+    and B~ = span(D0) + p^q Z_p^w.  z kills Ext^1 = Z~/B~ when z . f lies
+    in B~ for each basis cocycle f.  When B~'s Hermite form is first built,
+    v_p[Z_p^w : B~] - v_p[Z_p^w : Z~] is checked to equal the sum of the
+    divisors, in every build (ArithmeticError).
     """
 
     def __init__(self, mod_m, mod_n, p):
@@ -658,31 +664,26 @@ class ExtComputation:
         # consistent edges make f well defined on words, hence a cocycle
         eqs = list(dict.fromkeys(tuple(row) for row in conditions if any(row)))
         q = self.mod_n.quotient_exponent
-        if eqs:
-            vals, c_cols = smith_with_column_transform(p, self.precision, eqs)
-            self.hom_basis = [
-                [x * p ** max(0, q - vals[i]) if i < len(vals) else x for x in c_cols[i]]
-                for i in range(width)
-            ]
-        else:
-            self.hom_basis = [[int(i == j) for i in range(width)] for j in range(width)]
-        # the coboundaries x |-> x . a - a, and p^q on each coordinate
-        image = [
+        self._cocycle_vals, self.hom_basis = solution_lattice(p, self.precision, eqs, width, q)
+        # the coboundaries x |-> x . a - a, one column per coordinate of a
+        self._coboundaries = [
             [mat[t][k] - int(t == k) for mat in acts_a for t in range(dim)]
             for k in range(dim)
         ]
-        image += [[p**q * int(i == j) for i in range(width)] for j in range(width)]
-        self._hom = SpanSolver(self.hom_basis)
-        modulus = p**self.precision
-        self._image_rows = [self._hom.solve_residues(v, p, modulus) for v in image]
-        vals = smith_valuations(self.p, self.precision, self._image_rows)
-        if len(vals) != len(self.hom_basis):
-            raise ArithmeticError("Ext group came out infinite; presentation is broken")
-        self.divisors = sorted(v for v in vals if v > 0)
+        vals = smith_valuations(p, self.precision, self._coboundaries) + self._cocycle_vals
+        free = width - len(vals)
+        self.divisors = sorted(d for d in [min(v, q) for v in vals] + [q] * free if d)
 
     @cached_property
     def _image_lattice(self):
-        return hnf_columns(self.p, self.precision, self._image_rows)
+        """B~, certified against the divisors (class docstring)."""
+        p, q, width = self.p, self.mod_n.quotient_exponent, len(self.hom_basis)
+        scaled = [[p**q * int(i == j) for i in range(width)] for j in range(width)]
+        lat = hnf_columns(p, self.precision, self._coboundaries + scaled)
+        cocycle_index = sum(max(0, q - v) for v in self._cocycle_vals)
+        if lat.index_valuation() - cocycle_index != sum(self.divisors):
+            raise ArithmeticError("Ext^1 divisors %s disagree with [Z~ : B~]" % self.divisors)
+        return lat
 
     def annihilates(self, class_coords) -> bool:
         """Whether the central element sum_l c_l * (class sum l) kills Ext^1."""
@@ -691,17 +692,12 @@ class ExtComputation:
         classes = character_table(self.g).classes
         rank_n = self.mod_n.rank
         z_mat = [[0] * rank_n for _ in range(rank_n)]
-        for l, c in enumerate(class_coords):
-            if c:
-                for h in classes.classes[l]:
-                    for i in range(rank_n):
-                        for j in range(rank_n):
-                            if self.acts_n[h][i][j]:
-                                z_mat[i][j] += c * self.acts_n[h][i][j]
+        for c, cls in zip(class_coords, classes.classes):
+            for h in cls if c else ():
+                z_mat = [[u + c * v for u, v in zip(a, b)] for a, b in zip(z_mat, self.acts_n[h])]
         # z acts through N: (z . F)_s = N(z) F_s, F_s the rank N x rank M
         # block of rows at [j * rank N, (j + 1) * rank N), s = generators[j]
         rank_m = self.mod_m.rank
-        modulus = self.p**self.precision
         for f in self.hom_basis:
             rows = [f[t : t + rank_m] for t in range(0, len(f), rank_m)]
             moved = [
@@ -710,8 +706,7 @@ class ExtComputation:
                 for row in _mat_mul(z_mat, rows[j : j + rank_n])
                 for x in row
             ]
-            coords = self._hom.solve_residues(moved, self.p, modulus)
-            if not lattice_contains(self._image_lattice, coords):
+            if not lattice_contains(self._image_lattice, moved):
                 return False
         return True
 

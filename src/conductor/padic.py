@@ -6,10 +6,12 @@ Four kinds of elimination, each written once:
   tables split eigenspaces with them; nilradicals of orders mod p are
   kernels of Frobenius powers);
 - over Q: ``SpanSolver`` factors one fixed basis once by integer
-  Gauss-Jordan and then solves for any target, either as Fractions or
-  (``solve_residues``) straight into Z/p^N;
+  Gauss-Jordan and then solves for any target as Fractions (cyclotomic
+  rebasing, global field coordinates, permutation actions);
 - over Z/p^N: canonical column Hermite forms, lattice membership and
-  Smith forms (optionally tracking the column transform);
+  Smith forms (optionally tracking the column transform), and
+  ``solution_lattice``, the solutions of a linear system mod p^q read off
+  that transform (the conductor oracle and the cocycles of Ext^1);
 - over Z: exact row Hermite forms and integer kernels.  Nothing in the
   package calls them; they are kept because ``perfbench/tracer.py`` wraps
   them.
@@ -17,9 +19,9 @@ Four kinds of elimination, each written once:
 ``residue`` is the one conversion of an int or p-integral Fraction into
 Z/p^N; an int takes a fast path before the Fraction check.
 ``scaled_residues`` reduces many numerators over one shared denominator
-with one inverse of its unit part: the residue solve and the Fitting
-annihilation check use it.  A non-p-integral entry raises ArithmeticError
-in every build, on either route.
+with one inverse of its unit part, for the Fitting annihilation check.  A
+non-p-integral entry raises ArithmeticError in every build, on either
+route.
 
 The Smith form sweeps rows only.  Once the rows below the pivot are
 cleared, the pivot column is p^v over zeros, so clearing the pivot row by
@@ -203,17 +205,6 @@ class SpanSolver:
     def solve(self, target):
         """Coordinates of target (ints or Fractions); ArithmeticError if it
         is outside the span."""
-        nums, den = self._numerators(target)
-        return [Fraction(num, den) for num in nums]
-
-    def solve_residues(self, target, p, modulus):
-        """The coordinates of ``solve`` mod p^N (modulus = p^N), reduced
-        over their shared denominator; ArithmeticError if the target is
-        outside the span or a coordinate is not p-integral."""
-        return scaled_residues(*self._numerators(target), p, modulus)
-
-    def _numerators(self, target):
-        """(nums, den) with coordinate j = nums[j] / den."""
         if not self.size and any(target):
             raise ArithmeticError("target is outside the span of the basis")
         scale = lcm(*(x.denominator for x in target))
@@ -223,7 +214,7 @@ class SpanSolver:
         for i, terms in self.checks:
             if sum(nums[j] * c for j, c in terms) != self.denominator * ints[i]:
                 raise ArithmeticError("target is outside the span of the basis")
-        return [num * s for num, s in zip(nums, self.scales)], self.denominator * scale
+        return [Fraction(num * s, self.denominator * scale) for num, s in zip(nums, self.scales)]
 
 
 def _combine(a, row, b, other):
@@ -370,6 +361,19 @@ def smith_with_column_transform(p, precision, rows):
     lists the columns of C.  Columns beyond len(vals) span directions on
     which A vanishes mod p^precision."""
     return _smith(p, precision, rows, True)
+
+
+def solution_lattice(p, precision, rows, width, q):
+    """(vals, basis): the Smith valuations of the rows and a basis of
+    {x in Z_p^width : rows * x = 0 mod p^q}, column i of the transform C
+    times p^max(0, q - vals[i]) (unscaled past the rank)."""
+    if not rows:
+        return [], [[int(i == j) for i in range(width)] for j in range(width)]
+    vals, c_cols = smith_with_column_transform(p, precision, rows)
+    return vals, [
+        [x * p ** max(0, q - vals[i]) for x in col] if i < len(vals) else col
+        for i, col in enumerate(c_cols)
+    ]
 
 
 def _smith(p, precision, rows, track):

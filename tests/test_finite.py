@@ -1,6 +1,9 @@
 """Finite group rings: the conductor formula against the brute-force
 oracle, and the Ext annihilation consequences."""
 
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -48,7 +51,15 @@ from conductor.finite import (
 from conductor.groups import cyclic_group, direct_product, finite_quotient
 from conductor.localfields import AbelianLocalField
 from conductor.orders import lattice_power, radical_lattice
-from conductor.padic import hnf_columns, lattice_contains, sublattice_of, vp
+from conductor.padic import (
+    SpanSolver,
+    hnf_columns,
+    lattice_contains,
+    residue,
+    smith_valuations,
+    sublattice_of,
+    vp,
+)
 
 
 def _value_key(v):
@@ -410,6 +421,124 @@ def test_c3xc3_ext_of_augmentation_mod_p_is_killed_by_the_conductor():
     lat = brute_force_conductor(g, 3)
     assert len(lat.cols) == 9
     assert all(comp.annihilates(col) for col in lat.cols)
+
+
+def _sweep_modules(name):
+    """The trivial, augmentation, maximal-order and regular modules, and
+    for S3 the lattice of its 2-dimensional representation."""
+    g = {"C3": lambda: cyclic_group(3), "S3": symmetric_3, "C9": lambda: cyclic_group(9),
+         "C3xC3": c3_x_c3}[name]()
+    reps = splitting_reps(name)
+    mods = [trivial_module(g), augmentation_module(g), maximal_order_module(g, 3, reps),
+            regular_module(g)]
+    if reps:
+        mods.append(GModule(g, 2, [[list(row) for row in m] for m in reps[0]], "standard"))
+    return g, reps, mods
+
+
+def _reference_ext(comp):
+    """Ext^1 without the universal coefficient formula: the coboundaries
+    and p^q on each coordinate, solved over Q in coordinates on the
+    cocycle basis, then a Smith form for the divisors and a Hermite form
+    for the membership tests.  Returns (divisors, annihilates)."""
+    p, q, precision = comp.p, comp.mod_n.quotient_exponent, comp.precision
+    width, modulus = len(comp.hom_basis), p**precision
+    solver = SpanSolver(comp.hom_basis)
+
+    def coords(v):
+        return [residue(x, p, modulus) for x in solver.solve(v)]
+
+    image = [coords(v) for v in comp._coboundaries]
+    image += [coords([p**q * int(i == j) for i in range(width)]) for j in range(width)]
+    vals = smith_valuations(p, precision, image)
+    assert len(vals) == width
+    divisors = sorted(v for v in vals if v > 0)
+
+    if not divisors:
+        return divisors, lambda class_coords: True
+    lat = hnf_columns(p, precision, image)
+    rank_n, rank_m = comp.mod_n.rank, comp.mod_m.rank
+    # coordinates of (class sum l) . f for every class l and basis cocycle f,
+    # z acting on each generator's rank N x rank M block by N(z); a central
+    # element's are their combination
+    per_class = []
+    for cls in character_table(comp.g).classes.classes:
+        z = [[sum(comp.acts_n[h][i][t] for h in cls) for t in range(rank_n)] for i in range(rank_n)]
+        per_class.append([
+            coords([
+                sum(z[i][t] * f[j + t * rank_m + k] for t in range(rank_n))
+                for j in range(0, width, rank_n * rank_m)
+                for i in range(rank_n)
+                for k in range(rank_m)
+            ])
+            for f in comp.hom_basis
+        ])
+
+    def annihilates(class_coords):
+        terms = [(c, cs) for c, cs in zip(class_coords, per_class) if c]
+        for f in range(width):
+            v = [0] * width
+            for c, cs in terms:
+                v = [x + c * y for x, y in zip(v, cs[f])]
+            if not lattice_contains(lat, v):
+                return False
+        return True
+
+    return divisors, annihilates
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("name", ["C3", "S3", "C9", "C3xC3"])
+def test_ext_matches_the_solve_over_q(name, q):
+    # every pair of sweep modules: the divisors, and the verdicts on the
+    # conductor columns and the class-sum unit vectors
+    g, reps, mods = _sweep_modules(name)
+    lat = brute_force_conductor(g, 3, reps)
+    k = len(lat.cols)
+    cands = [list(c) for c in lat.cols] + [[int(i == l) for i in range(k)] for l in range(k)]
+    seen = set()
+    for mod_m in mods:
+        for mod_n in mods:
+            comp = ExtComputation(mod_m, mod_n.mod_p_power(q), 3)
+            divisors, annihilates = _reference_ext(comp)
+            assert comp.divisors == divisors, (mod_m.name, mod_n.name)
+            verdicts = [comp.annihilates(c) for c in cands]
+            assert verdicts == [annihilates(c) for c in cands], (mod_m.name, mod_n.name)
+            seen.update(verdicts)
+    assert seen == {False, True}
+
+
+_BROKEN_EXT = """
+import conductor.finite as finite
+from conductor.groups import cyclic_group
+g = cyclic_group(3)
+triv = finite.trivial_module(g)
+comp = finite.ExtComputation(triv, triv.mod_p_power(1), 3)
+print(comp.divisors, comp.annihilates([1, 1, 1]))
+# a coboundary Smith form that reports a divisor it does not have
+finite.smith_valuations = lambda p, precision, rows: [1]
+comp = finite.ExtComputation(triv, triv.mod_p_power(1), 3)
+try:
+    comp.annihilates([1, 1, 1])
+except ArithmeticError as exc:
+    print(comp.divisors, "ArithmeticError", exc)
+else:
+    print(comp.divisors, "accepted")
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_ext_index_certificate_fires_in_every_build(optimize):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable] + (["-O"] if optimize else []) + ["-c", _BROKEN_EXT],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[1] True",
+        "[1, 1] ArithmeticError Ext^1 divisors [1, 1] disagree with [Z~ : B~]",
+    ]
 
 
 def _dense_product(a, b):

@@ -23,6 +23,7 @@ from conductor.padic import (
     scaled_residues,
     smith_valuations,
     smith_with_column_transform,
+    solution_lattice,
     sublattice_of,
     vp,
 )
@@ -277,6 +278,30 @@ def test_smith_valuations_match_the_tracked_form(p, rows):
         assert all(sum(a * x for a, x in zip(row, col)) % modulus == 0 for row in rows)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(0, 2),
+    _matrices(st.integers(-12, 12), max_rows=4, max_cols=3),
+)
+def test_solution_lattice_is_every_solution_mod_p_q(p, q, rows):
+    precision, width = 30, len(rows[0])
+    vals, basis = solution_lattice(p, precision, rows, width, q)
+    assert vals == smith_valuations(p, precision, rows)
+    modulus = p**q
+    for col in basis:
+        assert all(sum(a * x for a, x in zip(row, col)) % modulus == 0 for row in rows)
+    # brute force: the solutions mod p^q number p^(q width) / [Z_p^width : L]
+    lat = hnf_columns(p, precision, basis)
+    solutions = sum(
+        1
+        for x in product(range(modulus), repeat=width)
+        if all(sum(a * y for a, y in zip(row, x)) % modulus == 0 for row in rows)
+    )
+    assert solutions * p ** lat.index_valuation() == modulus**width
+    assert lat.index_valuation() == sum(max(0, q - v) for v in vals)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3, 5]), _matrices(st.integers(-30, 30), max_rows=4, max_cols=4))
 def test_fl_kernel_has_full_dimension_and_is_killed(l, rows):
@@ -303,28 +328,3 @@ def test_span_solver_takes_int_and_fraction_targets_alike():
     for target in ([1, 0, 0], [Fraction(1), Fraction(0), Fraction(0)]):
         with pytest.raises(ArithmeticError, match="outside the span"):
             solver.solve(target)
-
-
-def test_solve_residues_equal_the_residues_of_solve():
-    solver = SpanSolver([[1, 2, 0], [Fraction(1, 2), 0, 1]])
-    p, modulus = 3, 3**6
-    coords = [Fraction(0), Fraction(5), Fraction(-7, 2), Fraction(1, 4), Fraction(9, 10)]
-    for a, b in product(coords, repeat=2):
-        target = [a + b / 2, 2 * a, b]
-        want = [residue(x, p, modulus) for x in solver.solve(target)]
-        assert solver.solve_residues(target, p, modulus) == want
-        if all(x.denominator == 1 for x in target):
-            ints = [x.numerator for x in target]
-            assert solver.solve_residues(ints, p, modulus) == want
-
-
-def test_solve_residues_refuse_coordinates_that_are_not_p_integral():
-    solver = SpanSolver([[3, 0], [0, 1]])
-    assert solver.solve_residues([6, 5], 3, 27) == [2, 5]
-    for target in ([1, 0], [Fraction(1, 2), 0], [Fraction(3, 2), Fraction(1, 3)]):
-        with pytest.raises(ArithmeticError, match="not 3-integral"):
-            solver.solve_residues(target, 3, 27)
-    solver = SpanSolver([[1, 2, 0], [Fraction(1, 2), 0, 1]])
-    for target in ([1, 0, 0], [Fraction(1), Fraction(0), Fraction(0)]):
-        with pytest.raises(ArithmeticError, match="outside the span"):
-            solver.solve_residues(target, 3, 27)
