@@ -64,13 +64,13 @@ at the exponent conductor), compared on the dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, cmp_to_key
 from math import gcd, isqrt, lcm
 
 from .cyclo import CycloNumber, generating_set, int_coords, is_prime, normalized, prime_factors
 from .errors import GroupTooLargeError
-from .groups import ClassData, FiniteGroup, conjugacy_classes, orbits
+from .groups import FiniteGroup, conjugacy_classes, orbits
 from .padic import echelon, echelon_coords, kernel
 
 DEFAULT_BOUND = 2000
@@ -136,15 +136,12 @@ def _charpoly(a, l):
 # -- the table ---------------------------------------------------------------
 
 
-@dataclass
-class CharacterTable:
-    group: FiniteGroup
-    classes: ClassData
-    coords: list  # coords[row][class] = {i: count} on zeta_E^i, E = normalized(exponent)
-    degrees: list
-    exponent: int
-    split_prime: int
-    power_maps: list  # power_maps[t][s] = class of rep_t^s, s < order of rep_t
+class CharacterTable(namedtuple(
+    "CharacterTable", "group classes coords degrees exponent split_prime power_maps"
+)):
+    """``coords[row][class]`` = {i: count} on zeta_E^i, E = normalized(exponent);
+    ``power_maps[t][s]`` = class of rep_t^s, s < order of rep_t.  No
+    ``__slots__``: ``values`` is cached in the instance dict."""
 
     @property
     def n_classes(self):
@@ -620,12 +617,11 @@ def galois_orbits(table: CharacterTable, base=None) -> list[list[int]]:
     return [sorted(o) for o in orbits(table.n_classes, galois_permutations(table, base))]
 
 
-@dataclass
-class CharOrbit:
-    """Orbit of irreducible characters of H under a group automorphism."""
+class CharOrbit(namedtuple("CharOrbit", "members eta_degree")):
+    """Orbit of irreducible characters of H under a group automorphism;
+    ``members`` are row indices in cycle order: members[i+1] = members[i] o alpha."""
 
-    members: tuple  # row indices in cycle order: members[i+1] = members[i] o alpha
-    eta_degree: int
+    __slots__ = ()
 
     @property
     def w(self):

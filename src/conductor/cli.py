@@ -10,6 +10,13 @@ from the same payload.  Exit codes: 0 success, 1 verification failure,
 2 input error, 3 precision exhaustion.  Timing goes to stderr so reports
 are byte-identical across runs.  Each handler imports the modules it
 runs, so a subcommand loads only what it needs.
+
+A run is mostly start-up.  On a 2-vCPU Xeon with Python 3.11.7 and no
+bytecode cache, ``python -c pass`` takes about 45 ms, importing this
+module about 25 ms more, and ``chartab`` on ``sample_inputs/s3.json``
+about 80 ms in all.  The records are plain classes and namedtuples, not
+``@dataclass``: its module would load ``inspect``, ``ast``, ``dis`` and
+``tokenize`` into every process.
 """
 
 import argparse

@@ -17,7 +17,7 @@ annihilate.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
@@ -46,18 +46,11 @@ def working_precision(g, p):
 # Formula route: the report
 
 
-@dataclass
-class ConductorComponent:
-    rep_row: int
-    orbit_rows: list
-    degree: int
-    field: AbelianLocalField
-    multiplier: Fraction
-    multiplier_vp: int
-    e: int
-    f: int
-    d_rel: int
-    valuation: int
+class ConductorComponent(namedtuple(
+    "ConductorComponent",
+    "rep_row orbit_rows degree field multiplier multiplier_vp e f d_rel valuation",
+)):
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -77,13 +70,10 @@ class ConductorComponent:
         }
 
 
-@dataclass
 class FiniteConductorReport:
-    group_name: str
-    group_order: int
-    p: int
-    base: AbelianLocalField
-    components: list
+    def __init__(self, group_name, group_order, p, base, components):
+        self.group_name, self.group_order, self.p = group_name, group_order, p
+        self.base, self.components = base, components
 
     def to_json(self):
         return {
@@ -464,18 +454,15 @@ def _cyclotomic_ideal_basis(p, d, target, precision):
 # Modules, Ext^1, and the annihilation statements
 
 
-@dataclass
-class GModule:
+class GModule(namedtuple(
+    "GModule", "group rank gen_actions name quotient_exponent", defaults=("module", None)
+)):
     """A Z_p[G]-lattice: Z_p^rank with one action matrix per group generator
     (columns are images of basis vectors).  ``quotient_exponent`` q presents
     the finite module lattice/p^q instead.  ``ExtComputation`` checks the
     matrices as it grows the action (``_element_actions``)."""
 
-    group: object
-    rank: int
-    gen_actions: list
-    name: str = "module"
-    quotient_exponent: int = None
+    __slots__ = ()
 
     def mod_p_power(self, q):
         return GModule(self.group, self.rank, self.gen_actions, "%s/p^%d" % (self.name, q), q)
@@ -608,9 +595,15 @@ class ExtComputation:
 
     ``hom_basis`` is a basis of the cocycles Z~ = {F : D1 F = 0 mod p^q},
     and B~ = span(D0) + p^q Z_p^w.  z kills Ext^1 = Z~/B~ when z . f lies
-    in B~ for each basis cocycle f.  When B~'s Hermite form is first built,
-    v_p[Z_p^w : B~] - v_p[Z_p^w : Z~] is checked to equal the sum of the
-    divisors, in every build (ArithmeticError).
+    in B~ for each basis cocycle f.  A basis column of Smith valuation 0
+    is p^q times a column of the transform, so z . f lies in p^q Z_p^w,
+    inside B~, and is not tested.
+
+    ``divisors`` is certified when the first ``annihilates`` call builds
+    B~'s Hermite form: v_p[Z_p^w : B~] - v_p[Z_p^w : Z~] must equal the sum
+    of the divisors, in every build (ArithmeticError).  A pair with no
+    divisors returns at once and is never certified; certifying in the
+    constructor would add one Hermite form to every pair.
     """
 
     def __init__(self, mod_m, mod_n, p):
@@ -689,6 +682,7 @@ class ExtComputation:
         """Whether the central element sum_l c_l * (class sum l) kills Ext^1."""
         if not self.divisors:
             return True
+        image = self._image_lattice  # built and certified even if no column is tested
         classes = character_table(self.g).classes
         rank_n = self.mod_n.rank
         z_mat = [[0] * rank_n for _ in range(rank_n)]
@@ -697,8 +691,10 @@ class ExtComputation:
                 z_mat = [[u + c * v for u, v in zip(a, b)] for a, b in zip(z_mat, self.acts_n[h])]
         # z acts through N: (z . F)_s = N(z) F_s, F_s the rank N x rank M
         # block of rows at [j * rank N, (j + 1) * rank N), s = generators[j]
-        rank_m = self.mod_m.rank
-        for f in self.hom_basis:
+        rank_m, vals = self.mod_m.rank, self._cocycle_vals
+        for i, f in enumerate(self.hom_basis):
+            if i < len(vals) and not vals[i]:
+                continue  # p^q times a column: z . f lies in p^q Z_p^w
             rows = [f[t : t + rank_m] for t in range(0, len(f), rank_m)]
             moved = [
                 x
@@ -706,7 +702,7 @@ class ExtComputation:
                 for row in _mat_mul(z_mat, rows[j : j + rank_n])
                 for x in row
             ]
-            if not lattice_contains(self._image_lattice, moved):
+            if not lattice_contains(image, moved):
                 return False
         return True
 

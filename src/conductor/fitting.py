@@ -22,7 +22,6 @@ must be p-integral and carry each unit vector of Lambda^b into the
 presentation image: a lattice membership check on residues mod p^N.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
@@ -35,29 +34,24 @@ from .groups import FiniteGroup
 from .padic import hnf_columns, lattice_contains, residue, scaled_residues
 
 
-@dataclass
 class PresentationMatrix:
-    """a x b matrix over o[G], presenting coker = Lambda^b / (rows * G)."""
+    """a x b matrix over o[G], presenting coker = Lambda^b / (rows * G);
+    entries[i][j] is a coefficient vector on group elements."""
 
-    group: FiniteGroup
-    a: int
-    b: int
-    entries: list  # entries[i][j]: coefficient vector on group elements
-
-    def __post_init__(self):
-        n = self.group.order
-        if len(self.entries) != self.a:
-            raise InputError("expected %d rows, got %d" % (self.a, len(self.entries)))
-        for row in self.entries:
-            if len(row) != self.b:
-                raise InputError("expected %d columns per row" % self.b)
+    def __init__(self, group: FiniteGroup, a: int, b: int, entries):
+        n = group.order
+        if len(entries) != a:
+            raise InputError("expected %d rows, got %d" % (a, len(entries)))
+        for row in entries:
+            if len(row) != b:
+                raise InputError("expected %d columns per row" % b)
             for vec in row:
                 if len(vec) != n:
                     raise InputError("entries must have one coefficient per group element")
-        self.entries = [[[Fraction(c) for c in vec] for vec in row] for row in self.entries]
+        self.group, self.a, self.b = group, a, b
+        self.entries = [[[Fraction(c) for c in vec] for vec in row] for row in entries]
 
 
-@dataclass
 class FittingGenerators:
     """Reduced norms of the b x b submatrices, ordered by row-index tuple.
 
@@ -67,8 +61,8 @@ class FittingGenerators:
     case where the Fitting class is zero and there are no generators.
     """
 
-    subsets: list
-    values: list
+    def __init__(self, subsets, values):
+        self.subsets, self.values = subsets, values
 
     @property
     def zero(self):

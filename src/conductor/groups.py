@@ -8,7 +8,7 @@ decomposition), so quotients H x| Z/p^m stay usable past the table bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd
 
 from .cyclo import require_odd_prime
@@ -157,10 +157,11 @@ def _closure(g, seed):
     return got
 
 
-@dataclass
-class ClassData:
-    classes: list  # list of sorted element lists, identity class first
-    class_of: list  # element -> class index
+class ClassData(namedtuple("ClassData", "classes class_of")):
+    """``classes``: sorted element lists, identity class first;
+    ``class_of``: element -> class index."""
+
+    __slots__ = ()
 
     @property
     def sizes(self):
@@ -242,21 +243,17 @@ class GroupAutomorphism:
         return GroupAutomorphism(group, [group.conj(a, x) for x in range(group.order)])
 
 
-@dataclass
 class SemidirectData:
-    """H x| Gamma with Gamma procyclic pro-p, acting through alpha of order p^n."""
+    """H x| Gamma with Gamma procyclic pro-p, acting through alpha of order p^n.
 
-    h: FiniteGroup
-    alpha: GroupAutomorphism
-    p: int
-    n: int = field(init=False)
-    alpha_pows: list = field(init=False, repr=False)
-    # G_n, built by the first finite_quotient(self, n): every level reads it
-    g_n: FiniteGroup | None = field(init=False, repr=False, compare=False, default=None)
+    Two are equal when their h, alpha and p are, which fix n and alpha_pows."""
 
-    def __post_init__(self):
-        require_odd_prime(self.p)
-        o = self.alpha.order()
+    def __init__(self, h: FiniteGroup, alpha: GroupAutomorphism, p: int):
+        require_odd_prime(p)
+        self.h, self.alpha, self.p = h, alpha, p
+        # G_n, built by the first finite_quotient(self, n): every level reads it
+        self.g_n = None
+        o = alpha.order()
         n = 0
         while o % self.p == 0:
             o //= self.p
@@ -268,6 +265,10 @@ class SemidirectData:
         for _ in range(1, self.p**self.n):
             pows.append([self.alpha.images[x] for x in pows[-1]])
         self.alpha_pows = pows
+
+    def __eq__(self, other):
+        key = (self.h, self.alpha, self.p)
+        return isinstance(other, SemidirectData) and key == (other.h, other.alpha, other.p)
 
     def alpha_power(self, t, x):
         return self.alpha_pows[t % (self.p**self.n)][x]

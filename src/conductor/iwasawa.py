@@ -38,7 +38,7 @@ at E, the exponent conductor of H, and products are reduced to
 power-basis coordinates only to be compared.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
@@ -73,8 +73,10 @@ from .padic import vp
 # Character classes
 
 
-@dataclass
-class CharacterClass:
+class CharacterClass(namedtuple(
+    "CharacterClass",
+    "orbits w eta_degree field multiplier multiplier_vp e f d_rel embedding_exponent",
+)):
     """One equivalence class of characters with open kernel.
 
     ``orbits`` lists the alpha-orbits (as row tuples into Irr(H)) merged by
@@ -84,16 +86,7 @@ class CharacterClass:
     field.
     """
 
-    orbits: list
-    w: int
-    eta_degree: int
-    field: AbelianLocalField
-    multiplier: Fraction
-    multiplier_vp: int
-    e: int
-    f: int
-    d_rel: int
-    embedding_exponent: int
+    __slots__ = ()
 
     @property
     def chi_degree(self):
@@ -190,15 +183,10 @@ def character_classes(sd, base=None):
 # The conductor description
 
 
-@dataclass
 class ConductorDescription:
-    name: str
-    p: int
-    n: int
-    base: AbelianLocalField
-    classes: list
-    r_cap_exponent: int
-    splitting_field: AbelianLocalField
+    def __init__(self, name, p, n, base, classes, r_cap_exponent, splitting_field):
+        self.name, self.p, self.n, self.base, self.classes = name, p, n, base, classes
+        self.r_cap_exponent, self.splitting_field = r_cap_exponent, splitting_field
 
     def to_json(self):
         return {

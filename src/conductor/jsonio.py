@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .errors import InputError
 from .groups import ELEMENT_BOUND, FiniteGroup
-from .localfields import AbelianLocalField
 
 
 def load_json(path):
@@ -113,6 +112,8 @@ def alpha_images_from_json(obj, where="alpha"):
 def field_from_json(obj, p=None, where="field"):
     """{"p": p, "m": m, "stab_gens": [...]}; stab_gens defaults to [] and
     m is at most ELEMENT_BOUND."""
+    from .localfields import AbelianLocalField
+
     for key in ("p", "m"):
         _integer(_require(obj, key, where), "%s.%s" % (where, key))
     # the field materializes its decomposition group, of up to m residues
@@ -134,6 +135,8 @@ def field_from_json(obj, p=None, where="field"):
 def base_field(value, p):
     """Resolve a --base value: the literal "qp" or a path to a field JSON."""
     if value is None or value == "qp":
+        from .localfields import AbelianLocalField
+
         return AbelianLocalField.qp(p)
     return field_from_json(load_json(value), p=p, where=value)
 

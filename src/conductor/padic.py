@@ -41,7 +41,6 @@ comparisons rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -230,16 +229,14 @@ def _primitive(row):
 # -- lattices mod p^N ---------------------------------------------------------
 
 
-@dataclass
 class PLattice:
     """Canonical column Hermite form of a Z_p-lattice in Z_p^n, mod p^N."""
 
-    p: int
-    precision: int
-    dim: int
-    pivots: list  # pivot row per column, increasing
-    pivot_vals: list  # valuation a_i of the pivot entry p^{a_i}
-    cols: list  # reduced columns, ints mod p^N
+    def __init__(self, p, precision, dim, pivots, pivot_vals, cols):
+        self.p, self.precision, self.dim = p, precision, dim
+        self.pivots = pivots  # pivot row per column, increasing
+        self.pivot_vals = pivot_vals  # valuation a_i of the pivot entry p^{a_i}
+        self.cols = cols  # reduced columns, ints mod p^N
 
     def index_valuation(self) -> int:
         """v_p of [Z_p^n : L] when the lattice has full rank."""

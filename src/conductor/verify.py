@@ -8,7 +8,7 @@ randomized twist probe, and a ``precision`` override.  A suite with no
 cases at the requested prime is an input error, never a vacuous pass.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .catalog import (
     conductor_catalog,
@@ -60,11 +60,8 @@ def _sd_label(sd):
     return "%s n=%d" % (sd.name(), sd.n)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name ok detail", defaults=("",))):
+    __slots__ = ()
 
     def to_json(self):
         out = {"name": self.name, "ok": self.ok}

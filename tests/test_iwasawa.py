@@ -2,7 +2,6 @@
 identities of o[G_m] over R_m, idempotents, and the degeneration to the
 finite formula."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -306,8 +305,7 @@ def test_quotient_degrees_need_a_complete_table(sd, monkeypatch):
     for m in (sd.n, sd.n + 1):
         assert quotient_degree_check(sd, m)
         for drop in (0, g_table.n_classes - 1):
-            short = dataclasses.replace(
-                g_table,
+            short = g_table._replace(
                 coords=g_table.coords[:drop] + g_table.coords[drop + 1 :],
                 degrees=g_table.degrees[:drop] + g_table.degrees[drop + 1 :],
             )
@@ -424,7 +422,7 @@ def test_idempotent_suite_rejects_a_wrong_degree(monkeypatch):
     row = table.degrees.index(2)
     degrees = list(table.degrees)
     degrees[row] = 1
-    bad = dataclasses.replace(table, degrees=degrees)
+    bad = table._replace(degrees=degrees)
     results = _perturbed_suite(monkeypatch, sd, bad)
     assert not results["eta_idempotent"]
     assert not results["chi_idempotent"]
@@ -438,7 +436,7 @@ def test_idempotent_suite_rejects_a_wrong_value(monkeypatch):
     cell = dict(coords[1][1])
     cell[0] = cell.get(0, 0) + 1
     coords[1][1] = cell
-    bad = dataclasses.replace(table, coords=coords)
+    bad = table._replace(coords=coords)
     results = _perturbed_suite(monkeypatch, sd, bad)
     assert not all(results.values()), results
 
