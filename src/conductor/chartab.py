@@ -28,28 +28,28 @@ revisited", J. Symbolic Comput. 9, 1990).  The power maps come first:
     multiplicity m are all there, their echelon span is the eigenspace and
     no kernel is computed; each is certified to lie in the space and to
     satisfy M_i v = lambda v, and every eigenspace to have rank m.
-  - Lift.  One row per Galois orbit is lifted; each conjugate row is found
-    by its values mod l (rows_mod o class map) and takes the lifted values
-    through the same class map.  Within a lifted row, the O(o^2)
-    multiplicity lift runs once per rational class; each conjugate class
-    takes the multiplicities permuted, b_j = a_{j k^-1 mod o}, certified by
-    evaluating them at the class's own value mod l.
+  - Lift.  A row's values mod l on the powers of a class representative
+    of order o determine the o multiplicities of the zeta_o^j in its
+    value; each distinct value vector is lifted once, whatever the row
+    and the class, and the lift is certified by evaluating it at zeta_o
+    mod l.  Rows that agree on the cyclic subgroup share its vectors.
 
-Values are stored once, as integers: each distinct multiplicity vector
-gives the value's integer power-basis coordinates at the exponent
-conductor E (normalized, never 2 mod 4) once, kept as the sparse dict
-{i: count} of zeta_E^i (``coords``).  Restriction, the orthogonality
-checks, the row permutations, the idempotent sums and the centre elements
-of ``fitting`` compute on them, and rows are sorted as their dense
+Values are stored once, as integers: each distinct value vector gives its
+value's integer power-basis coordinates at the exponent conductor E
+(normalized, never 2 mod 4) once, kept as the sparse dict {i: count} of
+zeta_E^i (``coords``).  Restriction, the orthogonality checks, the row
+permutations, the idempotent sums and the centre elements of ``fitting``
+compute on them.  ``CharacterTable.from_rows`` sorts the rows of every
+finished table, this one and ``iwasawa``'s fibre products, as their dense
 coordinates would compare, read off the dicts (``_row_order``); fields of
 values come from the class maps (``galois_fixed``).
 ``values``, the same numbers as CycloNumbers at their smallest conductor,
 serves JSON and ``fitting.reduced_norm``: it is built on first read, one
 ``minimal_conductor`` per distinct dict.
 Certificates
-(invariant subspaces, conjugate eigenvectors, eigenspace ranks, conjugate
-rows mod l, the lift bound, the permuted lifts, integral restriction
-multiplicities) raise ArithmeticError.
+(invariant subspaces, conjugate eigenvectors, eigenspace ranks, the lift
+bound, the lifted values mod l, integral restriction multiplicities) raise
+ArithmeticError.
 
 ``character_table`` runs this on every group it is given.  The level checks
 of ``iwasawa`` run it on H and G_n only: the table of G_m, m > n, is built
@@ -91,7 +91,7 @@ def _primitive_root(l: int) -> int:
     for w in range(2, l):
         if all(pow(w, (l - 1) // q, l) != 1 for q in fact):
             return w
-    raise AssertionError("no primitive root found")
+    raise ArithmeticError("no primitive root mod %d" % l)
 
 
 # -- linear algebra mod l ---------------------------------------------------
@@ -142,6 +142,22 @@ class CharacterTable(namedtuple(
     """``coords[row][class]`` = {i: count} on zeta_E^i, E = normalized(exponent);
     ``power_maps[t][s]`` = class of rep_t^s, s < order of rep_t.  No
     ``__slots__``: ``values`` is cached in the instance dict."""
+
+    @classmethod
+    def from_rows(cls, group, classes, rows, exponent, power_maps):
+        """The finished table of (degree, coordinate dicts) rows, sorted by
+        degree and then as the dense coordinates at the exponent conductor
+        compare (``_row_order``), with the split prime of the exponent."""
+        rows = sorted(rows, key=cmp_to_key(_row_order))
+        return cls(
+            group=group,
+            classes=classes,
+            coords=[coords for _, coords in rows],
+            degrees=[degree for degree, _ in rows],
+            exponent=exponent,
+            split_prime=_split_prime(exponent, group.order),
+            power_maps=power_maps,
+        )
 
     @property
     def n_classes(self):
@@ -295,79 +311,34 @@ def character_table(g: FiniteGroup) -> CharacterTable:
         degrees.append(d)
         rows_mod.append([(d * u[t] * size_inv[t]) % l for t in range(k)])
 
-    # lift to exact cyclotomic values through multiplicities of roots of unity
+    # lift to exact cyclotomic values through multiplicities of roots of
+    # unity, once per distinct key: a row's values mod l on the powers of a
+    # class representative, as many as its order o.  The key's first value
+    # is chi(1) mod l = chi(1) (chi(1) <= sqrt|G| < l), the degree bound of
+    # every row that shares it
     w = _primitive_root(l)
+    lifted = {}  # key -> coordinate dict at the exponent conductor
 
-    # rational classes: the class of rep_t^u (u a unit mod o) gets its
-    # multiplicities from its first class t0 as b_j = a_{j u^-1 mod o}
-    source = [None] * k  # source[t] = (t0, u^-1 mod o)
-    for t in range(k):
-        if source[t] is None:
-            o = elem_orders[t]
-            for u in range(o):
-                c = powmaps[t][u]
-                if source[c] is None and gcd(u, o) == 1:
-                    source[c] = (t, pow(u, -1, o))
-    zetas = [pow(w, (l - 1) // o, l) for o in elem_orders]
+    def lift(vs):
+        o = len(vs)
+        z = pow(w, (l - 1) // o, l)
+        mults = _lift_coeffs(vs, o, pow(z, -1, l), pow(o, -1, l), l)
+        if any(c > vs[0] for c in mults):
+            raise ArithmeticError("multiplicity lift exceeded the degree")
+        if _horner(mults, z, l) != vs[1 % o]:
+            raise ArithmeticError("lifted multiplicities miss the value mod l")
+        return int_coords(e, ((j * (e // o), c) for j, c in enumerate(mults)))
 
-    # each distinct multiplicity vector gives the integer coordinates of its
-    # value at the exponent conductor once, as the dict that is stored
-    lifted = {}  # (o, multiplicities) -> coordinate dict
-
-    def lift(chi, d):
-        out, row_mults = [], []
-        for t in range(k):
-            o = elem_orders[t]
-            t0, uinv = source[t]
-            if t0 == t:
-                vs = [chi[c] for c in powmaps[t]]
-                zinv = pow(zetas[t], -1, l)
-                mults = tuple(_lift_coeffs(vs, o, zinv, pow(o, -1, l), l))
-                if any(c > d for c in mults):
-                    raise ArithmeticError("multiplicity lift exceeded the degree")
-            else:
-                a = row_mults[t0]
-                mults = tuple(a[j * uinv % o] for j in range(o))
-                if _horner(mults, zetas[t], l) != chi[t]:
-                    raise ArithmeticError("permuted multiplicities miss the value mod l")
-            row_mults.append(mults)
-            coords = lifted.get((o, mults))
-            if coords is None:
-                terms = ((j * (e // o), c) for j, c in enumerate(mults))
-                coords = lifted[o, mults] = int_coords(e, terms)
-            out.append(coords)
-        return out
-
-    # one lift per Galois orbit of rows: sigma_u(chi) has the value of chi
-    # at the class of rep_t^u, so a conjugate row, found by its values mod
-    # l, takes the lifted values through the same class map
-    index = {tuple(chi): r for r, chi in enumerate(rows_mod)}
-    row_coords = [None] * k
-    for r in range(k):
-        if row_coords[r] is not None:
-            continue
-        row_coords[r] = lift(rows_mod[r], degrees[r])
-        for r1 in (walk := [r]):
-            for cmap in gen_maps:
-                r2 = index.get(tuple(rows_mod[r1][c] for c in cmap))
-                if r2 is None:
-                    raise ArithmeticError("a Galois conjugate of a row is missing mod l")
-                if row_coords[r2] is None:
-                    row_coords[r2] = [row_coords[r1][c] for c in cmap]
-                    walk.append(r2)
-
-    # deterministic row order: by degree, then as the dense coordinates at
-    # the exponent conductor compare, read off the dicts
-    rows = sorted(zip(degrees, row_coords), key=cmp_to_key(_row_order))
-    table = CharacterTable(
-        group=g,
-        classes=cls,
-        coords=[coords for _, coords in rows],
-        degrees=[degree for degree, _ in rows],
-        exponent=e,
-        split_prime=l,
-        power_maps=powmaps,
-    )
+    rows = []
+    for d, chi in zip(degrees, rows_mod):
+        coords = []
+        for pm in powmaps:
+            key = tuple(map(chi.__getitem__, pm))
+            if key not in lifted:
+                lifted[key] = lift(key)
+            coords.append(lifted[key])
+        rows.append((d, coords))
+    table = CharacterTable.from_rows(g, cls, rows, e, powmaps)
     g._char_table = table
     return table
 

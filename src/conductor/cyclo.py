@@ -25,17 +25,9 @@ ONE = Fraction(1)
 
 
 def totient(m: int) -> int:
-    out, rest, q = 1, m, 2
-    while q * q <= rest:
-        if rest % q == 0:
-            out *= q - 1
-            rest //= q
-            while rest % q == 0:
-                out *= q
-                rest //= q
-        q += 1
-    if rest > 1:
-        out *= rest - 1
+    out = m
+    for q in prime_factors(m):
+        out = out // q * (q - 1)
     return out
 
 
@@ -349,17 +341,10 @@ class CycloNumber:
 
 @lru_cache(maxsize=None)
 def _mu(n: int) -> int:
-    out, rest, q = 1, n, 2
-    while q * q <= rest:
-        if rest % q == 0:
-            rest //= q
-            if rest % q == 0:
-                return 0
-            out = -out
-        q += 1
-    if rest > 1:
-        out = -out
-    return out
+    primes = prime_factors(n)
+    if any(n % (q * q) == 0 for q in primes):
+        return 0
+    return (-1) ** len(primes)
 
 
 def normalized(m: int) -> int:

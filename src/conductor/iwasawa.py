@@ -40,15 +40,12 @@ power-basis coordinates only to be compared.
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd, lcm
 
 from .chartab import (
     CharacterTable,
     _power_maps,
-    _row_order,
     _sparse_sum,
-    _split_prime,
     alpha_orbits,
     character_table,
     galois_exponents,
@@ -501,23 +498,13 @@ def fibre_product_table(sd, m) -> CharacterTable:
             coords = folded[r, c, ai] = int_coords(e_norm, terms)
         return coords
 
-    rows = sorted(
-        (
-            (base.degrees[r], [value(r, c, a * i % pm) for c, i in pairs])
-            for r in range(len(base.coords))
-            for a in range(pm // pn)
-        ),
-        key=cmp_to_key(_row_order),
-    )
-    return CharacterTable(
-        group=g,
-        classes=cls,
-        coords=[coords for _, coords in rows],
-        degrees=[degree for degree, _ in rows],
-        exponent=e,
-        split_prime=_split_prime(e, g.order),
-        power_maps=_power_maps(g, cls.class_of, cls.representatives(), orders),
-    )
+    rows = [
+        (base.degrees[r], [value(r, c, a * i % pm) for c, i in pairs])
+        for r in range(len(base.coords))
+        for a in range(pm // pn)
+    ]
+    powmaps = _power_maps(g, cls.class_of, cls.representatives(), orders)
+    return CharacterTable.from_rows(g, cls, rows, e, powmaps)
 
 
 def quotient_degree_check(sd, m) -> bool:

@@ -23,6 +23,11 @@ with one inverse of its unit part, for the Fitting annihilation check.  A
 non-p-integral entry raises ArithmeticError in every build, on either
 route.
 
+Both forms mod p^N take their pivot from one search, ``_pivot``: the
+first entry of least valuation in scan order (across the unplaced columns
+in one row for the Hermite form, row by row over the remaining block for
+Smith), stopping at the first unit.
+
 The Smith form sweeps rows only.  Once the rows below the pivot are
 cleared, the pivot column is p^v over zeros, so clearing the pivot row by
 column operations changes no other row, and each entry it clears is
@@ -59,11 +64,30 @@ def vp(n, p: int) -> int:
         return vp(n.numerator, p) - vp(n.denominator, p)
     if n == 0:
         raise ValueError("valuation of zero")
+    return _valuation(n, p)
+
+
+def _valuation(x: int, p: int) -> int:
+    """p-adic valuation of a nonzero int (a residue mod p^N)."""
     v = 0
-    while n % p == 0:
-        n //= p
+    while x % p == 0:
+        x //= p
         v += 1
     return v
+
+
+def _pivot(entries, p: int):
+    """(v, key) for the first entry of least valuation v among the
+    (key, nonzero residue) pairs, in scan order; a unit cannot be beaten,
+    so the scan stops at the first one.  None when there are no entries."""
+    best = None
+    for key, x in entries:
+        v = _valuation(x, p)
+        if best is None or v < best[0]:
+            best = (v, key)
+            if not v:
+                break
+    return best
 
 
 def residue(x, p: int, modulus: int) -> int:
@@ -270,16 +294,10 @@ def hnf_columns(p, precision, columns) -> PLattice:
 
     pivots, pivot_vals, placed = [], [], []
     for row in range(dim):
-        best, best_v = None, None
-        for idx, col in enumerate(work):
-            x = col[row]
-            if x == 0:
-                continue
-            v = vp(x, p)
-            if best_v is None or v < best_v:
-                best, best_v = idx, v
-        if best is None:
+        found = _pivot(((idx, col[row]) for idx, col in enumerate(work) if col[row]), p)
+        if found is None:
             continue
+        best_v, best = found
         if best_v > precision - DEFAULT_GUARD:
             raise PrecisionExhaustedError(
                 "pivot valuation %d in row %d exceeds precision %d - guard %d"
@@ -382,23 +400,15 @@ def _smith(p, precision, rows, track):
     c = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)] if track else None
     out = []
     for top in range(min(nrows, ncols)):
-        # the first entry of least valuation; a unit cannot be beaten, so
-        # the scan stops at the first one
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if a[i][j]:
-                    v = vp(a[i][j], p)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-                        if not v:
-                            break
-            if best is not None and not best[0]:
-                break
+        # the block below and right of (top, top), row by row
+        block = (
+            ((i, j), x) for i in range(top, nrows) for j, x in enumerate(a[i][top:], top) if x
+        )
+        best = _pivot(block, p)
         if best is None:
             # every remaining entry vanishes mod p^N: the rank is len(out)
             break
-        v, bi, bj = best
+        v, (bi, bj) = best
         if v > precision - DEFAULT_GUARD:
             raise PrecisionExhaustedError(
                 "invariant factor valuation %d exceeds precision %d - guard %d"

@@ -126,10 +126,25 @@ def test_restriction_of_perturbed_table_raises():
             restrict_and_decompose(bad, row, ts, embedding=embedding)
 
 
+def test_each_value_vector_is_lifted_once(monkeypatch):
+    # rows that agree on a cyclic subgroup share its value vectors mod l
+    lift, seen = chartab._lift_coeffs, []
+
+    def counted(vs, o, zinv, oinv, l):
+        seen.append(tuple(vs))
+        return lift(vs, o, zinv, oinv, l)
+
+    monkeypatch.setattr(chartab, "_lift_coeffs", counted)
+    for g in (symmetric_3(), c7_c3(), s3_x_c9()):
+        seen.clear()
+        table = character_table(g)
+        assert len(seen) == len(set(seen))
+        assert len(seen) < table.n_classes**2
+
+
 def test_corrupted_source_lift_raises(monkeypatch):
-    # rotating a source multiplicity vector keeps it inside the degree
-    # bound but moves its value; the certificate at a conjugate class
-    # (g^2 of a generator g) must catch it
+    # rotating a multiplicity vector keeps it inside the degree bound but
+    # moves its value; evaluating every lift at zeta_o mod l must catch it
     lift = chartab._lift_coeffs
 
     def rotated(vs, o, zinv, oinv, l):
@@ -365,12 +380,3 @@ def test_partly_known_eigenspace_takes_the_kernel(monkeypatch):
             monkeypatch.setattr(chartab, "_orbit", partial)
             assert chartab._split(g, cls, [], l) == omegas
             monkeypatch.setattr(chartab, "_orbit", orbit)
-
-
-def test_missing_conjugate_row_raises(monkeypatch):
-    # a constant class map is no power map: the conjugate of a row it
-    # names is not a row of the table mod l
-    monkeypatch.setattr(chartab, "_class_map", lambda power_maps, u: [0] * len(power_maps))
-    for g in (symmetric_3(), c7_c3(), s3_x_c9()):
-        with pytest.raises(ArithmeticError, match="missing mod l"):
-            character_table(g)

@@ -15,6 +15,7 @@ from conductor.cyclo import (
     ZERO,
     CycloNumber,
     PRIME_BOUND,
+    _mu,
     _poly_divmod,
     _reduction_context,
     cyclotomic_poly,
@@ -382,6 +383,14 @@ def test_is_prime_matches_trial_division():
         if sieve[q]:
             sieve[q * q :: q] = [False] * len(sieve[q * q :: q])
     assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if sieve[n]]
+
+
+def test_totient_and_mu_match_brute_force():
+    # totient counts the units mod n; mu is the Dirichlet inverse of 1:
+    # the sum of mu(d) over the divisors d of n is 1 at n = 1 and else 0
+    for n in range(1, 2000):
+        assert totient(n) == sum(1 for k in range(n) if gcd(k, n) == 1)
+        assert sum(_mu(d) for d in range(1, n + 1) if n % d == 0) == (n == 1)
 
 
 def test_is_prime_on_strong_pseudoprimes_and_large_primes():
