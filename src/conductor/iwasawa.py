@@ -292,18 +292,17 @@ def _central_at_level(g, h_coeffs) -> bool:
     return True
 
 
-def idempotent_suite(sd, level=None) -> dict:
+def idempotent_suite(sd, level) -> dict:
     """Exact verification of the idempotent relations over Q_p: e_eta and
-    e_chi are idempotent, e_chi is central in E[G_m], distinct orbit
-    idempotents are orthogonal, the class idempotents epsilon_chi have
-    coefficients fixed by the Galois action of Q_p and sum to 1.
+    e_chi are idempotent, e_chi is central in E[G_m] at m = ``level``,
+    distinct orbit idempotents are orthogonal, the class idempotents
+    epsilon_chi have coefficients fixed by the Galois action of Q_p and sum
+    to 1.
 
     Every idempotent is scaled by |H| to an integral element of Z[zeta_E][H],
     so idempotency reads (|H|e)^2 = |H| (|H|e), orthogonality
     (|H|e_i)(|H|e_j) = 0 and the partition of unity sum |H|eps = |H|."""
     base = AbelianLocalField.qp(sd.p)
-    if level is None:
-        level = sd.n
     h = sd.h
     table = character_table(h)
     e_norm = normalized(table.exponent)
@@ -409,10 +408,12 @@ def extension_dual_basis_check(kprime: AbelianLocalField, n: int, level: int) ->
 
     The Gamma part is immediate: the trace of gamma^(i-r) over R is p^n at
     i = r and 0 otherwise, for 0 <= i, r < p^n and at every level m >= n.
-    What gets certified is the field part, by the integral model of o'
-    (``inverse_different_dual_check``): the columns of the inverse Gram
-    matrix of its trace form must span J^-d, with d from the
-    conductor-discriminant formula.
+    What gets certified is the field part, on o' built as the S-fixed
+    lattice of Z_p[zeta_m] (``GlobalFieldModel``): the columns of the
+    inverse Gram matrix of its trace form must span J^-d, with d from the
+    conductor-discriminant formula.  ``inverse_different_dual_check``
+    compares Gram J^r with p^q Z_p^n, J^r being o' intersected with a
+    closed-form ideal power of Z_p[zeta_m].
     """
     if level < n:
         raise InvalidQuotientError(

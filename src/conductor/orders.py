@@ -1,21 +1,24 @@
 """Rings of integers as explicit lattices with exact arithmetic.
 
-GlobalFieldModel materializes the valuation ring of an AbelianLocalField
-when the presentation is globally inert (the decomposition group times
-the stabilizer covers all of (Z/m)*), because then the ring of integers
-of the global fixed field tensored with Z_p IS the local ring and the
-global trace form agrees with the local one.  The basis is the power
-basis of zeta_m for the full cyclotomic field and the Gauss period
-basis otherwise; a presentation whose Gauss periods are linearly
-dependent is refused.  Either way maximality at p is certified by
-comparing v_p(det Gram) against the conductor-discriminant prediction, so
-no unverified maximality assumption enters downstream results.
+GlobalFieldModel materializes the valuation ring O_K of an
+AbelianLocalField K, the fixed field of the stabilizer S inside
+L = Q_p(zeta_m), when the presentation is globally inert (the
+decomposition group times S covers all of (Z/m)*).  Then L has degree
+phi(m) over Q_p and ring of integers Z_p[zeta_m], so O_K = Z_p[zeta_m]^S:
+one kernel over Z_p, read off a Smith form mod p^N, for every such
+presentation.  Maximality at p is certified by comparing v_p(det Gram)
+against the conductor-discriminant prediction, and the dual check
+compares the trace dual with the inverse different, so no unverified
+assumption enters downstream results.
 
-The maximal ideal is computed as the preimage of the nilradical of
-O/pO, which is the kernel of a power of the Frobenius map - an F_p
--linear map here, so plain linear algebra mod p with no element search.
-``ideal_power`` takes its powers as products of lattices, one Hermite
-form per product.
+The radical helpers below (``nilradical_mod_p``, ``radical_lattice``,
+``lattice_product``, ``lattice_power``) compute the maximal ideal of a
+commutative order as the preimage of the nilradical of O/pO - the kernel
+of a power of the F_p-linear Frobenius map - and its powers as products
+of lattices.  Nothing in the package calls them: they are the reference
+route the closed-form ideals of ``finite._cyclotomic_ideal_basis`` are
+tested against, and a round-2 maximal-order loop over o would start from
+them.
 """
 
 from __future__ import annotations
@@ -25,14 +28,14 @@ from math import gcd
 
 from .cyclo import _fold, root_trace, totient
 from .errors import UnsupportedPresentationError
+from .finite import _cyclotomic_ideal_basis
 from .localfields import AbelianLocalField
 from .padic import (
     DEFAULT_PRECISION,
     PLattice,
-    SpanSolver,
     hnf_columns,
     kernel,
-    residue,
+    smith_with_column_transform,
 )
 
 
@@ -105,7 +108,9 @@ def lattice_power(p, precision, mult, lattice, k) -> PLattice:
 
 
 class GlobalFieldModel:
-    """Ring of integers of an abelian local field as an exact lattice."""
+    """O_K = Z_p[zeta_m]^S as a lattice: ``basis`` holds power-basis
+    coordinates mod p^N (the exact power basis when S is trivial) and
+    ``gram`` the trace form Tr_{K/Q_p}(b_i b_j) on it."""
 
     def __init__(self, field: AbelianLocalField):
         self.field = field
@@ -120,53 +125,31 @@ class GlobalFieldModel:
                 % (len(field.galois_group), len(units), m)
             )
 
-        # basis element i is the sum of zeta_m^a over the exponents a of its
-        # coset of the stabilizer: zeta_m^i itself when the stabilizer is
-        # trivial, a Gauss period otherwise
-        if len(field.stab) == 1:
-            cosets = [(i,) for i in range(totient(m))]
-        else:
-            cosets, seen = [], set()
-            for a in units:
-                if a not in seen:
-                    cosets.append(tuple((a * s) % m for s in field.stab))
-                    seen.update(cosets[-1])
-        self.degree = len(cosets)
+        # the kernel of sigma_s - 1 stacked over generators s of S, where
+        # sigma_s sends zeta^e to zeta^(e s): a Z_p-basis mod p^N, the Smith
+        # column transform past the rank (a zero row alone, for trivial S,
+        # keeps the unit basis)
+        n = len(units)
+        rows = [[0] * n]
+        for s in field.generating_set():
+            images = [_fold(m, ((e * s, 1),), 0) for e in range(n)]
+            rows += [[col[i] - (i == e) for e, col in enumerate(images)] for i in range(n)]
+        vals, cols = smith_with_column_transform(p, DEFAULT_PRECISION, rows)
+        self.basis = cols[len(vals):]
+        self.degree = len(self.basis)
         if self.degree != field.degree:
             raise ArithmeticError(
                 "basis has %d elements for a field of degree %d" % (self.degree, field.degree)
             )
-        self._solver = SpanSolver([_fold(m, ((a, 1) for a in c), 0) for c in cosets])
-        if len(self._solver.positions) < self.degree:
-            raise UnsupportedPresentationError(
-                "the %d Gauss periods span a space of dimension %d only"
-                % (self.degree, len(self._solver.positions))
-            )
-        self._one = self._solver.solve(_fold(m, ((0, 1),), 0))
-
-        # structure constants must be p-integral for the span to be an
-        # order over the local ring; a failure here means the basis does
-        # not span a ring at p and the model is unusable
-        self.structure = []
-        for ci in cosets:
-            row = []
-            for cj in cosets:
-                coords = self._solver.solve(_fold(m, ((a + b, 1) for a in ci for b in cj), 0))
-                if any(c.denominator % p == 0 for c in coords):
-                    raise UnsupportedPresentationError(
-                        "basis products leave the lattice at p=%d" % p
-                    )
-                row.append(coords)
-            self.structure.append(row)
 
         # Gram certificate: v_p(det) must equal the conductor-discriminant
-        # prediction, which certifies maximality at p.  Tr(b_i b_j) is
-        # sum_k s_ijk Tr(b_k), read off the structure constants; Tr(b_k) is
-        # the trace to Q of its coset sum over the stabilizer size
-        traces = [Fraction(sum(root_trace(m, a) for a in c), len(field.stab)) for c in cosets]
+        # prediction, which certifies maximality at p.  Tr_{K/Q_p} is
+        # Tr_{L/Q_p} / |S|, and Tr_{L/Q_p}(zeta^a zeta^b) is root_trace(m, a + b)
+        trace = [[root_trace(m, a + b) for b in range(n)] for a in range(n)]
+        traced = [[sum(t * x for t, x in zip(row, col)) for row in trace] for col in self.basis]
         self.gram = [
-            [sum((c * t for c, t in zip(coords, traces) if c), Fraction(0)) for coords in row]
-            for row in self.structure
+            [Fraction(sum(x * y for x, y in zip(bi, tj)), len(field.stab)) for tj in traced]
+            for bi in self.basis
         ]
         # v_p(det) is the index of the lattice the Gram columns span
         try:
@@ -178,61 +161,29 @@ class GlobalFieldModel:
                 "basis discriminant valuation %d does not match the "
                 "conductor-discriminant value %d" % (disc, field.discriminant_valuation)
             )
-        self._radical = None
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def mult_coords(self, u, v) -> list:
-        out = [Fraction(0)] * self.degree
-        for i, x in enumerate(u):
-            if x:
-                for j, y in enumerate(v):
-                    if y:
-                        s = x * y
-                        for k, c in enumerate(self.structure[i][j]):
-                            if c:
-                                out[k] += s * c
-        return out
-
-    # -- invariants ------------------------------------------------------------
-
-    def maximal_ideal(self) -> PLattice:
-        if self._radical is None:
-            p = self.field.p
-            self._radical = radical_lattice(
-                p,
-                DEFAULT_PRECISION,
-                lambda u, v: [residue(c, p, p) for c in self.mult_coords(list(u), list(v))],
-                self.degree,
-                [residue(c, p, p) for c in self._one],
-            )
-        return self._radical
-
-    def ideal_power(self, k: int) -> PLattice:
-        """J^k for k >= 0 as a lattice in basis coordinates."""
-        if k == 0:
-            unit_cols = [[1 if i == j else 0 for i in range(self.degree)] for j in range(self.degree)]
-            return hnf_columns(self.field.p, DEFAULT_PRECISION, unit_cols)
-        return lattice_power(
-            self.field.p, DEFAULT_PRECISION, self.mult_coords, self.maximal_ideal(), k
-        )
 
     def inverse_different_dual_check(self) -> bool:
         """Certify the trace dual of O equals J^(-d) with d from the
         conductor-discriminant route.  Two independent computations of the
         different must coincide."""
-        p = self.field.p
+        p, m, n = self.field.p, self.field.m, self.degree
         d = self.field.different_exponent
         e = self.field.ramification_index
         q = -(-d // e)  # ceil(d/e)
         r = e * q - d
+        # J^r is O intersected with J_L^t, t = r e(L/K) and e(L/K) the
+        # ramification index of L, phi(p-part of m), over e; its coordinates
+        # y are the first n entries of the kernel of [basis | -J_L^t]
+        ideal = _cyclotomic_ideal_basis(p, m, r * totient(gcd(m, p**m)) // e, DEFAULT_PRECISION)
+        rows = [[b[i] for b in self.basis] + [-c[i] for c in ideal] for i in range(len(ideal))]
+        vals, cols = smith_with_column_transform(p, DEFAULT_PRECISION, rows)
         # the dual lattice is Gram^-1 Z_p^n, so p^q O^dual = J^r exactly
         # when Gram J^r = p^q Z_p^n
         images = [
-            [sum(x * c for x, c in zip(row, col)) for row in self.gram]
-            for col in self.ideal_power(r).cols
+            [sum(x * c for x, c in zip(row, col[:n])) for row in self.gram]
+            for col in cols[len(vals):]
         ]
         if any(x.denominator % p == 0 for col in images for x in col):
             return False
-        target = [[p**q * int(i == j) for i in range(self.degree)] for j in range(self.degree)]
+        target = [[p**q * int(i == j) for i in range(n)] for j in range(n)]
         return hnf_columns(p, DEFAULT_PRECISION, images) == hnf_columns(p, DEFAULT_PRECISION, target)

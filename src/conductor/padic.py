@@ -7,11 +7,12 @@ Four kinds of elimination, each written once:
   kernels of Frobenius powers);
 - over Q: ``SpanSolver`` factors one fixed basis once by integer
   Gauss-Jordan and then solves for any target as Fractions (cyclotomic
-  rebasing, global field coordinates, permutation actions);
+  rebasing and permutation actions);
 - over Z/p^N: canonical column Hermite forms, lattice membership and
   Smith forms (optionally tracking the column transform), and
   ``solution_lattice``, the solutions of a linear system mod p^q read off
-  that transform (the conductor oracle and the cocycles of Ext^1);
+  that transform (the conductor oracle and the cocycles of Ext^1; the
+  rings of integers in ``orders`` are its columns past the rank);
 - over Z: exact row Hermite forms and integer kernels.  Nothing in the
   package calls them; they are kept because ``perfbench/tracer.py`` wraps
   them.

@@ -216,14 +216,14 @@ def suite_different(p=None, seed=None, precision=None):
     for label, k in fields:
         if p is not None and k.p != p:
             continue
-        for n in (0, 1):
-            for level in (n, n + 1):
-                checks.append(
-                    CheckResult(
-                        "%s n=%d level %d" % (label, n, level),
-                        extension_dual_basis_check(k, n, level),
-                    )
-                )
+        # the check reads n and level only to refuse level < n, so one
+        # verdict serves every row of the field
+        ok = extension_dual_basis_check(k, 0, 0)
+        checks += [
+            CheckResult("%s n=%d level %d" % (label, n, level), ok)
+            for n in (0, 1)
+            for level in (n, n + 1)
+        ]
     return checks
 
 

@@ -1,16 +1,17 @@
 """Rational models of the rings of integers used for scalar extensions."""
 
+import functools
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from conductor import orders
-from conductor.cyclo import cyclotomic_poly
+from conductor.cyclo import _fold, cyclotomic_poly
 from conductor.errors import UnsupportedPresentationError
 from conductor.localfields import AbelianLocalField
 from conductor.orders import GlobalFieldModel
-from conductor.padic import SpanSolver
+from conductor.padic import DEFAULT_PRECISION, SpanSolver, hnf_columns
 
 
 def test_q_model_is_trivial():
@@ -59,6 +60,12 @@ def test_unramified_needs_inert_model():
     assert m.degree == 2
 
 
+def test_a_presentation_that_is_not_globally_inert_is_refused():
+    # 3 has order 3 mod 13, so its decomposition group is 3 of 12 units
+    with pytest.raises(UnsupportedPresentationError, match="not globally inert"):
+        GlobalFieldModel(AbelianLocalField(3, 13))
+
+
 def test_trace_dual_matches_inverse_different():
     for field in (
         AbelianLocalField.cyclotomic(3, 1),
@@ -98,12 +105,14 @@ def _periods_are_dependent(field):
     return rank < len(rows)
 
 
-def test_dependent_gauss_periods_are_refused():
-    # globally inert fields for p in {3, 5, 7, 11} and m <= 60, the
-    # stabilizer trivial or generated by one of the first five nontrivial
-    # elements of the decomposition group; e.g. (3, 4, [3]), where
-    # zeta4 + zeta4^3 = 0, and (3, 9, [8]), where the periods sum to 0
-    refused = built = 0
+@functools.lru_cache(maxsize=None)
+def _inert_sweep():
+    """(field, periods dependent, model) for the globally inert fields with
+    p in {3, 5, 7, 11} and m <= 60, the stabilizer trivial or generated by
+    one of the first five nontrivial elements of the decomposition group;
+    e.g. (3, 4, [3]), where zeta4 + zeta4^3 = 0, and (3, 9, [8]), where
+    the three periods sum to 0, have dependent Gauss periods."""
+    out = []
     for p in (3, 5, 7, 11):
         for m in range(1, 61):
             if m % 4 == 2:
@@ -113,11 +122,34 @@ def test_dependent_gauss_periods_are_refused():
                 continue
             for gens in [()] + [(a,) for a in decomposition if a != 1][:5]:
                 field = AbelianLocalField(p, m, gens)
-                if _periods_are_dependent(field):
-                    with pytest.raises(UnsupportedPresentationError, match="Gauss periods"):
-                        GlobalFieldModel(field)
-                    refused += 1
-                elif m <= 41:  # all 268 build, the larger ones at 0.05-0.1 s each
-                    assert GlobalFieldModel(field).degree == field.degree
-                    built += 1
-    assert (refused, built) == (86, 208)
+                out.append((field, _periods_are_dependent(field), GlobalFieldModel(field)))
+    return out
+
+
+def test_every_inert_presentation_builds():
+    sweep = _inert_sweep()
+    assert all(model.degree == field.degree for field, _, model in sweep)
+    assert (len(sweep), sum(dependent for _, dependent, _ in sweep)) == (354, 86)
+
+
+def test_fields_with_dependent_periods_pass_the_dual_check():
+    for field, dependent, model in _inert_sweep():
+        if dependent:
+            assert model.inverse_different_dual_check(), (field.p, field.m, field.stab)
+
+
+def test_basis_spans_the_power_basis_or_gauss_period_lattice():
+    # the reference basis: zeta_m^i for a trivial stabilizer, otherwise one
+    # Gauss period sum_{s in S} zeta_m^(c s) per coset cS of the stabilizer
+    for field, dependent, model in _inert_sweep():
+        if dependent:
+            continue
+        p, m = field.p, field.m
+        if len(field.stab) == 1:
+            ref = [[int(i == j) for i in range(field.degree)] for j in range(field.degree)]
+        else:
+            cosets = {frozenset(c * s % m for s in field.stab) for c in range(m) if gcd(c, m) == 1}
+            ref = [_fold(m, ((a, 1) for a in coset), 0) for coset in cosets]
+        assert hnf_columns(p, DEFAULT_PRECISION, model.basis) == hnf_columns(
+            p, DEFAULT_PRECISION, ref
+        ), (p, m, field.stab)

@@ -61,3 +61,12 @@ def test_chartab_does_not_load_localfields():
     loaded = _loaded_by("conductor.cli", "conductor.chartab")
     assert "conductor.chartab" in loaded
     assert "conductor.localfields" not in loaded
+
+
+def test_finite_and_fitting_do_not_load_orders():
+    # orders imports finite, never the other way round, so the finite and
+    # fitting subcommands keep out of the ring-of-integers model
+    for module in ("conductor.finite", "conductor.fitting"):
+        loaded = _loaded_by("conductor.cli", module)
+        assert module in loaded
+        assert "conductor.orders" not in loaded
