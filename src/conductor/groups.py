@@ -4,6 +4,8 @@ Elements of a FiniteGroup are integers 0..order-1 with 0 the identity.
 Groups of order <= 512 carry a full multiplication table; larger groups
 multiply through a callable (permutation images or the semidirect
 decomposition), so quotients H x| Z/p^m stay usable past the table bound.
+Permutation groups are walked from the identity by right multiplication,
+and their tables filled from the walk's parent pointers (Schreier vectors).
 """
 
 from __future__ import annotations
@@ -41,20 +43,28 @@ class FiniteGroup:
             raise InputError("element 0 must be the identity")
         g = FiniteGroup(n, lambda a, b: table[a][b], [], name=name, table=table)
         gens = g._greedy_generators()
-        # Light's test: the s with (x s) y = x (s y) for all x, y are closed
-        # under products, so checking a generating set proves associativity
+        # Light's test.  The walk of _greedy_generators reaches all n elements
+        # as left-normed products (..(s1 s2)..) sk of the generators, and the
+        # s with (x s) y = x (s y) for all x, y are closed under products:
+        # (x (s t)) y = ((x s) t) y = (x s)(t y) = x (s (t y)) = x ((s t) y).
+        # So checking the generators proves associativity, for any table
         for s in gens:
             row_s = table[s]
             for x in range(n):
                 row_x = table[x]
-                if list(table[row_x[s]]) != [row_x[sy] for sy in row_s]:
+                if list(table[row_x[s]]) != list(map(row_x.__getitem__, row_s)):
                     raise InputError("table is not associative")
         g.generators = gens
         return g
 
     @staticmethod
     def from_permutations(gens, degree, name="G"):
-        """Group generated by permutations (tuples of images on 0..degree-1)."""
+        """Group generated by permutations (tuples of images on 0..degree-1).
+
+        The walk from the identity numbers the elements, records right[s][x],
+        the index of x gens[s], and a parent (x, s) with y = x gens[s] for each
+        new y.  Up to TABLE_BOUND, column 0 of the table is the identity and
+        column y is right[s] applied to column x, since a (x s) = (a x) s."""
         gens = [tuple(p) for p in gens]
         for p in gens:
             if sorted(p) != list(range(degree)):
@@ -62,36 +72,53 @@ class FiniteGroup:
         ident = tuple(range(degree))
         elems = [ident]
         index = {ident: 0}
-        cursor = 0
-        while cursor < len(elems):
-            cur = elems[cursor]
-            for p in gens:
-                nxt = tuple(p[cur[i]] for i in range(degree))
-                if nxt not in index:
-                    index[nxt] = len(elems)
+        parent, right = [None], [[] for _ in gens]
+        for x, cur in enumerate(elems):  # grows while it is walked
+            for s, p in enumerate(gens):
+                nxt = tuple(map(p.__getitem__, cur))
+                y = index.get(nxt)
+                if y is None:
+                    y = index[nxt] = len(elems)
                     elems.append(nxt)
-                    if len(elems) > ELEMENT_BOUND:
+                    parent.append((x, s))
+                    if y >= ELEMENT_BOUND:
                         raise GroupTooLargeError(
                             "permutation closure exceeded %d elements" % ELEMENT_BOUND
                         )
-            cursor += 1
+                right[s].append(y)
         n = len(elems)
 
         def mult(a, b):
             pa, pb = elems[a], elems[b]
             return index[tuple(pb[pa[i]] for i in range(degree))]
 
-        return FiniteGroup(n, mult, [index[p] for p in gens], name=name)
+        table = None
+        if n <= TABLE_BOUND:
+            cols = [list(range(n))]
+            for x, s in parent[1:]:
+                cols.append(list(map(right[s].__getitem__, cols[x])))
+            table = [list(row) for row in zip(*cols)]
+        return FiniteGroup(n, mult, [index[p] for p in gens], name=name, table=table)
 
     def _greedy_generators(self):
-        got = {0}
-        gens = []
+        """Each element not yet reached becomes a generator, in index order,
+        until the walk from 0 by right multiplication reaches all of G."""
+        table, seen = self.table, [True] + [False] * (self.order - 1)
+        reached, gens = [0], []
         for x in range(1, self.order):
-            if x not in got:
-                gens.append(x)
-                got = _closure(self, got | {x})
-                if len(got) == self.order:
-                    break
+            if seen[x]:
+                continue
+            gens.append(x)
+            done = len(reached)  # reached[:done] is closed under the earlier gens
+            for i, y in enumerate(reached):  # grows while it is walked
+                row = table[y]
+                for s in (gens if i >= done else (x,)):
+                    z = row[s]
+                    if not seen[z]:
+                        seen[z] = True
+                        reached.append(z)
+            if len(reached) == self.order:
+                break
         return gens
 
     # -- arithmetic ---------------------------------------------------
@@ -142,19 +169,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return "%s(order=%d)" % (self.name, self.order)
-
-
-def _closure(g, seed):
-    got = set(seed)
-    frontier = list(seed)
-    while frontier:
-        x = frontier.pop()
-        for s in list(got):
-            for y in (g.mult(x, s), g.mult(s, x)):
-                if y not in got:
-                    got.add(y)
-                    frontier.append(y)
-    return got
 
 
 class ClassData(namedtuple("ClassData", "classes class_of")):

@@ -16,10 +16,12 @@ from .groups import ELEMENT_BOUND, FiniteGroup
 
 def load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # RFC 8259: JSON is UTF-8
             text = fh.read()
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        raise InputError("%s is not UTF-8: %s at byte %d" % (path, exc.reason, exc.start))
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -49,17 +51,25 @@ def _integer(value, where):
     return value
 
 
+def _integer_list(values, where, length=None):
+    """A list of integers, of ``length`` if given.  A list of plain ints
+    passes one type test an entry; any other is walked for the location."""
+    if not isinstance(values, list):
+        raise InputError("%s: expected a list of integers" % where)
+    if length is not None and len(values) != length:
+        raise InputError("%s: expected %d entries" % (where, length))
+    if not all(type(x) is int for x in values):
+        for i, x in enumerate(values):
+            _integer(x, "%s[%d]" % (where, i))
+    return values
+
+
 def _integer_rows(rows, where, length=None):
     """A list of lists of integers, each of ``length`` if given."""
     if not isinstance(rows, list):
         raise InputError("%s: expected a list of rows" % where)
     for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise InputError("%s[%d]: expected a list of integers" % (where, i))
-        if length is not None and len(row) != length:
-            raise InputError("%s[%d]: expected %d entries" % (where, i, length))
-        for j, x in enumerate(row):
-            _integer(x, "%s[%d][%d]" % (where, i, j))
+        _integer_list(row, "%s[%d]" % (where, i), length)
     return rows
 
 
@@ -104,9 +114,7 @@ def alpha_images_from_json(obj, where="alpha"):
             raise InputError("%s: missing key 'alpha_images'" % where)
     if not isinstance(obj, list):
         raise InputError("%s: automorphism images must be a list of indices" % where)
-    for i, x in enumerate(obj):
-        _integer(x, "%s[%d]" % (where, i))
-    return obj
+    return _integer_list(obj, where)
 
 
 def field_from_json(obj, p=None, where="field"):
@@ -119,11 +127,7 @@ def field_from_json(obj, p=None, where="field"):
     # the field materializes its decomposition group, of up to m residues
     if obj["m"] > ELEMENT_BOUND:
         raise InputError("%s.m: %d exceeds the bound %d" % (where, obj["m"], ELEMENT_BOUND))
-    gens = obj.get("stab_gens", [])
-    if not isinstance(gens, list):
-        raise InputError("%s.stab_gens: expected a list of integers" % where)
-    for i, x in enumerate(gens):
-        _integer(x, "%s.stab_gens[%d]" % (where, i))
+    _integer_list(obj.get("stab_gens", []), "%s.stab_gens" % where)
     field = AbelianLocalField.from_json(obj)
     if p is not None and field.p != p:
         raise InputError(

@@ -339,6 +339,20 @@ def test_bad_json_is_input_error(tmp_path, capsys):
     assert run(["finite", "--group", str(bad), "--p", "3"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--group", "--matrix", "--base"])
+def test_non_utf8_file_is_input_error(capsys, tmp_path, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"name": "\xff"}')
+    command, other = ("fitting", "--matrix") if flag == "--matrix" else ("finite", "--base")
+    files = {"--group": sample("s3.json"), "--matrix": sample("times3.json"), "--base": "qp"}
+    files[flag] = str(bad)
+    argv = [command, "--group", files["--group"], other, files[other], "--p", "3"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "%s is not UTF-8: invalid start byte at byte 10" % bad in err
+    assert "Traceback" not in err
+
+
 def test_bad_prime_is_input_error(capsys):
     assert run(["finite", "--group", sample("s3.json"), "--p", "4"]) == 2
 

@@ -22,12 +22,16 @@ GOLDEN = [
     ("chartab --group s3.json --format table", 0, "e7c57e719932831ceffa877960a8d28737dddca98fbd0d1a7042218cdd6d84f6"),
     ("chartab --group c7.json", 0, "1e85777bc82426b28d71edabcbc65ff14521ced34eb3f1d64def3110b08c17b6"),
     ("chartab --group c7.json --format table", 0, "39af44907d348e659717c07f0b0265c0f338fb7d6acaec32824259fa1112f683"),
+    ("chartab --group psl27.json", 0, "775082cac9aee934f0e68a768fddde9631927b76daa298f9abc6f78ca0c7aafe"),
+    ("chartab --group psl27.json --format table", 0, "b59ac043d25f990f93df82989a81851c8874c7e04cc82ef148970b808549e871"),
     ("finite --group s3.json --p 3", 0, "9164553c42a52dc1ab9013bcfb2ed873498d0cf54614ac0d2f7c562170bcc261"),
     ("finite --group s3.json --p 3 --format table", 0, "6a31afa21d5e96ca250235c7b00f578e4a25e02e32b07a20962b0a2d48588185"),
     ("finite --group s3.json --p 7", 0, "653b9a2504d87f889f20dfba47e36b0326635b175b8bcf1f758e4a52f030b8b1"),
     ("finite --group s3.json --p 7 --format table", 0, "f14ed4aedfd93144da83e9b5723b2006323e624facb270d0beeb8729704f38a9"),
     ("finite --group c7.json --p 7", 0, "48603b326eb28d9be11fa7bb43bac9021e009860e61af91208ab1b3187a5db3c"),
     ("finite --group c7.json --p 7 --format table", 0, "70a28c201ddb5425130c6161935a9ae1b2ca8f0b7e73f5e88d761588a3097845"),
+    ("finite --group psl27.json --p 7", 0, "793e940b44cf89e4e3a910f22bd085cb92a0b37657e40e6d5c1c5f4d7f5dd3cb"),
+    ("finite --group psl27.json --p 7 --format table", 0, "178ce482c8b6597227661a1c077a2e30cf197326fa37d1c31742ec190635734b"),
     ("finite --group s3.json --p 3 --base q3_zeta3.json", 0, "0b422de5d80d4f5a21a19a46f6acb6e199d531741cd2063c2534665122509e90"),
     ("finite --group s3.json --p 3 --base q3_zeta3.json --format table", 0, "fb8d6e1a4ebd5be9f22914c8fd609efeff78c3f7dba268d26cd7836cb88124b7"),
     ("iwasawa --h c7.json --alpha sq.json --p 3", 0, "323cb187243074feb7225ff97347b45f43746cf8ac47d05e0d2f97d1e5cab422"),

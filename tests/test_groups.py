@@ -1,6 +1,7 @@
 """Group construction, conjugacy, automorphisms, semidirect quotients."""
 
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from conductor.catalog import (
     sd_c11,
     semidirect_catalog,
     symmetric_3,
+    symmetric_5,
     table_catalog,
 )
 from conductor.errors import InputError, InvalidQuotientError
@@ -234,3 +236,138 @@ def test_inverses():
     # table groups and a quotient above TABLE_BOUND (order 1375)
     for g in [finite_quotient(sd_c11(), 3)] + table_catalog():
         assert all(g.mult(x, g.inv(x)) == 0 for x in range(g.order)), g.name
+
+
+def _psl27_gens():
+    """PSL(2, 7) as Moebius maps of the projective line over F_7 (7 is infinity)."""
+
+    def mobius(a, b, c, d):
+        out = []
+        for x in range(8):
+            num, den = (a, c) if x == 7 else ((a * x + b) % 7, (c * x + d) % 7)
+            out.append(7 if den == 0 else num * pow(den, -1, 7) % 7)
+        return tuple(out)
+
+    return [mobius(1, 1, 0, 1), mobius(2, 0, 0, 1), mobius(0, 6, 1, 0)]
+
+
+def _random_permutation_gens(seed):
+    rng = random.Random(seed)
+    degree = rng.randint(2, 7)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        p = list(range(degree))
+        k = rng.randint(2, degree)
+        support = rng.sample(range(degree), k)  # a random k-cycle
+        for a, b in zip(support, support[1:] + support[:1]):
+            p[a] = b
+        gens.append(tuple(p))
+    return gens, degree
+
+
+_DIHEDRAL = [
+    ([tuple((i + 1) % n for i in range(n)), tuple((n - i) % n for i in range(n))], n)
+    for n in (4, 5, 6)
+]
+PERMUTATION_GROUPS = [
+    ([(1, 0, 2), (1, 2, 0)], 3),  # S3
+    ([(1, 2, 0, 3), (1, 0, 3, 2)], 4),  # A4
+    ([(1, 0, 2, 3), (1, 2, 3, 0)], 4),  # S4
+    ([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], 5),  # S5
+    ([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], 5),  # A5
+    ([(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)], 5),  # F20
+    (_psl27_gens(), 8),
+] + _DIHEDRAL + [_random_permutation_gens(seed) for seed in range(12)]
+
+
+def _walk_by_composition(gens, degree):
+    """Elements in the order a breadth-first walk from the identity reaches
+    them, composing x then s for each generator s."""
+    ident = tuple(range(degree))
+    elems, index = [ident], {ident: 0}
+    for cur in elems:
+        for p in gens:
+            nxt = tuple(p[cur[i]] for i in range(degree))
+            if nxt not in index:
+                index[nxt] = len(elems)
+                elems.append(nxt)
+    return elems, index
+
+
+def _check_against_composition(gens, degree, pairs):
+    """The group of ``gens``, after checking its numbering, generators and
+    products at ``pairs(order)`` against the walk by composition."""
+    g = FiniteGroup.from_permutations(gens, degree)
+    elems, index = _walk_by_composition(gens, degree)
+    assert g.order == len(elems) and g.generators == [index[p] for p in gens]
+    for a, b in pairs(g.order):
+        pa, pb = elems[a], elems[b]
+        assert g.mult(a, b) == index[tuple(pb[pa[i]] for i in range(degree))]
+    return g
+
+
+@pytest.mark.parametrize(
+    "gens,degree", PERMUTATION_GROUPS, ids=["group%d" % i for i in range(len(PERMUTATION_GROUPS))]
+)
+def test_permutation_table_matches_composition(gens, degree):
+    g = _check_against_composition(gens, degree, lambda n: itertools.product(range(n), repeat=2))
+    assert g.table is not None
+
+
+def test_permutation_group_above_the_table_bound():
+    rng = random.Random(6)
+    g = _check_against_composition(
+        [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)],  # S6
+        6,
+        lambda n: [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)],
+    )
+    assert g.order == 720 > TABLE_BOUND and g.table is None
+
+
+def _closure(table, seed):
+    got = set(seed)
+    frontier = list(seed)
+    while frontier:
+        x = frontier.pop()
+        for s in list(got):
+            for y in (table[x][s], table[s][x]):
+                if y not in got:
+                    got.add(y)
+                    frontier.append(y)
+    return got
+
+
+def _pairwise_greedy_generators(table):
+    """Each element outside the closure so far under products on either
+    side becomes a generator, in index order."""
+    got, gens = {0}, []
+    for x in range(1, len(table)):
+        if x not in got:
+            gens.append(x)
+            got = _closure(table, got | {x})
+            if len(got) == len(table):
+                break
+    return gens
+
+
+def _relabelled(g, rng):
+    n = g.order
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    inv = [0] * n
+    for i, x in enumerate(perm):
+        inv[x] = i
+    return [[perm[g.mult(inv[a], inv[b])] for b in range(n)] for a in range(n)]
+
+
+@pytest.mark.parametrize(
+    "g",
+    table_catalog()
+    + [symmetric_5()]
+    + [FiniteGroup.from_permutations(_psl27_gens(), 8, name="PSL(2,7)")],
+    ids=lambda g: g.name,
+)
+def test_greedy_generators_match_pairwise_closure(g):
+    rng = random.Random(g.order)
+    for table in ([[g.mult(a, b) for b in range(g.order)] for a in range(g.order)],
+                  _relabelled(g, rng), _relabelled(g, rng)):
+        assert FiniteGroup.from_table(table).generators == _pairwise_greedy_generators(table)

@@ -84,6 +84,20 @@ def test_load_json_reports_location(tmp_path):
     assert "line 1" in str(err.value)
 
 
+def test_integer_lists_report_the_first_bad_entry():
+    table = [[(i + j) % 168 for j in range(168)] for i in range(168)]
+    table[150][7] = True
+    with pytest.raises(InputError) as err:
+        group_from_json({"mult_table": table})
+    assert str(err.value) == "group.mult_table[150][7]: expected an integer, got True"
+    with pytest.raises(InputError) as err:
+        alpha_images_from_json({"alpha_images": [0, 1, 2, 1.5, 4]}, where="alpha_images")
+    assert str(err.value) == "alpha_images[3]: expected an integer, got 1.5"
+    with pytest.raises(InputError) as err:
+        field_from_json({"p": 3, "m": 9, "stab_gens": [1, "2"]})
+    assert str(err.value) == "field.stab_gens[1]: expected an integer, got '2'"
+
+
 def test_load_json_missing_file():
     with pytest.raises(InputError):
         load_json("/no/such/file.json")
