@@ -37,19 +37,21 @@ revisited", J. Symbolic Comput. 9, 1990).  The power maps come first:
 Values are stored once, as integers: each distinct value vector gives its
 value's integer power-basis coordinates at the exponent conductor E
 (normalized, never 2 mod 4) once, kept as the sparse dict {i: count} of
-zeta_E^i (``coords``).  Restriction, the orthogonality checks, the row
-permutations, the idempotent sums and the centre elements of ``fitting``
-compute on them.  ``CharacterTable.from_rows`` sorts the rows of every
-finished table, this one and ``iwasawa``'s fibre products, as their dense
-coordinates would compare, read off the dicts (``_row_order``); fields of
-values come from the class maps (``galois_fixed``).
+zeta_E^i (``coords``).  The orthogonality checks, the row permutations,
+the idempotent sums and the centre elements of ``fitting`` compute on
+them; restriction reads them mod the split prime (``residues``, zeta_E
+sent to an E-th root of unity mod l) and certifies its result on them.
+``CharacterTable.from_rows`` sorts the rows of every finished table, this
+one and ``iwasawa``'s fibre products, as their dense coordinates would
+compare, read off the dicts (``_row_order``); fields of values come from
+the class maps (``galois_fixed``).
 ``values``, the same numbers as CycloNumbers at their smallest conductor,
 serves JSON and ``fitting.reduced_norm``: it is built on first read, one
 ``minimal_conductor`` per distinct dict.
 Certificates
 (invariant subspaces, conjugate eigenvectors, eigenspace ranks, the lift
-bound, the lifted values mod l, integral restriction multiplicities) raise
-ArithmeticError.
+bound, the lifted values mod l, restrictions rebuilt exactly from their
+multiplicities mod l) raise ArithmeticError.
 
 ``character_table`` runs this on every group it is given.  The level checks
 of ``iwasawa`` run it on H and G_n only: the table of G_m, m > n, is built
@@ -67,6 +69,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property, cmp_to_key
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .cyclo import CycloNumber, generating_set, int_coords, is_prime, normalized, prime_factors
 from .errors import GroupTooLargeError
@@ -188,6 +191,20 @@ class CharacterTable(namedtuple(
             return built[key]
 
         return [[value(d) for d in row] for row in self.coords]
+
+    def residues(self, l):
+        """coords[row][class] mod a prime l = 1 (mod E), E the exponent
+        conductor, zeta_E sent to w^((l - 1)/E), w = _primitive_root(l);
+        kept per l in the instance dict."""
+        cache = self.__dict__.setdefault("_residues", {})
+        if l not in cache:
+            e_norm = normalized(self.exponent)
+            z = pow(_primitive_root(l), (l - 1) // e_norm, l)
+            zs = [pow(z, i, l) for i in range(e_norm)]
+            cache[l] = [
+                [sum(c * zs[i] for i, c in d.items()) % l for d in row] for row in self.coords
+            ]
+        return cache[l]
 
     def value(self, row, elem):
         """Character value at a group element."""
@@ -616,38 +633,49 @@ def restrict_and_decompose(
 
     embedding maps elements of the small group into the big group
     (default: identity indices).  Returns (small row, multiplicity) pairs
-    with positive multiplicity; multiplicities are certified integers.
+    with positive multiplicity.
+
+    Each m_j = <Res chi, eta_j> is taken mod the big table's split prime
+    l, through the ring map Z[zeta_E] -> F_l that sends zeta_E (E | l - 1
+    the big exponent conductor) to a primitive E-th root of unity.  A
+    restriction has 0 <= m_j <= chi(1) <= sqrt|G| < l (l^2 > 4|G|), so the
+    least residue is m_j.  Certificate (ArithmeticError): the restriction,
+    rebuilt exactly as sum_j m_j eta_j (one fold per class of H), equals
+    the big table's; as the eta_j are a basis of the class functions of H,
+    that holds exactly when every inner product is an integer in [0, l).
     """
     h = small.group
     if embedding is None:
         embedding = list(range(h.order))
-    e_big, sp_big = normalized(big.exponent), big.coords
-    e_small, sp_small = normalized(small.exponent), small.coords
+    e_big, l = normalized(big.exponent), big.split_prime
+    e_small = normalized(small.exponent)
     if e_big % e_small:
         raise ArithmeticError(
             "exponent conductor %d does not divide %d" % (e_small, e_big)
         )
     step = e_big // e_small
+    z = pow(_primitive_root(l), (l - 1) // e_big, l)
     res = [
-        sp_big[row][big.classes.class_of[embedding[z]]]
-        for z in small.classes.representatives()
+        big.coords[row][big.classes.class_of[embedding[x]]]
+        for x in small.classes.representatives()
     ]
-    sizes = small.classes.sizes
-    inv = [small.inverse_class(t) for t in range(small.n_classes)]
+    # |C_t| chi(g_t) mod l, placed at the class of g_t^-1 to meet eta_j there
+    weights = [0] * small.n_classes
+    for t, (size, d) in enumerate(zip(small.classes.sizes, res)):
+        weights[small.inverse_class(t)] = size * sum(c * pow(z, i, l) for i, c in d.items())
+    scale = pow(h.order, -1, l)
     out = []
-    for j, eta in enumerate(sp_small):
-        total = _sparse_sum(
-            (
-                (sizes[t], res[t], {e * step: c for e, c in eta[inv[t]].items()})
-                for t in range(small.n_classes)
-            ),
-            e_big,
-        )
-        m, rest = divmod(total.pop(0, 0), h.order)
-        if total or rest:
-            raise ArithmeticError("inner product is not an integer")
+    for j, eta in enumerate(small.residues(l)):
+        m = sum(map(mul, weights, eta)) * scale % l
         if m:
             out.append((j, m))
+    for t in range(small.n_classes):
+        rebuilt = int_coords(
+            e_big,
+            ((i * step, m * c) for j, m in out for i, c in small.coords[j][t].items()),
+        )
+        if rebuilt != res[t]:
+            raise ArithmeticError("restriction is not the sum of its multiplicities")
     return out
 
 

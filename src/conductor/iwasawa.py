@@ -34,8 +34,9 @@ list of its coefficients at u^0, ..., u^{p^{m-n}-1}.  The dual basis is
 checked as the pairing against h^-1 gamma^-i being p^n|H| times the
 identity.  The idempotents are scaled by |H|: |H| e_eta has
 coefficients eta(1) eta(h^-1), read from the table's integer coordinates
-at E, the exponent conductor of H, and products are reduced to
-power-basis coordinates only to be compared.
+at E, the exponent conductor of H; a product packs each coefficient into
+one integer (``_product``) and is reduced to power-basis coordinates only
+to be compared.
 """
 
 from collections import namedtuple
@@ -45,7 +46,6 @@ from math import gcd, lcm
 from .chartab import (
     CharacterTable,
     _power_maps,
-    _sparse_sum,
     alpha_orbits,
     character_table,
     galois_exponents,
@@ -272,11 +272,51 @@ def _coords(e_norm, a, scale=1, k=1) -> list:
 
 def _product(h, a, b, e_norm) -> list:
     """Integer coordinates {index: count}, zeros dropped, of the coefficients
-    of a * b in Z[zeta_E][H]."""
-    return [
-        _sparse_sum(((1, a[x], b[h.mult(h.inv(x), z)]) for x in range(h.order)), e_norm)
-        for z in range(h.order)
-    ]
+    of a * b in Z[zeta_E][H].
+
+    Kronecker substitution: each coefficient dict d is packed once into
+    P(d) = sum_i d[i] 2^(W i), so N_z = sum_x P(a_x) P(b_(x^-1 z)) is
+    sum_i c_i 2^(W i) with c_i = sum_x sum_(i1 + i2 = i) a_x[i1] b_(x^-1 z)[i2],
+    the coordinates of z in a * b on zeta_E^i, folded once per z.  Slot
+    width: |c_i| <= M = (sum of all |a_x[i]|) (largest |b_y[i]|), and
+    W = bitlen(M) + 1 makes M < 2^(W-1).  An integer has one expansion in
+    base 2^W with digits in [-2^(W-1), 2^(W-1)), so the c_i are the
+    balanced digits of N_z; ``_unpacked`` reads the (top index of a) +
+    (top index of b) + 1 of them and raises ArithmeticError on a rest.
+    """
+    bound = sum(abs(c) for d in a for c in d.values()) * max(
+        (abs(c) for d in b for c in d.values()), default=0
+    )
+    width = bound.bit_length() + 1
+    slots = sum(max((i for d in f for i in d), default=0) for f in (a, b)) + 1
+    pa = _packed(a, width)
+    pb = pa if b is a else _packed(b, width)
+    terms = [(h.inv(x), px) for x, px in enumerate(pa) if px]
+    out = []
+    for z in range(h.order):
+        n = sum(px * pb[h.mult(xi, z)] for xi, px in terms)
+        out.append(int_coords(e_norm, _unpacked(n, width, slots)))
+    return out
+
+
+def _packed(coeffs, width) -> list:
+    """Each dict {i: c} as the integer sum_i c 2^(width i)."""
+    return [sum(c << (width * i) for i, c in d.items()) for d in coeffs]
+
+
+def _unpacked(n, width, slots):
+    """The (i, c) of the nonzero balanced base-2^width digits c of n,
+    -2^(width-1) <= c < 2^(width-1), of which it has at most ``slots``."""
+    full, half = 1 << width, 1 << (width - 1)
+    for i in range(slots):
+        c = n & (full - 1)
+        if c >= half:
+            c -= full
+        if c:
+            yield i, c
+        n = (n - c) >> width
+    if n:
+        raise ArithmeticError("a packed product has more digits than its slots")
 
 
 def _central_at_level(g, h_coeffs) -> bool:
@@ -385,15 +425,27 @@ def dual_basis_check(sd, level) -> bool:
     checked on integers as the pairing against h^-1 gamma^-i being
     p^n |H| times the identity.  The inverse is G_m's own, so
     (gamma^i h)^-1 = u^-1 gamma^(p^n - i) alpha^i(h^-1) for i > 0 carries
-    its u-exponent in its index."""
+    its u-exponent in its index.
+
+    The entry at (b1, b2) is the trace of right multiplication by
+    x = b1 b2^-1, so it depends on x alone: ``trace_closed_form`` runs once
+    per element of G_m, and each pair reads its product's verdicts ("p^n|H|"
+    and "zero") from a column of G_m's table (``mult`` above TABLE_BOUND)."""
     g = finite_quotient(sd, level)
     rank = sd.p**sd.n * sd.h.order
+    one = [rank] + [0] * (g.order // rank - 1)
+    traces = [trace_closed_form(g, rank, x) for x in range(g.order)]
+    is_one = [tr == one for tr in traces]
+    is_zero = [not any(tr) for tr in traces]
+    rows = g.table[:rank] if g.table is not None else None
     for b2 in range(rank):
         dual = g.inv(b2)
-        for b1 in range(rank):
-            tr = trace_closed_form(g, rank, g.mult(b1, dual))
-            if tr[0] != (rank if b1 == b2 else 0) or any(tr[1:]):
-                return False
+        if rows is not None:
+            col = [row[dual] for row in rows]
+        else:
+            col = [g.mult(b1, dual) for b1 in range(rank)]
+        if not is_one[col[b2]] or not all(map(is_zero.__getitem__, col[:b2] + col[b2 + 1:])):
+            return False
     return True
 
 

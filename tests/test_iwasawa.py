@@ -2,20 +2,26 @@
 identities of o[G_m] over R_m, idempotents, and the degeneration to the
 finite formula."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conductor import chartab, iwasawa
 from conductor.catalog import (
+    c3_x_c3,
     sd_c3_trivial,
     sd_c7,
     sd_c9,
     sd_s3_inner,
     sd_s3_trivial,
     semidirect_catalog,
+    symmetric_3,
 )
 from conductor.chartab import (
+    _sparse_sum,
     alpha_orbits,
     character_table,
     galois_exponents,
@@ -23,9 +29,16 @@ from conductor.chartab import (
     galois_permutations,
     row_permutations,
 )
-from conductor.cyclo import CycloNumber
+from conductor.cyclo import CycloNumber, normalized
 from conductor.errors import InputError, InvalidQuotientError
-from conductor.groups import ClassData, SemidirectData, conjugacy_classes, finite_quotient
+from conductor.groups import (
+    ClassData,
+    FiniteGroup,
+    SemidirectData,
+    conjugacy_classes,
+    cyclic_group,
+    finite_quotient,
+)
 from conductor.iwasawa import (
     central_conductor,
     character_classes,
@@ -151,6 +164,58 @@ def test_trace_lemma_reads_the_multiplication_of_g_m(monkeypatch):
     assert not trace_lemma_check(sd, 2)
 
 
+def _reading(g, table, through_table):
+    """A copy of G_m that multiplies by ``table``: as its stored table, or
+    through ``mult`` only, as above ``TABLE_BOUND``.  Its inverses are
+    G_m's: the cycle walk of ``inv`` need not end on a corrupted table."""
+    copy = FiniteGroup(g.order, lambda a, b: table[a][b], g.generators, name=g.name, table=table)
+    copy._inv = [g.inv(x) for x in range(g.order)]
+    if not through_table:
+        copy.table = None
+    return copy
+
+
+def _level_verdicts(monkeypatch, sd, level, table, through_table):
+    g = _reading(finite_quotient(sd, level), table, through_table)
+    monkeypatch.setattr(iwasawa, "finite_quotient", lambda sd, level: g)
+    verdicts = trace_lemma_check(sd, level), dual_basis_check(sd, level)
+    monkeypatch.undo()
+    return verdicts
+
+
+def _small_levels():
+    return [
+        (sd, m)
+        for sd in semidirect_catalog()
+        for m in range(sd.n, sd.n + 3)
+        if sd.h.order * sd.p**m <= 512
+    ]
+
+
+@pytest.mark.parametrize(
+    "sd, m", _small_levels(), ids=lambda x: x.name() if isinstance(x, SemidirectData) else str(x)
+)
+def test_level_checks_read_table_and_mult_alike(sd, m, monkeypatch):
+    g = finite_quotient(sd, m)
+    exact = [list(row) for row in g.table]
+    assert _level_verdicts(monkeypatch, sd, m, exact, True) == (True, True)
+    assert _level_verdicts(monkeypatch, sd, m, exact, False) == (True, True)
+    # in a basis row b, swap the entry b b^-1 = 1 with another: the diagonal
+    # pairing moves off p^n|H|; swap the entry b 1 = b with another: the
+    # trace of the identity loses a term
+    rank = sd.p**sd.n * sd.h.order
+    rng = random.Random(m * 1000 + g.order)
+    for column, failing in ((g.inv, 1), (lambda b: 0, 0)):
+        b = rng.randrange(rank)
+        y1 = column(b)
+        y2 = rng.choice([y for y in range(g.order) if y != y1])
+        bad = [list(row) for row in exact]
+        bad[b][y1], bad[b][y2] = bad[b][y2], bad[b][y1]
+        for through_table in (True, False):
+            verdicts = _level_verdicts(monkeypatch, sd, m, bad, through_table)
+            assert not verdicts[failing], (b, y1, y2, through_table)
+
+
 def test_extension_dual_bases():
     fields = (
         AbelianLocalField.qp(3),
@@ -254,6 +319,65 @@ def test_idempotent_suite_matches_cyclo_reference():
     for sd in semidirect_catalog():
         for level in (sd.n, sd.n + 1):
             assert idempotent_suite(sd, level=level) == _reference_suite(sd, level)
+
+
+# -- the packed product against the term-by-term route ----------------------
+
+
+def _sparse_product(h, a, b, e_norm):
+    """The coefficients of a * b in Z[zeta_E][H], one _sparse_sum each."""
+    return [
+        _sparse_sum(((1, a[x], b[h.mult(h.inv(x), z)]) for x in range(h.order)), e_norm)
+        for z in range(h.order)
+    ]
+
+
+_PRODUCT_GROUPS = {"C1": cyclic_group(1), "C3xC3": c3_x_c3(), "S3": symmetric_3()}
+
+
+def _element(h, e_norm, coeff):
+    # indices past phi(E) too: the fold reduces them
+    return st.lists(
+        st.dictionaries(st.integers(0, 2 * e_norm), coeff, max_size=4),
+        min_size=h.order, max_size=h.order,
+    )
+
+
+@st.composite
+def _product_inputs(draw):
+    name = draw(st.sampled_from(sorted(_PRODUCT_GROUPS)))
+    h = _PRODUCT_GROUPS[name]
+    e_norm = normalized(character_table(h).exponent)
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-(10**12), 10**12))
+    a = draw(_element(h, e_norm, coeff))
+    b = a if draw(st.booleans()) else draw(_element(h, e_norm, coeff))
+    return h, a, b, e_norm
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_product_inputs())
+def test_packed_product_matches_the_term_route(inputs):
+    h, a, b, e_norm = inputs
+    assert iwasawa._product(h, a, b, e_norm) == _sparse_product(h, a, b, e_norm)
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCT_GROUPS))
+def test_packed_product_at_the_slot_bound(name):
+    # in the first two cases every term lands on coordinate 0 with one sign,
+    # so a summed coefficient equals the bound sum |a| * max |b| of the slot
+    # width; then mixed coordinates, powers of 2 and the zero element
+    h = _PRODUCT_GROUPS[name]
+    e_norm = normalized(character_table(h).exponent)
+    cases = [
+        ([{0: 7}] * h.order, [{0: 9}] * h.order),
+        ([{0: -(2**40)}] + [{}] * (h.order - 1), [{0: 2**40 - 1}] * h.order),
+        ([{1: 5, 0: 3}] + [{}] * (h.order - 1), [{0: -1}] + [{}] * (h.order - 1)),
+        ([{0: 1}] * h.order, [{0: 2**k} for k in range(h.order)]),
+        ([{}] * h.order, [{0: 3}] * h.order),
+        ([{0: 3}] * h.order, [{}] * h.order),
+    ]
+    for a, b in cases:
+        assert iwasawa._product(h, a, b, e_norm) == _sparse_product(h, a, b, e_norm)
 
 
 def _orbit_of(start, perms):
