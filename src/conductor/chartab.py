@@ -67,7 +67,7 @@ at the exponent conductor), compared on the dicts.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -95,6 +95,23 @@ def _primitive_root(l: int) -> int:
         if all(pow(w, (l - 1) // q, l) != 1 for q in fact):
             return w
     raise ArithmeticError("no primitive root mod %d" % l)
+
+
+@lru_cache(maxsize=None)
+def _root_powers(l: int, e: int) -> tuple:
+    """zeta_e^i mod l for 0 <= i < e, l a prime = 1 (mod e), zeta_e sent to
+    w^((l - 1)/e), w = _primitive_root(l).  Every reduction mod l goes
+    through here, so zeta_E^(E/e) and zeta_e meet the same residue."""
+    z = pow(_primitive_root(l), (l - 1) // e, l)
+    zs = [1] * e
+    for i in range(1, e):
+        zs[i] = zs[i - 1] * z % l
+    return tuple(zs)
+
+
+def _residue(d, zs, l) -> int:
+    """A coordinate dict {i: count} of zeta^i mod l, zs = _root_powers."""
+    return sum(c * zs[i] for i, c in d.items()) % l
 
 
 # -- linear algebra mod l ---------------------------------------------------
@@ -194,16 +211,12 @@ class CharacterTable(namedtuple(
 
     def residues(self, l):
         """coords[row][class] mod a prime l = 1 (mod E), E the exponent
-        conductor, zeta_E sent to w^((l - 1)/E), w = _primitive_root(l);
-        kept per l in the instance dict."""
+        conductor, through ``_root_powers``; kept per l in the instance
+        dict."""
         cache = self.__dict__.setdefault("_residues", {})
         if l not in cache:
-            e_norm = normalized(self.exponent)
-            z = pow(_primitive_root(l), (l - 1) // e_norm, l)
-            zs = [pow(z, i, l) for i in range(e_norm)]
-            cache[l] = [
-                [sum(c * zs[i] for i, c in d.items()) % l for d in row] for row in self.coords
-            ]
+            zs = _root_powers(l, normalized(self.exponent))
+            cache[l] = [[_residue(d, zs, l) for d in row] for row in self.coords]
         return cache[l]
 
     def value(self, row, elem):
@@ -637,7 +650,8 @@ def restrict_and_decompose(
 
     Each m_j = <Res chi, eta_j> is taken mod the big table's split prime
     l, through the ring map Z[zeta_E] -> F_l that sends zeta_E (E | l - 1
-    the big exponent conductor) to a primitive E-th root of unity.  A
+    the big exponent conductor) to a primitive E-th root of unity, the
+    ``_root_powers`` map that ``residues`` applies to the small table.  A
     restriction has 0 <= m_j <= chi(1) <= sqrt|G| < l (l^2 > 4|G|), so the
     least residue is m_j.  Certificate (ArithmeticError): the restriction,
     rebuilt exactly as sum_j m_j eta_j (one fold per class of H), equals
@@ -654,7 +668,7 @@ def restrict_and_decompose(
             "exponent conductor %d does not divide %d" % (e_small, e_big)
         )
     step = e_big // e_small
-    z = pow(_primitive_root(l), (l - 1) // e_big, l)
+    zs = _root_powers(l, e_big)
     res = [
         big.coords[row][big.classes.class_of[embedding[x]]]
         for x in small.classes.representatives()
@@ -662,7 +676,7 @@ def restrict_and_decompose(
     # |C_t| chi(g_t) mod l, placed at the class of g_t^-1 to meet eta_j there
     weights = [0] * small.n_classes
     for t, (size, d) in enumerate(zip(small.classes.sizes, res)):
-        weights[small.inverse_class(t)] = size * sum(c * pow(z, i, l) for i, c in d.items())
+        weights[small.inverse_class(t)] = size * _residue(d, zs, l)
     scale = pow(h.order, -1, l)
     out = []
     for j, eta in enumerate(small.residues(l)):

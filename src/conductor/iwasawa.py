@@ -429,22 +429,20 @@ def dual_basis_check(sd, level) -> bool:
 
     The entry at (b1, b2) is the trace of right multiplication by
     x = b1 b2^-1, so it depends on x alone: ``trace_closed_form`` runs once
-    per element of G_m, and each pair reads its product's verdicts ("p^n|H|"
-    and "zero") from a column of G_m's table (``mult`` above TABLE_BOUND)."""
+    per distinct product, and each pair reads its product's verdict
+    (p^n|H|, zero or neither)."""
     g = finite_quotient(sd, level)
     rank = sd.p**sd.n * sd.h.order
     one = [rank] + [0] * (g.order // rank - 1)
-    traces = [trace_closed_form(g, rank, x) for x in range(g.order)]
-    is_one = [tr == one for tr in traces]
-    is_zero = [not any(tr) for tr in traces]
-    rows = g.table[:rank] if g.table is not None else None
+    verdicts = {}  # x -> its trace is p^n|H| (True), zero (False) or neither (None)
     for b2 in range(rank):
         dual = g.inv(b2)
-        if rows is not None:
-            col = [row[dual] for row in rows]
-        else:
-            col = [g.mult(b1, dual) for b1 in range(rank)]
-        if not is_one[col[b2]] or not all(map(is_zero.__getitem__, col[:b2] + col[b2 + 1:])):
+        col = [g.mult(b1, dual) for b1 in range(rank)]
+        for x in col:
+            if x not in verdicts:
+                tr = trace_closed_form(g, rank, x)
+                verdicts[x] = True if tr == one else (False if not any(tr) else None)
+        if [verdicts[x] for x in col] != [b1 == b2 for b1 in range(rank)]:
             return False
     return True
 

@@ -164,19 +164,16 @@ def test_trace_lemma_reads_the_multiplication_of_g_m(monkeypatch):
     assert not trace_lemma_check(sd, 2)
 
 
-def _reading(g, table, through_table):
-    """A copy of G_m that multiplies by ``table``: as its stored table, or
-    through ``mult`` only, as above ``TABLE_BOUND``.  Its inverses are
-    G_m's: the cycle walk of ``inv`` need not end on a corrupted table."""
+def _reading(g, table):
+    """A copy of G_m that multiplies by ``table``.  Its inverses are G_m's:
+    the cycle walk of ``inv`` need not end on a corrupted table."""
     copy = FiniteGroup(g.order, lambda a, b: table[a][b], g.generators, name=g.name, table=table)
     copy._inv = [g.inv(x) for x in range(g.order)]
-    if not through_table:
-        copy.table = None
     return copy
 
 
-def _level_verdicts(monkeypatch, sd, level, table, through_table):
-    g = _reading(finite_quotient(sd, level), table, through_table)
+def _level_verdicts(monkeypatch, sd, level, table):
+    g = _reading(finite_quotient(sd, level), table)
     monkeypatch.setattr(iwasawa, "finite_quotient", lambda sd, level: g)
     verdicts = trace_lemma_check(sd, level), dual_basis_check(sd, level)
     monkeypatch.undo()
@@ -195,25 +192,30 @@ def _small_levels():
 @pytest.mark.parametrize(
     "sd, m", _small_levels(), ids=lambda x: x.name() if isinstance(x, SemidirectData) else str(x)
 )
-def test_level_checks_read_table_and_mult_alike(sd, m, monkeypatch):
+def test_level_checks_read_g_m_multiplication(sd, m, monkeypatch):
     g = finite_quotient(sd, m)
     exact = [list(row) for row in g.table]
-    assert _level_verdicts(monkeypatch, sd, m, exact, True) == (True, True)
-    assert _level_verdicts(monkeypatch, sd, m, exact, False) == (True, True)
+    assert _level_verdicts(monkeypatch, sd, m, exact) == (True, True)
     # in a basis row b, swap the entry b b^-1 = 1 with another: the diagonal
     # pairing moves off p^n|H|; swap the entry b 1 = b with another: the
     # trace of the identity loses a term
     rank = sd.p**sd.n * sd.h.order
     rng = random.Random(m * 1000 + g.order)
+    swaps = []
     for column, failing in ((g.inv, 1), (lambda b: 0, 0)):
         b = rng.randrange(rank)
         y1 = column(b)
-        y2 = rng.choice([y for y in range(g.order) if y != y1])
+        swaps.append((b, y1, rng.choice([y for y in range(g.order) if y != y1]), failing))
+    # swap the entry b b2^-1, b2 != b, with one in <u> other than 1: only an
+    # off-diagonal pairing moves off zero
+    if m > sd.n:
+        b, b2 = rng.sample(range(rank), 2)
+        y2 = next(y for y in range(g.order) if exact[b][y] % rank == 0 and exact[b][y])
+        swaps.append((b, g.inv(b2), y2, 1))
+    for b, y1, y2, failing in swaps:
         bad = [list(row) for row in exact]
         bad[b][y1], bad[b][y2] = bad[b][y2], bad[b][y1]
-        for through_table in (True, False):
-            verdicts = _level_verdicts(monkeypatch, sd, m, bad, through_table)
-            assert not verdicts[failing], (b, y1, y2, through_table)
+        assert not _level_verdicts(monkeypatch, sd, m, bad)[failing], (b, y1, y2)
 
 
 def test_extension_dual_bases():
