@@ -38,17 +38,15 @@ Values are stored once, as integers: each distinct value vector gives its
 value's integer power-basis coordinates at the exponent conductor E
 (normalized, never 2 mod 4) once, kept as the sparse dict {i: count} of
 zeta_E^i (``coords``).  The orthogonality checks, the row permutations,
-the idempotent sums and the centre elements of ``fitting`` compute on
-them; restriction reads them mod the split prime (``residues``, zeta_E
-sent to an E-th root of unity mod l) and certifies its result on them.
-``CharacterTable.from_rows`` sorts the rows of every finished table, this
-one and ``iwasawa``'s fibre products, as their dense coordinates would
-compare, read off the dicts (``_row_order``); fields of values come from
-the class maps (``galois_fixed``).
-``values``, the same numbers as CycloNumbers at their smallest conductor,
-serves JSON and ``fitting.reduced_norm``: it is built on first read, one
-``minimal_conductor`` per distinct dict.
-Certificates
+the idempotent sums and the centre elements and reduced norms of
+``fitting`` compute on them; restriction reads them mod the split prime
+(``residues``, zeta_E sent to an E-th root of unity mod l) and certifies
+its result on them.  ``CharacterTable.from_rows`` sorts the rows of every
+finished table, this one and ``iwasawa``'s fibre products, as their dense
+coordinates would compare, read off the dicts (``_row_order``); fields of
+values come from the class maps (``galois_fixed``).  No other copy of the
+values is kept: ``to_json`` prints each distinct dict once, at its
+smallest conductor (``cyclo.coords_json``).  Certificates
 (invariant subspaces, conjugate eigenvectors, eigenspace ranks, the lift
 bound, the lifted values mod l, restrictions rebuilt exactly from their
 multiplicities mod l) raise ArithmeticError.
@@ -67,11 +65,11 @@ at the exponent conductor), compared on the dicts.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cmp_to_key, lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .cyclo import CycloNumber, generating_set, int_coords, is_prime, normalized, prime_factors
+from .cyclo import coords_json, generating_set, int_coords, is_prime, normalized, prime_factors
 from .errors import GroupTooLargeError
 from .groups import FiniteGroup, conjugacy_classes, orbits
 from .padic import echelon, echelon_coords, kernel
@@ -161,7 +159,7 @@ class CharacterTable(namedtuple(
 )):
     """``coords[row][class]`` = {i: count} on zeta_E^i, E = normalized(exponent);
     ``power_maps[t][s]`` = class of rep_t^s, s < order of rep_t.  No
-    ``__slots__``: ``values`` is cached in the instance dict."""
+    ``__slots__``: ``residues`` is cached in the instance dict."""
 
     @classmethod
     def from_rows(cls, group, classes, rows, exponent, power_maps):
@@ -193,22 +191,6 @@ class CharacterTable(namedtuple(
         g = self.group
         return self.classes.class_of[g.inv(self.classes.classes[t][0])]
 
-    @cached_property
-    def values(self):
-        """values[row][class] as CycloNumbers at their smallest conductor,
-        built on first read, once per distinct coordinate dict."""
-        e_norm = normalized(self.exponent)
-        built = {}
-
-        def value(d):
-            key = frozenset(d.items())
-            if key not in built:
-                dense = [d.get(i, 0) for i in range(max(d, default=0) + 1)]
-                built[key] = CycloNumber(e_norm, dense).minimal_conductor()
-            return built[key]
-
-        return [[value(d) for d in row] for row in self.coords]
-
     def residues(self, l):
         """coords[row][class] mod a prime l = 1 (mod E), E the exponent
         conductor, through ``_root_powers``; kept per l in the instance
@@ -218,10 +200,6 @@ class CharacterTable(namedtuple(
             zs = _root_powers(l, normalized(self.exponent))
             cache[l] = [[_residue(d, zs, l) for d in row] for row in self.coords]
         return cache[l]
-
-    def value(self, row, elem):
-        """Character value at a group element."""
-        return self.values[row][self.classes.class_of[elem]]
 
     def verify_row_orthogonality(self):
         e_norm, sp = normalized(self.exponent), self.coords
@@ -256,6 +234,8 @@ class CharacterTable(namedtuple(
         )
 
     def to_json(self):
+        distinct = {frozenset(d.items()): d for row in self.coords for d in row}
+        printed = {key: coords_json(normalized(self.exponent), d) for key, d in distinct.items()}
         return {
             "order": self.group.order,
             "classes": [
@@ -264,7 +244,7 @@ class CharacterTable(namedtuple(
             "exponent": self.exponent,
             "split_prime": self.split_prime,
             "degrees": list(self.degrees),
-            "rows": [[v.to_json() for v in row] for row in self.values],
+            "rows": [[printed[frozenset(d.items())] for d in row] for row in self.coords],
         }
 
 

@@ -339,6 +339,13 @@ class CycloNumber:
         return " + ".join(terms).replace("+ -", "- ")
 
 
+def coords_json(m: int, coords: dict) -> dict:
+    """``CycloNumber.to_json`` at the smallest conductor of the number with
+    integer coordinates {index: count} at the conductor m."""
+    dense = [coords.get(i, 0) for i in range(max(coords, default=0) + 1)]
+    return CycloNumber(m, dense).minimal_conductor().to_json()
+
+
 @lru_cache(maxsize=None)
 def _mu(n: int) -> int:
     primes = prime_factors(n)

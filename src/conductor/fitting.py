@@ -9,8 +9,9 @@ matrix give the power sums of its reduced characteristic polynomial, and
 Newton's identities give its constant term.  No representation is needed,
 whatever the degree or Schur index of chi.  On integers, with D the
 common denominator: S_j = D^j s_j, F_j = j! D^j e_j, and
-F_j = sum_{i<=j} (-1)^(i-1) ((j-1)!/(j-i)!) F_(j-i) S_i with F_0 = 1, at
-each row's own output conductor, not at E (``reduced_norm``).
+F_j = sum_{i<=j} (-1)^(i-1) ((j-1)!/(j-i)!) F_(j-i) S_i with F_0 = 1, on
+the table's integer coordinates at the exponent conductor E
+(``reduced_norm``).
 
 The annihilation statement under test: central conductor times Fitting
 invariant annihilates the cokernel.  Both factors are central, so the
@@ -27,7 +28,7 @@ from itertools import combinations
 from math import factorial, lcm
 
 from .chartab import _class_matrix, _sparse_sum, character_table
-from .cyclo import CycloNumber, _fold, _reduction_context, normalized
+from .cyclo import CycloNumber, _fold, _reduction_context, normalized, value_conductor
 from .errors import InputError
 from .finite import _convolve, formula_conductor_lattice, working_precision
 from .groups import FiniteGroup
@@ -123,41 +124,43 @@ def reduced_norm(g, matrix):
     The block of row chi has reduced trace chi, so the reduced
     characteristic polynomial of a k x k matrix M there has degree
     top = k chi(1) and power sums s_j = sum_i chi((M^j)_ii); nrd_chi(M) is
-    its e_top, for every Schur index.  With D the common denominator of M
-    and of the values used, S_j = D^j s_j are integer coordinates and
+    its e_top, for every Schur index.  With D the common denominator of M,
+    S_j = D^j s_j are integer coordinates at the exponent conductor E, on
+    the table's ``coords``, and
     F_j = j! D^j e_j = sum_{i=1..j} (-1)^(i-1) ((j-1)!/(j-i)!) F_(j-i) S_i,
-    F_0 = 1, so e_top = F_top / (top! D^top).  A row is written at its
-    output conductor m, the common conductor of chi(t) over the classes t
-    where some tr(M^j), j <= top, is nonzero; a zero norm is the rational
-    0.  Not at the exponent conductor E, where each product would cost
-    phi(E)^2 against phi(m)^2.
+    F_0 = 1, so e_top = F_top / (top! D^top).  A nonzero norm is written at
+    the conductor m of the chi(t) at the classes t where some tr(M^j),
+    j <= top, is nonzero, read off the power maps as ``chartab.galois_fixed``
+    reads them; a zero norm is the rational 0.  Products at E cost phi(E)^2
+    against phi(m)^2, yet 246 seeded norms on the catalog and the G_m of
+    order <= 81 took 0.26-0.38 s, against 0.26-0.33 s at m (2-vCPU Xeon,
+    Python 3.11).
     """
     k = len(matrix)
     for row in matrix:
         if len(row) != k:
             raise InputError("reduced norm needs a square matrix")
     table = character_table(g)
+    e_norm, pm = normalized(table.exponent), table.power_maps
     den = lcm(*(c.denominator for row in matrix for vec in row for c in vec))
     scaled = [[[c.numerator * (den // c.denominator) for c in v] for v in row] for row in matrix]
     traces = _power_traces(g, scaled, k * max(table.degrees))  # D^j tr(M^j)
     zero = CycloNumber.rational(0)
     out = []
-    for chi, deg in zip(table.values, table.degrees):
+    for chi, deg in zip(table.coords, table.degrees):
         top = k * deg
         live = {t for tr in traces[:top] for t, c in enumerate(tr) if c}
-        # the values' conductors are never 2 mod 4, so neither is their lcm
-        m = lcm(*(chi[t].m for t in live))
-        # delta chi(t) at m, delta the values' denominator (1 for characters)
-        delta = lcm(*(c.denominator for t in live for c in chi[t].coeffs))
-        terms = [(t, e * (m // chi[t].m), c.numerator * (delta // c.denominator))
-                 for t in live for e, c in enumerate(chi[t].coeffs) if c]
-        sums = [  # S_j for D delta
-            [x * delta ** (j - 1) for x in _fold(m, ((e, c * tr[t]) for t, e, c in terms), 0)]
-            for j, tr in enumerate(traces[:top], 1)
-        ]
-        f = _newton(m, sums)
-        scale = factorial(top) * (den * delta) ** top
-        out.append(CycloNumber(m, [Fraction(c, scale) for c in f]) if any(f) else zero)
+        sums = [_fold(e_norm, ((i, c * tr[t]) for t in live for i, c in chi[t].items()), 0)
+                for tr in traces[:top]]  # S_j
+        f = _newton(e_norm, sums)
+        if not any(f):
+            out.append(zero)
+            continue
+        m = value_conductor(
+            table.exponent, lambda u: all(chi[t] == chi[pm[t][u % len(pm[t])]] for t in live)
+        )
+        scale = factorial(top) * den**top
+        out.append(CycloNumber(e_norm, [Fraction(c, scale) for c in f]).minimal_conductor().lift(m))
     return out
 
 

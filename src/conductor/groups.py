@@ -137,6 +137,8 @@ class FiniteGroup:
                 if inv[x] is None:
                     cycle, y = [0], x
                     while y != 0:
+                        if len(cycle) == self.order:  # not a group's table
+                            raise ArithmeticError("element %d has no power equal to 0" % x)
                         cycle.append(y)
                         y = self.mult(y, x)
                     for k, y in enumerate(cycle):

@@ -35,6 +35,7 @@ from conductor.groups import (
 )
 from conductor.iwasawa import fibre_product_table
 from conductor.padic import echelon, echelon_coords, kernel
+from table_values import table_values
 
 
 def test_s3_table_values():
@@ -43,7 +44,7 @@ def test_s3_table_values():
     # classes come out as (identity, transpositions, 3-cycles)
     assert t.sizes() == [1, 3, 2]
     rows = sorted(
-        tuple(v.as_fraction() for v in row) for row in t.values
+        tuple(v.as_fraction() for v in row) for row in table_values(t)
     )
     assert rows == [
         (Fraction(1), Fraction(-1), Fraction(1)),
@@ -70,9 +71,10 @@ def test_column_sum_counts_identity():
     g = symmetric_3()
     t = character_table(g)
     reps = t.representatives()
+    values = table_values(t)
     for j, rep in enumerate(reps):
         total = sum(
-            (t.values[i][j] * t.degrees[i] for i in range(t.n_classes)),
+            (values[i][j] * t.degrees[i] for i in range(t.n_classes)),
             CycloNumber.rational(0),
         )
         want = CycloNumber.rational(g.order if rep == 0 else 0)
@@ -92,12 +94,12 @@ def test_restriction_from_direct_product():
         assert total == tb.degrees[row]
 
 
-def _inner_products(big, row, small, embedding):
-    """<Res chi, eta> for every row eta of small, summed as CycloNumbers."""
+def _inner_products(res, small, small_values):
+    """<Res chi, eta> for every row eta of small, summed as CycloNumbers,
+    res the values of chi at the classes of small."""
     h = small.group
-    res = [big.value(row, embedding[z]) for z in small.representatives()]
     out = []
-    for j, eta in enumerate(small.values):
+    for j, eta in enumerate(small_values):
         acc = CycloNumber.rational(0)
         for t, size in enumerate(small.sizes()):
             acc = acc + res[t] * eta[small.inverse_class(t)] * size
@@ -133,10 +135,12 @@ def test_restriction_matches_cyclo_inner_products():
     for name, big, small, embedding in _restriction_cases():
         on_small = [big.classes.class_of[embedding[z]] for z in small.representatives()]
         wants = {}  # the reference once per distinct restriction
+        big_values, small_values = table_values(big), table_values(small)
         for row in range(big.n_classes):
             key = tuple(frozenset(big.coords[row][t].items()) for t in on_small)
             if key not in wants:
-                wants[key] = _inner_products(big, row, small, embedding)
+                res = [big_values[row][t] for t in on_small]
+                wants[key] = _inner_products(res, small, small_values)
             assert restrict_and_decompose(big, row, small, embedding=embedding) == wants[key], name
 
 
@@ -217,25 +221,27 @@ def test_alpha_orbits_of_c7_squaring():
 def test_alpha_orbits_are_in_cycle_order(sd):
     table = character_table(sd.h)
     cls = table.classes
+    values = table_values(table)
     for orb in alpha_orbits(table, sd.alpha):
         for i, r in enumerate(orb.members):
-            composed = [table.values[r][cls.class_of[sd.alpha(z)]] for z in cls.representatives()]
-            assert composed == table.values[orb.members[(i + 1) % orb.w]]
+            composed = [values[r][cls.class_of[sd.alpha(z)]] for z in cls.representatives()]
+            assert composed == values[orb.members[(i + 1) % orb.w]]
 
 
 def test_trivial_character_row_need_not_come_first():
     t = character_table(cyclic_group(3))
     trivial = [
         i
-        for i, row in enumerate(t.values)
+        for i, row in enumerate(table_values(t))
         if all(v == CycloNumber.rational(1) for v in row)
     ]
     assert len(trivial) == 1
 
 
 @pytest.mark.parametrize("make", [c7_c3, s3_x_c9, quaternion_8])
-def test_values_are_built_on_first_read(make, monkeypatch):
-    # once per distinct coordinate dict, each at its smallest conductor
+def test_values_are_printed_once_per_coordinate_dict(make, monkeypatch):
+    # the table reduces no value; its JSON prints each distinct coordinate
+    # dict once, at its smallest conductor
     calls = []
     minimal = CycloNumber.minimal_conductor
 
@@ -246,13 +252,13 @@ def test_values_are_built_on_first_read(make, monkeypatch):
     monkeypatch.setattr(CycloNumber, "minimal_conductor", counted)
     table = character_table(make())
     assert not calls
-    values = table.values
+    rows = table.to_json()["rows"]
     assert len(calls) == len({frozenset(d.items()) for row in table.coords for d in row})
-    assert table.values is values
     monkeypatch.undo()
     e_norm = normalized(table.exponent)
-    for row, coords in zip(values, table.coords):
-        for v, d in zip(row, coords):
+    for row, coords in zip(rows, table.coords):
+        for obj, d in zip(row, coords):
+            v = CycloNumber.from_json(obj)
             assert v == CycloNumber(e_norm, [d.get(i, 0) for i in range(max(d, default=0) + 1)])
             assert v.minimal_conductor().m == v.m
 

@@ -44,6 +44,8 @@ GOLDEN = [
     ("iwasawa --h c7.json --alpha sq.json --p 3 --level 2 --format table", 0, "1efe51b1de950dde11f94fe5711eef8c897ec234c082e59d8d3c63035456fcb3"),
     ("fitting --group s3.json --p 3 --matrix times3.json", 0, "2c55d51aceadbafee19c23ca75ca39635e33bf0cf161112d7323a0158a573867"),
     ("fitting --group s3.json --p 3 --matrix times3.json --format table", 0, "aa789dc39ab85f7af9118897c641bd9c685431b2f55b9ee279a2bd75c1a1ea8b"),
+    ("fitting --group c7.json --p 7 --matrix c7_fitting.json", 0, "e884115120b4f4106a14538ededbb2e172f129925857bc3a71cdaf5c283d46ab"),
+    ("fitting --group c7.json --p 7 --matrix c7_fitting.json --format table", 0, "decbe22ba019d82f2ab8a756b52a71647cd7ff61d09322b1a0dbd67d6159f231"),
     ("verify --suite iwasawa", 0, "c6cb73f5df22a5148510f6bd24625ddbe11bdb353d47b114f983316bdd25d863"),
     ("verify --suite iwasawa --format table", 0, "9b40899f693a0b4c751031a9ac20b68b6291ac0818f059a712d569820d0361f0"),
     ("verify --suite trace", 0, "cab58d111a8db15ae8e546ea5ec60028877f62a6aa99e8e5801963d74700d72e"),

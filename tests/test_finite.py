@@ -60,6 +60,7 @@ from conductor.padic import (
     sublattice_of,
     vp,
 )
+from table_values import table_values
 
 
 def _value_key(v):
@@ -69,11 +70,12 @@ def _value_key(v):
 def _galois_row_permutations(table, ks):
     """Reference: apply zeta -> zeta^k to every distinct value, find the row."""
     ids, distinct = {}, []
-    for row in table.values:
+    values = table_values(table)
+    for row in values:
         for v in row:
             if ids.setdefault(_value_key(v), len(ids)) == len(distinct):
                 distinct.append(v)
-    rows = [tuple(ids[_value_key(v)] for v in row) for row in table.values]
+    rows = [tuple(ids[_value_key(v)] for v in row) for row in values]
     index = {row: r for r, row in enumerate(rows)}
     perms = []
     for k in ks:

@@ -37,6 +37,7 @@ from conductor.fitting import (
 from conductor.groups import FiniteGroup, conjugacy_classes, cyclic_group, direct_product
 from conductor.padic import hnf_columns, lattice_contains
 from conductor.verify import run_suite
+from table_values import element_values, table_values
 
 
 def unit_vec(order, coeffs):
@@ -244,12 +245,13 @@ def _reference_center(g, values):
     """materialize_center by CycloNumber products, one per (element,
     character row): (1/|G|) sum_chi chi(1) v_chi chi(x^-1) at each x."""
     table = character_table(g)
+    chars = element_values(table)
     n = g.order
     out = []
     for x in range(n):
         acc = CycloNumber.rational(0)
         for row, v in enumerate(values):
-            acc = acc + v * table.value(row, g.inv(x)) * Fraction(table.degrees[row], n)
+            acc = acc + v * chars[row][g.inv(x)] * Fraction(table.degrees[row], n)
         if not acc.is_rational():
             raise InputError("center components are not Galois-coherent")
         out.append(acc.as_fraction())
@@ -426,7 +428,7 @@ def _reference_norm(g, matrix):
         traces.append(sums)
     zero = CycloNumber.rational(0)
     out = []
-    for chi, deg in zip(table.values, table.degrees):
+    for chi, deg in zip(table_values(table), table.degrees):
         top = k * deg
         s = [sum((v * c for v, c in zip(chi, t) if c), zero) for t in traces[:top]]
         e = [CycloNumber.rational(1)]
@@ -603,15 +605,25 @@ def test_annihilation_multiplies_no_cyclonumbers_and_convolves_nothing(monkeypat
         assert calls == [], (g.name, calls)
 
 
-def test_value_denominators_join_the_common_denominator(monkeypatch):
-    # character values have integer coordinates; halved values exercise the
-    # denominator that a value would add to D, on both routes alike
-    for g in (symmetric_3(), alternating_4()):
-        table = character_table(g)
-        halved = [[v * Fraction(1, 2) for v in row] for row in table.values]
-        monkeypatch.setitem(table.__dict__, "values", halved)
-        rng = random.Random(g.order)
-        for k in (1, 2):
-            matrix = [[_seeded_entry(rng, g.order, 3, True) for _ in range(k)] for _ in range(k)]
-            got = [v.to_json() for v in reduced_norm(g, matrix)]
-            assert got == [v.to_json() for v in _reference_norm(g, matrix)], (g.name, k)
+def test_reduced_norm_reduces_each_nonzero_row_once(monkeypatch):
+    # norms are built at the exponent conductor, and each nonzero one is
+    # brought to its smallest conductor once; the table reduces no value
+    calls = []
+    minimal = CycloNumber.minimal_conductor
+
+    def counted(self):
+        calls.append(self)
+        return minimal(self)
+
+    monkeypatch.setattr(CycloNumber, "minimal_conductor", counted)
+    rng = random.Random(31)
+    zeros = 0
+    for g in (symmetric_3(), c7_c3(), quaternion_8(), cyclic_group(7)):
+        n = g.order
+        seeded = [[_seeded_entry(rng, n, 3, True) for _ in range(2)] for _ in range(2)]
+        for matrix in ([[[1] * n]], [[_seeded_entry(rng, n, 3, True)]], seeded):
+            del calls[:]
+            nonzero = sum(any(v.coeffs) for v in reduced_norm(g, matrix))
+            assert len(calls) <= nonzero, g.name
+            zeros += character_table(g).n_classes - nonzero
+    assert zeros  # the norm element vanishes off the trivial row

@@ -20,6 +20,7 @@ from conductor.finite import (
 from conductor.groups import cyclic_group, direct_product
 from conductor.localfields import AbelianLocalField, field_of_values
 from conductor.padic import hnf_columns, vp
+from table_values import table_values
 
 PRIMES = (3, 5, 7, 11, 13)
 BASES = {
@@ -35,7 +36,8 @@ def _tables():
 
 
 def _summed_values(table, rows):
-    return [sum((table.values[r][t] for r in rows[1:]), table.values[rows[0]][t])
+    values = table_values(table)
+    return [sum((values[r][t] for r in rows[1:]), values[rows[0]][t])
             for t in range(table.n_classes)]
 
 
@@ -63,8 +65,9 @@ def _power_map_field(base, table, rows):
 def test_field_of_values_matches_cyclo_reference(p, kind):
     base = BASES[kind](p)
     for table in _tables():
+        values = table_values(table)
         for orbit in galois_orbits(table, base):
-            want = _reference_field(base, table.values[orbit[0]])
+            want = _reference_field(base, values[orbit[0]])
             assert _power_map_field(base, table, orbit[:1]) == want, (table.group.name, orbit)
 
 
@@ -80,11 +83,12 @@ def test_alpha_orbit_sums_match_cyclo_reference(kind):
 
 def test_linear_orders_match_cyclo_powers():
     for table in _tables():
+        values = table_values(table)
         for row, degree in enumerate(table.degrees):
             if degree != 1:
                 continue
             want = []
-            for v in table.values[row]:
+            for v in values[row]:
                 s, acc = 1, v
                 while acc != 1:
                     acc, s = acc * v, s + 1
@@ -97,17 +101,18 @@ def _reference_formula_lattice(g, p):
     arithmetic: Tr_{Q(zeta_d)/Q}(z * chi(g_j^-1)), z on the ideal basis."""
     precision = working_precision(g, p)
     table = character_table(g)
+    values = table_values(table)
     columns = []
     for orbit in galois_orbits(table, None):
         rep = orbit[0]
         degree = table.degrees[rep]
-        d = lcm(*(v.m for v in table.values[rep]))
+        d = lcm(*(v.m for v in values[rep]))
         local = AbelianLocalField(p, d, [])
         target = local.ramification_index * vp(Fraction(g.order, degree), p) - local.different_exponent
         for col in _cyclotomic_ideal_basis(p, d, target, precision):
             z = CycloNumber(d, list(col) + [0] * (totient(d) - len(col)))
             columns.append([
-                Fraction(degree, g.order) * (z * table.values[rep][table.inverse_class(j)]).trace_to_q()
+                Fraction(degree, g.order) * (z * values[rep][table.inverse_class(j)]).trace_to_q()
                 for j in range(table.n_classes)
             ])
     return hnf_columns(p, precision, columns)

@@ -238,6 +238,16 @@ def test_inverses():
         assert all(g.mult(x, g.inv(x)) == 0 for x in range(g.order)), g.name
 
 
+def test_inverse_walk_stops_on_a_table_that_is_not_a_group():
+    # C3 with row 1's entries at columns 1 and 2 swapped: 2 * 2 = 1 and
+    # 1 * 2 = 2, so the powers of 2 cycle without reaching the identity
+    table = [list(row) for row in cyclic_group(3).table]
+    table[1][1], table[1][2] = table[1][2], table[1][1]
+    bad = FiniteGroup(3, lambda a, b: table[a][b], [], table=table)
+    with pytest.raises(ArithmeticError):
+        bad.inv(0)
+
+
 def _psl27_gens():
     """PSL(2, 7) as Moebius maps of the projective line over F_7 (7 is infinity)."""
 

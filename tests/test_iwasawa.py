@@ -56,6 +56,7 @@ from conductor.iwasawa import (
 )
 from conductor.localfields import AbelianLocalField
 from conductor.verify import run_suite
+from table_values import element_values
 
 
 def test_c7_worked_case():
@@ -266,9 +267,10 @@ def _h_convolve(h, a, b):
 def _idempotent(table, rows):
     """Sum over rows of e_eta = (eta(1)/|H|) sum_h eta(h^-1) h."""
     h = table.group
+    values = element_values(table)
     return [
         sum(
-            (table.value(r, h.inv(x)) * Fraction(table.degrees[r], h.order) for r in rows),
+            (values[r][h.inv(x)] * Fraction(table.degrees[r], h.order) for r in rows),
             CycloNumber.rational(0),
         )
         for x in range(h.order)

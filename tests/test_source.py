@@ -1,8 +1,9 @@
 """The package's certificates hold in every build: no module under
 ``src/conductor`` has an ``assert`` statement, which ``python -O`` would
 strip, and none raises ``AssertionError``, so every failed certificate is
-an ``ArithmeticError`` or a documented error.  And a ``conductor`` process
-starts cheaply: no module imports ``dataclasses`` or ``inspect``, and a
+an ``ArithmeticError`` or a documented error.  Only ``cyclo``, ``fitting``
+and ``cli`` name ``CycloNumber``.  And a ``conductor`` process starts
+cheaply: no module imports ``dataclasses`` or ``inspect``, and a
 subcommand loads only what it runs."""
 
 import ast
@@ -47,6 +48,26 @@ def test_the_package_has_no_assert_statement():
             if isinstance(node, ast.Assert) or _raises_assertion_error(node)
         ]
     assert found == []
+
+
+def _names_cyclonumber(node):
+    return (
+        isinstance(node, ast.Name) and node.id == "CycloNumber"
+        or isinstance(node, ast.alias) and node.name == "CycloNumber"
+        or isinstance(node, ast.Attribute) and node.attr == "CycloNumber"
+    )
+
+
+def test_only_cyclo_fitting_and_cli_name_cyclonumber():
+    # character values stay integer coordinates until they are printed:
+    # CycloNumber is the output format of reduced norms and of the CLI
+    named = set()
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        if any(_names_cyclonumber(node) for node in ast.walk(tree)):
+            named.add(os.path.basename(path)[:-3])
+    assert named == {"cyclo", "fitting", "cli"}
 
 
 def test_no_module_imports_dataclasses_or_inspect():
