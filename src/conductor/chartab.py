@@ -39,7 +39,8 @@ value's integer power-basis coordinates at the exponent conductor E
 (normalized, never 2 mod 4) once, kept as the sparse dict {i: count} of
 zeta_E^i (``coords``).  The orthogonality checks, the row permutations,
 the idempotent sums and the centre elements and reduced norms of
-``fitting`` compute on them; restriction reads them mod the split prime
+``fitting`` compute on them, every product of two values through
+``cyclo.product_sum``; restriction reads them mod the split prime
 (``residues``, zeta_E sent to an E-th root of unity mod l) and certifies
 its result on them.  ``CharacterTable.from_rows`` sorts the rows of every
 finished table, this one and ``iwasawa``'s fibre products, as their dense
@@ -70,6 +71,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .cyclo import coords_json, generating_set, int_coords, is_prime, normalized, prime_factors
+from .cyclo import product_sum
 from .errors import GroupTooLargeError
 from .groups import FiniteGroup, conjugacy_classes, orbits
 from .padic import echelon, echelon_coords, kernel
@@ -208,7 +210,7 @@ class CharacterTable(namedtuple(
         inv = [self.inverse_class(t) for t in range(k)]
         for i in range(len(sp)):
             for j in range(i, len(sp)):
-                total = _sparse_sum(((sizes[t], sp[i][t], sp[j][inv[t]]) for t in range(k)), e_norm)
+                total = product_sum(e_norm, ((sizes[t], sp[i][t], sp[j][inv[t]]) for t in range(k)))
                 if not _equals_integer(total, self.group.order if i == j else 0):
                     return False
         return True
@@ -221,7 +223,7 @@ class CharacterTable(namedtuple(
         inv = [self.inverse_class(t) for t in range(k)]
         for t in range(k):
             for s in range(t, k):
-                total = _sparse_sum(((1, srow[t], srow[inv[s]]) for srow in sp), e_norm)
+                total = product_sum(e_norm, ((1, srow[t], srow[inv[s]]) for srow in sp))
                 if not _equals_integer(total, order // sizes[t] if s == t else 0):
                     return False
         return True
@@ -246,19 +248,6 @@ class CharacterTable(namedtuple(
             "degrees": list(self.degrees),
             "rows": [[printed[frozenset(d.items())] for d in row] for row in self.coords],
         }
-
-
-def _sparse_sum(terms, e_norm: int) -> dict:
-    """Integer coordinates {index: count}, zeros dropped, at conductor e_norm
-    of the sum of w * a * b over (w, a, b) in terms, a and b sparse sums
-    {exponent: count} of zeta_e_norm."""
-    acc: dict = {}
-    for w, a, b in terms:
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = ea + eb
-                acc[key] = acc.get(key, 0) + w * ca * cb
-    return int_coords(e_norm, acc.items())
 
 
 def _equals_integer(coords: dict, n: int) -> bool:

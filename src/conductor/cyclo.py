@@ -5,7 +5,10 @@ with z = exp(2*pi*i/m), reduced modulo the m-th cyclotomic polynomial.
 Reduction reads zeta^e from a table of rows stored sparse, as the nonzero
 (index, coefficient) pairs: a unit for e < phi(m), a few terms past it.
 One kernel (``_sparse_fold``) sums them into a dict {index: coefficient},
-the form character tables store; ``_fold`` is its dense view.  No
+the form character tables store; ``_fold`` is its dense view.  Beside it,
+one product, ``product_sum`` (sums of w * a * b over sparse dicts, one
+fold), and one square-and-multiply, ``power``, serve every module's
+products in Z[zeta_m]; ``iwasawa._product`` alone packs into integers.  No
 floating point anywhere; equality is decided exactly after moving both sides
 to a common conductor.  Conductors are normalized to m != 2 (mod 4), using
 zeta_{2u} = -zeta_u^((u+1)/2) for odd u.
@@ -192,6 +195,34 @@ def int_coords(m: int, terms) -> dict:
     return _sparse_fold(*_normalize(m, terms))
 
 
+def product_sum(m: int, terms) -> dict:
+    """Coordinates {index: coefficient}, zeros dropped, at conductor m of
+    the sum of w * a * b over (w, a, b) in terms, a and b sparse dicts
+    {exponent: coefficient} of zeta_m (ints or Fractions, exponents read
+    mod m), with one fold.  At m = 2 (mod 4) it works mod Phi_m on zeta_m's
+    own power basis, as ``finite._cyclotomic_ideal_basis`` asks."""
+    acc: dict = {}
+    for w, a, b in terms:
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                key = ea + eb
+                acc[key] = acc.get(key, 0) + w * ca * cb
+    return _sparse_fold(m, acc.items())
+
+
+def power(mul, x, n: int, one):
+    """x^n for n >= 0 by square-and-multiply, under the associative
+    product mul with identity one."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
+
+
 class CycloNumber:
     """An element of Q(zeta_m), exact and canonical at its stored conductor."""
 
@@ -248,29 +279,16 @@ class CycloNumber:
         if isinstance(other, (int, Fraction)):
             return CycloNumber(self.m, [c * other for c in self.coeffs])
         a, b = self._pair(other)
-        n = len(a.coeffs)
-        prod = [ZERO] * (2 * n - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        return CycloNumber(a.m, _fold(a.m, enumerate(prod)))
+        sa, sb = ({e: c for e, c in enumerate(x.coeffs) if c} for x in (a, b))
+        prod = product_sum(a.m, ((1, sa, sb),))
+        return CycloNumber(a.m, [prod.get(i, ZERO) for i in range(len(a.coeffs))])
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "CycloNumber":
         if n < 0:
             raise ValueError("negative powers of cyclotomic numbers are not supported")
-        out = CycloNumber(self.m, [ONE] + [ZERO] * (len(self.coeffs) - 1))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(CycloNumber.__mul__, self, n, CycloNumber(self.m, [ONE]))
 
     def __eq__(self, other):
         if not isinstance(other, (CycloNumber, int, Fraction)):
@@ -312,7 +330,12 @@ class CycloNumber:
         d = value_conductor(
             m, lambda k: _sparse_fold(m, ((e * k, c) for e, c in ints.items())) == ints
         )
-        return self if d == m else CycloNumber(d, _rebase_solver(m, d).solve(self.coeffs))
+        return self.descend(d)
+
+    def descend(self, d: int) -> "CycloNumber":
+        """Rewrite at a conductor d dividing self.m (d != 2 mod 4) whose
+        field holds the number; ArithmeticError if it does not."""
+        return self if d == self.m else CycloNumber(d, _rebase_solver(self.m, d).solve(self.coeffs))
 
     def to_json(self) -> dict:
         return {

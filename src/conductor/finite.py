@@ -7,7 +7,9 @@ with ideal (|G|/chi(1)) * D^-1(o[chi]/o) inside the character field.
 maximal order containing Z_p[G], writes down the divisibility constraints
 defining {x central : x * maximal_order <= Z_p[G]}, and solves them by
 elimination.  ``formula_conductor_lattice`` turns the formula into a lattice
-in the same coordinates so the two can be compared bit for bit.
+in the same coordinates so the two can be compared bit for bit; its block
+ideals J^t are powers of one generator in Z_p[x]/Phi_d(x), taken with
+``cyclo``'s product (``_cyclotomic_ideal_basis``).
 
 The second half of the module computes Ext^1(M, N) as the cohomology group
 H^1(G, Hom(M, N)), from cocycles fixed by their values on the generators,
@@ -23,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 
 from .chartab import character_table, galois_fixed, galois_orbits, idempotent_coords
-from .cyclo import _fold, normalized, root_trace, totient, value_conductor
+from .cyclo import normalized, power, product_sum, root_trace, totient, value_conductor
 from .errors import InputError, UnsupportedPresentationError
 from .localfields import AbelianLocalField, field_of_values, relative_data
 from .padic import (
@@ -413,7 +415,8 @@ def _cyclotomic_ideal_basis(p, d, target, precision):
     primitive p^k-th root of unity.  J^t for t >= 0 is the image of
     multiplication by the t-th power of the generator, one Hermite form;
     J^-t = p^-a J^(a e - t) for e = phi(p^k) and the least a with
-    a e >= t.
+    a e >= t.  Elements are sparse dicts mod Phi_d and p^precision,
+    multiplied by ``cyclo.product_sum`` and powered by ``cyclo.power``.
     """
     deg = totient(d)
     d_prime = d
@@ -423,28 +426,14 @@ def _cyclotomic_ideal_basis(p, d, target, precision):
     modulus = p**precision
 
     def mult(u, v):
-        # x^d = 1 mod Phi_d, so exponents are read mod d
-        return _fold(d, ((i + j, a * b) for i, a in enumerate(u) for j, b in enumerate(v)), 0)
+        prod = product_sum(d, ((1, u, v),))
+        return {i: c % modulus for i, c in prod.items() if c % modulus}
 
-    def power(u, t):
-        acc = [1] + [0] * (deg - 1)
-        while t:
-            if t & 1:
-                acc = [c % modulus for c in mult(acc, u)]
-            t >>= 1
-            if t:
-                u = [c % modulus for c in mult(u, u)]
-        return acc
-
-    if d_prime == d:
-        gen = [p] + [0] * (deg - 1)
-    else:
-        gen = [-c for c in power([0, 1] + [0] * (deg - 2), d_prime)]
-        gen[0] += 1
+    gen = {0: p} if d_prime == d else mult({0: 1, d_prime: -1}, {0: 1})  # 1 - x^d'
     a = max(0, -(target // e))
-    pi = power(gen, target + a * e)
-    units = [[int(i == j) for i in range(deg)] for j in range(deg)]
-    cols = hnf_columns(p, precision, [mult(pi, u) for u in units]).cols
+    pi = power(mult, gen, target + a * e, {0: 1})
+    images = [mult(pi, {j: 1}) for j in range(deg)]
+    cols = hnf_columns(p, precision, [[x.get(i, 0) for i in range(deg)] for x in images]).cols
     if a:
         cols = [[Fraction(x, p**a) for x in col] for col in cols]
     return cols

@@ -10,8 +10,9 @@ Newton's identities give its constant term.  No representation is needed,
 whatever the degree or Schur index of chi.  On integers, with D the
 common denominator: S_j = D^j s_j, F_j = j! D^j e_j, and
 F_j = sum_{i<=j} (-1)^(i-1) ((j-1)!/(j-i)!) F_(j-i) S_i with F_0 = 1, on
-the table's integer coordinates at the exponent conductor E
-(``reduced_norm``).
+the table's integer coordinates at the exponent conductor E: each F_j is
+one ``cyclo.product_sum`` over sparse dicts, and a nonzero norm is solved
+down to its conductor once (``reduced_norm``).
 
 The annihilation statement under test: central conductor times Fitting
 invariant annihilates the cokernel.  Both factors are central, so the
@@ -27,8 +28,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
 
-from .chartab import _class_matrix, _sparse_sum, character_table
-from .cyclo import CycloNumber, _fold, _reduction_context, normalized, value_conductor
+from .chartab import _class_matrix, character_table
+from .cyclo import CycloNumber, int_coords, normalized, product_sum, value_conductor
 from .errors import InputError
 from .finite import _convolve, formula_conductor_lattice, working_precision
 from .groups import FiniteGroup
@@ -100,21 +101,15 @@ def _power_traces(g, matrix, top):
 
 
 def _newton(m, sums):
-    """F_top from S_1..S_top, integer coordinates at conductor m."""
-    phi, _ = _reduction_context(m)
-    f = [[1] + [0] * (phi - 1)]
+    """F_top from S_1..S_top, integer coordinates {index: count} at
+    conductor m, each F_j one ``product_sum``."""
+    f = [{0: 1}]
     for j in range(1, len(sums) + 1):
-        acc = [0] * (2 * phi - 1)
-        w = 1  # (j-1)!/(j-i)!
+        terms, w = [], 1  # w = (j-1)!/(j-i)!
         for i in range(1, j + 1):
-            sw = w if i % 2 else -w
-            for x, a in enumerate(f[j - i]):
-                if a:
-                    for y, b in enumerate(sums[i - 1]):
-                        if b:
-                            acc[x + y] += sw * a * b
+            terms.append((w if i % 2 else -w, f[j - i], sums[i - 1]))
             w *= j - i
-        f.append(_fold(m, enumerate(acc), 0))
+        f.append(product_sum(m, terms))
     return f[-1]
 
 
@@ -131,10 +126,10 @@ def reduced_norm(g, matrix):
     F_0 = 1, so e_top = F_top / (top! D^top).  A nonzero norm is written at
     the conductor m of the chi(t) at the classes t where some tr(M^j),
     j <= top, is nonzero, read off the power maps as ``chartab.galois_fixed``
-    reads them; a zero norm is the rational 0.  Products at E cost phi(E)^2
-    against phi(m)^2, yet 246 seeded norms on the catalog and the G_m of
-    order <= 81 took 0.26-0.38 s, against 0.26-0.33 s at m (2-vCPU Xeon,
-    Python 3.11).
+    reads them, by one solve from E (``CycloNumber.descend``); a zero norm
+    is the rational 0.  Products at E cost phi(E)^2 against phi(m)^2, yet
+    246 seeded norms on the catalog and the G_m of order <= 81 took
+    0.26-0.38 s, against 0.26-0.33 s at m (2-vCPU Xeon, Python 3.11).
     """
     k = len(matrix)
     for row in matrix:
@@ -150,17 +145,18 @@ def reduced_norm(g, matrix):
     for chi, deg in zip(table.coords, table.degrees):
         top = k * deg
         live = {t for tr in traces[:top] for t, c in enumerate(tr) if c}
-        sums = [_fold(e_norm, ((i, c * tr[t]) for t in live for i, c in chi[t].items()), 0)
+        sums = [int_coords(e_norm, ((i, c * tr[t]) for t in live for i, c in chi[t].items()))
                 for tr in traces[:top]]  # S_j
         f = _newton(e_norm, sums)
-        if not any(f):
+        if not f:
             out.append(zero)
             continue
         m = value_conductor(
             table.exponent, lambda u: all(chi[t] == chi[pm[t][u % len(pm[t])]] for t in live)
         )
         scale = factorial(top) * den**top
-        out.append(CycloNumber(e_norm, [Fraction(c, scale) for c in f]).minimal_conductor().lift(m))
+        coeffs = [Fraction(f.get(i, 0), scale) for i in range(max(f) + 1)]
+        out.append(CycloNumber(e_norm, coeffs).descend(m))
     return out
 
 
@@ -197,8 +193,8 @@ def _center_classes(g, values):
     sums = []
     for t in range(table.n_classes):
         s = table.inverse_class(t)
-        folded = _sparse_sum(
-            ((deg, ints, row[s]) for deg, ints, row in zip(table.degrees, scaled, coords)), big
+        folded = product_sum(
+            big, ((deg, ints, row[s]) for deg, ints, row in zip(table.degrees, scaled, coords))
         )
         sums.append(folded.pop(0, 0))
         if folded:

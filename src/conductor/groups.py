@@ -302,6 +302,12 @@ def finite_quotient(sd: SemidirectData, m: int) -> FiniteGroup:
     multiplication table is assembled from the rows of H's table.  G_n is
     built once and kept on sd, so the character table cached on it serves
     every level; G_m, m > n, is built anew on every call.
+
+    The table needs no check of its own.  It is built from H's validated
+    table and from alpha, which ``GroupAutomorphism`` validates as an
+    automorphism and ``SemidirectData`` as one of order p^n dividing p^m,
+    and gamma^i x gamma^j y = gamma^(i+j) alpha^(-j)(x) y is then the law
+    of the semidirect product H x| Z/p^m.
     """
     if m < sd.n:
         raise InvalidQuotientError("level m=%d is below the action exponent n=%d" % (m, sd.n))

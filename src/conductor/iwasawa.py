@@ -58,7 +58,7 @@ from .chartab import (
 )
 from .cyclo import int_coords, normalized
 from .errors import InputError, InvalidQuotientError
-from .finite import jacobinski_conductor
+from .finite import _convolve, jacobinski_conductor
 from .groups import conjugacy_classes, finite_quotient
 from .groups import orbits as group_orbits
 from .localfields import AbelianLocalField, field_of_values, relative_data
@@ -275,7 +275,8 @@ def _product(h, a, b, e_norm) -> list:
     of a * b in Z[zeta_E][H].
 
     Kronecker substitution: each coefficient dict d is packed once into
-    P(d) = sum_i d[i] 2^(W i), so N_z = sum_x P(a_x) P(b_(x^-1 z)) is
+    P(d) = sum_i d[i] 2^(W i), so N_z = sum_x P(a_x) P(b_(x^-1 z)), the
+    convolution over H of the packed integers (``finite._convolve``), is
     sum_i c_i 2^(W i) with c_i = sum_x sum_(i1 + i2 = i) a_x[i1] b_(x^-1 z)[i2],
     the coordinates of z in a * b on zeta_E^i, folded once per z.  Slot
     width: |c_i| <= M = (sum of all |a_x[i]|) (largest |b_y[i]|), and
@@ -291,12 +292,7 @@ def _product(h, a, b, e_norm) -> list:
     slots = sum(max((i for d in f for i in d), default=0) for f in (a, b)) + 1
     pa = _packed(a, width)
     pb = pa if b is a else _packed(b, width)
-    terms = [(h.inv(x), px) for x, px in enumerate(pa) if px]
-    out = []
-    for z in range(h.order):
-        n = sum(px * pb[h.mult(xi, z)] for xi, px in terms)
-        out.append(int_coords(e_norm, _unpacked(n, width, slots)))
-    return out
+    return [int_coords(e_norm, _unpacked(n, width, slots)) for n in _convolve(h, pa, pb)]
 
 
 def _packed(coeffs, width) -> list:
@@ -410,7 +406,10 @@ def trace_structure_constants(g, rank, x) -> list:
 
 def trace_lemma_check(sd, level) -> bool:
     """The structure-constant trace agrees with the closed form p^n|H| delta
-    on every basis element gamma^i h of o[G_m] over R_m."""
+    on every basis element gamma^i h of o[G_m] over R_m.  It certifies the
+    trace form on G_m's law, not the law: a product moved outside <u>
+    changes neither trace (``groups.finite_quotient`` says why the law
+    needs no check)."""
     g = finite_quotient(sd, level)
     rank = sd.p**sd.n * sd.h.order
     return all(
@@ -430,7 +429,8 @@ def dual_basis_check(sd, level) -> bool:
     The entry at (b1, b2) is the trace of right multiplication by
     x = b1 b2^-1, so it depends on x alone: ``trace_closed_form`` runs once
     per distinct product, and each pair reads its product's verdict
-    (p^n|H|, zero or neither)."""
+    (p^n|H|, zero or neither).  Like ``trace_lemma_check`` it certifies the
+    trace form on G_m's law, not the law itself."""
     g = finite_quotient(sd, level)
     rank = sd.p**sd.n * sd.h.order
     one = [rank] + [0] * (g.order // rank - 1)

@@ -29,6 +29,8 @@ def load_json(path):
             "%s is not valid JSON: %s (line %d column %d)"
             % (path, exc.msg, exc.lineno, exc.colno)
         )
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise InputError("%s has an integer too long to read: %s" % (path, exc))
 
 
 def dump_json(payload):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .cyclo import _fold, root_trace, totient
+from .cyclo import int_coords, power, root_trace, totient
 from .errors import UnsupportedPresentationError
 from .finite import _cyclotomic_ideal_basis
 from .localfields import AbelianLocalField
@@ -50,21 +50,10 @@ def nilradical_mod_p(p, mult, dim, one):
     p^t >= dim, enough to kill every nilpotent.
     """
 
-    def power(vec, n):
-        acc = list(one)
-        base = [x % p for x in vec]
-        while n:
-            if n & 1:
-                acc = [x % p for x in mult(acc, base)]
-            n >>= 1
-            if n:
-                base = [x % p for x in mult(base, base)]
-        return acc
+    def mult_mod_p(u, v):
+        return [x % p for x in mult(u, v)]
 
-    frob = []
-    for i in range(dim):
-        e = [1 if j == i else 0 for j in range(dim)]
-        frob.append(power(e, p))
+    frob = [power(mult_mod_p, [int(j == i) for j in range(dim)], p, list(one)) for i in range(dim)]
     # columns of the Frobenius matrix are frob[i]; iterate t times
     t = 1
     while p**t < dim:
@@ -132,8 +121,8 @@ class GlobalFieldModel:
         n = len(units)
         rows = [[0] * n]
         for s in field.generating_set():
-            images = [_fold(m, ((e * s, 1),), 0) for e in range(n)]
-            rows += [[col[i] - (i == e) for e, col in enumerate(images)] for i in range(n)]
+            images = [int_coords(m, ((e * s, 1),)) for e in range(n)]
+            rows += [[col.get(i, 0) - (i == e) for e, col in enumerate(images)] for i in range(n)]
         vals, cols = smith_with_column_transform(p, DEFAULT_PRECISION, rows)
         self.basis = cols[len(vals):]
         self.degree = len(self.basis)

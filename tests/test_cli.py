@@ -206,6 +206,26 @@ def test_fitting_rejects_non_integral_entry(capsys, tmp_path, optimize):
 
 
 @pytest.mark.parametrize("optimize", [False, True])
+def test_fitting_rejects_an_integer_too_long_to_read(capsys, tmp_path, optimize):
+    # json.loads raises a bare ValueError, not JSONDecodeError, on an
+    # integer of more than 4300 digits; the text is written by hand, since
+    # json.dumps cannot print it either
+    with open(sample("times3.json")) as fh:
+        matrix = json.load(fh)
+    matrix["entries"][0][0][0] = "BIG"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(matrix).replace('"BIG"', "1" + "0" * 4999))
+    argv = ["fitting", "--group", sample("s3.json"), "--p", "3", "--matrix", str(path)]
+    if optimize:
+        code, out, err = _run_optimized(argv)
+    else:
+        code = run(argv)
+        out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "too long" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("optimize", [False, True])
 def test_fitting_rejects_non_integral_entry_of_zero_class(capsys, tmp_path, optimize):
     # a 1 x 2 matrix has the zero Fitting class; its entries are still checked
     matrix = {"a": 1, "b": 2, "entries": [[["1/3", 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]]]}

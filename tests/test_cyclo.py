@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conductor.cyclo import (
@@ -24,6 +24,8 @@ from conductor.cyclo import (
     int_coords,
     is_prime,
     normalized,
+    power,
+    product_sum,
     totient,
     unit_closure,
     value_conductor,
@@ -237,6 +239,63 @@ def test_sparse_rows_equal_long_division():
         for e, row in enumerate(rows):
             assert all(c for _, c in row) and [i for i, _ in row] == sorted({i for i, _ in row})
             assert dict(row) == _power_mod(e, mod), (m, e)
+
+
+def _schoolbook(m, terms):
+    """sum w * a * b by polynomial products, each power x^e of a product
+    reduced by long division by Phi_m."""
+    mod = cyclotomic_poly(m)
+    out = {}
+    for w, a, b in terms:
+        dense = [[d.get(i, 0) for i in range(max(d, default=-1) + 1)] for d in (a, b)]
+        for e, c in enumerate(_poly_mul(*dense)):
+            if c:
+                for i, r in _power_mod(e, mod).items():
+                    out[i] = out.get(i, 0) + w * c * r
+    return {i: c for i, c in out.items() if c}
+
+
+# conductors up to 45 and 105 (the -2 in Phi_105), with some 2 mod 4, where
+# the kernel folds mod Phi_m on zeta_m's own power basis
+KERNEL_CONDUCTORS = [m for m in ROW_CONDUCTORS if m <= 45 or m == 105] + [2, 6, 10, 18, 30]
+
+
+@st.composite
+def _product_terms(draw):
+    m = draw(st.sampled_from(KERNEL_CONDUCTORS))
+    coeff = st.one_of(
+        st.integers(-20, 20), st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    )
+    # exponents at and past m: the kernel reads them mod m
+    sparse = st.dictionaries(st.integers(0, 2 * m + 2), coeff, max_size=5)
+    weights = st.integers(-4, 4)
+    return m, draw(st.lists(st.tuples(weights, sparse, sparse), max_size=4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_product_terms())
+@example((1, []))
+@example((6, [(-1, {}, {7: 1}), (2, {5: 1}, {5: Fraction(1, 3)})]))
+@example((105, [(-3, {104: 2, 0: -1}, {103: 5}), (1, {}, {})]))
+def test_product_sum_equals_long_division(case):
+    m, terms = case
+    assert product_sum(m, terms) == _schoolbook(m, terms)
+
+
+def test_power_is_the_repeated_product():
+    for m, x in ((1, {0: 3}), (5, {1: 2, 3: -1}), (12, {0: Fraction(1, 2), 7: 1}), (6, {1: 1})):
+        def mul(a, b):
+            return product_sum(m, ((1, a, b),))
+
+        acc = {0: 1}
+        for n in range(10):
+            assert power(mul, x, n, {0: 1}) == acc, (m, n)
+            acc = mul(acc, x)
+    z = CycloNumber.root(9, 2) + Fraction(1, 3)
+    acc = CycloNumber.rational(1)
+    for n in range(10):
+        assert z**n == acc
+        acc = acc * z
 
 
 def test_int_coords_contract():

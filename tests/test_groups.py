@@ -204,6 +204,20 @@ def test_finite_quotient_table_matches_the_law(sd):
 
 
 @pytest.mark.parametrize("sd", semidirect_catalog(), ids=lambda sd: sd.name())
+def test_catalog_quotient_tables_pass_lights_test(sd):
+    # the level checks certify the trace form on G_m's law, not the law;
+    # the table itself is a group's: from_table runs Light's associativity
+    # test and the Latin-square and identity checks on it
+    tabled = 0
+    for m in range(sd.n, sd.n + 3):
+        g = finite_quotient(sd, m)
+        if g.order <= TABLE_BOUND:
+            assert FiniteGroup.from_table(g.table).order == g.order
+            tabled += 1
+    assert tabled
+
+
+@pytest.mark.parametrize("sd", semidirect_catalog(), ids=lambda sd: sd.name())
 def test_kept_g_n_adds_no_visible_state(sd):
     # G_n is built once per sd and kept; G_m, m > n, lives only for its
     # call; the kept group changes neither equality nor repr

@@ -21,7 +21,6 @@ from conductor.catalog import (
     symmetric_3,
 )
 from conductor.chartab import (
-    _sparse_sum,
     alpha_orbits,
     character_table,
     galois_exponents,
@@ -29,7 +28,7 @@ from conductor.chartab import (
     galois_permutations,
     row_permutations,
 )
-from conductor.cyclo import CycloNumber, normalized
+from conductor.cyclo import CycloNumber, normalized, product_sum
 from conductor.errors import InputError, InvalidQuotientError
 from conductor.groups import (
     ClassData,
@@ -329,9 +328,9 @@ def test_idempotent_suite_matches_cyclo_reference():
 
 
 def _sparse_product(h, a, b, e_norm):
-    """The coefficients of a * b in Z[zeta_E][H], one _sparse_sum each."""
+    """The coefficients of a * b in Z[zeta_E][H], one product_sum each."""
     return [
-        _sparse_sum(((1, a[x], b[h.mult(h.inv(x), z)]) for x in range(h.order)), e_norm)
+        product_sum(e_norm, ((1, a[x], b[h.mult(h.inv(x), z)]) for x in range(h.order)))
         for z in range(h.order)
     ]
 

@@ -2,9 +2,9 @@
 ``src/conductor`` has an ``assert`` statement, which ``python -O`` would
 strip, and none raises ``AssertionError``, so every failed certificate is
 an ``ArithmeticError`` or a documented error.  Only ``cyclo``, ``fitting``
-and ``cli`` name ``CycloNumber``.  And a ``conductor`` process starts
-cheaply: no module imports ``dataclasses`` or ``inspect``, and a
-subcommand loads only what it runs."""
+and ``cli`` name ``CycloNumber``, and only ``cyclo`` names its reduction
+internals.  And a ``conductor`` process starts cheaply: no module imports
+``dataclasses`` or ``inspect``, and a subcommand loads only what it runs."""
 
 import ast
 import glob
@@ -50,24 +50,40 @@ def test_the_package_has_no_assert_statement():
     assert found == []
 
 
-def _names_cyclonumber(node):
-    return (
-        isinstance(node, ast.Name) and node.id == "CycloNumber"
-        or isinstance(node, ast.alias) and node.name == "CycloNumber"
-        or isinstance(node, ast.Attribute) and node.attr == "CycloNumber"
-    )
+def _name_of(node):
+    """The identifier a name, an import alias or an attribute names."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.alias):
+        return node.name
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _modules_naming(names):
+    """The modules of the package whose source names one of ``names``."""
+    named = set()
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        if any(_name_of(node) in names for node in ast.walk(tree)):
+            named.add(os.path.basename(path)[:-3])
+    return named
 
 
 def test_only_cyclo_fitting_and_cli_name_cyclonumber():
     # character values stay integer coordinates until they are printed:
     # CycloNumber is the output format of reduced norms and of the CLI
-    named = set()
-    for path in glob.glob(os.path.join(SRC, "*.py")):
-        with open(path) as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        if any(_names_cyclonumber(node) for node in ast.walk(tree)):
-            named.add(os.path.basename(path)[:-3])
-    assert named == {"cyclo", "fitting", "cli"}
+    assert _modules_naming({"CycloNumber"}) == {"cyclo", "fitting", "cli"}
+
+
+def test_only_cyclo_names_its_internals():
+    # how Z[zeta_m] reduces, multiplies and changes conductor is decided in
+    # cyclo alone: other modules call product_sum, int_coords, power and
+    # CycloNumber, never the fold, the reduction rows or the rebase solves
+    internals = {"_fold", "_sparse_fold", "_reduction_context", "_rebase_solver", "_normalize"}
+    assert _modules_naming(internals) == {"cyclo"}
 
 
 def test_no_module_imports_dataclasses_or_inspect():
