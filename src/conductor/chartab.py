@@ -67,7 +67,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cmp_to_key, lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, log10
 from operator import mul
 
 from .cyclo import coords_json, generating_set, int_coords, is_prime, normalized, prime_factors
@@ -270,9 +270,18 @@ def _row_order(x, y):
 def require_table_bound(g: FiniteGroup) -> None:
     """Refuse a group above the order for which tables are built."""
     if g.order > DEFAULT_BOUND:
+        # an order past 4300 digits is too long for %d (sys.get_int_max_str_digits)
+        got = "%d" % g.order if g.order < 10**18 else "an order of %d digits" % _digits(g.order)
         raise GroupTooLargeError(
-            "character table limited to order <= %d (got %d)" % (DEFAULT_BOUND, g.order)
+            "character table limited to order <= %d (got %s)" % (DEFAULT_BOUND, got)
         )
+
+
+def _digits(n):
+    """The number of decimal digits of n > 0, without printing it; the
+    float log10 is off by at most one, near a power of 10."""
+    d = int(log10(n)) + 1
+    return d + (n >= 10**d) - (n < 10 ** (d - 1))
 
 
 def character_table(g: FiniteGroup) -> CharacterTable:

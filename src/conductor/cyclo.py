@@ -16,6 +16,7 @@ zeta_{2u} = -zeta_u^((u+1)/2) for odd u.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -338,10 +339,16 @@ class CycloNumber:
         return self if d == self.m else CycloNumber(d, _rebase_solver(self.m, d).solve(self.coeffs))
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "coeffs": [[str(c.numerator), str(c.denominator)] for c in self.coeffs],
-        }
+        """InputError if a coefficient has more digits than str prints
+        (``sys.get_int_max_str_digits``): its input was too large."""
+        try:
+            coeffs = [[str(c.numerator), str(c.denominator)] for c in self.coeffs]
+        except ValueError:
+            raise InputError(
+                "a value has a coefficient of more than %d digits, too long to print"
+                % sys.get_int_max_str_digits()
+            ) from None
+        return {"m": self.m, "coeffs": coeffs}
 
     @staticmethod
     def from_json(obj: dict) -> "CycloNumber":

@@ -4,14 +4,19 @@ Elements of a FiniteGroup are integers 0..order-1 with 0 the identity.
 Groups of order <= 512 carry a full multiplication table; larger groups
 multiply through a callable (permutation images or the semidirect
 decomposition), so quotients H x| Z/p^m stay usable past the table bound.
-Permutation groups are walked from the identity by right multiplication,
-and their tables filled from the walk's parent pointers (Schreier vectors).
+Every group reads by rows too: ``row(a)`` lists the products a b for all b.
+A quotient G_m, m > n, keeps no table at any order: its rows are read off
+H's table block by block, so building it allocates nothing in proportion
+to |G_m|.  Permutation groups are walked from the identity by right
+multiplication, and their tables filled from the walk's parent pointers
+(Schreier vectors).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
+from operator import add
 
 from .cyclo import require_odd_prime
 from .errors import GroupTooLargeError, InputError, InvalidQuotientError
@@ -21,14 +26,17 @@ ELEMENT_BOUND = 100000  # largest permutation closure, and largest degree
 
 
 class FiniteGroup:
-    def __init__(self, order, mult_func, generators, name="G", table=None):
+    def __init__(self, order, mult_func, generators, name="G", table=None, row_func=None):
+        """A group given ``row_func`` (a -> the list of products a b) keeps
+        only the table it is given; any other fills one up to TABLE_BOUND."""
         self.order = order
         self.name = name
         self.generators = list(generators)
-        if table is None and order <= TABLE_BOUND:
+        if table is None and row_func is None and order <= TABLE_BOUND:
             table = [[mult_func(a, b) for b in range(order)] for a in range(order)]
         self.table = table
         self._mult_func = mult_func
+        self._row_func = row_func
         self._inv = None
 
     # -- construction -------------------------------------------------
@@ -128,6 +136,15 @@ class FiniteGroup:
             return self.table[a][b]
         return self._mult_func(a, b)
 
+    def row(self, a):
+        """The products a b for b = 0..order-1; a table's own row, not to
+        be changed by the caller."""
+        if self.table is not None:
+            return self.table[a]
+        if self._row_func is not None:
+            return self._row_func(a)
+        return [self._mult_func(a, b) for b in range(self.order)]
+
     def inv(self, a):
         if self._inv is None:
             # one walk over the cycle of each element not yet seen:
@@ -212,8 +229,15 @@ def orbits(n: int, perms) -> list[list[int]]:
 
 
 def conjugacy_classes(g: FiniteGroup) -> ClassData:
-    """Classes ordered by their smallest element, so the identity class is first."""
-    conj = [[g.conj(a, x) for x in range(g.order)] for a in g.generators]
+    """Classes ordered by their smallest element, so the identity class is first.
+
+    Conjugation by a generator a reads one row: x a^-1 = (a x^-1)^-1, so
+    a x a^-1 = row_a[inv[row_a[inv[x]]]]."""
+    inv = [g.inv(x) for x in range(g.order)]
+    conj = []
+    for a in g.generators:
+        row = g.row(a)
+        conj.append([row[inv[row[y]]] for y in inv])
     classes = [sorted(orbit) for orbit in orbits(g.order, conj)]
     class_of = [0] * g.order
     for idx, members in enumerate(classes):
@@ -298,16 +322,18 @@ def finite_quotient(sd: SemidirectData, m: int) -> FiniteGroup:
 
     H sits at indices 0..|H|-1 and conjugation by the coset generator
     (index |H|) acts on H through alpha.  Requires m >= n so that the
-    automorphism factors through the quotient.  Up to TABLE_BOUND the
-    multiplication table is assembled from the rows of H's table.  G_n is
-    built once and kept on sd, so the character table cached on it serves
-    every level; G_m, m > n, is built anew on every call.
+    automorphism factors through the quotient.  Each row is assembled
+    from the rows of H's table when it is read.  G_n is built once and
+    kept on sd with its table up to TABLE_BOUND (Dixon-Schneider and the
+    fibre product read it), so the character table cached on it serves
+    every level.  G_m, m > n, is not kept and keeps no table at any order:
+    building it costs no time or memory in |G_m|, reading a row O(|G_m|).
 
-    The table needs no check of its own.  It is built from H's validated
-    table and from alpha, which ``GroupAutomorphism`` validates as an
-    automorphism and ``SemidirectData`` as one of order p^n dividing p^m,
-    and gamma^i x gamma^j y = gamma^(i+j) alpha^(-j)(x) y is then the law
-    of the semidirect product H x| Z/p^m.
+    The rows need no check of their own.  They are built from H's
+    validated table and from alpha, which ``GroupAutomorphism`` validates
+    as an automorphism and ``SemidirectData`` as one of order p^n dividing
+    p^m, and gamma^i x gamma^j y = gamma^(i+j) alpha^(-j)(x) y is then the
+    law of the semidirect product H x| Z/p^m.
     """
     if m < sd.n:
         raise InvalidQuotientError("level m=%d is below the action exponent n=%d" % (m, sd.n))
@@ -325,23 +351,28 @@ def finite_quotient(sd: SemidirectData, m: int) -> FiniteGroup:
         xs = pows[-j % pn][x]
         return ((i + j) % pm) * hn + (h_table[xs][y] if h_table else sd.h.mult(xs, y))
 
-    table = None
-    if order <= TABLE_BOUND:
-        # block j of row gamma^i x is the row of alpha^(-j)(x) in H's
-        # table, shifted into the coset of gamma^(i+j)
-        shifted = [[c * hn + y for y in row] for c in range(pm) for row in sd.h.table]
-        table = []
-        for i in range(pm):
-            for x in range(hn):
-                row = []
-                for j in range(pm):
-                    row += shifted[((i + j) % pm) * hn + pows[-j % pn][x]]
-                table.append(row)
+    offsets = []  # column b's coset gamma^j as j |H|, filled by the first row read
 
+    def row(a):
+        # block j of row gamma^i x is the row of alpha^(-j)(x) in H's
+        # table, shifted into the coset of gamma^(i+j): the H-rows repeat
+        # with period p^n in j, and the shifts are the offsets rotated by
+        # i blocks
+        i, x = divmod(a, hn)
+        if not offsets:
+            offsets.extend(b - b % hn for b in range(order))
+        period = [y for t in range(pn) for y in sd.h.row(pows[-t % pn][x])]
+        cut = i * hn
+        return list(map(add, offsets[cut:] + offsets[:cut], period * (pm // pn)))
+
+    table = None
+    if m == sd.n and order <= TABLE_BOUND:
+        table = [row(a) for a in range(order)]
     gens = list(sd.h.generators)
     if pm > 1:
         gens.append(hn)
-    g = FiniteGroup(order, mult, gens, name="%s:|Z/%d^%d" % (sd.h.name, sd.p, m), table=table)
+    name = "%s:|Z/%d^%d" % (sd.h.name, sd.p, m)
+    g = FiniteGroup(order, mult, gens, name=name, table=table, row_func=row)
     if m == sd.n:
         sd.g_n = g
     return g

@@ -24,7 +24,8 @@ tables of H and G_n come from Dixon-Schneider (``chartab.character_table``);
 the table of G_m, m > n, is built from that of G_n as a fibre product
 (``fibre_product_table``).  G_n is built once per SemidirectData
 (``finite_quotient`` keeps it), so its table is computed once and serves
-every level; each G_m, m > n, is built for its call only.
+every level; each G_m, m > n, is built for its call only, keeps no
+multiplication table, and is read by rows.
 
 The certificates and the idempotent suite compute on plain integers.  With
 rank = p^n|H|, the element of index x in G_m (``finite_quotient``) is
@@ -392,30 +393,23 @@ def trace_closed_form(g, rank, x) -> list:
     return out
 
 
-def trace_structure_constants(g, rank, x) -> list:
-    """The same trace from the structure constants of G_m: the sum of the
-    diagonal R_m-entries of right multiplication by x over the basis, where
-    c x = u^s c contributes u^s."""
-    out = [0] * (g.order // rank)
-    for c in range(rank):
-        s, b = divmod(g.mult(c, x), rank)
-        if b == c:
-            out[s] += 1
-    return out
-
-
 def trace_lemma_check(sd, level) -> bool:
-    """The structure-constant trace agrees with the closed form p^n|H| delta
-    on every basis element gamma^i h of o[G_m] over R_m.  It certifies the
-    trace form on G_m's law, not the law: a product moved outside <u>
-    changes neither trace (``groups.finite_quotient`` says why the law
-    needs no check)."""
+    """The trace from the structure constants of G_m agrees with the closed
+    form p^n|H| delta on every basis element gamma^i h of o[G_m] over R_m.
+    The structure-constant trace of x sums the diagonal R_m-entries of
+    right multiplication by x over the basis: c x = u^s c contributes u^s.
+    It is read row by row, the row of each basis element c giving c x for
+    every x.  It certifies the trace form on G_m's law, not the law: a
+    product moved outside <u> changes neither trace
+    (``groups.finite_quotient`` says why the law needs no check)."""
     g = finite_quotient(sd, level)
     rank = sd.p**sd.n * sd.h.order
-    return all(
-        trace_structure_constants(g, rank, b) == trace_closed_form(g, rank, b)
-        for b in range(rank)
-    )
+    traces = [[0] * (g.order // rank) for _ in range(rank)]
+    for c in range(rank):
+        row = g.row(c)
+        for x in [x for x in range(rank) if row[x] % rank == c]:
+            traces[x][row[x] // rank] += 1
+    return all(traces[x] == trace_closed_form(g, rank, x) for x in range(rank))
 
 
 def dual_basis_check(sd, level) -> bool:
@@ -427,22 +421,22 @@ def dual_basis_check(sd, level) -> bool:
     its u-exponent in its index.
 
     The entry at (b1, b2) is the trace of right multiplication by
-    x = b1 b2^-1, so it depends on x alone: ``trace_closed_form`` runs once
-    per distinct product, and each pair reads its product's verdict
-    (p^n|H|, zero or neither).  Like ``trace_lemma_check`` it certifies the
-    trace form on G_m's law, not the law itself."""
+    x = b1 b2^-1, read off the row of b1.  It depends on x alone, so
+    ``trace_closed_form`` runs once per distinct product, and each pair
+    reads its product's verdict (p^n|H|, zero or neither).  Like
+    ``trace_lemma_check`` it certifies the trace form on G_m's law, not
+    the law itself."""
     g = finite_quotient(sd, level)
     rank = sd.p**sd.n * sd.h.order
     one = [rank] + [0] * (g.order // rank - 1)
+    duals = [g.inv(b) for b in range(rank)]
     verdicts = {}  # x -> its trace is p^n|H| (True), zero (False) or neither (None)
-    for b2 in range(rank):
-        dual = g.inv(b2)
-        col = [g.mult(b1, dual) for b1 in range(rank)]
-        for x in col:
-            if x not in verdicts:
-                tr = trace_closed_form(g, rank, x)
-                verdicts[x] = True if tr == one else (False if not any(tr) else None)
-        if [verdicts[x] for x in col] != [b1 == b2 for b1 in range(rank)]:
+    for b1 in range(rank):
+        products = list(map(g.row(b1).__getitem__, duals))
+        for x in set(products).difference(verdicts):
+            tr = trace_closed_form(g, rank, x)
+            verdicts[x] = True if tr == one else (False if not any(tr) else None)
+        if list(map(verdicts.__getitem__, products)) != [b2 == b1 for b2 in range(rank)]:
             return False
     return True
 

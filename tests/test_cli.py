@@ -226,6 +226,26 @@ def test_fitting_rejects_an_integer_too_long_to_read(capsys, tmp_path, optimize)
 
 
 @pytest.mark.parametrize("optimize", [False, True])
+def test_fitting_refuses_a_norm_too_long_to_print(capsys, tmp_path, optimize):
+    # "1e5000" is read as a Fraction, so no integer literal is too long to
+    # read; the reduced norm 10^5000 is then too long for str
+    with open(sample("times3.json")) as fh:
+        matrix = json.load(fh)
+    matrix["entries"][0][0][0] = "1e5000"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(matrix))
+    argv = ["fitting", "--group", sample("s3.json"), "--p", "3", "--matrix", str(path)]
+    if optimize:
+        code, out, err = _run_optimized(argv)
+    else:
+        code = run(argv)
+        out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "too long to print" in err and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("optimize", [False, True])
 def test_fitting_rejects_non_integral_entry_of_zero_class(capsys, tmp_path, optimize):
     # a 1 x 2 matrix has the zero Fitting class; its entries are still checked
     matrix = {"a": 1, "b": 2, "entries": [[["1/3", 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]]]}
@@ -293,15 +313,18 @@ def test_fitting_table_of_a_zero_class(capsys, tmp_path):
 
 def test_iwasawa_level_refuses_large_quotient_first(capsys, monkeypatch):
     # G_12 has order 7 * 3^12: the degree check refuses it at once, before
-    # the trace and dual-basis checks, which grow like 3^12, would run
+    # the trace and dual-basis checks, which grow like 3^12, would run.
+    # The order of G_10000 is too long to print, so its digits are counted
     def must_not_run(sd, level):
         raise AssertionError("level check ran before the table bound")
 
     monkeypatch.setattr("conductor.iwasawa.trace_lemma_check", must_not_run)
     monkeypatch.setattr("conductor.iwasawa.dual_basis_check", must_not_run)
     argv = ["iwasawa", "--h", sample("c7.json"), "--alpha", sample("sq.json"), "--p", "3"]
-    assert run(argv + ["--level", "12"]) == 2
-    assert "character table limited to order <= 2000" in capsys.readouterr().err
+    for level, got in (("12", "3720087"), ("10000", "an order of 4773 digits")):
+        assert run(argv + ["--level", level]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: character table limited to order <= 2000 (got %s)\n" % got
 
 
 MALFORMED = [

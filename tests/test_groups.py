@@ -192,13 +192,16 @@ def _quotient_entries():
 
 @pytest.mark.parametrize("sd", _quotient_entries(), ids=lambda sd: "%s-%s" % (sd.name(), sd.alpha.images[1]))
 def test_finite_quotient_table_matches_the_law(sd):
-    # the table built from H's rows, block by block, against the closure
+    # the rows built from H's rows, block by block, against the closure; G_n
+    # keeps them as its table up to TABLE_BOUND, G_m, m > n, keeps none
     m = sd.n
     while sd.h.order * sd.p**m <= TABLE_BOUND:
         g = finite_quotient(sd, m)
-        assert g.table is not None
+        assert (g.table is not None) == (m == sd.n)
         law = g._mult_func
-        assert g.table == [[law(a, b) for b in range(g.order)] for a in range(g.order)]
+        assert [g.row(a) for a in range(g.order)] == [
+            [law(a, b) for b in range(g.order)] for a in range(g.order)
+        ]
         m += 1
     assert finite_quotient(sd, m).table is None
 
@@ -206,13 +209,14 @@ def test_finite_quotient_table_matches_the_law(sd):
 @pytest.mark.parametrize("sd", semidirect_catalog(), ids=lambda sd: sd.name())
 def test_catalog_quotient_tables_pass_lights_test(sd):
     # the level checks certify the trace form on G_m's law, not the law;
-    # the table itself is a group's: from_table runs Light's associativity
-    # test and the Latin-square and identity checks on it
+    # the rows themselves are a group's table: from_table runs Light's
+    # associativity test and the Latin-square and identity checks on them
     tabled = 0
     for m in range(sd.n, sd.n + 3):
         g = finite_quotient(sd, m)
         if g.order <= TABLE_BOUND:
-            assert FiniteGroup.from_table(g.table).order == g.order
+            rows = [list(g.row(a)) for a in range(g.order)]
+            assert FiniteGroup.from_table(rows).order == g.order
             tabled += 1
     assert tabled
 

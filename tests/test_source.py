@@ -86,6 +86,19 @@ def test_only_cyclo_names_its_internals():
     assert _modules_naming(internals) == {"cyclo"}
 
 
+def test_only_groups_reads_a_group_table():
+    # a group may keep no table (G_m, m > n, and any group above
+    # TABLE_BOUND), so every other module reads products through mult
+    # and row, which hold for every group
+    readers = set()
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        if any(isinstance(node, ast.Attribute) and node.attr == "table" for node in ast.walk(tree)):
+            readers.add(os.path.basename(path)[:-3])
+    assert readers == {"groups"}
+
+
 def test_no_module_imports_dataclasses_or_inspect():
     names = sorted(os.path.basename(p)[:-3] for p in glob.glob(os.path.join(SRC, "*.py")))
     modules = ["conductor.cli"] + ["conductor." + n for n in names if n != "__init__"]
