@@ -42,9 +42,9 @@ the idempotent sums and the centre elements and reduced norms of
 ``fitting`` compute on them, every product of two values through
 ``cyclo.product_sum``; restriction reads them mod the split prime
 (``residues``, zeta_E sent to an E-th root of unity mod l) and certifies
-its result on them.  ``CharacterTable.from_rows`` sorts the rows of every
-finished table, this one and ``iwasawa``'s fibre products, as their dense
-coordinates would compare, read off the dicts (``_row_order``); fields of
+its result on them.  ``CharacterTable.from_rows`` sorts the rows of the
+finished table as their dense coordinates would compare, read off the
+dicts (``_row_order``); fields of
 values come from the class maps (``galois_fixed``).  No other copy of the
 values is kept: ``to_json`` prints each distinct dict once, at its
 smallest conductor (``cyclo.coords_json``).  Certificates
@@ -53,9 +53,9 @@ bound, the lifted values mod l, restrictions rebuilt exactly from their
 multiplicities mod l) raise ArithmeticError.
 
 ``character_table`` runs this on every group it is given.  The level checks
-of ``iwasawa`` run it on H and G_n only: the table of G_m, m > n, is built
-from the table of G_n as a fibre product (``iwasawa.fibre_product_table``),
-and comes out equal to this one.
+of ``iwasawa`` run it on H and G_n only: for m > n they read G_m's degrees
+and restrictions to H off G_n's rows (``iwasawa.quotient_degree_check``),
+and build no table of G_m.
 
 Everything is deterministic: classes are ordered by smallest member
 (identity first), matrices are consumed in class order, eigenvalues
@@ -286,8 +286,7 @@ def _digits(n):
 
 def character_table(g: FiniteGroup) -> CharacterTable:
     """The Dixon-Schneider table of g, cached on g.  Every group goes this
-    way, the quotients G_m included; ``iwasawa.fibre_product_table`` builds
-    the same table of G_m (m > n) from that of G_n."""
+    way; the level checks call it on H and G_n, never on G_m, m > n."""
     require_table_bound(g)
     cached = getattr(g, "_char_table", None)
     if cached is not None:

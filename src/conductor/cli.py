@@ -139,8 +139,7 @@ def _cmd_iwasawa(args):
     code = 0
     if args.level is not None:
         # the degree check comes first: it refuses a G_m above the table
-        # bound before the trace and dual-basis checks, which each make
-        # (p^n |H|)^2 products in G_m, run
+        # bound before the dual-basis check lists the |G_m| inverses of G_m
         checks = {
             "level": args.level,
             "degrees": quotient_degree_check(sd, args.level),

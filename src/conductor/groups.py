@@ -4,19 +4,19 @@ Elements of a FiniteGroup are integers 0..order-1 with 0 the identity.
 Groups of order <= 512 carry a full multiplication table; larger groups
 multiply through a callable (permutation images or the semidirect
 decomposition), so quotients H x| Z/p^m stay usable past the table bound.
-Every group reads by rows too: ``row(a)`` lists the products a b for all b.
-A quotient G_m, m > n, keeps no table at any order: its rows are read off
-H's table block by block, so building it allocates nothing in proportion
-to |G_m|.  Permutation groups are walked from the identity by right
-multiplication, and their tables filled from the walk's parent pointers
-(Schreier vectors).
+Every group reads by rows too: ``row(a, start, stop)`` lists the products
+a b for b = start..stop-1, the whole row by default.  A quotient G_m,
+m > n, keeps no table at any order: its rows are read off H's table block
+by block, and its inverses come in closed form at the first ``inv``, so
+building it allocates nothing in proportion to |G_m|.  Permutation groups
+are walked from the identity by right multiplication, and their tables
+filled from the walk's parent pointers (Schreier vectors).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
-from operator import add
 
 from .cyclo import require_odd_prime
 from .errors import GroupTooLargeError, InputError, InvalidQuotientError
@@ -26,9 +26,13 @@ ELEMENT_BOUND = 100000  # largest permutation closure, and largest degree
 
 
 class FiniteGroup:
-    def __init__(self, order, mult_func, generators, name="G", table=None, row_func=None):
-        """A group given ``row_func`` (a -> the list of products a b) keeps
-        only the table it is given; any other fills one up to TABLE_BOUND."""
+    def __init__(
+        self, order, mult_func, generators, name="G", table=None, row_func=None, inverses=None
+    ):
+        """A group given ``row_func`` ((a, start, stop) -> the products a b
+        for b = start..stop-1) keeps only the table it is given; any other
+        fills one up to TABLE_BOUND.  ``inverses`` () -> the list of
+        inverses is called at the first ``inv``, in place of the walk."""
         self.order = order
         self.name = name
         self.generators = list(generators)
@@ -37,6 +41,7 @@ class FiniteGroup:
         self.table = table
         self._mult_func = mult_func
         self._row_func = row_func
+        self._inverses = inverses
         self._inv = None
 
     # -- construction -------------------------------------------------
@@ -136,16 +141,21 @@ class FiniteGroup:
             return self.table[a][b]
         return self._mult_func(a, b)
 
-    def row(self, a):
-        """The products a b for b = 0..order-1; a table's own row, not to
-        be changed by the caller."""
+    def row(self, a, start=0, stop=None):
+        """The products a b for b = start..stop-1 (the whole row by
+        default, stop at most the order); a whole row of a table is the
+        table's own, not to be changed by the caller."""
+        stop = self.order if stop is None else min(stop, self.order)
         if self.table is not None:
-            return self.table[a]
+            row = self.table[a]
+            return row if (start, stop) == (0, self.order) else row[start:stop]
         if self._row_func is not None:
-            return self._row_func(a)
-        return [self._mult_func(a, b) for b in range(self.order)]
+            return self._row_func(a, start, stop)
+        return [self._mult_func(a, b) for b in range(start, stop)]
 
     def inv(self, a):
+        if self._inv is None and self._inverses is not None:
+            self._inv = self._inverses()
         if self._inv is None:
             # one walk over the cycle of each element not yet seen:
             # (x^k)^-1 = x^(o-k), o the order of x
@@ -323,11 +333,14 @@ def finite_quotient(sd: SemidirectData, m: int) -> FiniteGroup:
     H sits at indices 0..|H|-1 and conjugation by the coset generator
     (index |H|) acts on H through alpha.  Requires m >= n so that the
     automorphism factors through the quotient.  Each row is assembled
-    from the rows of H's table when it is read.  G_n is built once and
-    kept on sd with its table up to TABLE_BOUND (Dixon-Schneider and the
-    fibre product read it), so the character table cached on it serves
+    from the rows of H's table when it is read, only the cosets a read
+    asks for.  The inverses are in closed form,
+    (gamma^i x)^-1 = gamma^(-i) alpha^i(x^-1), listed at the first ``inv``.
+    G_n is built once and kept on sd with its table up to TABLE_BOUND
+    (Dixon-Schneider reads it), so the character table cached on it serves
     every level.  G_m, m > n, is not kept and keeps no table at any order:
-    building it costs no time or memory in |G_m|, reading a row O(|G_m|).
+    building it allocates nothing in |G_m|, reading a row costs
+    O(|G_m|) and the first ``inv`` O(|G_m|).
 
     The rows need no check of their own.  They are built from H's
     validated table and from alpha, which ``GroupAutomorphism`` validates
@@ -351,28 +364,30 @@ def finite_quotient(sd: SemidirectData, m: int) -> FiniteGroup:
         xs = pows[-j % pn][x]
         return ((i + j) % pm) * hn + (h_table[xs][y] if h_table else sd.h.mult(xs, y))
 
-    offsets = []  # column b's coset gamma^j as j |H|, filled by the first row read
-
-    def row(a):
+    def row(a, start, stop):
         # block j of row gamma^i x is the row of alpha^(-j)(x) in H's
-        # table, shifted into the coset of gamma^(i+j): the H-rows repeat
-        # with period p^n in j, and the shifts are the offsets rotated by
-        # i blocks
+        # table, shifted into the coset of gamma^(i+j); only the blocks
+        # that meet the columns start..stop-1 are built
         i, x = divmod(a, hn)
-        if not offsets:
-            offsets.extend(b - b % hn for b in range(order))
-        period = [y for t in range(pn) for y in sd.h.row(pows[-t % pn][x])]
-        cut = i * hn
-        return list(map(add, offsets[cut:] + offsets[:cut], period * (pm // pn)))
+        first = start // hn
+        out = []
+        for j in range(first, -(-stop // hn)):
+            out += map(((i + j) % pm * hn).__add__, sd.h.row(pows[-j % pn][x]))
+        cut = start - first * hn
+        return out[cut : cut + stop - start]
+
+    def inverses():
+        h_inv = [sd.h.inv(x) for x in range(hn)]
+        return [-i % pm * hn + pows[i % pn][y] for i in range(pm) for y in h_inv]
 
     table = None
     if m == sd.n and order <= TABLE_BOUND:
-        table = [row(a) for a in range(order)]
+        table = [row(a, 0, order) for a in range(order)]
     gens = list(sd.h.generators)
     if pm > 1:
         gens.append(hn)
     name = "%s:|Z/%d^%d" % (sd.h.name, sd.p, m)
-    g = FiniteGroup(order, mult, gens, name=name, table=table, row_func=row)
+    g = FiniteGroup(order, mult, gens, name=name, table=table, row_func=row, inverses=inverses)
     if m == sd.n:
         sd.g_n = g
     return g

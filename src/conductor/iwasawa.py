@@ -20,12 +20,16 @@ quotient G_m itself; the dual basis of a scalar extension
 Lambda^{o'}(Gamma), whose field part is the inverse different of o' and is
 certified on its integral model; the idempotent suite; and the degree
 bookkeeping check against character tables of the finite quotients.  The
-tables of H and G_n come from Dixon-Schneider (``chartab.character_table``);
-the table of G_m, m > n, is built from that of G_n as a fibre product
-(``fibre_product_table``).  G_n is built once per SemidirectData
+tables of H and G_n come from Dixon-Schneider (``chartab.character_table``).
+No table of G_m, m > n, is built: G_m is a fibre product of G_n and
+C_(p^m), so once its classes are certified to be the pairs of that
+product, the degrees and restrictions to H of G_n's rows are those of
+G_m's (``quotient_degree_check``).  G_n is built once per SemidirectData
 (``finite_quotient`` keeps it), so its table is computed once and serves
 every level; each G_m, m > n, is built for its call only, keeps no
-multiplication table, and is read by rows.
+multiplication table, and is read by rows, in the cosets each check
+pairs: the first p^n for the trace, coset 0 and the last p^n - 1 (where
+the inverses of the basis lie) for the dual basis.
 
 The certificates and the idempotent suite compute on plain integers.  With
 rank = p^n|H|, the element of index x in G_m (``finite_quotient``) is
@@ -42,11 +46,9 @@ to be compared.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .chartab import (
-    CharacterTable,
-    _power_maps,
     alpha_orbits,
     character_table,
     galois_exponents,
@@ -399,14 +401,15 @@ def trace_lemma_check(sd, level) -> bool:
     The structure-constant trace of x sums the diagonal R_m-entries of
     right multiplication by x over the basis: c x = u^s c contributes u^s.
     It is read row by row, the row of each basis element c giving c x for
-    every x.  It certifies the trace form on G_m's law, not the law: a
-    product moved outside <u> changes neither trace
-    (``groups.finite_quotient`` says why the law needs no check)."""
+    every basis element x: the first p^n cosets, all the check reads.  It
+    certifies the trace form on G_m's law, not the law: a product moved
+    outside <u> changes neither trace (``groups.finite_quotient`` says why
+    the law needs no check)."""
     g = finite_quotient(sd, level)
     rank = sd.p**sd.n * sd.h.order
     traces = [[0] * (g.order // rank) for _ in range(rank)]
     for c in range(rank):
-        row = g.row(c)
+        row = g.row(c, 0, rank)
         for x in [x for x in range(rank) if row[x] % rank == c]:
             traces[x][row[x] // rank] += 1
     return all(traces[x] == trace_closed_form(g, rank, x) for x in range(rank))
@@ -421,18 +424,25 @@ def dual_basis_check(sd, level) -> bool:
     its u-exponent in its index.
 
     The entry at (b1, b2) is the trace of right multiplication by
-    x = b1 b2^-1, read off the row of b1.  It depends on x alone, so
+    x = b1 b2^-1, read off the row of b1 in the cosets that hold the
+    inverses: coset 0 and the last p^n - 1.  It depends on x alone, so
     ``trace_closed_form`` runs once per distinct product, and each pair
     reads its product's verdict (p^n|H|, zero or neither).  Like
     ``trace_lemma_check`` it certifies the trace form on G_m's law, not
     the law itself."""
     g = finite_quotient(sd, level)
-    rank = sd.p**sd.n * sd.h.order
+    hn = sd.h.order
+    rank = sd.p**sd.n * hn
+    tail = g.order - rank + hn  # the first column of the last p^n - 1 cosets
     one = [rank] + [0] * (g.order // rank - 1)
     duals = [g.inv(b) for b in range(rank)]
+    if any(hn <= d < tail for d in duals):
+        raise ArithmeticError("a basis inverse lies outside the cosets read")
+    # where each dual's column sits in the two blocks read
+    at = [d if d < hn else d - tail + hn for d in duals]
     verdicts = {}  # x -> its trace is p^n|H| (True), zero (False) or neither (None)
     for b1 in range(rank):
-        products = list(map(g.row(b1).__getitem__, duals))
+        products = list(map((g.row(b1, 0, hn) + g.row(b1, tail)).__getitem__, at))
         for x in set(products).difference(verdicts):
             tr = trace_closed_form(g, rank, x)
             verdicts[x] = True if tr == one else (False if not any(tr) else None)
@@ -470,18 +480,18 @@ def extension_dual_basis_check(kprime: AbelianLocalField, n: int, level: int) ->
 # Degree bookkeeping against the finite quotients
 
 
-def fibre_product_table(sd, m) -> CharacterTable:
-    """The character table of G_m = H x| Z/p^m, equal to
-    ``character_table(G_m)``; for m > n it is built from the table of G_n,
-    so Dixon-Schneider runs on G_n and not on G_m.
+def quotient_degree_check(sd, m) -> bool:
+    """Every irreducible character of G_m restricts to H multiplicity-free,
+    supported on exactly one alpha-orbit, with chi(1) = w * eta(1).
 
-    gamma^(p^n) acts trivially on H, so it is central in G_m.  The map
-    gamma^i h -> (gamma^i h mod gamma^(p^n), i mod p^m) embeds G_m in
-    G_n x C_(p^m).  The image is the pairs (x, i) with i = the
-    gamma-exponent of x mod p^n, of index p^n, and the image times the
-    central 1 x C_(p^m) is the whole product.  For characters of a direct
-    product and their restrictions see Isaacs, *Character Theory of Finite
-    Groups*, ch. 4.
+    For m > n the rows of G_n's table are checked in place of G_m's, which
+    is never built.  gamma^(p^n) acts trivially on H, so it is central in
+    G_m.  The map gamma^i h -> (gamma^i h mod gamma^(p^n), i mod p^m)
+    embeds G_m in G_n x C_(p^m).  The image is the pairs (x, i) with
+    i = the gamma-exponent of x mod p^n, of index p^n, and the image times
+    the central 1 x C_(p^m) is the whole product.  For characters of a
+    direct product and their restrictions see Isaacs, *Character Theory of
+    Finite Groups*, ch. 4.
       - Classes.  G_m and the central factor generate the product, so
         conjugacy in G_m is conjugacy in G_n x C_(p^m): the classes of G_m
         are the pairs (c, i), c a class of G_n and i = the gamma-exponent
@@ -493,76 +503,29 @@ def fibre_product_table(sd, m) -> CharacterTable:
         restrict alike exactly when they differ by (mu, mu^-1), mu a
         character of G_n/H = C_(p^n) read on the product; that action is
         free, and each orbit has exactly one a in [0, p^(m-n)).  These
-        k(G_n) p^(m-n) = k(G_m) restrictions are Irr(G_m).
-      - Values.  (chi x lambda_a)(c, i) = chi(c) zeta_(p^m)^(a i), of degree
-        chi(1).  The exponent conductor E of G_m (never 2 mod 4) is a
-        multiple of that of G_n and of p^m, so each value is folded once at
-        E, per distinct (row, class, a i mod p^m).
-    The classes, power maps and split prime are those of G_m itself, and
-    the rows are sorted by Dixon-Schneider's key (degree, coordinates at
-    E), so the table is the same.  Certificates (ArithmeticError): all the
+        k(G_n) p^(m-n) = k(G_m) restrictions are Irr(G_m), the row
+        (chi, a) taking the value chi(c) zeta_(p^m)^(a i) at (c, i).
+      - Degrees and restrictions.  The row (chi, a) has degree chi(1), and
+        an element of H has gamma-exponent 0, so its value at the class
+        (c, 0) is chi(c): its restriction to H is chi's.  The table of G_m
+        has one row per class and squared degrees summing to |G_m| exactly
+        when that of G_n has them for G_n, since both counts scale by
+        p^(m-n).
+    So once the class map is certified on G_m (ArithmeticError: all the
     members of a class of G_m map to one pair (c, i), with i = the
     gamma-exponent of c mod p^n; distinct classes map to distinct pairs;
-    k(G_m) = p^(m-n) k(G_n); and E is a multiple of both conductors.
-    """
+    k(G_m) = p^(m-n) k(G_n)), G_n's rows give G_m's verdict.
+
+    The table must first be complete: one row per class, and the squared
+    degrees summing to the group order.  A decomposition depends only on
+    the row's values on H, so each distinct restriction is decomposed once
+    and every row is checked against it."""
     g = finite_quotient(sd, m)
-    if m == sd.n:
-        return character_table(g)
     require_table_bound(g)
-    base = character_table(finite_quotient(sd, sd.n))
-    hn, pn, pm = sd.h.order, sd.p**sd.n, sd.p**m
-    base_of = base.classes.class_of
-    base_exponents = [c[0] // hn for c in base.classes.classes]
-    cls = conjugacy_classes(g)
-    pairs = []
-    for members in cls.classes:
-        got = {(base_of[x // hn % pn * hn + x % hn], x // hn) for x in members}
-        if len(got) != 1:
-            raise ArithmeticError("a class of G_m meets two classes of G_n x C_(p^m)")
-        c, i = got.pop()
-        if base_exponents[c] != i % pn:
-            raise ArithmeticError("a class of G_m has another gamma-exponent than its class in G_n")
-        pairs.append((c, i))
-    if len(set(pairs)) != len(pairs) or len(pairs) != base.n_classes * (pm // pn):
-        raise ArithmeticError("the classes of G_m are not the pairs (c, i)")
-    # the order of (c, i) in G_n x C_(p^m); power map lengths are orders
-    orders = [lcm(len(base.power_maps[c]), pm // gcd(i, pm)) for c, i in pairs]
-    e = lcm(*orders)
-    e_norm, e_base = normalized(e), normalized(base.exponent)
-    if e_norm % e_base or e_norm % pm:
-        raise ArithmeticError(
-            "exponent conductor %d is no multiple of %d and %d" % (e_norm, e_base, pm)
-        )
-    folded = {}  # (G_n row, G_n class, a i mod p^m) -> coordinate dict
-
-    def value(r, c, ai):
-        coords = folded.get((r, c, ai))
-        if coords is None:
-            shift = ai * (e_norm // pm)
-            terms = [(j * (e_norm // e_base) + shift, x) for j, x in base.coords[r][c].items()]
-            coords = folded[r, c, ai] = int_coords(e_norm, terms)
-        return coords
-
-    rows = [
-        (base.degrees[r], [value(r, c, a * i % pm) for c, i in pairs])
-        for r in range(len(base.coords))
-        for a in range(pm // pn)
-    ]
-    powmaps = _power_maps(g, cls.class_of, cls.representatives(), orders)
-    return CharacterTable.from_rows(g, cls, rows, e, powmaps)
-
-
-def quotient_degree_check(sd, m) -> bool:
-    """Every irreducible character of G_m restricts to H multiplicity-free,
-    supported on exactly one alpha-orbit, with chi(1) = w * eta(1).
-
-    The table of G_m (``fibre_product_table``) must first be complete: one
-    row per class, and the squared degrees summing to |G_m|.  A
-    decomposition depends only on the row's values on H, so each distinct
-    restriction is decomposed once and every row is checked against it."""
-    big = fibre_product_table(sd, m)
-    g = big.group
-    if len(big.coords) != big.n_classes or sum(d * d for d in big.degrees) != g.order:
+    big = character_table(finite_quotient(sd, sd.n) if m > sd.n else g)
+    if m > sd.n:
+        _certify_class_pairs(sd, m, g, big.classes)
+    if len(big.coords) != big.n_classes or sum(d * d for d in big.degrees) != big.group.order:
         return False
     small = character_table(sd.h)
     orbits = alpha_orbits(small, sd.alpha)
@@ -585,6 +548,25 @@ def quotient_degree_check(sd, m) -> bool:
         if big.degrees[row] != orb.w * orb.eta_degree:
             return False
     return True
+
+
+def _certify_class_pairs(sd, m, g, base):
+    """The classes of G_m = g, m > n, are the pairs (c, i) of
+    ``quotient_degree_check``, base the classes of G_n; raises
+    ArithmeticError when they are not."""
+    hn, pn = sd.h.order, sd.p**sd.n
+    base_exponents = [c[0] // hn for c in base.classes]
+    pairs = []
+    for members in conjugacy_classes(g).classes:
+        got = {(base.class_of[x // hn % pn * hn + x % hn], x // hn) for x in members}
+        if len(got) != 1:
+            raise ArithmeticError("a class of G_m meets two classes of G_n x C_(p^m)")
+        c, i = got.pop()
+        if base_exponents[c] != i % pn:
+            raise ArithmeticError("a class of G_m has another gamma-exponent than its class in G_n")
+        pairs.append((c, i))
+    if len(set(pairs)) != len(pairs) or len(pairs) != len(base.classes) * sd.p ** (m - sd.n):
+        raise ArithmeticError("the classes of G_m are not the pairs (c, i)")
 
 
 def degeneration_matches_finite(sd) -> bool:

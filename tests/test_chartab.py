@@ -33,8 +33,8 @@ from conductor.groups import (
     cyclic_group,
     finite_quotient,
 )
-from conductor.iwasawa import fibre_product_table
 from conductor.padic import echelon, echelon_coords, kernel
+from fibre_product import fibre_product_table
 from table_values import table_values
 
 

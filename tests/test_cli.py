@@ -1,5 +1,6 @@
 """The command line: reports, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -325,6 +326,41 @@ def test_iwasawa_level_refuses_large_quotient_first(capsys, monkeypatch):
         assert run(argv + ["--level", level]) == 2
         err = capsys.readouterr().err
         assert err == "error: character table limited to order <= 2000 (got %s)\n" % got
+
+
+def _c7_level(level):
+    argv = ["iwasawa", "--h", sample("c7.json"), "--alpha", sample("sq.json"), "--p", "3"]
+    return argv + ["--level", str(level)]
+
+
+def _golden_digest(level):
+    from test_cli_golden import GOLDEN
+
+    args = "iwasawa --h c7.json --alpha sq.json --p 3 --level %d" % level
+    return next(digest for a, code, digest in GOLDEN if a == args and code == 0)
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 7, 10000])
+def test_iwasawa_levels_of_c7(capsys, level, optimize):
+    # C7:|Z3 has n = 1, and G_5 (order 1701) is its last quotient under the
+    # table bound: below n and above the bound one error line and exit 2,
+    # between them the golden payload
+    if optimize:
+        code, out, err = _run_optimized(_c7_level(level))
+    else:
+        code = run(_c7_level(level))
+        out, err = capsys.readouterr()
+    if 1 <= level <= 5:
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == _golden_digest(level)
+        return
+    got = {7: "15309", 10000: "an order of 4773 digits"}
+    assert (code, out) == (2, "")
+    if level == 0:
+        assert err == "error: level m=0 is below the action exponent n=1\n"
+    else:
+        assert err == "error: character table limited to order <= 2000 (got %s)\n" % got[level]
 
 
 MALFORMED = [

@@ -42,6 +42,12 @@ GOLDEN = [
     ("iwasawa --h c7.json --alpha sq.json --p 3 --level 1 --format table", 0, "59b8666782c25cd2a391478886ab56b421cb21b26063d43c99d81698302eccfb"),
     ("iwasawa --h c7.json --alpha sq.json --p 3 --level 2", 0, "b9bb57f60b468eec0128f311d17676b7f5edc9afd469e97bb68028fa53954a7a"),
     ("iwasawa --h c7.json --alpha sq.json --p 3 --level 2 --format table", 0, "1efe51b1de950dde11f94fe5711eef8c897ec234c082e59d8d3c63035456fcb3"),
+    ("iwasawa --h c7.json --alpha sq.json --p 3 --level 3", 0, "705d8af454b041235fa73fd3a83452ad3aa2fcc06ede41fc0ed645f958544224"),
+    ("iwasawa --h c7.json --alpha sq.json --p 3 --level 3 --format table", 0, "aeb84c07bf669ddf0bacdbee05afdce03e3443968703b5c04badbab8a978aae0"),
+    ("iwasawa --h c7.json --alpha sq.json --p 3 --level 4", 0, "f25469cf1b2c5afbb83189e284c9120dbcb357c53bb1ad5a32661b4258c6ac0f"),
+    ("iwasawa --h c7.json --alpha sq.json --p 3 --level 4 --format table", 0, "ea3389967400605d94e939f6adefa3d2f2c67c30da1afd7ed016e0228a7ae44d"),
+    ("iwasawa --h c7.json --alpha sq.json --p 3 --level 5", 0, "e8546c7cb84cafc4f7a7a7758aac27851ea1ca0f9fe46c95920a9640d0988f9e"),
+    ("iwasawa --h c7.json --alpha sq.json --p 3 --level 5 --format table", 0, "0f13ec9bbf00fd941107425c01bdf82860670c7e12cad2836b925e8eed5d5701"),
     ("fitting --group s3.json --p 3 --matrix times3.json", 0, "2c55d51aceadbafee19c23ca75ca39635e33bf0cf161112d7323a0158a573867"),
     ("fitting --group s3.json --p 3 --matrix times3.json --format table", 0, "aa789dc39ab85f7af9118897c641bd9c685431b2f55b9ee279a2bd75c1a1ea8b"),
     ("fitting --group c7.json --p 7 --matrix c7_fitting.json", 0, "e884115120b4f4106a14538ededbb2e172f129925857bc3a71cdaf5c283d46ab"),

@@ -256,6 +256,37 @@ def test_inverses():
         assert all(g.mult(x, g.inv(x)) == 0 for x in range(g.order)), g.name
 
 
+@pytest.mark.parametrize("sd", semidirect_catalog(), ids=lambda sd: sd.name())
+def test_quotient_inverses_in_closed_form_are_the_walks(sd):
+    # (gamma^i x)^-1 = gamma^(-i) alpha^i(x^-1), listed at the first inv
+    for m in range(sd.n, sd.n + 3):
+        g = finite_quotient(sd, m)
+        walk = FiniteGroup(g.order, g.mult, g.generators, row_func=g.row)
+        assert [g.inv(x) for x in range(g.order)] == [walk.inv(x) for x in range(g.order)]
+
+
+def test_quotient_inverses_wait_for_the_first_inv():
+    # at level 10000 the order has 4773 digits: nothing is listed until asked
+    g = finite_quotient(sd_c7(), 10000)
+    assert g._inv is None
+    # gamma times gamma^j y is gamma^(j+1) y
+    assert g.row(7, 0, 21) == [b + 7 for b in range(21)]
+
+
+@pytest.mark.parametrize("sd", semidirect_catalog(), ids=lambda sd: sd.name())
+def test_partial_rows_are_slices_of_the_row(sd):
+    rng = random.Random(sd.h.order)
+    for m in range(sd.n, sd.n + 3):
+        g = finite_quotient(sd, m)
+        for a in rng.sample(range(g.order), min(5, g.order)):
+            whole = list(g.row(a))
+            ends = ((0, 0), (0, sd.h.order), (1, g.order), (3, min(g.order, 3 * sd.h.order + 2)))
+            for start, stop in ends:
+                assert g.row(a, start, stop) == whole[start:stop], (m, a, start, stop)
+            assert g.row(a, start=g.order - 2) == whole[-2:]
+            assert g.row(a, 1, g.order + sd.h.order) == whole[1:]
+
+
 def test_inverse_walk_stops_on_a_table_that_is_not_a_group():
     # C3 with row 1's entries at columns 1 and 2 swapped: 2 * 2 = 1 and
     # 1 * 2 = 2, so the powers of 2 cycle without reaching the identity

@@ -44,7 +44,6 @@ from conductor.iwasawa import (
     degeneration_matches_finite,
     dual_basis_check,
     extension_dual_basis_check,
-    fibre_product_table,
     idempotent_suite,
     quotient_degree_check,
     scalar_conductor_exponent,
@@ -54,6 +53,7 @@ from conductor.iwasawa import (
 )
 from conductor.localfields import AbelianLocalField
 from conductor.verify import run_suite
+from fibre_product import fibre_product_table
 from table_values import element_values
 
 
@@ -170,14 +170,15 @@ def test_trace_lemma_reads_the_multiplication_of_g_m(monkeypatch):
 
 def _reading(g, b=None, y1=None, y2=None):
     """A copy of G_m that reads G_m's rows, with the entries at columns y1
-    and y2 of row b swapped.  Its inverses are G_m's: the cycle walk of
-    ``inv`` need not end on a corrupted law."""
+    and y2 of row b swapped, whichever columns of a row are read.  Its
+    inverses are G_m's: the cycle walk of ``inv`` need not end on a
+    corrupted law."""
 
-    def row(a):
+    def row(a, start=0, stop=None):
         out = list(g.row(a))
         if a == b:
             out[y1], out[y2] = out[y2], out[y1]
-        return out
+        return out[start:stop]
 
     copy = FiniteGroup(g.order, lambda a, c: row(a)[c], g.generators, name=g.name, row_func=row)
     copy._inv = [g.inv(x) for x in range(g.order)]
@@ -426,6 +427,36 @@ def test_galois_orbits_and_character_classes_are_orbit_partitions(sd):
     assert all(tuple(o) in whole for klass in classes for o in klass.orbits)
 
 
+def test_level_checks_read_only_the_cosets_they_pair(monkeypatch):
+    # the trace check reads the first p^n cosets of a basis row, the dual
+    # check coset 0 and the last p^n - 1, where the basis inverses lie
+    sd = sd_s3_inner()
+    level = sd.n + 2
+    g = finite_quotient(sd, level)
+    hn, rank = sd.h.order, sd.p**sd.n * sd.h.order
+    reads = []
+    copy = FiniteGroup(g.order, g.mult, g.generators, row_func=lambda a, start, stop: (
+        reads.append((a, start, stop)) or g.row(a, start, stop)))
+    copy._inv = [g.inv(x) for x in range(g.order)]
+    monkeypatch.setattr(iwasawa, "finite_quotient", lambda sd, level: copy)
+    assert trace_lemma_check(sd, level)
+    assert reads == [(c, 0, rank) for c in range(rank)]
+    reads.clear()
+    assert dual_basis_check(sd, level)
+    tail = g.order - rank + hn
+    assert reads == [r for b in range(rank) for r in ((b, 0, hn), (b, tail, g.order))]
+
+
+def test_dual_basis_refuses_an_inverse_outside_the_cosets_it_reads(monkeypatch):
+    # a basis inverse in a middle coset would be read off the wrong column
+    sd = sd_s3_inner()
+    g = _reading(finite_quotient(sd, sd.n + 2))
+    g._inv[1] = sd.h.order  # gamma, in coset 1 of 27
+    monkeypatch.setattr(iwasawa, "finite_quotient", lambda sd, level: g)
+    with pytest.raises(ArithmeticError, match="outside the cosets read"):
+        dual_basis_check(sd, sd.n + 2)
+
+
 def test_quotient_degrees_small():
     assert quotient_degree_check(sd_c7(), 1)
     assert quotient_degree_check(sd_c3_trivial(), 1)
@@ -510,10 +541,77 @@ def _drop_last_class(g):
     "corrupt,message",
     [(_merge_first_classes, "meets two classes"), (_drop_last_class, "not the pairs")],
 )
-def test_fibre_product_certifies_the_class_map(corrupt, message, monkeypatch):
+def test_degree_check_certifies_the_class_map(corrupt, message, monkeypatch):
     monkeypatch.setattr(iwasawa, "conjugacy_classes", corrupt)
     with pytest.raises(ArithmeticError, match=message):
-        fibre_product_table(sd_c7(), 2)
+        quotient_degree_check(sd_c7(), 2)
+
+
+def _degree_check_by_fibre_product(sd, m, base=None):
+    """``quotient_degree_check`` run on the whole table of G_m, built as a
+    fibre product from ``base`` (by default the table of G_n)."""
+    big = fibre_product_table(sd, m, base)
+    if len(big.coords) != big.n_classes or sum(d * d for d in big.degrees) != big.group.order:
+        return False
+    small = character_table(sd.h)
+    orbits = alpha_orbits(small, sd.alpha)
+    orbit_of_row = {r: oi for oi, orb in enumerate(orbits) for r in orb.members}
+    for row in range(big.n_classes):
+        parts = chartab.restrict_and_decompose(big, row, small)
+        hit = {orbit_of_row[r] for r, _ in parts}
+        if any(mult != 1 for _, mult in parts) or len(hit) != 1:
+            return False
+        orb = orbits[hit.pop()]
+        if {r for r, _ in parts} != set(orb.members) or big.degrees[row] != orb.w * orb.eta_degree:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "sd, m", _catalog_levels(), ids=lambda x: x.name() if isinstance(x, SemidirectData) else str(x)
+)
+def test_degree_check_agrees_with_the_fibre_product_table(sd, m, monkeypatch):
+    # G_n's rows against the whole table of G_m, and with one character of
+    # G_n dropped, each in turn
+    assert quotient_degree_check(sd, m) is _degree_check_by_fibre_product(sd, m) is True
+    g_table = character_table(finite_quotient(sd, sd.n))
+    for drop in (0, g_table.n_classes - 1):
+        short = g_table._replace(
+            coords=g_table.coords[:drop] + g_table.coords[drop + 1 :],
+            degrees=g_table.degrees[:drop] + g_table.degrees[drop + 1 :],
+        )
+        monkeypatch.setattr(
+            iwasawa, "character_table", lambda g: character_table(g) if g is sd.h else short
+        )
+        got = quotient_degree_check(sd, m)
+        monkeypatch.undo()
+        assert got is _degree_check_by_fibre_product(sd, m, short) is False
+
+
+@pytest.mark.parametrize("sd", semidirect_catalog(), ids=lambda sd: sd.name())
+def test_degree_check_builds_nothing_of_g_m_but_its_classes(sd, monkeypatch):
+    # above level n: no power map walk and no class-matrix split on G_m,
+    # and no fold at its exponent conductor where that differs from G_n's;
+    # a fresh sd, so G_n's table is built inside the check
+    sd = SemidirectData(sd.h, sd.alpha, sd.p)
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append((name, a[0])) or real(*a))
+
+    for module, name in ((chartab, "_power_maps"), (chartab, "_split"),
+                         (chartab, "int_coords"), (iwasawa, "int_coords")):
+        spy(module, name)
+    for m in (sd.n + 1, sd.n + 2):
+        e_m = normalized(finite_quotient(sd, m).exponent())
+        calls.clear()
+        assert quotient_degree_check(sd, m)
+        e_n = normalized(character_table(finite_quotient(sd, sd.n)).exponent)
+        orders = {a.order for name, a in calls if name != "int_coords"}
+        assert sd.h.order * sd.p**m not in orders
+        if e_m != e_n:
+            assert e_m not in {normalized(e) for name, e in calls if name == "int_coords"}
 
 
 def test_quotient_degrees_build_no_cyclo_values(monkeypatch):

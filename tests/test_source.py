@@ -2,8 +2,8 @@
 ``src/conductor`` has an ``assert`` statement, which ``python -O`` would
 strip, and none raises ``AssertionError``, so every failed certificate is
 an ``ArithmeticError`` or a documented error.  Only ``cyclo``, ``fitting``
-and ``cli`` name ``CycloNumber``, and only ``cyclo`` names its reduction
-internals.  And a ``conductor`` process starts cheaply: no module imports
+and ``cli`` name ``CycloNumber``, only ``cyclo`` names its reduction
+internals, and only ``chartab`` names Dixon-Schneider's.  And a ``conductor`` process starts cheaply: no module imports
 ``dataclasses`` or ``inspect``, and a subcommand loads only what it runs."""
 
 import ast
@@ -84,6 +84,14 @@ def test_only_cyclo_names_its_internals():
     # CycloNumber, never the fold, the reduction rows or the rebase solves
     internals = {"_fold", "_sparse_fold", "_reduction_context", "_rebase_solver", "_normalize"}
     assert _modules_naming(internals) == {"cyclo"}
+
+
+def test_only_chartab_names_its_internals():
+    # Dixon-Schneider's power maps, class-matrix split, row order and lift
+    # run inside character_table alone: the level checks build no table of
+    # G_m, m > n (fitting's centre elements read chartab's _class_matrix)
+    internals = {"_power_maps", "_split", "_row_order", "_lift_coeffs"}
+    assert _modules_naming(internals) == {"chartab"}
 
 
 def test_only_groups_reads_a_group_table():
