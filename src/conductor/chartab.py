@@ -161,7 +161,8 @@ class CharacterTable(namedtuple(
 )):
     """``coords[row][class]`` = {i: count} on zeta_E^i, E = normalized(exponent);
     ``power_maps[t][s]`` = class of rep_t^s, s < order of rep_t.  No
-    ``__slots__``: ``residues`` is cached in the instance dict."""
+    ``__slots__``: ``residues`` and ``galois_orbits`` are cached in the
+    instance dict."""
 
     @classmethod
     def from_rows(cls, group, classes, rows, exponent, power_maps):
@@ -585,14 +586,23 @@ def galois_permutations(table: CharacterTable, base=None) -> list[list[int]]:
     return row_permutations(table, maps)
 
 
-def galois_orbits(table: CharacterTable, base=None) -> list[list[int]]:
+def galois_orbits(table: CharacterTable, base=None) -> tuple:
     """Partition of the rows of ``table`` into Galois orbits.
 
     With ``base=None`` the orbits are over Q (full cyclotomic Galois
     action); for an AbelianLocalField base only the automorphisms fixing
     the base pointwise act.  Orbits come out sorted, by smallest row.
+
+    Computed once per base and kept in the table's instance dict, keyed by
+    the base's (p, m, stabilizer), which fix the field.  The orbits are
+    shared between callers, so they are tuples of tuples.
     """
-    return [sorted(o) for o in orbits(table.n_classes, galois_permutations(table, base))]
+    key = None if base is None else (base.p, base.m, base.stab)
+    cache = table.__dict__.setdefault("_galois_orbits", {})
+    if key not in cache:
+        perms = galois_permutations(table, base)
+        cache[key] = tuple(tuple(sorted(o)) for o in orbits(table.n_classes, perms))
+    return cache[key]
 
 
 class CharOrbit(namedtuple("CharOrbit", "members eta_degree")):

@@ -178,9 +178,8 @@ def _abelian_block_basis(g, table, orbit):
     vecs = []
     g0_pow = 0
     for _ in range(totient(d)):
-        inv_pow = g.inv(g0_pow)
-        vec = [eps[classes.class_of[g.mult(x, inv_pow)]] for x in range(g.order)]
-        vecs.append(vec)
+        # x g0^-j is conjugate to g0^-j x, so the classes are read by row
+        vecs.append([eps[classes.class_of[y]] for y in g.row(g.inv(g0_pow))])
         g0_pow = g.mult(g0_pow, g0)
     return vecs
 
@@ -215,7 +214,34 @@ def maximal_order_basis(g, p, reps=None):
     characters contributes a copy of Z_p[x]/Phi_d(x).  Blocks of degree > 1
     require an integral splitting representation, one matrix per generator;
     without one the input is rejected as unsupported.
+
+    The basis does not depend on p, which is never read.  Its Z-span is the
+    product over the rational blocks of Z[x]/Phi_d(x), the ring of integers
+    of Q(zeta_d), and of M_n(Z) through an integral splitting
+    representation: a Z-order that is maximal at every prime, so its
+    Z_p-span is maximal for each p.  So the basis is built once per
+    ``reps`` (keyed by the matrices' entries) and kept on the group, and
+    the plain and twisted ``brute_force_conductor`` runs at every prime
+    share it; a call that raises stores nothing.  The returned lists are
+    shared between callers and must not be mutated.
     """
+    key = tuple(
+        tuple(tuple(tuple(row) for row in mat) for mat in gen_mats) for gen_mats in reps or ()
+    )
+    return _kept(g, "_maximal_orders", key, lambda: _maximal_order_basis(g, reps))
+
+
+def _kept(g, name, key, build):
+    """build(), kept on g in the dict attribute ``name`` under ``key``; a
+    build that raises stores nothing."""
+    cache = g.__dict__.setdefault(name, {})
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+def _maximal_order_basis(g, reps):
+    """maximal_order_basis, uncached."""
     table = character_table(g)
     rep_rows = {}
     for gen_mats in reps or ():
@@ -302,11 +328,7 @@ def _conductor_lattice(g, p, vectors, full, precision):
     rows = {}  # distinct rows; on abelian G the full system repeats most of its n^2
     for vec in ints:
         if full:
-            block = [[0] * k for _ in range(g.order)]
-            for x, c in enumerate(vec):
-                if c:
-                    for h in range(g.order):
-                        block[g.mult(h, x)][class_of[h]] += c
+            block = _constraint_block(g, class_of, k, vec)
         else:
             block = [[0] * k]
             for x, c in enumerate(vec):
@@ -318,6 +340,22 @@ def _conductor_lattice(g, p, vectors, full, precision):
     if len(vals) != k:
         raise ArithmeticError("conductor constraint system is not of full rank")
     return hnf_columns(p, precision, columns)
+
+
+def _constraint_block(g, class_of, k, vec):
+    """The rows (C_l b)[g] of ``_conductor_lattice`` for every g, b = vec.
+
+    The term b[x] lands at g = h x, h = g x^-1, whose class is that of its
+    conjugate x^-1 g: so each nonzero b[x] is spread along the row of x^-1,
+    one ``g.row`` per nonzero coefficient.  On a group with no table (a
+    quotient G_m) each read builds the whole row, O(|G|), where a sparse
+    vec would need fewer products; the oracle's vectors are dense."""
+    block = [[0] * k for _ in range(g.order)]
+    for x, c in enumerate(vec):
+        if c:
+            for acc, t in zip(block, map(class_of.__getitem__, g.row(g.inv(x)))):
+                acc[t] += c
+    return block
 
 
 def _twist_basis(g, p, basis, seed):
@@ -340,16 +378,16 @@ def _twist_basis(g, p, basis, seed):
 
 
 def _convolve(g, a, b):
+    """a * b in Z[G], one ``g.row(x)`` per nonzero a[x].  On a group with
+    no table each read builds the whole row, O(|G|) even when b is sparse."""
     out = [0] * g.order
-    for x in range(g.order):
-        ax = a[x]
-        if not ax:
-            continue
-        for y in range(g.order):
-            by = b[y]
-            if by:
+    b_terms = [(y, by) for y, by in enumerate(b) if by]
+    for x, ax in enumerate(a):
+        if ax:
+            row = g.row(x)
+            for y, by in b_terms:
                 # class sums and group elements have unit coefficients
-                out[g.mult(x, y)] += by if ax == 1 else ax * by
+                out[row[y]] += by if ax == 1 else ax * by
     return out
 
 
@@ -372,12 +410,7 @@ def formula_conductor_lattice(g, p, precision=None):
     """
     if precision is None:
         precision = working_precision(g, p)
-    cache = getattr(g, "_formula_lattices", None)
-    if cache is None:
-        cache = g._formula_lattices = {}
-    if (p, precision) not in cache:
-        cache[p, precision] = _formula_lattice(g, p, precision)
-    return cache[p, precision]
+    return _kept(g, "_formula_lattices", (p, precision), lambda: _formula_lattice(g, p, precision))
 
 
 def _formula_lattice(g, p, precision):

@@ -234,7 +234,9 @@ def _require_integral(pres, p):
 
 def presentation_image(pres: PresentationMatrix, p, precision=None):
     """Image of Lambda^a -> Lambda^b as a lattice in Z_p^(b|G|): spanned by
-    the rows of the matrix under all left translations."""
+    the rows of the matrix under all left translations, each translation by
+    x read off one ``g.row(x)``.  On a group with no table each read builds
+    the whole row, O(|G|) even when the entries are sparse."""
     g = pres.group
     n = g.order
     _require_integral(pres, p)
@@ -244,13 +246,14 @@ def presentation_image(pres: PresentationMatrix, p, precision=None):
     cols = []
     for entries in pres.entries:
         row = [[residue(c, p, modulus) for c in entry] for entry in entries]
+        terms = [[(y, c) for y, c in enumerate(entry) if c] for entry in row]
         for x in range(n):
+            left = g.row(x)
             vec = []
-            for entry in row:
+            for entry_terms in terms:
                 shifted = [0] * n
-                for y, c in enumerate(entry):
-                    if c:
-                        shifted[g.mult(x, y)] = c
+                for y, c in entry_terms:
+                    shifted[left[y]] = c
                 vec.extend(shifted)
             cols.append(vec)
     return hnf_columns(p, precision, cols)

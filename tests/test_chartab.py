@@ -22,6 +22,7 @@ from conductor.catalog import (
 from conductor.chartab import (
     alpha_orbits,
     character_table,
+    galois_orbits,
     galois_permutations,
     restrict_and_decompose,
 )
@@ -32,7 +33,9 @@ from conductor.groups import (
     conjugacy_classes,
     cyclic_group,
     finite_quotient,
+    orbits,
 )
+from conductor.localfields import AbelianLocalField
 from conductor.padic import echelon, echelon_coords, kernel
 from fibre_product import fibre_product_table
 from table_values import table_values
@@ -270,6 +273,40 @@ def test_row_permutations_compare_values_not_objects(sd):
     copied = table._replace(coords=[[dict(d) for d in row] for row in table.coords])
     assert galois_permutations(copied) == galois_permutations(table)
     assert alpha_orbits(copied, sd.alpha) == alpha_orbits(table, sd.alpha)
+
+
+def _galois_bases(p):
+    unramified = AbelianLocalField.unramified(p, 2)  # fixed field inside Q_p(zeta_l)
+    return {
+        "Q": None,
+        "Q_p": AbelianLocalField.qp(p),
+        "unramified quadratic": unramified,
+        "Q_p(zeta_p)": AbelianLocalField.cyclotomic(p, 1),
+        "Q_p(zeta_l)": AbelianLocalField(p, unramified.m),  # same m, no stabilizer
+    }
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_galois_orbits_are_kept_per_base(p):
+    differ = False
+    for g in table_catalog():
+        table = character_table(g)
+        bases = _galois_bases(p)
+        kept = {name: galois_orbits(table, base) for name, base in bases.items()}
+        for name, base in bases.items():
+            # every base read again, and an equal field built again, hits
+            # its own entry; the orbits are tuples, so no caller can change them
+            assert galois_orbits(table, base) is kept[name], (g.name, name)
+            if base is not None:
+                again = AbelianLocalField(p, base.m, base.generating_set())
+                assert galois_orbits(table, again) is kept[name], (g.name, name)
+            assert isinstance(kept[name], tuple)
+            assert all(isinstance(orbit, tuple) for orbit in kept[name])
+            perms = galois_permutations(table, base)
+            want = [sorted(o) for o in orbits(table.n_classes, perms)]
+            assert [list(o) for o in kept[name]] == want, (g.name, name)
+        differ |= len(set(kept.values())) > 1
+    assert differ  # the bases are told apart somewhere
 
 
 def test_json_export_shape():

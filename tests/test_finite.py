@@ -2,6 +2,7 @@
 oracle, and the Ext annihilation consequences."""
 
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,20 +17,25 @@ from conductor.catalog import (
     alternating_4,
     c3_x_c3,
     conductor_catalog,
+    dihedral,
+    quaternion_8,
     sd_c7,
     sd_c9,
     sd_s3_inner,
+    sd_s3_trivial,
     splitting_reps,
     symmetric_3,
     table_catalog,
 )
 from conductor.chartab import character_table, galois_exponents, galois_orbits, galois_permutations
 from conductor.cyclo import _fold, totient
-from conductor.errors import InputError, PrecisionExhaustedError
+from conductor.errors import InputError, PrecisionExhaustedError, UnsupportedPresentationError
 from conductor.finite import (
     ExtComputation,
     GModule,
     _conductor_lattice,
+    _constraint_block,
+    _convolve,
     _cyclotomic_ideal_basis,
     _element_actions,
     _mat_mul,
@@ -48,7 +54,14 @@ from conductor.finite import (
     trivial_module,
     working_precision,
 )
-from conductor.groups import cyclic_group, direct_product, finite_quotient
+from conductor.fitting import PresentationMatrix, presentation_image
+from conductor.groups import (
+    FiniteGroup,
+    conjugacy_classes,
+    cyclic_group,
+    direct_product,
+    finite_quotient,
+)
 from conductor.localfields import AbelianLocalField
 from conductor.orders import lattice_power, radical_lattice
 from conductor.padic import (
@@ -289,6 +302,123 @@ def test_formula_lattice_failure_is_not_kept():
     assert formula_conductor_lattice(g, 3) == formula_conductor_lattice(cyclic_group(9), 3)
     with pytest.raises(PrecisionExhaustedError):
         formula_conductor_lattice(g, 3, precision=7)
+
+
+def test_maximal_order_is_kept_per_group_and_reps(monkeypatch):
+    seen = []
+
+    def recording_twist(g, p, basis, seed):
+        seen.append(basis)
+        return _twist_basis(g, p, basis, seed)
+
+    monkeypatch.setattr("conductor.finite._twist_basis", recording_twist)
+    for g, fresh in zip(conductor_catalog(), conductor_catalog()):
+        reps = splitting_reps(g.name)
+        basis = maximal_order_basis(g, 3, reps)
+        # p is never read: a second prime and the twisted run share the basis
+        assert maximal_order_basis(g, 5, reps) is basis, g.name
+        twisted = brute_force_conductor(g, 7, reps, twist_seed=2026)
+        assert twisted == brute_force_conductor(g, 7, reps), g.name
+        assert seen.pop() is basis, g.name
+        # the key is the matrices' entries, whatever the containers
+        as_lists = [[[list(row) for row in mat] for mat in gen_mats] for gen_mats in reps]
+        assert maximal_order_basis(g, 11, as_lists) is basis, g.name
+        assert maximal_order_basis(fresh, 3, splitting_reps(fresh.name)) == basis, g.name
+
+
+def test_maximal_orders_of_different_reps_are_kept_apart():
+    g = symmetric_3()
+    (rep,) = splitting_reps("S3")
+    # the same representation conjugated by P = [[1, 1], [0, 1]] in GL_2(Z):
+    # the same maximal order, spanned by other matrix units
+    conj = [_mat_mul(_mat_mul([[1, 1], [0, 1]], m), [[1, -1], [0, 1]]) for m in rep]
+    basis = maximal_order_basis(g, 3, [rep])
+    other = maximal_order_basis(g, 3, [conj])
+    assert other is not basis and other != basis
+    assert other == maximal_order_basis(symmetric_3(), 3, [conj])
+    assert maximal_order_basis(g, 3, [rep]) is basis
+    assert maximal_order_basis(g, 3, [conj]) is other
+    assert brute_force_conductor(g, 3, [conj]) == brute_force_conductor(g, 3, [rep])
+
+
+def test_maximal_order_failure_is_not_kept():
+    g = symmetric_3()
+    a, b = splitting_reps("S3")[0]
+    for reps in (None, [[a, ((0, -1), (1, 0))]]):
+        for _ in range(2):
+            with pytest.raises((InputError, UnsupportedPresentationError)):
+                maximal_order_basis(g, 3, reps)
+    assert g._maximal_orders == {}
+    basis = maximal_order_basis(g, 3, [[a, b]])
+    assert list(g._maximal_orders.values()) == [basis]
+
+
+def _relabelled(g, rng):
+    """g with its non-identity elements renumbered at random."""
+    n = g.order
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    inv = [0] * n
+    for i, x in enumerate(perm):
+        inv[x] = i
+    table = [[perm[g.mult(inv[a], inv[b])] for b in range(n)] for a in range(n)]
+    return FiniteGroup.from_table(table, name=g.name + "'")
+
+
+def _row_read_groups():
+    """Catalog groups, relabelled table groups, and quotients G_m, m > n,
+    which multiply through their row function and keep no table."""
+    rng = random.Random(2026)
+    out = [symmetric_3(), dihedral(4), quaternion_8(), alternating_4()]
+    out += [_relabelled(g, rng) for g in (alternating_4(), c3_x_c3())]
+    quotients = [finite_quotient(sd_s3_trivial(), 1), finite_quotient(sd_c7(), 2)]
+    assert all(q.table is None and q._row_func is not None for q in quotients)
+    return out + quotients
+
+
+def _sample_vectors(n, rng):
+    """A unit vector, a sparse vector with unit coefficients, a dense one."""
+    unit = [0] * n
+    unit[rng.randrange(n)] = 1
+    sparse = [0] * n
+    for x in rng.sample(range(n), 3):
+        sparse[x] = 1
+    return [unit, sparse, [rng.randrange(-2, 3) for _ in range(n)]]
+
+
+@pytest.mark.parametrize("g", _row_read_groups(), ids=lambda g: g.name)
+def test_row_read_products_match_mult_loops(g):
+    """_convolve, the full constraint block of _conductor_lattice and
+    presentation_image against plain g.mult double loops."""
+    n, rng = g.order, random.Random(g.order)
+    class_of = conjugacy_classes(g).class_of
+    k = max(class_of) + 1
+    vecs = _sample_vectors(n, rng)
+    for a in vecs:
+        for b in vecs:
+            want = [0] * n
+            for x in range(n):
+                for y in range(n):
+                    want[g.mult(x, y)] += a[x] * b[y]
+            assert _convolve(g, a, b) == want
+    for vec in vecs:
+        want = [[0] * k for _ in range(n)]
+        for x, c in enumerate(vec):
+            for h in range(n):
+                want[g.mult(h, x)][class_of[h]] += c
+        assert _constraint_block(g, class_of, k, vec) == want
+    p = 3
+    entries = [[vecs[1], vecs[2]], [vecs[0], vecs[1]]]
+    prec = working_precision(g, p)
+    cols = []
+    for row in entries:
+        for x in range(n):
+            col = [0] * (2 * n)
+            for j, entry in enumerate(row):
+                for y, c in enumerate(entry):
+                    col[j * n + g.mult(x, y)] = c
+            cols.append(col)
+    pres = PresentationMatrix(g, 2, 2, entries)
+    assert presentation_image(pres, p) == hnf_columns(p, prec, cols)
 
 
 def test_conductor_is_an_ideal_inside_the_group_ring_center():
