@@ -696,8 +696,9 @@ def _row_sums(table: CharacterTable, rows, weights) -> list[dict]:
 def galois_fixed(table: CharacterTable, rows):
     """fixed(k) of ``field_of_values`` for the rows' summed values: zeta ->
     zeta^k (k a unit mod the exponent) sends the sum at class t to the sum
-    at the class of rep_t^k, so it fixes the sums when the class map does."""
-    sums = _row_sums(table, rows, [1] * len(rows))
+    at the class of rep_t^k, so it fixes the sums when the class map does.
+    A single row's sums are its own coordinates, zeros already dropped."""
+    sums = table.coords[rows[0]] if len(rows) == 1 else _row_sums(table, rows, [1] * len(rows))
     return lambda k: all(sums[c] == s for c, s in zip(_class_map(table.power_maps, k), sums))
 
 

@@ -33,6 +33,7 @@ from .padic import (
     SpanSolver,
     hnf_columns,
     lattice_contains,
+    scaled_residues,
     smith_valuations,
     solution_lattice,
     vp,
@@ -297,8 +298,8 @@ def brute_force_conductor(g, p, reps=None, twist_seed=None, precision=None):
         precision = working_precision(g, p)
     basis = maximal_order_basis(g, p, reps)
     if twist_seed is None:
-        return _conductor_lattice(g, p, basis, False, precision)
-    return _conductor_lattice(g, p, _twist_basis(g, p, basis, twist_seed), True, precision)
+        return _conductor_lattice(g, p, *_integer_scaled(basis), False, precision)
+    return _conductor_lattice(g, p, *_twist_basis(g, p, basis, twist_seed), True, precision)
 
 
 def _integer_scaled(vectors):
@@ -307,22 +308,25 @@ def _integer_scaled(vectors):
     return den, [[x.numerator * (den // x.denominator) for x in vec] for vec in vectors]
 
 
-def _conductor_lattice(g, p, vectors, full, precision):
+def _conductor_lattice(g, p, den, ints, full, precision):
     """{x central : x * M <= Z_p[G]} in class-sum coordinates, M the Z_p-span
-    of ``vectors`` (rational coordinates on group elements, any spanning set).
+    of the vectors ints / den (integer coordinates on group elements over
+    one common denominator D = den, any spanning set).
 
     Constraint (b, g) is sum_l c_l (C_l b)[g] in Z_p, where
     (C_l b)[g] = sum over h in C_l of b[h^-1 g]; ``full`` takes every g, else
     only the identity.  The rows are summed on D * b, so the constraint
     reads row . c = 0 mod p^scale, scale = v_p(D), worked mod
     p^(precision + scale); the unit part of D does not change the row
-    module.  The Hermite basis of the row module has at most k vectors, and
-    ``solution_lattice`` gives the solutions.
+    module.  Any common denominator gives the same row module up to that
+    unit and p^scale, so the same solutions: a larger D moves only the
+    working precision, keeping the same headroom.  The Hermite basis of the
+    row module has at most k vectors, and ``solution_lattice`` gives the
+    solutions.
     """
     classes = character_table(g).classes
     class_of = classes.class_of
     k = len(classes.classes)
-    den, ints = _integer_scaled(vectors)
     scale = vp(den, p)
     n_work = precision + scale
     rows = {}  # distinct rows; on abelian G the full system repeats most of its n^2
@@ -359,9 +363,10 @@ def _constraint_block(g, class_of, k, vec):
 
 
 def _twist_basis(g, p, basis, seed):
-    """u * b for every basis vector b, u = 1 + p*lambda for a seeded integer
-    combination lambda of the basis.  The products run on the
-    integer-scaled D * u and D * b, divided by D^2 once."""
+    """(D^2, products): u * b for every basis vector b, u = 1 + p*lambda for
+    a seeded integer combination lambda of the basis, as the integer
+    products (D * u)(D * b) over the common denominator D^2, D the one of
+    ``_integer_scaled``.  ``_conductor_lattice`` takes them as they are."""
     rng = random.Random(seed)
     n = g.order
     den, ints = _integer_scaled(basis)
@@ -374,7 +379,7 @@ def _twist_basis(g, p, basis, seed):
                     lam[i] += c * vec[i]
     u = [p * c for c in lam]
     u[0] += den
-    return [[Fraction(x, den * den) for x in _convolve(g, u, vec)] for vec in ints]
+    return den * den, [_convolve(g, u, vec) for vec in ints]
 
 
 def _convolve(g, a, b):
@@ -414,9 +419,17 @@ def formula_conductor_lattice(g, p, precision=None):
 
 
 def _formula_lattice(g, p, precision):
-    """formula_conductor_lattice, uncached."""
+    """formula_conductor_lattice, uncached.
+
+    Each column is an integer trace sum times the numerator of the orbit's
+    scale, over the scale's denominator times the common denominator of
+    the ideal basis; ``scaled_residues`` reduces an orbit's columns with
+    one inverse and raises ArithmeticError on an entry that is not
+    p-integral."""
     table = character_table(g)
     e_norm = normalized(table.exponent)
+    k = table.n_classes
+    modulus = p**precision
     columns = []
     for orbit in galois_orbits(table, None):
         rep = orbit[0]
@@ -428,13 +441,18 @@ def _formula_lattice(g, p, precision):
         # at E = e_norm, z = sum_a z_a zeta_E^(a E/d), chi = sum_b chi_b zeta_E^b
         # and Tr_{Q(zeta_d)/Q} = phi(d)/phi(E) Tr_{Q(zeta_E)/Q}
         scale = Fraction(degree * totient(d), g.order * totient(e_norm))
-        chis = [table.coords[rep][table.inverse_class(j)].items() for j in range(table.n_classes)]
-        for col in _cyclotomic_ideal_basis(p, d, target, precision):
+        chis = [table.coords[rep][table.inverse_class(j)].items() for j in range(k)]
+        den, ints = _integer_scaled(_cyclotomic_ideal_basis(p, d, target, precision))
+        nums = []
+        for col in ints:
             z = [(a * (e_norm // d), za) for a, za in enumerate(col) if za]
-            columns.append([
-                scale * sum(za * cb * root_trace(e_norm, a + b) for a, za in z for b, cb in chi)
+            nums.extend(
+                scale.numerator
+                * sum(za * cb * root_trace(e_norm, a + b) for a, za in z for b, cb in chi)
                 for chi in chis
-            ])
+            )
+        res = scaled_residues(nums, scale.denominator * den, p, modulus)
+        columns.extend(res[i:i + k] for i in range(0, len(res), k))
     return hnf_columns(p, precision, columns)
 
 

@@ -17,10 +17,12 @@ Four kinds of elimination, each written once:
   package calls them; they are kept because ``perfbench/tracer.py`` wraps
   them.
 
-``residue`` is the one conversion of an int or p-integral Fraction into
-Z/p^N; an int takes a fast path before the Fraction check.
+``residue`` is the one conversion of a p-integral Fraction into Z/p^N; an
+int takes a fast path before the Fraction check, and the forms mod p^N
+reduce int entries inline (``x % modulus``) without calling it.
 ``scaled_residues`` reduces many numerators over one shared denominator
-with one inverse of its unit part, for the Fitting annihilation check.  A
+with one inverse of its unit part, for the Fitting annihilation check and
+the columns of the formula lattice.  A
 non-p-integral entry raises ArithmeticError in every build, on either
 route.
 
@@ -28,6 +30,13 @@ Both forms mod p^N take their pivot from one search, ``_pivot``: the
 first entry of least valuation in scan order (across the unplaced columns
 in one row for the Hermite form, row by row over the remaining block for
 Smith), stopping at the first unit.
+
+Every row operation mod p^N goes through one kernel: ``_nonzero`` lists
+the (index, entry) pairs of the vector being subtracted, once per pivot
+(or once per ``PLattice`` for ``lattice_contains``, kept on the lattice),
+and ``_subtract`` does vec -= q * w in place on those indices only.  The
+other entries of vec are already reduced, so skipping them changes
+nothing.
 
 The Smith form sweeps rows only.  Once the rows below the pivot are
 cleared, the pivot column is p^v over zeros, so clearing the pivot row by
@@ -48,6 +57,7 @@ comparisons rely on.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import PrecisionExhaustedError
@@ -89,6 +99,17 @@ def _pivot(entries, p: int):
             if not v:
                 break
     return best
+
+
+def _nonzero(vec) -> list:
+    """The (index, entry) pairs of vec's nonzero entries."""
+    return [(i, x) for i, x in enumerate(vec) if x]
+
+
+def _subtract(vec, q: int, terms, modulus: int) -> None:
+    """vec -= q * w mod modulus in place, w given by ``_nonzero(w)``."""
+    for i, x in terms:
+        vec[i] = (vec[i] - q * x) % modulus
 
 
 def residue(x, p: int, modulus: int) -> int:
@@ -263,6 +284,13 @@ class PLattice:
         self.pivot_vals = pivot_vals  # valuation a_i of the pivot entry p^{a_i}
         self.cols = cols  # reduced columns, ints mod p^N
 
+    @cached_property
+    def terms(self):
+        """``_nonzero`` of each column, for ``lattice_contains``; built on
+        first use and kept, so a shared lattice must not be mutated.
+        ``__eq__`` does not read it."""
+        return [_nonzero(col) for col in self.cols]
+
     def index_valuation(self) -> int:
         """v_p of [Z_p^n : L] when the lattice has full rank."""
         if len(self.pivots) != self.dim:
@@ -291,7 +319,10 @@ def hnf_columns(p, precision, columns) -> PLattice:
         raise ValueError("no columns")
     dim = len(columns[0])
     modulus = p**precision
-    work = [[residue(x, p, modulus) for x in col] for col in columns]
+    work = [
+        [x % modulus if type(x) is int else residue(x, p, modulus) for x in col]
+        for col in columns
+    ]
 
     pivots, pivot_vals, placed = [], [], []
     for row in range(dim):
@@ -310,12 +341,11 @@ def hnf_columns(p, precision, columns) -> PLattice:
         piv = [(x * inv) % modulus for x in piv]
         # clear this row from the remaining unplaced columns (their entries
         # here have valuation >= best_v, so the quotient is p-integral)
+        terms, pv = _nonzero(piv), p**best_v
         for col in work:
             x = col[row]
             if x:
-                q = x // p**best_v
-                for i in range(dim):
-                    col[i] = (col[i] - q * piv[i]) % modulus
+                _subtract(col, x // pv, terms, modulus)
         placed.append(piv)
         pivots.append(row)
         pivot_vals.append(best_v)
@@ -327,32 +357,30 @@ def hnf_columns(p, precision, columns) -> PLattice:
 
     # canonical reduction: entries of column j at later pivot rows into
     # [0, p^{a_i}); increasing i keeps earlier reductions intact because
-    # placed[i] vanishes at all pivot rows before its own
-    for j in range(len(placed)):
+    # placed[i] vanishes at all pivot rows before its own.  The terms of
+    # placed[i] are taken before the pass: placed[i] changes only on its
+    # own turn (j = i), after every j < i has used it.
+    terms = [_nonzero(col) for col in placed]
+    for j, col in enumerate(placed):
         for i in range(j + 1, len(placed)):
-            row, pa = pivots[i], p ** pivot_vals[i]
-            q = placed[j][row] // pa
+            q = col[pivots[i]] // p ** pivot_vals[i]
             if q:
-                for r in range(dim):
-                    placed[j][r] = (placed[j][r] - q * placed[i][r]) % modulus
+                _subtract(col, q, terms[i], modulus)
     return PLattice(p, precision, dim, pivots, pivot_vals, placed)
 
 
 def lattice_contains(lat: PLattice, vector) -> bool:
     """Whether the vector lies in the lattice, mod p^precision."""
     p, modulus = lat.p, lat.p**lat.precision
-    v = [residue(x, p, modulus) for x in vector]
-    for col, row, a in zip(lat.cols, lat.pivots, lat.pivot_vals):
+    v = [x % modulus if type(x) is int else residue(x, p, modulus) for x in vector]
+    for terms, row, a in zip(lat.terms, lat.pivots, lat.pivot_vals):
         x = v[row]
         if x == 0:
             continue
         pa = p**a
         if x % pa:
             return False
-        q = x // pa
-        # a Hermite column is zero above its pivot row
-        for r in range(row, lat.dim):
-            v[r] = (v[r] - q * col[r]) % modulus
+        _subtract(v, x // pa, terms, modulus)
     floor = p ** max(lat.precision - DEFAULT_GUARD, 1)
     return all(x % floor == 0 for x in v)
 
@@ -423,15 +451,15 @@ def _smith(p, precision, rows, track):
                 c[top], c[bj] = c[bj], c[top]
         pv = p**v
         inv = pow(a[top][top] // pv, -1, modulus)
-        a[top] = [(x * inv) % modulus for x in a[top]]
+        row = a[top] = [(x * inv) % modulus for x in a[top]]
+        terms = _nonzero(row)
         for i in range(top + 1, nrows):
             x = a[i][top]
             if x:
-                q = x // pv
-                a[i] = [(y - q * z) % modulus for y, z in zip(a[i], a[top])]
+                _subtract(a[i], x // pv, terms, modulus)
         # column top is now p^v over zeros, so the column sweep only zeroes
         # the tail of row top (each entry divisible by p^v; module docstring)
-        row = a[top]
+        c_terms = _nonzero(c[top]) if track else None
         for j in range(top + 1, ncols):
             x = row[j]
             if x:
@@ -440,7 +468,7 @@ def _smith(p, precision, rows, track):
                     raise ArithmeticError("entry below the least valuation %d" % v)
                 row[j] = 0
                 if track:
-                    c[j] = [(y - q * z) % modulus for y, z in zip(c[j], c[top])]
+                    _subtract(c[j], q, c_terms, modulus)
         out.append(v)
     return out, c
 

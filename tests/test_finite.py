@@ -38,6 +38,7 @@ from conductor.finite import (
     _convolve,
     _cyclotomic_ideal_basis,
     _element_actions,
+    _integer_scaled,
     _mat_mul,
     _orbit_idempotent,
     _permutation_action,
@@ -54,7 +55,7 @@ from conductor.finite import (
     trivial_module,
     working_precision,
 )
-from conductor.fitting import PresentationMatrix, presentation_image
+from conductor.fitting import PresentationMatrix, annihilation_check, presentation_image
 from conductor.groups import (
     FiniteGroup,
     conjugacy_classes,
@@ -189,8 +190,9 @@ def test_constraint_systems_differ_off_a_ring():
     third = Fraction(1, 3)
     span = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [third, -third, 0]]
     prec = working_precision(g, 3)
-    identity_rows = _conductor_lattice(g, 3, span, False, prec)
-    full = _conductor_lattice(g, 3, span, True, prec)
+    den, ints = _integer_scaled(span)
+    identity_rows = _conductor_lattice(g, 3, den, ints, False, prec)
+    full = _conductor_lattice(g, 3, den, ints, True, prec)
     assert identity_rows == hnf_columns(3, prec, [[1, 0, 1], [0, 1, 0], [3, 0, 0]])
     assert full == hnf_columns(3, prec, [[1, 1, 1], [3, 0, 0], [0, 3, 0]])
     assert sublattice_of(full, identity_rows) and full != identity_rows
@@ -199,11 +201,67 @@ def test_constraint_systems_differ_off_a_ring():
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
 def test_constraint_systems_agree_on_maximal_orders(p):
     for g in conductor_catalog():
-        basis = maximal_order_basis(g, p, splitting_reps(g.name))
+        den, ints = _integer_scaled(maximal_order_basis(g, p, splitting_reps(g.name)))
         prec = working_precision(g, p)
-        assert _conductor_lattice(g, p, basis, False, prec) == _conductor_lattice(
-            g, p, basis, True, prec
+        assert _conductor_lattice(g, p, den, ints, False, prec) == _conductor_lattice(
+            g, p, den, ints, True, prec
         ), g.name
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_conductor_lattice_is_the_same_over_any_common_denominator(p):
+    # den and p * den (and a unit times den) give the same row module up to
+    # p^scale, so the same solutions; only the working precision moves
+    for g in conductor_catalog():
+        den, ints = _integer_scaled(maximal_order_basis(g, p, splitting_reps(g.name)))
+        prec = working_precision(g, p)
+        for full in (False, True):
+            want = _conductor_lattice(g, p, den, ints, full, prec)
+            for factor in (p, p * p, 2):
+                scaled = [[x * factor for x in vec] for vec in ints]
+                assert _conductor_lattice(g, p, den * factor, scaled, full, prec) == want, (
+                    g.name, full, factor
+                )
+    # off a ring too: the span of test_constraint_systems_differ_off_a_ring
+    g = cyclic_group(3)
+    third = Fraction(1, 3)
+    den, ints = _integer_scaled([[1, 0, 0], [0, 1, 0], [0, 0, 1], [third, -third, 0]])
+    prec = working_precision(g, 3)
+    for full in (False, True):
+        want = _conductor_lattice(g, 3, den, ints, full, prec)
+        scaled = [[3 * x for x in vec] for vec in ints]
+        assert _conductor_lattice(g, 3, 3 * den, scaled, full, prec) == want
+
+
+def test_kept_terms_of_the_shared_formula_lattice_change_no_verdict():
+    g, p = symmetric_3(), 3
+    lat = formula_conductor_lattice(g, p)
+    fresh = formula_conductor_lattice(symmetric_3(), p)
+    assert fresh is not lat and "terms" not in vars(lat)
+    k = lat.dim
+    probes = [[int(i == j) for i in range(k)] for j in range(k)]
+    probes += [list(col) for col in lat.cols]
+    probes += [[3 * x for x in col] for col in probes[:k]]
+    probes.append([sum(col[i] for col in lat.cols) for i in range(k)])
+    first = [lattice_contains(lat, vec) for vec in probes]
+    assert "terms" in vars(lat) and lat == fresh and fresh == lat
+    assert True in first and False in first
+    t = g.generators[0]
+    press = [
+        PresentationMatrix(g, 1, 1, [[[3, 0, 0, 0, 0, 0]]]),
+        PresentationMatrix(g, 1, 1, [[[1 if x == 0 else -1 if x == t else 0 for x in range(6)]]]),
+        PresentationMatrix(g, 2, 1, [[[3, 0, 0, 0, 0, 0]], [[1, 0, 0, -1, 0, 0]]]),
+    ]
+    verdicts = [annihilation_check(pres, p) for pres in press]
+    assert verdicts == [True] * len(press)
+    for _ in range(3):
+        assert formula_conductor_lattice(g, p) is lat
+        assert [annihilation_check(pres, p) for pres in press] == verdicts
+        assert [lattice_contains(lat, vec) for vec in probes] == first
+        assert lat == fresh and fresh == lat
+    # the fresh lattice, whose terms are built only now, gives the same verdicts
+    assert "terms" not in vars(fresh)
+    assert [lattice_contains(fresh, vec) for vec in probes] == first
 
 
 def test_twist_moves_every_basis_and_keeps_its_span():
@@ -214,7 +272,8 @@ def test_twist_moves_every_basis_and_keeps_its_span():
     ]
     for g, reps in cases:
         basis = maximal_order_basis(g, 3, reps)
-        twisted = _twist_basis(g, 3, basis, 2026)
+        den, products = _twist_basis(g, 3, basis, 2026)
+        twisted = [[Fraction(x, den) for x in vec] for vec in products]
         assert twisted != basis, g.name
         # u = 1 + 3 lambda is a unit of O, so u O = O
         scaled = [

@@ -2,6 +2,7 @@
 reduction, lattice membership, Smith valuations."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conductor import padic
 from conductor.errors import PrecisionExhaustedError
 from conductor.padic import (
     DEFAULT_GUARD,
+    PLattice,
     SpanSolver,
     echelon,
     hnf_columns,
@@ -144,6 +147,158 @@ def test_scaled_residues_equal_the_residues_of_the_quotients():
         scaled_residues([9, 3], 9, 3, 3**6)
 
 
+# -- the Hermite form and membership against their dense row operations ----------
+
+
+def _reference_hnf(p, precision, columns):
+    """``hnf_columns`` with dense row operations: every elimination and
+    canonical step sweeps the whole column.  The pivot search is
+    ``padic._pivot``, read at call time, so a patched ``_valuation``
+    misleads both routes alike."""
+    dim = len(columns[0])
+    modulus = p**precision
+    work = [[residue(x, p, modulus) for x in col] for col in columns]
+    pivots, pivot_vals, placed = [], [], []
+    for row in range(dim):
+        found = padic._pivot(((idx, col[row]) for idx, col in enumerate(work) if col[row]), p)
+        if found is None:
+            continue
+        best_v, best = found
+        if best_v > precision - DEFAULT_GUARD:
+            raise PrecisionExhaustedError(
+                "pivot valuation %d in row %d exceeds precision %d - guard %d"
+                % (best_v, row, precision, DEFAULT_GUARD)
+            )
+        piv = work.pop(best)
+        inv = pow(piv[row] // p**best_v, -1, modulus)
+        piv = [(x * inv) % modulus for x in piv]
+        for col in work:
+            x = col[row]
+            if x:
+                q = x // p**best_v
+                for i in range(dim):
+                    col[i] = (col[i] - q * piv[i]) % modulus
+        placed.append(piv)
+        pivots.append(row)
+        pivot_vals.append(best_v)
+    if any(any(col) for col in work):
+        raise ArithmeticError("unplaced column with visible entries")
+    for j in range(len(placed)):
+        for i in range(j + 1, len(placed)):
+            q = placed[j][pivots[i]] // p ** pivot_vals[i]
+            if q:
+                for r in range(dim):
+                    placed[j][r] = (placed[j][r] - q * placed[i][r]) % modulus
+    return PLattice(p, precision, dim, pivots, pivot_vals, placed)
+
+
+def _reference_contains(lat, vector):
+    """``lattice_contains`` with each step sweeping the column from its
+    pivot row down."""
+    p, modulus = lat.p, lat.p**lat.precision
+    v = [residue(x, p, modulus) for x in vector]
+    for col, row, a in zip(lat.cols, lat.pivots, lat.pivot_vals):
+        x = v[row]
+        if x == 0:
+            continue
+        if x % p**a:
+            return False
+        q = x // p**a
+        for r in range(row, lat.dim):
+            v[r] = (v[r] - q * col[r]) % modulus
+    floor = p ** max(lat.precision - DEFAULT_GUARD, 1)
+    return all(x % floor == 0 for x in v)
+
+
+def _raised(call):
+    """The result of call, or the type and message of what it raised."""
+    try:
+        return call()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def _seeded_columns(draw):
+    """(p, precision, columns, rng) from a drawn seed: sparse (>= 70 %
+    zeros) or dense entries p^e * x, as ints or as p-integral Fractions,
+    with rank-deficient, duplicate and zero columns mixed in."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    precision = draw(st.sampled_from([10, 12, 30]))
+    dim, ncols = draw(st.integers(1, 9)), draw(st.integers(1, 8))
+    sparse, fractions, extra = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cells = [(j, i) for j in range(ncols) for i in range(dim)]
+    filled = rng.sample(cells, (3 * len(cells)) // 10) if sparse else cells
+    cols = [[0] * dim for _ in range(ncols)]
+    for j, i in filled:
+        x = rng.randrange(-30, 31) * p ** rng.choice((0, 0, 1, 2, 4))
+        if fractions and x:
+            x = Fraction(x, rng.choice([u for u in (1, 7, 11, 13) if u % p]))
+        cols[j][i] = x
+    assert not sparse or 10 * sum(x == 0 for col in cols for x in col) >= 7 * len(cells)
+    if extra:
+        cols.append(list(cols[rng.randrange(ncols)]))  # a duplicate
+        cols.append([0] * dim)  # a zero column
+        # a combination of earlier columns: the rank does not grow
+        a, b = rng.randrange(-3, 4), p * rng.randrange(-3, 4)
+        cols.append([a * x + b * y for x, y in zip(cols[0], cols[-3])])
+        rng.shuffle(cols)
+    return p, precision, cols, rng
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_seeded_columns())
+def test_hnf_and_membership_match_the_dense_row_operations(case):
+    p, precision, cols, rng = case
+    want = _raised(lambda: _reference_hnf(p, precision, [list(c) for c in cols]))
+    got = _raised(lambda: hnf_columns(p, precision, cols))
+    assert got == want
+    if not isinstance(got, PLattice):
+        return
+    # probes: the columns, combinations of them (inside), p-shifts and
+    # random vectors (mostly outside), ints and Fractions alike
+    dim = len(cols[0])
+    probes = [list(c) for c in cols]
+    for _ in range(6):
+        coeffs = [rng.randrange(-4, 5) for _ in cols]
+        probes.append([sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(dim)])
+        probes.append([rng.randrange(-9, 10) * p ** rng.randrange(3) for _ in range(dim)])
+        probes.append([Fraction(x, 1 + p) for x in probes[-1]])
+    probes.append([0] * dim)
+    for vec in probes:
+        assert lattice_contains(got, vec) == _reference_contains(want, vec)
+    assert all(lattice_contains(got, vec) for vec in probes[: len(cols)])
+
+
+_PIVOT_BREAKERS = {
+    # every entry claims valuation 1: an entry below it is not cleared
+    "overstated": lambda x, p: 1,
+    # every entry claims to be a unit: a non-unit pivot has no inverse
+    "units": lambda x, p: 0,
+}
+
+
+@pytest.mark.parametrize("breaker", sorted(_PIVOT_BREAKERS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_seeded_columns())
+def test_hnf_fails_as_the_dense_row_operations_do(breaker, case):
+    # a wrong pivot valuation must fail the same way on both routes: the
+    # "unplaced column" certificate, a failed inverse or exhaustion
+    p, precision, cols, _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(padic, "_valuation", _PIVOT_BREAKERS[breaker])
+        want = _raised(lambda: _reference_hnf(p, precision, [list(c) for c in cols]))
+        assert _raised(lambda: hnf_columns(p, precision, cols)) == want
+
+
+def test_unplaced_column_certificate_is_reachable(monkeypatch):
+    monkeypatch.setattr(padic, "_valuation", _PIVOT_BREAKERS["overstated"])
+    for route in (hnf_columns, _reference_hnf):
+        with pytest.raises(ArithmeticError, match="unplaced column"):
+            route(3, 12, [[3], [1]])
+
+
 # -- the Smith form against its earlier full column sweep --------------------------
 
 
@@ -221,10 +376,19 @@ def test_smith_matches_the_full_column_sweep(p, shift, cells):
     rows = [[x * p ** (e + shift) for x, e in row] for row in cells]
     precision = 40
     want = _outcome(lambda: _reference_smith(p, precision, rows))
-    assert _outcome(lambda: smith_with_column_transform(p, precision, rows)) == want
+    got = _outcome(lambda: smith_with_column_transform(p, precision, rows))
     assert _outcome(lambda: smith_valuations(p, precision, rows)) == (
         want if want == "exhausted" else want[0]
     )
+    if want == "exhausted":
+        assert got == want
+        return
+    (vals, c_cols), (want_vals, want_cols) = got, want
+    assert vals == want_vals
+    # the tracked transform, column by column
+    assert len(c_cols) == len(want_cols) == len(rows[0])
+    for col, want_col in zip(c_cols, want_cols):
+        assert col == want_col
 
 
 _BROKEN_VALUATION = """
