@@ -22,7 +22,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import InputError, InvalidAutomorphismError
-from .padic import SpanSolver
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -335,8 +334,40 @@ class CycloNumber:
 
     def descend(self, d: int) -> "CycloNumber":
         """Rewrite at a conductor d dividing self.m (d != 2 mod 4) whose
-        field holds the number; ArithmeticError if it does not."""
-        return self if d == self.m else CycloNumber(d, _rebase_solver(self.m, d).solve(self.coeffs))
+        field holds the number; ArithmeticError if it does not.
+
+        No solve: one prime q of m/d at a time, from conductor n to n/q.
+        Where q^2 divides n, Phi_n(z) = Phi_(n/q)(z^q), so the number is read
+        off every q-th coordinate.  Where q exactly divides n, the number is
+        Tr(x) / (q - 1), Tr the trace to Q(zeta_(n/q)), with
+        Tr(zeta_n^e) = (q - 1 if q | e, else -1) zeta_(n/q)^(e b) and
+        b = q^-1 mod n/q (Washington, GTM 83, ch. 2), folded once; at q = 2
+        this is the rule zeta_2u = -zeta_u^((u+1)/2).  At d = 1 the number
+        is its coordinate 0.  The steps run on integer coordinates over one
+        denominator.  Each reading returns a number for any input, so the
+        result is certified by folding it back to self.m."""
+        m = self.m
+        if d == m:
+            return self
+        if m % d:
+            raise ArithmeticError("cannot descend conductor %d to %d" % (m, d))
+        scale = lcm(*(c.denominator for c in self.coeffs))
+        ints = {e: c.numerator * (scale // c.denominator) for e, c in enumerate(self.coeffs) if c}
+        x, n, k = ints, m, 1  # x: k * scale times the number, at conductor n
+        for q in prime_factors(m // d) if d > 1 else ():
+            while n % (d * q) == 0:
+                n //= q
+                if n % q == 0:
+                    x = {e // q: c for e, c in x.items() if e % q == 0}
+                else:
+                    b, k = pow(q, -1, n), k * (q - 1)
+                    terms = ((e * b, c * (q - 1) if e % q == 0 else -c) for e, c in x.items())
+                    x = _sparse_fold(n, terms)
+        coords = [x.get(i, 0) for i in range(totient(d))]
+        back = _sparse_fold(m, ((i * (m // d), c) for i, c in enumerate(coords)))
+        if back != {e: c * k for e, c in ints.items()}:
+            raise ArithmeticError("Q(zeta_%d) does not hold %r" % (d, self))
+        return CycloNumber(d, [Fraction(c, scale * k) for c in coords])
 
     def to_json(self) -> dict:
         """InputError if a coefficient has more digits than str prints
@@ -453,10 +484,3 @@ def _descent_exponents(m: int, d: int, sub: int) -> tuple:
     """Units mod m whose residues generate the kernel of (Z/d)* -> (Z/sub)*."""
     kernel = [k for k in range(1, d, sub) if gcd(k, d) == 1]
     return tuple(unit_lift(a, d, m) for a in generating_set(kernel, d))
-
-
-@lru_cache(maxsize=None)
-def _rebase_solver(m: int, d: int) -> "SpanSolver":
-    """Coordinates on zeta_d^j = zeta_m^(j m/d), 0 <= j < phi(d), inside Q(zeta_m)."""
-    step = m // d
-    return SpanSolver([_fold(m, ((j * step, 1),), 0) for j in range(totient(d))])

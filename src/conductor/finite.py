@@ -30,7 +30,8 @@ from .errors import InputError, UnsupportedPresentationError
 from .localfields import AbelianLocalField, field_of_values, relative_data
 from .padic import (
     DEFAULT_PRECISION,
-    SpanSolver,
+    exact_kernel,
+    exact_row_hnf,
     hnf_columns,
     lattice_contains,
     scaled_residues,
@@ -541,23 +542,26 @@ def augmentation_module(g):
 def _permutation_action(g, basis):
     """Matrices of the generators on the lattice with the given basis
     inside the regular lattice Z_p[G], where they permute coordinates;
-    InputError unless the lattice is G-stable."""
-    solver = SpanSolver(basis)
+    InputError unless the lattice is G-stable.
+
+    For a generator s, (x, y) lies in the integer left kernel of the rows
+    (s b_1, ..., s b_n, b_1, ..., b_n) when sum x_i s b_i = -sum y_j b_j.
+    The b_i are independent, so s maps the lattice into itself, with
+    s b_i = sum_j C_ji b_j, exactly when the Hermite form of that kernel
+    is (I | -C^T); C is then the matrix of s."""
+    n = len(basis)
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
     mats = []
     for s in g.generators:
-        mat = []
+        moved = []
         for v in basis:
-            moved = [0] * g.order
+            moved.append([0] * g.order)
             for x, c in enumerate(v):
-                moved[g.mult(s, x)] = c
-            try:
-                coords = solver.solve(moved)
-            except ArithmeticError:
-                coords = None
-            if coords is None or any(c.denominator != 1 for c in coords):
-                raise InputError("columns do not span a G-stable lattice")
-            mat.append([c.numerator for c in coords])
-        mats.append(_transpose(mat))
+                moved[-1][g.mult(s, x)] = c
+        form = exact_row_hnf(exact_kernel(moved + basis))
+        if [row[:n] for row in form] != unit:
+            raise InputError("columns do not span a G-stable lattice")
+        mats.append([[-row[n + j] for row in form] for j in range(n)])
     return mats
 
 
@@ -604,10 +608,6 @@ def _mat_mul(a, b):
                 acc = [u + x * y for u, y in zip(acc, b[t])]
         out.append(acc)
     return out
-
-
-def _transpose(m):
-    return [list(r) for r in zip(*m)]
 
 
 class ExtComputation:
@@ -756,15 +756,10 @@ def conductor_annihilates(g, p, mod_m, mod_n, reps=None) -> bool:
 
 def maximal_order_module(g, p, reps=None):
     """The maximal order as a Z_p[G]-lattice inside the regular lattice,
-    scaled by |G| to clear denominators: the scaled basis of
-    ``maximal_order_basis`` is a basis of it."""
-    basis = maximal_order_basis(g, p, reps)
-    columns = []
-    for vec in basis:
-        col = [Fraction(x) * g.order for x in vec]
-        if any(c.denominator != 1 for c in col):
-            raise ArithmeticError("|G| times the maximal order basis is not integral")
-        columns.append([c.numerator for c in col])
+    scaled by the common denominator D of ``maximal_order_basis`` (see
+    ``_integer_scaled``): the scaled basis is a basis of it, and the action
+    on a basis does not depend on a common scale."""
+    columns = _integer_scaled(maximal_order_basis(g, p, reps))[1]
     return GModule(g, g.order, _permutation_action(g, columns), "maximal-order")
 
 
@@ -779,7 +774,7 @@ def sharpness_probe(g, p, pool):
     lat = brute_force_conductor(g, p)
     k = len(lat.cols[0]) if lat.cols else 0
     # the class-sum unit vectors, the identity class (l = 0) first
-    units = ([Fraction(int(j == l)) for j in range(k)] for l in range(k))
+    units = ([int(j == l) for j in range(k)] for l in range(k))
     outside = [c for c in units if not lattice_contains(lat, c)]
     for mod_m, mod_n in pool:
         comp = ExtComputation(mod_m, mod_n, p)

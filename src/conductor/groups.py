@@ -320,9 +320,6 @@ class SemidirectData:
         key = (self.h, self.alpha, self.p)
         return isinstance(other, SemidirectData) and key == (other.h, other.alpha, other.p)
 
-    def alpha_power(self, t, x):
-        return self.alpha_pows[t % (self.p**self.n)][x]
-
     def name(self):
         return "%s:|Z%d" % (self.h.name, self.p)
 

@@ -1,21 +1,23 @@
-"""Exact linear algebra: every elimination loop of the package lives here.
+"""Exact linear algebra: every elimination loop of the package but one
+lives here (``chartab._charpoly``, a Hessenberg reduction over F_l, is the
+other).
 
-Four kinds of elimination, each written once:
+Three kinds of elimination, each written once:
 
 - over F_l: ``echelon``, ``echelon_coords`` and ``kernel`` (character
   tables split eigenspaces with them; nilradicals of orders mod p are
   kernels of Frobenius powers);
-- over Q: ``SpanSolver`` factors one fixed basis once by integer
-  Gauss-Jordan and then solves for any target as Fractions (cyclotomic
-  rebasing and permutation actions);
 - over Z/p^N: canonical column Hermite forms, lattice membership and
   Smith forms (optionally tracking the column transform), and
   ``solution_lattice``, the solutions of a linear system mod p^q read off
   that transform (the conductor oracle and the cocycles of Ext^1; the
   rings of integers in ``orders`` are its columns past the rank);
-- over Z: exact row Hermite forms and integer kernels.  Nothing in the
-  package calls them; they are kept because ``perfbench/tracer.py`` wraps
-  them.
+- over Z: ``exact_row_hnf``, an exact row Hermite form, and
+  ``exact_kernel``, the integer left kernel read off it
+  (``finite._permutation_action`` reads the action of G on a lattice from
+  them).
+
+Nothing here solves over Q: ``cyclo`` descends by relative traces.
 
 ``residue`` is the one conversion of a p-integral Fraction into Z/p^N; an
 int takes a fast path before the Fraction check, and the forms mod p^N
@@ -58,8 +60,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
-
 from .errors import PrecisionExhaustedError
 
 DEFAULT_GUARD = 8
@@ -195,83 +195,6 @@ def kernel(rows, l):
     return out
 
 
-# -- elimination over Q --------------------------------------------------------
-
-
-class SpanSolver:
-    """Exact solves over Q against one fixed basis, factored once.
-
-    Each basis vector (ints or Fractions) is scaled to integers, and one
-    integer Gauss-Jordan pass over them keeps the pivot rows and the row
-    transform.  Each ``solve`` is then a product with the stored transform
-    plus an exact check that the target lies in the Q-span.  Basis vectors
-    dependent on earlier ones get coordinate 0.
-    """
-
-    def __init__(self, cols):
-        self.scales = [lcm(*(x.denominator for x in col)) for col in cols]
-        ints = [
-            [x.numerator * (s // x.denominator) for x in col]
-            for col, s in zip(cols, self.scales)
-        ]
-        self.size = len(ints)
-        width = len(ints[0]) if ints else 0
-        pivots = []  # (position, row), row = [t . ints | t] for a transform t
-        for j, vec in enumerate(ints):
-            row = vec + [0] * self.size
-            row[width + j] = 1
-            for pos, prow in pivots:
-                if row[pos]:
-                    row = _combine(prow[pos], row, row[pos], prow)
-            pos = next((i for i in range(width) if row[i]), None)
-            if pos is None:
-                continue
-            row = _primitive(row)
-            pivots = [
-                (ppos, _combine(row[pos], prow, prow[pos], row) if prow[pos] else prow)
-                for ppos, prow in pivots
-            ]
-            pivots.append((pos, row))
-        self.positions = [pos for pos, _ in pivots]
-        self.denominator = lcm(*(row[pos] for pos, row in pivots))
-        # coordinate j = scales[j] * sum_i transform[j][i] * target[positions[i]] / denominator
-        self.transform = [
-            [row[width + j] * (self.denominator // row[pos]) for pos, row in pivots]
-            for j in range(self.size)
-        ]
-        # the target must agree with the solution off the pivot positions
-        taken = set(self.positions)
-        self.checks = [
-            (i, [(j, vec[i]) for j, vec in enumerate(ints) if vec[i]])
-            for i in range(width)
-            if i not in taken
-        ]
-
-    def solve(self, target):
-        """Coordinates of target (ints or Fractions); ArithmeticError if it
-        is outside the span."""
-        if not self.size and any(target):
-            raise ArithmeticError("target is outside the span of the basis")
-        scale = lcm(*(x.denominator for x in target))
-        ints = [x.numerator * (scale // x.denominator) for x in target]
-        known = [(i, ints[pos]) for i, pos in enumerate(self.positions) if ints[pos]]
-        nums = [sum(row[i] * v for i, v in known) for row in self.transform]
-        for i, terms in self.checks:
-            if sum(nums[j] * c for j, c in terms) != self.denominator * ints[i]:
-                raise ArithmeticError("target is outside the span of the basis")
-        return [Fraction(num * s, self.denominator * scale) for num, s in zip(nums, self.scales)]
-
-
-def _combine(a, row, b, other):
-    """The primitive part of a * row - b * other."""
-    return _primitive([a * x - b * y for x, y in zip(row, other)])
-
-
-def _primitive(row):
-    g = gcd(*row)
-    return row if g == 1 else [x // g for x in row]
-
-
 # -- lattices mod p^N ---------------------------------------------------------
 
 
@@ -383,10 +306,6 @@ def lattice_contains(lat: PLattice, vector) -> bool:
         _subtract(v, x // pa, terms, modulus)
     floor = p ** max(lat.precision - DEFAULT_GUARD, 1)
     return all(x % floor == 0 for x in v)
-
-
-def sublattice_of(inner: PLattice, outer: PLattice) -> bool:
-    return all(lattice_contains(outer, col) for col in inner.cols)
 
 
 def smith_valuations(p, precision, rows) -> list:

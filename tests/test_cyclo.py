@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -32,7 +33,7 @@ from conductor.cyclo import (
 )
 from conductor.chartab import _equals_integer
 from conductor.errors import InvalidAutomorphismError
-from conductor.padic import SpanSolver
+from span_solver import SpanSolver
 
 
 # CycloNumber has no subtraction, scalar division or complex conjugation;
@@ -155,17 +156,47 @@ def _divisor_scan(x):
             continue
         units = [k for k in range(1, m + 1) if gcd(k, m) == 1 and k % d == 1 % d]
         if all(x.galois(k) == x for k in units):
-            if d == m:
-                return x
-            phi, rows = _reduction_context(m)
-            cols = []
-            for j in range(totient(d)):
-                col = [0] * phi  # the sparse row of zeta_m^(j m/d), expanded
-                for i, c in rows[(j * (m // d)) % m]:
-                    col[i] = c
-                cols.append(col)
-            return CycloNumber(d, _solve_exact(cols, list(x.coeffs)))
+            return _rebase_exact(x, d)
     raise AssertionError("unreachable: d = m is always fixed")
+
+
+def _rebase_exact(x, d):
+    """x rewritten at d by a Fraction solve against zeta_d^j = zeta_m^(j m/d)."""
+    m = x.m
+    if d == m:
+        return x
+    phi, rows = _reduction_context(m)
+    cols = []
+    for j in range(totient(d)):
+        col = [0] * phi  # the sparse row of zeta_m^(j m/d), expanded
+        for i, c in rows[(j * (m // d)) % m]:
+            col[i] = c
+        cols.append(col)
+    return CycloNumber(d, _solve_exact(cols, list(x.coeffs)))
+
+
+# (m, d, e): a value of Q(zeta_e), e | d, written at m and descended to d.
+# 45 -> 15 reads every third coordinate; 45 -> 3 then takes the trace at
+# q = 5; 12 -> 3 and 36 -> 9 read every second coordinate, then trace at
+# q = 2; 84 -> 7 drops 2^2 and 3; d = 1 is coordinate 0
+_DESCENTS = [(45, 15, 3), (45, 15, 15), (45, 3, 3), (45, 9, 9), (45, 5, 5), (12, 3, 3),
+             (12, 4, 4), (36, 9, 3), (84, 7, 7), (84, 12, 3), (40, 5, 5), (24, 8, 8),
+             (60, 20, 4), (16, 1, 1), (21, 1, 1)]
+
+
+@pytest.mark.parametrize("m, d, e", _DESCENTS)
+def test_direct_descents_match_the_exact_solve(m, d, e):
+    rng = random.Random(m * 100 + d)
+    for _ in range(4):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(totient(e))]
+        small = CycloNumber(e, coeffs)
+        x = small.lift(m)
+        got, want = x.descend(d), _rebase_exact(x, d)
+        assert (got.m, got.coeffs) == (want.m, want.coeffs)
+        assert got == small
+    # zeta_m + a value of Q(zeta_d) lies outside Q(zeta_d)
+    with pytest.raises(ArithmeticError, match="Q\\(zeta_%d\\) does not hold" % d):
+        (CycloNumber.root(m) + got).descend(d)
 
 
 @st.composite
@@ -406,7 +437,8 @@ def test_span_solver_agrees_with_solve_exact(case, data):
 
 _CERTIFICATES = """
 from conductor.cyclo import CycloNumber, _poly_divmod
-for call in (lambda: CycloNumber.root(3).lift(5), lambda: _poly_divmod([1, 0, 1], [1, 1])):
+for call in (lambda: CycloNumber.root(3).lift(5), lambda: _poly_divmod([1, 0, 1], [1, 1]),
+             lambda: CycloNumber.root(45).descend(15)):
     try:
         call()
     except ArithmeticError as exc:
@@ -428,12 +460,15 @@ def test_certificates_raise_in_every_build(optimize):
         assert proc.stdout.splitlines() == [
             "ArithmeticError cannot lift conductor 3 to 5",
             "ArithmeticError integer polynomial division leaves a remainder",
+            "ArithmeticError Q(zeta_15) does not hold z45",
         ]
     else:
         with pytest.raises(ArithmeticError, match="cannot lift"):
             CycloNumber.root(3).lift(5)
         with pytest.raises(ArithmeticError, match="remainder"):
             _poly_divmod([1, 0, 1], [1, 1])
+        with pytest.raises(ArithmeticError, match="does not hold"):
+            CycloNumber.root(45).descend(15)
 
 
 def test_is_prime_matches_trial_division():

@@ -156,7 +156,6 @@ def test_semidirect_alpha_powers():
     # x -> 2x has order 243 = 3^5 on Z/487, so alpha^t is x -> 2^t x
     sd = SemidirectData(cyclic_group(487), cyclic_automorphism(487, 2), 3)
     assert sd.n == 5 and len(sd.alpha_pows) == 243
-    assert all(sd.alpha_power(t, 1) == pow(2, t, 487) for t in range(-243, 486))
     assert sd.alpha_pows[100] == [pow(2, 100, 487) * x % 487 for x in range(487)]
 
 

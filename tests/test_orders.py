@@ -11,7 +11,8 @@ from conductor.cyclo import _fold, cyclotomic_poly
 from conductor.errors import UnsupportedPresentationError
 from conductor.localfields import AbelianLocalField
 from conductor.orders import GlobalFieldModel
-from conductor.padic import DEFAULT_PRECISION, SpanSolver, hnf_columns
+from conductor.padic import DEFAULT_PRECISION, hnf_columns
+from span_solver import SpanSolver
 
 
 def test_q_model_is_trivial():

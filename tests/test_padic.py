@@ -17,7 +17,6 @@ from conductor.errors import PrecisionExhaustedError
 from conductor.padic import (
     DEFAULT_GUARD,
     PLattice,
-    SpanSolver,
     echelon,
     hnf_columns,
     kernel,
@@ -27,9 +26,9 @@ from conductor.padic import (
     smith_valuations,
     smith_with_column_transform,
     solution_lattice,
-    sublattice_of,
     vp,
 )
+from span_solver import SpanSolver
 
 
 def test_vp():
@@ -72,13 +71,6 @@ def test_rank_deficient_membership():
     lat = hnf_columns(3, 12, [[1, 2]])
     assert lattice_contains(lat, [3, 6])
     assert not lattice_contains(lat, [1, 0])
-
-
-def test_sublattice_of():
-    inner = hnf_columns(3, 12, [[3, 0], [0, 9]])
-    outer = hnf_columns(3, 12, [[1, 0], [0, 1]])
-    assert sublattice_of(inner, outer)
-    assert not sublattice_of(outer, inner)
 
 
 def test_smith_valuations():

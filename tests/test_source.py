@@ -81,8 +81,8 @@ def test_only_cyclo_fitting_and_cli_name_cyclonumber():
 def test_only_cyclo_names_its_internals():
     # how Z[zeta_m] reduces, multiplies and changes conductor is decided in
     # cyclo alone: other modules call product_sum, int_coords, power and
-    # CycloNumber, never the fold, the reduction rows or the rebase solves
-    internals = {"_fold", "_sparse_fold", "_reduction_context", "_rebase_solver", "_normalize"}
+    # CycloNumber, never the fold, the reduction rows or the 2-mod-4 rule
+    internals = {"_fold", "_sparse_fold", "_reduction_context", "_normalize"}
     assert _modules_naming(internals) == {"cyclo"}
 
 
@@ -119,6 +119,13 @@ def test_chartab_does_not_load_localfields():
     loaded = _loaded_by("conductor.cli", "conductor.chartab")
     assert "conductor.chartab" in loaded
     assert "conductor.localfields" not in loaded
+
+
+def test_cyclo_does_not_load_padic():
+    # CycloNumber.descend reads relative traces: cyclo solves nothing
+    loaded = _loaded_by("conductor.cyclo")
+    assert "conductor.cyclo" in loaded
+    assert "conductor.padic" not in loaded
 
 
 def test_finite_and_fitting_do_not_load_orders():
