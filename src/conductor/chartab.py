@@ -57,6 +57,12 @@ of ``iwasawa`` run it on H and G_n only: for m > n they read G_m's degrees
 and restrictions to H off G_n's rows (``iwasawa.quotient_degree_check``),
 and build no table of G_m.
 
+A table keeps in its instance dict ``residues`` per prime, ``galois_orbits``
+per base, ``alpha_orbits`` per class map of alpha, ``restrict_and_decompose``
+per row and embedding (served only to the small table it was certified
+against) and, on H's, ``iwasawa.character_classes``.  A ``_replace`` copy
+starts empty, so a doctored copy never sees a kept result.
+
 Everything is deterministic: classes are ordered by smallest member
 (identity first), matrices are consumed in class order, eigenvalues
 ascending, and finished rows are sorted by (degree, coefficient tuple
@@ -161,8 +167,9 @@ class CharacterTable(namedtuple(
 )):
     """``coords[row][class]`` = {i: count} on zeta_E^i, E = normalized(exponent);
     ``power_maps[t][s]`` = class of rep_t^s, s < order of rep_t.  No
-    ``__slots__``: ``residues`` and ``galois_orbits`` are cached in the
-    instance dict."""
+    ``__slots__``: the instance dict keeps ``_residues``, ``_galois_orbits``,
+    ``_alpha_orbits``, ``_restrictions`` and ``_character_classes`` (see
+    the module docstring)."""
 
     @classmethod
     def from_rows(cls, group, classes, rows, exponent, power_maps):
@@ -617,13 +624,18 @@ class CharOrbit(namedtuple("CharOrbit", "members eta_degree")):
 
 
 def alpha_orbits(table: CharacterTable, alpha) -> list[CharOrbit]:
-    """Orbits of table rows under eta -> eta o alpha, smallest row first."""
+    """Orbits of table rows under eta -> eta o alpha, smallest row first;
+    kept on the table per class map t -> class of alpha(rep_t)."""
     cls = table.classes
-    (perm,) = row_permutations(table, [[cls.class_of[alpha(z)] for z in cls.representatives()]])
-    return [
-        CharOrbit(tuple(members), table.degrees[members[0]])
-        for members in orbits(table.n_classes, [perm])
-    ]
+    cmap = tuple(cls.class_of[alpha(z)] for z in cls.representatives())
+    cache = table.__dict__.setdefault("_alpha_orbits", {})
+    if cmap not in cache:
+        (perm,) = row_permutations(table, [cmap])
+        cache[cmap] = tuple(
+            CharOrbit(tuple(members), table.degrees[members[0]])
+            for members in orbits(table.n_classes, [perm])
+        )
+    return list(cache[cmap])
 
 
 def restrict_and_decompose(
@@ -644,7 +656,14 @@ def restrict_and_decompose(
     rebuilt exactly as sum_j m_j eta_j (one fold per class of H), equals
     the big table's; as the eta_j are a basis of the class functions of H,
     that holds exactly when every inner product is an integer in [0, l).
+
+    Kept on the big table per row and embedding, with the small table it
+    was certified against: served only when that is the caller's object.
     """
+    key = (row, None if embedding is None else tuple(embedding))
+    kept = big.__dict__.setdefault("_restrictions", {}).get(key)
+    if kept is not None and kept[0] is small:
+        return list(kept[1])
     h = small.group
     if embedding is None:
         embedding = list(range(h.order))
@@ -677,7 +696,8 @@ def restrict_and_decompose(
         )
         if rebuilt != res[t]:
             raise ArithmeticError("restriction is not the sum of its multiplicities")
-    return out
+    big.__dict__["_restrictions"][key] = (small, out)
+    return list(out)
 
 
 def _row_sums(table: CharacterTable, rows, weights) -> list[dict]:

@@ -322,15 +322,21 @@ class CycloNumber:
 
     def minimal_conductor(self) -> "CycloNumber":
         """Rewrite at the smallest conductor (never 2 mod 4); idempotent."""
-        scale = lcm(*(c.denominator for c in self.coeffs))
-        ints = {e: c.numerator * (scale // c.denominator) for e, c in enumerate(self.coeffs) if c}
+        scale, ints = self._scaled()
         if not ints.keys() - {0}:
             return CycloNumber(1, self.coeffs[:1])
         m = self.m
         d = value_conductor(
             m, lambda k: _sparse_fold(m, ((e * k, c) for e, c in ints.items())) == ints
         )
-        return self.descend(d)
+        return self if d == m else self._descend(d, scale, ints)
+
+    def _scaled(self):
+        """(scale, {e: scale * coeffs[e]}), zeros dropped, scale the least
+        common denominator of the coefficients."""
+        scale = lcm(*(c.denominator for c in self.coeffs))
+        ints = {e: c.numerator * (scale // c.denominator) for e, c in enumerate(self.coeffs) if c}
+        return scale, ints
 
     def descend(self, d: int) -> "CycloNumber":
         """Rewrite at a conductor d dividing self.m (d != 2 mod 4) whose
@@ -346,13 +352,13 @@ class CycloNumber:
         is its coordinate 0.  The steps run on integer coordinates over one
         denominator.  Each reading returns a number for any input, so the
         result is certified by folding it back to self.m."""
+        return self if d == self.m else self._descend(d, *self._scaled())
+
+    def _descend(self, d, scale, ints) -> "CycloNumber":
+        """``descend`` to d != self.m, on ``_scaled``'s output."""
         m = self.m
-        if d == m:
-            return self
         if m % d:
             raise ArithmeticError("cannot descend conductor %d to %d" % (m, d))
-        scale = lcm(*(c.denominator for c in self.coeffs))
-        ints = {e: c.numerator * (scale // c.denominator) for e, c in enumerate(self.coeffs) if c}
         x, n, k = ints, m, 1  # x: k * scale times the number, at conductor n
         for q in prime_factors(m // d) if d > 1 else ():
             while n % (d * q) == 0:

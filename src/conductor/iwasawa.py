@@ -26,10 +26,11 @@ C_(p^m), so once its classes are certified to be the pairs of that
 product, the degrees and restrictions to H of G_n's rows are those of
 G_m's (``quotient_degree_check``).  G_n is built once per SemidirectData
 (``finite_quotient`` keeps it), so its table is computed once and serves
-every level; each G_m, m > n, is built for its call only, keeps no
-multiplication table, and is read by rows, in the cosets each check
-pairs: the first p^n for the trace, coset 0 and the last p^n - 1 (where
-the inverses of the basis lie) for the dual basis.
+every level, and the restriction of each of its rows to H is decomposed
+once (the table keeps it); each G_m, m > n, is built for its call only,
+keeps no multiplication table, and is read by rows, in the cosets each
+check pairs: the first p^n for the trace, coset 0 and the last p^n - 1
+(where the inverses of the basis lie) for the dual basis.
 
 The certificates and the idempotent suite compute on plain integers.  With
 rank = p^n|H|, the element of index x in G_m (``finite_quotient``) is
@@ -59,7 +60,7 @@ from .chartab import (
     require_table_bound,
     restrict_and_decompose,
 )
-from .cyclo import int_coords, normalized
+from .cyclo import generating_set, int_coords, normalized
 from .errors import InputError, InvalidQuotientError
 from .finite import _convolve, jacobinski_conductor
 from .groups import conjugacy_classes, finite_quotient
@@ -130,6 +131,10 @@ def character_classes(sd, base=None):
     field K_chi is the field of the summed orbit values (the values of the
     restriction of chi to H), which can be smaller than the field of any
     single member.
+
+    Kept on H's table per alpha-orbits, n and base (p, m, stabilizer),
+    which fix the result, so the conductor and the idempotent suite of one
+    entry share it; shared, so ``orbits`` is a tuple of row tuples.
     """
     if base is None:
         base = AbelianLocalField.qp(sd.p)
@@ -137,6 +142,14 @@ def character_classes(sd, base=None):
         raise InputError("base field lives over p=%d, not %d" % (base.p, sd.p))
     table = character_table(sd.h)
     orbits = alpha_orbits(table, sd.alpha)
+    key = (tuple(orb.members for orb in orbits), sd.n, base.p, base.m, base.stab)
+    cache = table.__dict__.setdefault("_character_classes", {})
+    if key not in cache:
+        cache[key] = tuple(_character_classes(sd, base, table, orbits))
+    return list(cache[key])
+
+
+def _character_classes(sd, base, table, orbits):
     orbit_of_row = {r: oi for oi, orb in enumerate(orbits) for r in orb.members}
     # the Galois action commutes with eta -> eta o alpha, so it permutes
     # the alpha-orbits; a class is an orbit of that action
@@ -164,7 +177,7 @@ def character_classes(sd, base=None):
         e_rel, f_rel, d_rel = relative_data(base, k_chi)
         classes.append(
             CharacterClass(
-                orbits=[list(orb.members) for orb in members],
+                orbits=tuple(orb.members for orb in members),
                 w=w,
                 eta_degree=eta_degree,
                 field=k_chi,
@@ -267,10 +280,10 @@ def _scaled_idempotent(table, rows) -> list:
     return [per_class[t] for t in table.classes.class_of]
 
 
-def _coords(e_norm, a, scale=1, k=1) -> list:
-    """Integer coordinates {index: count}, zeros dropped, of sigma_k(scale * a)
-    for each coefficient of a."""
-    return [int_coords(e_norm, ((e * k, scale * c) for e, c in ax.items())) for ax in a]
+def _is_idempotent(h, e, e_norm) -> bool:
+    """(|H|e)^2 = |H| (|H|e), e = ``_scaled_idempotent``, whose dicts are
+    reduced coordinates already: |H| (|H|e) scales their values."""
+    return _product(h, e, e, e_norm) == [{i: h.order * c for i, c in d.items()} for d in e]
 
 
 def _product(h, a, b, e_norm) -> list:
@@ -340,13 +353,19 @@ def idempotent_suite(sd, level) -> dict:
 
     Every idempotent is scaled by |H| to an integral element of Z[zeta_E][H],
     so idempotency reads (|H|e)^2 = |H| (|H|e), orthogonality
-    (|H|e_i)(|H|e_j) = 0 and the partition of unity sum |H|eps = |H|."""
+    (|H|e_i)(|H|e_j) = 0 and the partition of unity sum |H|eps = |H|.
+
+    Only generators (``cyclo.generating_set``) of the group of Galois
+    exponents k are applied: sigma_j sigma_k = sigma_jk, so what they fix
+    the group fixes.  A single-member orbit has e_eta = e_chi, so one
+    product gives both idempotency verdicts."""
     base = AbelianLocalField.qp(sd.p)
     h = sd.h
     table = character_table(h)
     e_norm = normalized(table.exponent)
     classes = character_classes(sd, base)
-    stab_ks = galois_exponents(table, base)
+    e_units = table.exponent * 2 if table.exponent % 4 == 2 else table.exponent
+    stab_gens = generating_set(galois_exponents(table, base), e_units)
     g = finite_quotient(sd, level)
     results = {
         "eta_idempotent": True,
@@ -359,16 +378,21 @@ def idempotent_suite(sd, level) -> dict:
     chis = []
     for klass in classes:
         for orbit_rows in klass.orbits:
-            e_eta = _scaled_idempotent(table, orbit_rows[:1])
             e_chi = _scaled_idempotent(table, orbit_rows)
-            for key, e in (("eta_idempotent", e_eta), ("chi_idempotent", e_chi)):
-                if _product(h, e, e, e_norm) != _coords(e_norm, e, h.order):
-                    results[key] = False
+            chi_ok = _is_idempotent(h, e_chi, e_norm)
+            eta_ok = chi_ok if len(orbit_rows) == 1 else _is_idempotent(
+                h, _scaled_idempotent(table, orbit_rows[:1]), e_norm
+            )
+            if not eta_ok:
+                results["eta_idempotent"] = False
+            if not chi_ok:
+                results["chi_idempotent"] = False
             if not _central_at_level(g, e_chi):
                 results["chi_central"] = False
             chis.append(e_chi)
         eps = _scaled_idempotent(table, [r for orbit in klass.orbits for r in orbit])
-        if any(_coords(e_norm, eps, k=k) != _coords(e_norm, eps) for k in stab_ks):
+        if any([int_coords(e_norm, ((e * k, c) for e, c in d.items())) for d in eps] != eps
+               for k in stab_gens):
             results["class_base_stable"] = False
     zero = [{}] * h.order
     for i in range(len(chis)):

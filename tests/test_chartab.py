@@ -31,6 +31,7 @@ from conductor.groups import (
     GroupAutomorphism,
     SemidirectData,
     conjugacy_classes,
+    cyclic_automorphism,
     cyclic_group,
     finite_quotient,
     orbits,
@@ -229,6 +230,75 @@ def test_alpha_orbits_are_in_cycle_order(sd):
         for i, r in enumerate(orb.members):
             composed = [values[r][cls.class_of[sd.alpha(z)]] for z in cls.representatives()]
             assert composed == values[orb.members[(i + 1) % orb.w]]
+
+
+def _reversed_rows(table):
+    """The same table with its rows listed in reverse: a genuine table of
+    the same group, as a new object."""
+    return table._replace(coords=table.coords[::-1], degrees=table.degrees[::-1])
+
+
+def test_kept_restrictions_serve_only_their_small_table():
+    # one big table, two small tables of the same subgroup (rows in a
+    # different order) under the same embedding: each gets its own
+    # decomposition, whichever was kept last, and each equals a fresh one
+    tb = character_table(s3_x_c9())
+    ts = character_table(symmetric_3())
+    tr = _reversed_rows(ts)
+    last = ts.n_classes - 1
+    embedding = [x * 9 for x in range(6)]
+    for row in range(tb.n_classes):
+        for _ in range(2):
+            for small in (ts, tr, ts):
+                got = restrict_and_decompose(tb, row, small, embedding=embedding)
+                assert got == restrict_and_decompose(tb._replace(), row, small, embedding)
+            mirrored = restrict_and_decompose(tb, row, tr, embedding=embedding)
+            assert sorted((last - j, m) for j, m in mirrored) == got
+    # the key holds the embedding: the identity embedding of G_n's own H
+    sd = SemidirectData(cyclic_group(7), GroupAutomorphism.identity(cyclic_group(7)), 3)
+    big, small = character_table(finite_quotient(sd, 1)), character_table(sd.h)
+    both = [restrict_and_decompose(big, r, small) for r in range(big.n_classes)]
+    again = [restrict_and_decompose(big, r, small, list(range(7))) for r in range(big.n_classes)]
+    assert both == again
+    assert big.__dict__["_restrictions"].keys() >= {(0, None), (0, tuple(range(7)))}
+
+
+def test_doctored_copy_raises_after_a_kept_restriction():
+    # the genuine result is kept on the genuine tables; a doctored copy of
+    # either table is a new object, so its restriction is computed and fails
+    tb = character_table(s3_x_c9())
+    ts = character_table(symmetric_3())
+    embedding = [x * 9 for x in range(6)]
+    genuine = restrict_and_decompose(tb, 0, ts, embedding=embedding)
+    coords = [list(r) for r in tb.coords]
+    cell = dict(coords[0][0])
+    cell[0] = cell.get(0, 0) + 1
+    coords[0][0] = cell
+    with pytest.raises(ArithmeticError, match="not the sum of its multiplicities"):
+        restrict_and_decompose(tb._replace(coords=coords), 0, ts, embedding=embedding)
+    small = [list(r) for r in ts.coords]
+    small[genuine[0][0]] = [{0: 2}] * ts.n_classes
+    with pytest.raises(ArithmeticError, match="not the sum of its multiplicities"):
+        restrict_and_decompose(tb, 0, ts._replace(coords=small), embedding=embedding)
+    assert restrict_and_decompose(tb, 0, ts, embedding=embedding) == genuine
+
+
+def test_alpha_orbits_are_kept_per_automorphism():
+    # three automorphisms of C7 on one table: x -> 2x (order 3), x -> -x
+    # (order 2) and the identity, each against a fresh table
+    table = character_table(cyclic_group(7))
+    autos = [cyclic_automorphism(7, k) for k in (2, 6, 1)]
+    for _ in range(2):
+        for alpha in autos:
+            got = alpha_orbits(table, alpha)
+            assert got == alpha_orbits(character_table(cyclic_group(7)), alpha)
+            assert got == alpha_orbits(table._replace(), alpha)
+    assert [sorted(o.w for o in alpha_orbits(table, a)) for a in autos] == [
+        [1, 3, 3], [1, 2, 2, 2], [1] * 7
+    ]
+    # a caller that changes its list does not change the kept one
+    alpha_orbits(table, autos[0]).clear()
+    assert len(alpha_orbits(table, autos[0])) == 3
 
 
 def test_trivial_character_row_need_not_come_first():

@@ -199,6 +199,18 @@ def test_direct_descents_match_the_exact_solve(m, d, e):
         (CycloNumber.root(m) + got).descend(d)
 
 
+def test_minimal_conductor_scales_once(monkeypatch):
+    # minimal_conductor hands its scale and integer coordinates to the
+    # descent; descend computes them itself
+    calls = []
+    scaled = CycloNumber._scaled
+    monkeypatch.setattr(CycloNumber, "_scaled", lambda x: calls.append(x.m) or scaled(x))
+    x = CycloNumber(3, [Fraction(1, 2), Fraction(-2, 3)]).lift(45)
+    got = x.minimal_conductor()
+    assert (got.m, list(got.coeffs)) == (3, [Fraction(1, 2), Fraction(-2, 3)]) and calls == [45]
+    assert x.descend(15).descend(3) == got and calls == [45, 45, 15]
+
+
 @st.composite
 def _subfield_values(draw):
     """A value of Q(zeta_d) written at a multiple m <= 60 of d: random

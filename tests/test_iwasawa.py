@@ -33,8 +33,10 @@ from conductor.errors import InputError, InvalidQuotientError
 from conductor.groups import (
     ClassData,
     FiniteGroup,
+    GroupAutomorphism,
     SemidirectData,
     conjugacy_classes,
+    cyclic_automorphism,
     cyclic_group,
     finite_quotient,
 )
@@ -327,9 +329,10 @@ def _reference_suite(sd, level, table=None, classes=None):
 
 
 def test_idempotent_suite_matches_cyclo_reference():
-    for sd in semidirect_catalog():
+    # the reference on a fresh copy of each entry, which shares no kept data
+    for sd, fresh in zip(semidirect_catalog(), semidirect_catalog()):
         for level in (sd.n, sd.n + 1):
-            assert idempotent_suite(sd, level=level) == _reference_suite(sd, level)
+            assert idempotent_suite(sd, level=level) == _reference_suite(fresh, level)
 
 
 # -- the packed product against the term-by-term route ----------------------
@@ -671,6 +674,101 @@ def test_idempotent_suite_rejects_a_wrong_value(monkeypatch):
     bad = table._replace(coords=coords)
     results = _perturbed_suite(monkeypatch, sd, bad)
     assert not all(results.values()), results
+
+
+def test_idempotent_suite_gives_a_single_member_orbit_both_verdicts(monkeypatch):
+    # C7 under x -> 2x has the orbits (0 1 3), (2 5 4) and the single
+    # member (6,), the trivial character; with its degree doubled,
+    # e_eta = e_chi of that orbit is no idempotent, and both verdicts say so
+    sd = sd_c7()
+    table = character_table(sd.h)
+    (single,) = [o for klass in character_classes(sd) for o in klass.orbits if len(o) == 1]
+    degrees = list(table.degrees)
+    degrees[single[0]] *= 2
+    results = _perturbed_suite(monkeypatch, sd, table._replace(degrees=degrees))
+    assert not results["eta_idempotent"]
+    assert not results["chi_idempotent"]
+    assert results["chi_central"] and results["class_base_stable"]
+
+
+def test_idempotent_suite_rejects_a_class_idempotent_off_the_base(monkeypatch):
+    # the Gauss period zeta_7 + zeta_7^2 + zeta_7^4 added to one value of
+    # C7: fixed by zeta -> zeta^2, moved by zeta -> zeta^3, the second of
+    # the two generators (2, 3) of Gal(Q_3(zeta_7)/Q_3) that the suite
+    # applies, so a suite that applied only the first would miss it
+    sd = sd_c7()
+    table = character_table(sd.h)
+    coords = [list(row) for row in table.coords]
+    cell = dict(coords[1][1])
+    for i in (1, 2, 4):
+        cell[i] = cell.get(i, 0) + 1
+    coords[1][1] = {i: c for i, c in cell.items() if c}
+    results = _perturbed_suite(monkeypatch, sd, table._replace(coords=coords))
+    assert not results["class_base_stable"]
+
+
+def _class_json(classes):
+    return [(c.orbits, c.to_json()) for c in classes]
+
+
+# entries on one H: (H, [(automorphism of H, p)]); C13 under x -> 3x at
+# p = 3 and the identity at p = 3 and 5; C3 x C3 under its two shears
+# (one n, other orbits); S3 under the identity and an inner automorphism
+# (the same singleton orbits, n = 0 and 1)
+_SHARED_H = (
+    (lambda: cyclic_group(13), lambda h: [
+        (cyclic_automorphism(13, 3), 3), (GroupAutomorphism.identity(h), 3),
+        (GroupAutomorphism.identity(h), 5)]),
+    (c3_x_c3, lambda h: [
+        (GroupAutomorphism(h, [(x + y) % 3 * 3 + y for x in range(3) for y in range(3)]), 3),
+        (GroupAutomorphism(h, [x * 3 + (x + y) % 3 for x in range(3) for y in range(3)]), 3)]),
+    (symmetric_3, lambda h: [
+        (GroupAutomorphism.identity(h), 3), (GroupAutomorphism.inner(h, h.generators[1]), 3)]),
+)
+
+
+@pytest.mark.parametrize("make_h, autos", _SHARED_H, ids=["C13", "C3xC3", "S3"])
+def test_character_classes_are_kept_per_automorphism_prime_and_base(make_h, autos):
+    # SemidirectData on one H, each over Q_p and its unramified quadratic
+    # extension, asked in turn and twice: each equals a fresh build on an
+    # H of its own, and no two agree
+    def entries(h):
+        return [SemidirectData(h, alpha, p) for alpha, p in autos(h)]
+
+    shared = entries(make_h())
+    for _ in range(2):
+        seen = []
+        for i, sd in enumerate(shared):
+            for base in (AbelianLocalField.qp(sd.p), AbelianLocalField.unramified(sd.p, 2)):
+                want = _class_json(character_classes(entries(make_h())[i], base))
+                assert _class_json(character_classes(sd, base)) == want, (i, base.to_json())
+                assert want not in seen
+                seen.append(want)
+    assert len(character_table(shared[0].h).__dict__["_character_classes"]) == len(seen)
+
+
+def test_one_entry_builds_its_class_data_and_restrictions_once(monkeypatch):
+    # the conductor, the idempotent suite and the level checks n..n+2 of a
+    # fresh entry: one class computation, and the checks at n + 1 and
+    # n + 2 decompose no restriction that the check at n did not
+    built, decomposed = [], []
+    real_classes, real_residues = iwasawa._character_classes, chartab.CharacterTable.residues
+    monkeypatch.setattr(
+        iwasawa, "_character_classes", lambda *a: built.append(a) or real_classes(*a)
+    )
+    monkeypatch.setattr(
+        chartab.CharacterTable, "residues", lambda t, l: decomposed.append(l) or real_residues(t, l)
+    )
+    for sd in semidirect_catalog():
+        built.clear()
+        central_conductor(sd)
+        idempotent_suite(sd, sd.n + 1)
+        decomposed.clear()
+        assert quotient_degree_check(sd, sd.n)
+        first = len(decomposed)
+        assert first > 0
+        assert all(quotient_degree_check(sd, m) for m in (sd.n + 1, sd.n + 2))
+        assert len(built) == 1 and len(decomposed) == first, sd.name()
 
 
 def test_dual_basis_rejects_a_scale_off_by_one(monkeypatch):
