@@ -57,11 +57,11 @@ of ``iwasawa`` run it on H and G_n only: for m > n they read G_m's degrees
 and restrictions to H off G_n's rows (``iwasawa.quotient_degree_check``),
 and build no table of G_m.
 
-A table keeps in its instance dict ``residues`` per prime, ``galois_orbits``
-per base, ``alpha_orbits`` per class map of alpha, ``restrict_and_decompose``
-per row and embedding (served only to the small table it was certified
-against) and, on H's, ``iwasawa.character_classes``.  A ``_replace`` copy
-starts empty, so a doctored copy never sees a kept result.
+A table is kept on its group, and keeps (``groups.kept``) ``residues`` per
+prime, ``galois_orbits`` per base, ``alpha_orbits`` per class map of alpha,
+each distinct ``restrict_and_decompose`` per small table and embedding, and
+on H's ``iwasawa.character_classes``.  A doctored ``_replace`` copy starts
+empty, so it never sees a kept result.
 
 Everything is deterministic: classes are ordered by smallest member
 (identity first), matrices are consumed in class order, eigenvalues
@@ -79,7 +79,7 @@ from operator import mul
 from .cyclo import coords_json, generating_set, int_coords, is_prime, normalized, prime_factors
 from .cyclo import product_sum
 from .errors import GroupTooLargeError
-from .groups import FiniteGroup, conjugacy_classes, orbits
+from .groups import FiniteGroup, conjugacy_classes, kept, orbits
 from .padic import echelon, echelon_coords, kernel
 
 DEFAULT_BOUND = 2000
@@ -167,9 +167,8 @@ class CharacterTable(namedtuple(
 )):
     """``coords[row][class]`` = {i: count} on zeta_E^i, E = normalized(exponent);
     ``power_maps[t][s]`` = class of rep_t^s, s < order of rep_t.  No
-    ``__slots__``: the instance dict keeps ``_residues``, ``_galois_orbits``,
-    ``_alpha_orbits``, ``_restrictions`` and ``_character_classes`` (see
-    the module docstring)."""
+    ``__slots__``, so ``groups.kept`` can keep results derived from the
+    table on it (see the module docstring)."""
 
     @classmethod
     def from_rows(cls, group, classes, rows, exponent, power_maps):
@@ -203,13 +202,10 @@ class CharacterTable(namedtuple(
 
     def residues(self, l):
         """coords[row][class] mod a prime l = 1 (mod E), E the exponent
-        conductor, through ``_root_powers``; kept per l in the instance
-        dict."""
-        cache = self.__dict__.setdefault("_residues", {})
-        if l not in cache:
-            zs = _root_powers(l, normalized(self.exponent))
-            cache[l] = [[_residue(d, zs, l) for d in row] for row in self.coords]
-        return cache[l]
+        conductor, through ``_root_powers``; kept per l."""
+        zs = _root_powers(l, normalized(self.exponent))
+        rows = self.coords
+        return kept(self, "_residues", l, lambda: [[_residue(d, zs, l) for d in r] for r in rows])
 
     def verify_row_orthogonality(self):
         e_norm, sp = normalized(self.exponent), self.coords
@@ -293,13 +289,14 @@ def _digits(n):
 
 
 def character_table(g: FiniteGroup) -> CharacterTable:
-    """The Dixon-Schneider table of g, cached on g.  Every group goes this
+    """The Dixon-Schneider table of g, kept on g.  Every group goes this
     way; the level checks call it on H and G_n, never on G_m, m > n."""
     require_table_bound(g)
-    cached = getattr(g, "_char_table", None)
-    if cached is not None:
-        return cached
+    return kept(g, "_char_table", None, lambda: _character_table(g))
 
+
+def _character_table(g: FiniteGroup) -> CharacterTable:
+    """character_table, unkept."""
     cls = conjugacy_classes(g)
     k = len(cls.classes)
     reps = cls.representatives()
@@ -353,9 +350,7 @@ def character_table(g: FiniteGroup) -> CharacterTable:
                 lifted[key] = lift(key)
             coords.append(lifted[key])
         rows.append((d, coords))
-    table = CharacterTable.from_rows(g, cls, rows, e, powmaps)
-    g._char_table = table
-    return table
+    return CharacterTable.from_rows(g, cls, rows, e, powmaps)
 
 
 def _power_maps(g, class_of, reps, elem_orders):
@@ -605,11 +600,8 @@ def galois_orbits(table: CharacterTable, base=None) -> tuple:
     shared between callers, so they are tuples of tuples.
     """
     key = None if base is None else (base.p, base.m, base.stab)
-    cache = table.__dict__.setdefault("_galois_orbits", {})
-    if key not in cache:
-        perms = galois_permutations(table, base)
-        cache[key] = tuple(tuple(sorted(o)) for o in orbits(table.n_classes, perms))
-    return cache[key]
+    return kept(table, "_galois_orbits", key, lambda: tuple(
+        tuple(sorted(o)) for o in orbits(table.n_classes, galois_permutations(table, base))))
 
 
 class CharOrbit(namedtuple("CharOrbit", "members eta_degree")):
@@ -628,14 +620,9 @@ def alpha_orbits(table: CharacterTable, alpha) -> list[CharOrbit]:
     kept on the table per class map t -> class of alpha(rep_t)."""
     cls = table.classes
     cmap = tuple(cls.class_of[alpha(z)] for z in cls.representatives())
-    cache = table.__dict__.setdefault("_alpha_orbits", {})
-    if cmap not in cache:
-        (perm,) = row_permutations(table, [cmap])
-        cache[cmap] = tuple(
-            CharOrbit(tuple(members), table.degrees[members[0]])
-            for members in orbits(table.n_classes, [perm])
-        )
-    return list(cache[cmap])
+    return list(kept(table, "_alpha_orbits", cmap, lambda: tuple(
+        CharOrbit(tuple(members), table.degrees[members[0]])
+        for members in orbits(table.n_classes, row_permutations(table, [cmap])))))
 
 
 def restrict_and_decompose(
@@ -657,16 +644,23 @@ def restrict_and_decompose(
     the big table's; as the eta_j are a basis of the class functions of H,
     that holds exactly when every inner product is an integer in [0, l).
 
-    Kept on the big table per row and embedding, with the small table it
-    was certified against: served only when that is the caller's object.
+    Kept on the big table per small table, embedding and restricted
+    values.  The values are keyed by the ids of their dicts: a table lifts
+    each vector of values on the powers of a class representative once,
+    so rows that restrict alike read the same dicts and share one
+    decomposition.  The kept entry holds the small table and the dicts, so
+    while it lives no id in its key names another object.
     """
-    key = (row, None if embedding is None else tuple(embedding))
-    kept = big.__dict__.setdefault("_restrictions", {}).get(key)
-    if kept is not None and kept[0] is small:
-        return list(kept[1])
-    h = small.group
-    if embedding is None:
-        embedding = list(range(h.order))
+    reps = small.classes.representatives()
+    on_h = reps if embedding is None else [embedding[x] for x in reps]
+    res = [big.coords[row][big.classes.class_of[x]] for x in on_h]
+    key = (id(small), None if embedding is None else tuple(embedding), tuple(map(id, res)))
+    entry = kept(big, "_restrictions", key, lambda: (small, res, _decompose(big, res, small)))
+    return list(entry[2])
+
+
+def _decompose(big, res, small):
+    """restrict_and_decompose of the restricted values res, unkept."""
     e_big, l = normalized(big.exponent), big.split_prime
     e_small = normalized(small.exponent)
     if e_big % e_small:
@@ -675,15 +669,11 @@ def restrict_and_decompose(
         )
     step = e_big // e_small
     zs = _root_powers(l, e_big)
-    res = [
-        big.coords[row][big.classes.class_of[embedding[x]]]
-        for x in small.classes.representatives()
-    ]
     # |C_t| chi(g_t) mod l, placed at the class of g_t^-1 to meet eta_j there
     weights = [0] * small.n_classes
     for t, (size, d) in enumerate(zip(small.classes.sizes, res)):
         weights[small.inverse_class(t)] = size * _residue(d, zs, l)
-    scale = pow(h.order, -1, l)
+    scale = pow(small.group.order, -1, l)
     out = []
     for j, eta in enumerate(small.residues(l)):
         m = sum(map(mul, weights, eta)) * scale % l
@@ -696,8 +686,7 @@ def restrict_and_decompose(
         )
         if rebuilt != res[t]:
             raise ArithmeticError("restriction is not the sum of its multiplicities")
-    big.__dict__["_restrictions"][key] = (small, out)
-    return list(out)
+    return out
 
 
 def _row_sums(table: CharacterTable, rows, weights) -> list[dict]:

@@ -27,6 +27,7 @@ from math import lcm
 from .chartab import character_table, galois_fixed, galois_orbits, idempotent_coords
 from .cyclo import normalized, power, product_sum, root_trace, totient, value_conductor
 from .errors import InputError, UnsupportedPresentationError
+from .groups import kept
 from .localfields import AbelianLocalField, field_of_values, relative_data
 from .padic import (
     DEFAULT_PRECISION,
@@ -222,24 +223,15 @@ def maximal_order_basis(g, p, reps=None):
     of Q(zeta_d), and of M_n(Z) through an integral splitting
     representation: a Z-order that is maximal at every prime, so its
     Z_p-span is maximal for each p.  So the basis is built once per
-    ``reps`` (keyed by the matrices' entries) and kept on the group, and
-    the plain and twisted ``brute_force_conductor`` runs at every prime
-    share it; a call that raises stores nothing.  The returned lists are
-    shared between callers and must not be mutated.
+    ``reps`` (keyed by the matrices' entries) and kept on the group
+    (``groups.kept``: a call that raises stores nothing), and the plain
+    and twisted ``brute_force_conductor`` runs at every prime share it.
+    The returned lists are shared between callers and must not be mutated.
     """
     key = tuple(
         tuple(tuple(tuple(row) for row in mat) for mat in gen_mats) for gen_mats in reps or ()
     )
-    return _kept(g, "_maximal_orders", key, lambda: _maximal_order_basis(g, reps))
-
-
-def _kept(g, name, key, build):
-    """build(), kept on g in the dict attribute ``name`` under ``key``; a
-    build that raises stores nothing."""
-    cache = g.__dict__.setdefault(name, {})
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
+    return kept(g, "_maximal_orders", key, lambda: _maximal_order_basis(g, reps))
 
 
 def _maximal_order_basis(g, reps):
@@ -410,13 +402,13 @@ def formula_conductor_lattice(g, p, precision=None):
     z |-> (chi(1)/|G|) sum_j Tr(z * chi(g_j^-1)) c_j, which hits the value z
     on the chosen orbit and zero on every other one.
 
-    The lattice is built once per (p, precision) and kept on the group, as
-    the character table is; a call that raises stores nothing.  The
+    Built once per (p, precision) and kept on the group (``groups.kept``),
+    as the character table is; a call that raises stores nothing.  The
     returned PLattice is shared between callers and must not be mutated.
     """
     if precision is None:
         precision = working_precision(g, p)
-    return _kept(g, "_formula_lattices", (p, precision), lambda: _formula_lattice(g, p, precision))
+    return kept(g, "_formula_lattices", (p, precision), lambda: _formula_lattice(g, p, precision))
 
 
 def _formula_lattice(g, p, precision):

@@ -32,7 +32,7 @@ from .chartab import _class_matrix, character_table
 from .cyclo import CycloNumber, int_coords, normalized, product_sum, value_conductor
 from .errors import InputError
 from .finite import _convolve, formula_conductor_lattice, working_precision
-from .groups import FiniteGroup
+from .groups import FiniteGroup, kept
 from .padic import hnf_columns, lattice_contains, residue, scaled_residues
 
 
@@ -214,16 +214,17 @@ def materialize_center(g, values):
 def fitting_generators(pres: PresentationMatrix, reps=None) -> FittingGenerators:
     """Reduced norms of all b x b submatrices; zero class when a < b.
 
-    Computed once per presentation and kept on it, as the character table
-    is kept on its group.  ``reps`` is ignored.  It stays only for the
-    benchmark's call sites and goes with the next benchmark change."""
-    cached = getattr(pres, "_fitting", None)
-    if cached is not None:
-        return cached
+    Kept on the presentation (``groups.kept``), as the table is on its
+    group.  ``reps`` is ignored.  It stays only for the benchmark's call
+    sites and goes with the next benchmark change."""
+    return kept(pres, "_fitting", None, lambda: _fitting_generators(pres))
+
+
+def _fitting_generators(pres):
+    """fitting_generators, unkept."""
     subsets = list(combinations(range(pres.a), pres.b))  # none when a < b
     values = [reduced_norm(pres.group, [pres.entries[i] for i in rows]) for rows in subsets]
-    pres._fitting = FittingGenerators(subsets=subsets, values=values)
-    return pres._fitting
+    return FittingGenerators(subsets=subsets, values=values)
 
 
 def _require_integral(pres, p):

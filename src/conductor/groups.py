@@ -25,6 +25,22 @@ TABLE_BOUND = 512
 ELEMENT_BOUND = 100000  # largest permutation closure, and largest degree
 
 
+def kept(owner, name, key, build):
+    """build(), kept on ``owner`` in the dict attribute ``name`` under
+    ``key``; a build that raises stores nothing.  The result is shared, so
+    no caller mutates it, and a ``_replace`` copy of the owner starts empty.
+    No ``owner.__dict__``: on CPython 3.11 reading it turns the instance's
+    inline attributes into a dict, and every later attribute read on the
+    owner (``g.table`` in ``mult``) gets slower."""
+    cache = getattr(owner, name, None)
+    if cache is None:
+        cache = {}
+        setattr(owner, name, cache)
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
 class FiniteGroup:
     def __init__(
         self, order, mult_func, generators, name="G", table=None, row_func=None, inverses=None
@@ -296,13 +312,12 @@ class GroupAutomorphism:
 class SemidirectData:
     """H x| Gamma with Gamma procyclic pro-p, acting through alpha of order p^n.
 
-    Two are equal when their h, alpha and p are, which fix n and alpha_pows."""
+    Two are equal when their h, alpha and p are, which fix n and alpha_pows
+    (and the G_n that ``finite_quotient`` keeps on it)."""
 
     def __init__(self, h: FiniteGroup, alpha: GroupAutomorphism, p: int):
         require_odd_prime(p)
         self.h, self.alpha, self.p = h, alpha, p
-        # G_n, built by the first finite_quotient(self, n): every level reads it
-        self.g_n = None
         o = alpha.order()
         n = 0
         while o % self.p == 0:
@@ -333,10 +348,10 @@ def finite_quotient(sd: SemidirectData, m: int) -> FiniteGroup:
     from the rows of H's table when it is read, only the cosets a read
     asks for.  The inverses are in closed form,
     (gamma^i x)^-1 = gamma^(-i) alpha^i(x^-1), listed at the first ``inv``.
-    G_n is built once and kept on sd with its table up to TABLE_BOUND
-    (Dixon-Schneider reads it), so the character table cached on it serves
-    every level.  G_m, m > n, is not kept and keeps no table at any order:
-    building it allocates nothing in |G_m|, reading a row costs
+    G_n is built once and kept on sd (``kept``) with its table up to
+    TABLE_BOUND (Dixon-Schneider reads it), so the character table kept on
+    it serves every level.  G_m, m > n, is not kept and keeps no table at
+    any order: building it allocates nothing in |G_m|, reading a row costs
     O(|G_m|) and the first ``inv`` O(|G_m|).
 
     The rows need no check of their own.  They are built from H's
@@ -347,8 +362,13 @@ def finite_quotient(sd: SemidirectData, m: int) -> FiniteGroup:
     """
     if m < sd.n:
         raise InvalidQuotientError("level m=%d is below the action exponent n=%d" % (m, sd.n))
-    if m == sd.n and sd.g_n is not None:
-        return sd.g_n
+    if m == sd.n:
+        return kept(sd, "_g_n", None, lambda: _quotient(sd, m))
+    return _quotient(sd, m)
+
+
+def _quotient(sd, m):
+    """finite_quotient, unkept."""
     hn = sd.h.order
     pm = sd.p**m
     order = hn * pm
@@ -384,10 +404,7 @@ def finite_quotient(sd: SemidirectData, m: int) -> FiniteGroup:
     if pm > 1:
         gens.append(hn)
     name = "%s:|Z/%d^%d" % (sd.h.name, sd.p, m)
-    g = FiniteGroup(order, mult, gens, name=name, table=table, row_func=row, inverses=inverses)
-    if m == sd.n:
-        sd.g_n = g
-    return g
+    return FiniteGroup(order, mult, gens, name=name, table=table, row_func=row, inverses=inverses)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name=None) -> FiniteGroup:

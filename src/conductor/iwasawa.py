@@ -26,7 +26,7 @@ C_(p^m), so once its classes are certified to be the pairs of that
 product, the degrees and restrictions to H of G_n's rows are those of
 G_m's (``quotient_degree_check``).  G_n is built once per SemidirectData
 (``finite_quotient`` keeps it), so its table is computed once and serves
-every level, and the restriction of each of its rows to H is decomposed
+every level, and each distinct restriction of its rows to H is decomposed
 once (the table keeps it); each G_m, m > n, is built for its call only,
 keeps no multiplication table, and is read by rows, in the cosets each
 check pairs: the first p^n for the trace, coset 0 and the last p^n - 1
@@ -63,7 +63,7 @@ from .chartab import (
 from .cyclo import generating_set, int_coords, normalized
 from .errors import InputError, InvalidQuotientError
 from .finite import _convolve, jacobinski_conductor
-from .groups import conjugacy_classes, finite_quotient
+from .groups import conjugacy_classes, finite_quotient, kept
 from .groups import orbits as group_orbits
 from .localfields import AbelianLocalField, field_of_values, relative_data
 from .orders import GlobalFieldModel
@@ -132,9 +132,9 @@ def character_classes(sd, base=None):
     restriction of chi to H), which can be smaller than the field of any
     single member.
 
-    Kept on H's table per alpha-orbits, n and base (p, m, stabilizer),
-    which fix the result, so the conductor and the idempotent suite of one
-    entry share it; shared, so ``orbits`` is a tuple of row tuples.
+    Kept on H's table (``groups.kept``) per alpha-orbits, n and base (p, m,
+    stabilizer), which fix the result, so the conductor and the idempotent
+    suite of one entry share it; shared, so ``orbits`` is a tuple of tuples.
     """
     if base is None:
         base = AbelianLocalField.qp(sd.p)
@@ -143,10 +143,8 @@ def character_classes(sd, base=None):
     table = character_table(sd.h)
     orbits = alpha_orbits(table, sd.alpha)
     key = (tuple(orb.members for orb in orbits), sd.n, base.p, base.m, base.stab)
-    cache = table.__dict__.setdefault("_character_classes", {})
-    if key not in cache:
-        cache[key] = tuple(_character_classes(sd, base, table, orbits))
-    return list(cache[key])
+    return list(kept(table, "_character_classes", key, lambda: tuple(
+        _character_classes(sd, base, table, orbits))))
 
 
 def _character_classes(sd, base, table, orbits):
@@ -252,11 +250,11 @@ def splitting_field_bound(sd, base=None):
     ArithmeticError when the certificate fails."""
     if base is None:
         base = AbelianLocalField.qp(sd.p)
-    exph = normalized(sd.h.exponent())
+    table = character_table(sd.h)
+    exph = normalized(table.exponent)
     m = lcm(exph, base.m)
     stab = [a for a in base.galois_residues(m) if exph == 1 or a % exph == 1]
     e_field = AbelianLocalField(base.p, m, stab)
-    table = character_table(sd.h)
     orbits = galois_orbits(table, e_field)
     if not all(
         len(orbit) == 1
@@ -541,9 +539,9 @@ def quotient_degree_check(sd, m) -> bool:
     k(G_m) = p^(m-n) k(G_n)), G_n's rows give G_m's verdict.
 
     The table must first be complete: one row per class, and the squared
-    degrees summing to the group order.  A decomposition depends only on
-    the row's values on H, so each distinct restriction is decomposed once
-    and every row is checked against it."""
+    degrees summing to the group order.  Rows that restrict alike to H
+    share one kept decomposition (``restrict_and_decompose``), and every
+    row is checked against it."""
     g = finite_quotient(sd, m)
     require_table_bound(g)
     big = character_table(finite_quotient(sd, sd.n) if m > sd.n else g)
@@ -554,13 +552,8 @@ def quotient_degree_check(sd, m) -> bool:
     small = character_table(sd.h)
     orbits = alpha_orbits(small, sd.alpha)
     orbit_of_row = {r: oi for oi, orb in enumerate(orbits) for r in orb.members}
-    on_h = [big.classes.class_of[z] for z in small.classes.representatives()]
-    decomposed = {}
     for row in range(big.n_classes):
-        key = tuple(frozenset(big.coords[row][t].items()) for t in on_h)
-        if key not in decomposed:
-            decomposed[key] = restrict_and_decompose(big, row, small)
-        parts = decomposed[key]
+        parts = restrict_and_decompose(big, row, small)
         if any(mult != 1 for _, mult in parts):
             return False
         hit = {orbit_of_row[r] for r, _ in parts}

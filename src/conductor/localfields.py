@@ -17,6 +17,7 @@ Only odd p is supported, though ``decomposition_group`` holds for every p.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, lcm
 
 from .cyclo import generating_set, is_prime, normalized, require_odd_prime
@@ -34,6 +35,7 @@ def _split_conductor(p: int, m: int) -> tuple[int, int]:
     return pk, rest
 
 
+@lru_cache(maxsize=None)
 def decomposition_group(p: int, m: int) -> tuple:
     """Gal(Q_p(zeta_m)/Q_p) as a sorted tuple of residues mod m: the units
     whose residue mod m' (m = p^k m', p not dividing m') is a power of p."""

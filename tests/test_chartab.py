@@ -14,6 +14,7 @@ from conductor.catalog import (
     dihedral,
     quaternion_8,
     s3_x_c9,
+    sd_c3_trivial,
     sd_c7,
     semidirect_catalog,
     symmetric_3,
@@ -260,7 +261,34 @@ def test_kept_restrictions_serve_only_their_small_table():
     both = [restrict_and_decompose(big, r, small) for r in range(big.n_classes)]
     again = [restrict_and_decompose(big, r, small, list(range(7))) for r in range(big.n_classes)]
     assert both == again
-    assert big.__dict__["_restrictions"].keys() >= {(0, None), (0, tuple(range(7)))}
+    on_h = tuple(id(big.coords[0][big.classes.class_of[x]]) for x in range(7))
+    keys = {(id(small), None, on_h), (id(small), tuple(range(7)), on_h)}
+    assert big.__dict__["_restrictions"].keys() >= keys
+
+
+def test_rows_that_restrict_alike_share_one_decomposition(monkeypatch):
+    # G_1 of C3 x| Z3 with the trivial action is C3 x C3: its 9 rows have
+    # 3 distinct restrictions to H = C3, so 3 decompositions are built
+    built, real = [], chartab._decompose
+    monkeypatch.setattr(chartab, "_decompose", lambda *a: built.append(a) or real(*a))
+    sd = sd_c3_trivial()
+    big, small = character_table(finite_quotient(sd, 1)), character_table(sd.h)
+    parts = [restrict_and_decompose(big, r, small) for r in range(big.n_classes)]
+    assert big.n_classes == 9 and len(built) == 3
+    assert sorted(parts) == sorted([[(j, 1)] for j in range(3)] * 3)
+    # each caller gets its own list
+    parts[0].clear()
+    assert restrict_and_decompose(big, 0, small) != [] and len(built) == 3
+    # rows that restrict alike read the same value dicts, so the kept
+    # decompositions are one per distinct restriction on every entry
+    for sd in semidirect_catalog():
+        built.clear()
+        big, small = character_table(finite_quotient(sd, sd.n)), character_table(sd.h)
+        on_h = [big.classes.class_of[x] for x in small.representatives()]
+        for r in range(big.n_classes):
+            restrict_and_decompose(big, r, small)
+        restrictions = {tuple(frozenset(row[t].items()) for t in on_h) for row in big.coords}
+        assert len(built) == len(restrictions), sd.name()
 
 
 def test_doctored_copy_raises_after_a_kept_restriction():

@@ -3,8 +3,10 @@
 strip, and none raises ``AssertionError``, so every failed certificate is
 an ``ArithmeticError`` or a documented error.  Only ``cyclo``, ``fitting``
 and ``cli`` name ``CycloNumber``, only ``cyclo`` names its reduction
-internals, and only ``chartab`` names Dixon-Schneider's.  And a ``conductor`` process starts cheaply: no module imports
-``dataclasses`` or ``inspect``, and a subcommand loads only what it runs."""
+internals, and only ``chartab`` names Dixon-Schneider's.  Every result
+kept on an object goes through ``groups.kept``.  And a ``conductor``
+process starts cheaply: no module imports ``dataclasses`` or ``inspect``,
+and a subcommand loads only what it runs."""
 
 import ast
 import glob
@@ -105,6 +107,38 @@ def test_only_groups_reads_a_group_table():
         if any(isinstance(node, ast.Attribute) and node.attr == "table" for node in ast.walk(tree)):
             readers.add(os.path.basename(path)[:-3])
     assert readers == {"groups"}
+
+
+def _is_getattr_memo(node):
+    """Whether node is ``getattr(obj, name, None)``."""
+    return (
+        isinstance(node, ast.Call)
+        and _name_of(node.func) == "getattr"
+        and len(node.args) == 3
+        and isinstance(node.args[2], ast.Constant)
+        and node.args[2].value is None
+    )
+
+
+def test_only_groups_kept_keeps_results_on_an_object():
+    # one memo policy (groups.kept): keep under a key, store nothing when
+    # the build raises, start a copy empty.  No module reads an instance
+    # __dict__, which on CPython 3.11 slows every later attribute read on
+    # the object.  FiniteGroup's inverse list, cached_property and the
+    # module lru_caches are other idioms
+    dicts, memos = set(), set()
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for top in tree.body:
+            where = (os.path.basename(path)[:-3], getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+                    dicts.add(where)
+                if _is_getattr_memo(node):
+                    memos.add(where)
+    assert dicts == set()
+    assert memos == {("groups", "kept")}
 
 
 def test_no_module_imports_dataclasses_or_inspect():
