@@ -59,9 +59,9 @@ and build no table of G_m.
 
 A table is kept on its group, and keeps (``groups.kept``) ``residues`` per
 prime, ``galois_orbits`` per base, ``alpha_orbits`` per class map of alpha,
-each distinct ``restrict_and_decompose`` per small table and embedding, and
-on H's ``iwasawa.character_classes``.  A doctored ``_replace`` copy starts
-empty, so it never sees a kept result.
+each distinct ``restrict_and_decompose`` per small table, and on H's
+``iwasawa.character_classes``.  A doctored ``_replace`` copy starts empty,
+so it never sees a kept result.
 
 Everything is deterministic: classes are ordered by smallest member
 (identity first), matrices are consumed in class order, eigenvalues
@@ -302,10 +302,9 @@ def _character_table(g: FiniteGroup) -> CharacterTable:
     reps = cls.representatives()
     sizes = cls.sizes
     order = g.order
-    elem_orders = [g.element_order(z) for z in reps]
-    e = lcm(*elem_orders)
+    powmaps = _power_maps(g, cls.class_of, reps)
+    e = lcm(*map(len, powmaps))
     l = _split_prime(e, order)
-    powmaps = _power_maps(g, cls.class_of, reps, elem_orders)
     # zeta -> zeta^u for u in a generating set of the units mod e: their
     # class maps generate every Galois conjugation of rows and vectors
     units = [u for u in range(e) if gcd(u, e) == 1]
@@ -353,13 +352,13 @@ def _character_table(g: FiniteGroup) -> CharacterTable:
     return CharacterTable.from_rows(g, cls, rows, e, powmaps)
 
 
-def _power_maps(g, class_of, reps, elem_orders):
-    """power_maps[t][s] = class of rep_t^s for s < order of rep_t."""
+def _power_maps(g, class_of, reps):
+    """power_maps[t][s] = class of rep_t^s for s < order of rep_t, so the
+    length of power_maps[t] is that order."""
     out = []
-    for z, o in zip(reps, elem_orders):
-        pm = [class_of[0]]
-        y = z
-        for _ in range(o - 1):
+    for z in reps:
+        pm, y = [class_of[0]], z
+        while y != 0:
             pm.append(class_of[y])
             y = g.mult(y, z)
         out.append(pm)
@@ -396,7 +395,7 @@ def _lift_coeffs(vs, o, zinv, oinv, l):
 # -- splitting the class matrices mod l --------------------------------------
 
 
-def _class_matrix(g, cls, i):
+def class_matrix(g, cls, i):
     """Sparse M_i: row j lists the (t, a_ijt) with a_ijt != 0, where
     c_i c_j = sum_t a_ijt c_t, so (M_i omega)_j = omega_i omega_j."""
     class_of = cls.class_of
@@ -432,7 +431,7 @@ def _split(g, cls, conj_maps, l):
     for i in range(1, k):
         if not spaces:
             break
-        mat = _class_matrix(g, cls, i)
+        mat = class_matrix(g, cls, i)
         nxt = []
         for basis, piv, tag in spaces:
             # coordinates in an echelon basis are the entries at the pivots;
@@ -626,13 +625,11 @@ def alpha_orbits(table: CharacterTable, alpha) -> list[CharOrbit]:
 
 
 def restrict_and_decompose(
-    big: CharacterTable, row: int, small: CharacterTable, embedding=None
+    big: CharacterTable, row: int, small: CharacterTable
 ) -> list[tuple[int, int]]:
-    """Decompose the restriction of big-row to the subgroup of `small`.
-
-    embedding maps elements of the small group into the big group
-    (default: identity indices).  Returns (small row, multiplicity) pairs
-    with positive multiplicity.
+    """Decompose the restriction of big-row to the subgroup of `small`,
+    whose elements have the same indices in the big group.  Returns (small
+    row, multiplicity) pairs with positive multiplicity.
 
     Each m_j = <Res chi, eta_j> is taken mod the big table's split prime
     l, through the ring map Z[zeta_E] -> F_l that sends zeta_E (E | l - 1
@@ -644,17 +641,15 @@ def restrict_and_decompose(
     the big table's; as the eta_j are a basis of the class functions of H,
     that holds exactly when every inner product is an integer in [0, l).
 
-    Kept on the big table per small table, embedding and restricted
-    values.  The values are keyed by the ids of their dicts: a table lifts
-    each vector of values on the powers of a class representative once,
-    so rows that restrict alike read the same dicts and share one
-    decomposition.  The kept entry holds the small table and the dicts, so
-    while it lives no id in its key names another object.
+    Kept on the big table per small table and restricted values.  The
+    values are keyed by the ids of their dicts: a table lifts each vector
+    of values on the powers of a class representative once, so rows that
+    restrict alike read the same dicts and share one decomposition.  The
+    kept entry holds the small table and the dicts, so while it lives no
+    id in its key names another object.
     """
-    reps = small.classes.representatives()
-    on_h = reps if embedding is None else [embedding[x] for x in reps]
-    res = [big.coords[row][big.classes.class_of[x]] for x in on_h]
-    key = (id(small), None if embedding is None else tuple(embedding), tuple(map(id, res)))
+    res = [big.coords[row][big.classes.class_of[x]] for x in small.classes.representatives()]
+    key = (id(small), tuple(map(id, res)))
     entry = kept(big, "_restrictions", key, lambda: (small, res, _decompose(big, res, small)))
     return list(entry[2])
 

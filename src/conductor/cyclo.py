@@ -200,7 +200,7 @@ def product_sum(m: int, terms) -> dict:
     the sum of w * a * b over (w, a, b) in terms, a and b sparse dicts
     {exponent: coefficient} of zeta_m (ints or Fractions, exponents read
     mod m), with one fold.  At m = 2 (mod 4) it works mod Phi_m on zeta_m's
-    own power basis, as ``finite._cyclotomic_ideal_basis`` asks."""
+    own power basis, as ``localfields.cyclotomic_ideal_basis`` asks."""
     acc: dict = {}
     for w, a, b in terms:
         for ea, ca in a.items():

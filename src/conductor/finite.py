@@ -8,8 +8,8 @@ maximal order containing Z_p[G], writes down the divisibility constraints
 defining {x central : x * maximal_order <= Z_p[G]}, and solves them by
 elimination.  ``formula_conductor_lattice`` turns the formula into a lattice
 in the same coordinates so the two can be compared bit for bit; its block
-ideals J^t are powers of one generator in Z_p[x]/Phi_d(x), taken with
-``cyclo``'s product (``_cyclotomic_ideal_basis``).
+ideals J^t are powers of one generator in Z_p[x]/Phi_d(x)
+(``localfields.cyclotomic_ideal_basis``).
 
 The second half of the module computes Ext^1(M, N) as the cohomology group
 H^1(G, Hom(M, N)), from cocycles fixed by their values on the generators,
@@ -25,10 +25,10 @@ from fractions import Fraction
 from math import lcm
 
 from .chartab import character_table, galois_fixed, galois_orbits, idempotent_coords
-from .cyclo import normalized, power, product_sum, root_trace, totient, value_conductor
+from .cyclo import normalized, root_trace, totient, value_conductor
 from .errors import InputError, UnsupportedPresentationError
-from .groups import kept
-from .localfields import AbelianLocalField, field_of_values, relative_data
+from .groups import convolve, kept
+from .localfields import AbelianLocalField, cyclotomic_ideal_basis, field_of_values, relative_data
 from .padic import (
     DEFAULT_PRECISION,
     exact_kernel,
@@ -209,7 +209,7 @@ def _rep_character_row(table, rep_matrices):
     return table.coords.index(want)
 
 
-def maximal_order_basis(g, p, reps=None):
+def maximal_order_basis(g, reps=None):
     """Basis, in rational coordinates on group elements, of a maximal order
     containing Z_p[G].
 
@@ -218,14 +218,14 @@ def maximal_order_basis(g, p, reps=None):
     require an integral splitting representation, one matrix per generator;
     without one the input is rejected as unsupported.
 
-    The basis does not depend on p, which is never read.  Its Z-span is the
-    product over the rational blocks of Z[x]/Phi_d(x), the ring of integers
-    of Q(zeta_d), and of M_n(Z) through an integral splitting
-    representation: a Z-order that is maximal at every prime, so its
-    Z_p-span is maximal for each p.  So the basis is built once per
-    ``reps`` (keyed by the matrices' entries) and kept on the group
-    (``groups.kept``: a call that raises stores nothing), and the plain
-    and twisted ``brute_force_conductor`` runs at every prime share it.
+    The basis does not depend on p.  Its Z-span is the product over the
+    rational blocks of Z[x]/Phi_d(x), the ring of integers of Q(zeta_d),
+    and of M_n(Z) through an integral splitting representation: a Z-order
+    that is maximal at every prime, so its Z_p-span is maximal for each p.
+    So the basis is built once per ``reps`` (keyed by the matrices'
+    entries) and kept on the group (``groups.kept``: a call that raises
+    stores nothing), and the plain and twisted ``brute_force_conductor``
+    runs at every prime share it.
     The returned lists are shared between callers and must not be mutated.
     """
     key = tuple(
@@ -289,7 +289,7 @@ def brute_force_conductor(g, p, reps=None, twist_seed=None, precision=None):
     """
     if precision is None:
         precision = working_precision(g, p)
-    basis = maximal_order_basis(g, p, reps)
+    basis = maximal_order_basis(g, reps)
     if twist_seed is None:
         return _conductor_lattice(g, p, *_integer_scaled(basis), False, precision)
     return _conductor_lattice(g, p, *_twist_basis(g, p, basis, twist_seed), True, precision)
@@ -372,21 +372,7 @@ def _twist_basis(g, p, basis, seed):
                     lam[i] += c * vec[i]
     u = [p * c for c in lam]
     u[0] += den
-    return den * den, [_convolve(g, u, vec) for vec in ints]
-
-
-def _convolve(g, a, b):
-    """a * b in Z[G], one ``g.row(x)`` per nonzero a[x].  On a group with
-    no table each read builds the whole row, O(|G|) even when b is sparse."""
-    out = [0] * g.order
-    b_terms = [(y, by) for y, by in enumerate(b) if by]
-    for x, ax in enumerate(a):
-        if ax:
-            row = g.row(x)
-            for y, by in b_terms:
-                # class sums and group elements have unit coefficients
-                out[row[y]] += by if ax == 1 else ax * by
-    return out
+    return den * den, [convolve(g, u, vec) for vec in ints]
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +421,7 @@ def _formula_lattice(g, p, precision):
         # and Tr_{Q(zeta_d)/Q} = phi(d)/phi(E) Tr_{Q(zeta_E)/Q}
         scale = Fraction(degree * totient(d), g.order * totient(e_norm))
         chis = [table.coords[rep][table.inverse_class(j)].items() for j in range(k)]
-        den, ints = _integer_scaled(_cyclotomic_ideal_basis(p, d, target, precision))
+        den, ints = _integer_scaled(cyclotomic_ideal_basis(p, d, target, precision))
         nums = []
         for col in ints:
             z = [(a * (e_norm // d), za) for a, za in enumerate(col) if za]
@@ -447,40 +433,6 @@ def _formula_lattice(g, p, precision):
         res = scaled_residues(nums, scale.denominator * den, p, modulus)
         columns.extend(res[i:i + k] for i in range(0, len(res), k))
     return hnf_columns(p, precision, columns)
-
-
-def _cyclotomic_ideal_basis(p, d, target, precision):
-    """Power-basis coordinates of a basis of J^target in Z_p[x]/Phi_d(x),
-    J the radical; ``target`` may be negative.
-
-    Write d = p^k d' with p not dividing d'.  The ring is a product of DVRs,
-    each an unramified extension of Z_p[zeta_(p^k)], so J is principal: it is
-    generated by p when k = 0 and by 1 - x^d' when k >= 1, x^d' being a
-    primitive p^k-th root of unity.  J^t for t >= 0 is the image of
-    multiplication by the t-th power of the generator, one Hermite form;
-    J^-t = p^-a J^(a e - t) for e = phi(p^k) and the least a with
-    a e >= t.  Elements are sparse dicts mod Phi_d and p^precision,
-    multiplied by ``cyclo.product_sum`` and powered by ``cyclo.power``.
-    """
-    deg = totient(d)
-    d_prime = d
-    while d_prime % p == 0:
-        d_prime //= p
-    e = totient(d // d_prime)
-    modulus = p**precision
-
-    def mult(u, v):
-        prod = product_sum(d, ((1, u, v),))
-        return {i: c % modulus for i, c in prod.items() if c % modulus}
-
-    gen = {0: p} if d_prime == d else mult({0: 1, d_prime: -1}, {0: 1})  # 1 - x^d'
-    a = max(0, -(target // e))
-    pi = power(mult, gen, target + a * e, {0: 1})
-    images = [mult(pi, {j: 1}) for j in range(deg)]
-    cols = hnf_columns(p, precision, [[x.get(i, 0) for i in range(deg)] for x in images]).cols
-    if a:
-        cols = [[Fraction(x, p**a) for x in col] for col in cols]
-    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +703,7 @@ def maximal_order_module(g, p, reps=None):
     scaled by the common denominator D of ``maximal_order_basis`` (see
     ``_integer_scaled``): the scaled basis is a basis of it, and the action
     on a basis does not depend on a common scale."""
-    columns = _integer_scaled(maximal_order_basis(g, p, reps))[1]
+    columns = _integer_scaled(maximal_order_basis(g, reps))[1]
     return GModule(g, g.order, _permutation_action(g, columns), "maximal-order")
 
 

@@ -19,7 +19,7 @@ invariant annihilates the cokernel.  Both factors are central, so the
 product of a column of the group's ``formula_conductor_lattice`` with a
 generator's integer class sums over one denominator (``_center_classes``,
 which certifies Galois coherence) is formed in class-sum coordinates with
-the class multiplication coefficients of ``chartab._class_matrix``.  It
+the class multiplication coefficients of ``chartab.class_matrix``.  It
 must be p-integral and carry each unit vector of Lambda^b into the
 presentation image: a lattice membership check on residues mod p^N.
 """
@@ -28,11 +28,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
 
-from .chartab import _class_matrix, character_table
+from .chartab import character_table, class_matrix
 from .cyclo import CycloNumber, int_coords, normalized, product_sum, value_conductor
 from .errors import InputError
-from .finite import _convolve, formula_conductor_lattice, working_precision
-from .groups import FiniteGroup, kept
+from .finite import formula_conductor_lattice, working_precision
+from .groups import FiniteGroup, convolve, kept
 from .padic import hnf_columns, lattice_contains, residue, scaled_residues
 
 
@@ -89,7 +89,7 @@ def _power_traces(g, matrix, top):
     power = matrix
     for j in range(1, top + 1):
         if j > 1:  # M^j = M^(j-1) M over Z[G]
-            power = [[[sum(t) for t in zip(*(_convolve(g, r[l], matrix[l][c]) for l in range(k)))]
+            power = [[[sum(t) for t in zip(*(convolve(g, r[l], matrix[l][c]) for l in range(k)))]
                       for c in range(k)] for r in power]
         sums = [0] * len(classes.classes)
         for i in range(k):
@@ -205,12 +205,6 @@ def _center_classes(g, values):
     return sums, denom * g.order
 
 
-def materialize_center(g, values):
-    """``_center_classes`` as a rational coefficient vector on G."""
-    sums, den = _center_classes(g, values)
-    return [Fraction(sums[t], den) for t in character_table(g).classes.class_of]
-
-
 def fitting_generators(pres: PresentationMatrix, reps=None) -> FittingGenerators:
     """Reduced norms of all b x b submatrices; zero class when a < b.
 
@@ -283,7 +277,7 @@ def annihilation_check(pres: PresentationMatrix, p, reps=None, precision=None) -
     image = presentation_image(pres, p, precision=precision)
     classes = character_table(g).classes
     k = len(classes.classes)
-    mats = [_class_matrix(g, classes, s) for s in range(k)]
+    mats = [class_matrix(g, classes, s) for s in range(k)]
     for vals in fit.values:
         z, den = _center_classes(g, vals)
         times_z = [[0] * k for _ in range(k)]  # c_s z = sum_j z_j c_s c_j, on class sums

@@ -193,25 +193,6 @@ class FiniteGroup:
         """a x a^-1."""
         return self.mult(self.mult(a, x), self.inv(a))
 
-    def element_order(self, a):
-        o, y = 1, a
-        while y != 0:
-            y = self.mult(y, a)
-            o += 1
-        return o
-
-    def exponent(self):
-        e = 1
-        for x in range(self.order):
-            o = self.element_order(x)
-            e = e * o // gcd(e, o)
-        return e
-
-    def is_abelian(self):
-        return all(
-            self.mult(a, b) == self.mult(b, a) for a in self.generators for b in self.generators
-        )
-
     def __repr__(self):
         return "%s(order=%d)" % (self.name, self.order)
 
@@ -310,10 +291,7 @@ class GroupAutomorphism:
 
 
 class SemidirectData:
-    """H x| Gamma with Gamma procyclic pro-p, acting through alpha of order p^n.
-
-    Two are equal when their h, alpha and p are, which fix n and alpha_pows
-    (and the G_n that ``finite_quotient`` keeps on it)."""
+    """H x| Gamma with Gamma procyclic pro-p, acting through alpha of order p^n."""
 
     def __init__(self, h: FiniteGroup, alpha: GroupAutomorphism, p: int):
         require_odd_prime(p)
@@ -330,10 +308,6 @@ class SemidirectData:
         for _ in range(1, self.p**self.n):
             pows.append([self.alpha.images[x] for x in pows[-1]])
         self.alpha_pows = pows
-
-    def __eq__(self, other):
-        key = (self.h, self.alpha, self.p)
-        return isinstance(other, SemidirectData) and key == (other.h, other.alpha, other.p)
 
     def name(self):
         return "%s:|Z%d" % (self.h.name, self.p)
@@ -405,6 +379,20 @@ def _quotient(sd, m):
         gens.append(hn)
     name = "%s:|Z/%d^%d" % (sd.h.name, sd.p, m)
     return FiniteGroup(order, mult, gens, name=name, table=table, row_func=row, inverses=inverses)
+
+
+def convolve(g, a, b):
+    """a * b in Z[G], one ``g.row(x)`` per nonzero a[x].  On a group with
+    no table each read builds the whole row, O(|G|) even when b is sparse."""
+    out = [0] * g.order
+    b_terms = [(y, by) for y, by in enumerate(b) if by]
+    for x, ax in enumerate(a):
+        if ax:
+            row = g.row(x)
+            for y, by in b_terms:
+                # class sums and group elements have unit coefficients
+                out[row[y]] += by if ax == 1 else ax * by
+    return out
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name=None) -> FiniteGroup:

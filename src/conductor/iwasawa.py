@@ -47,7 +47,6 @@ to be compared.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 
 from .chartab import (
     alpha_orbits,
@@ -62,8 +61,7 @@ from .chartab import (
 )
 from .cyclo import generating_set, int_coords, normalized
 from .errors import InputError, InvalidQuotientError
-from .finite import _convolve, jacobinski_conductor
-from .groups import conjugacy_classes, finite_quotient, kept
+from .groups import conjugacy_classes, convolve, finite_quotient, kept
 from .groups import orbits as group_orbits
 from .localfields import AbelianLocalField, field_of_values, relative_data
 from .orders import GlobalFieldModel
@@ -252,9 +250,8 @@ def splitting_field_bound(sd, base=None):
         base = AbelianLocalField.qp(sd.p)
     table = character_table(sd.h)
     exph = normalized(table.exponent)
-    m = lcm(exph, base.m)
-    stab = [a for a in base.galois_residues(m) if exph == 1 or a % exph == 1]
-    e_field = AbelianLocalField(base.p, m, stab)
+    # 1 % exph: over a trivial H every k fixes the values, and E is the base
+    e_field = field_of_values(base, exph, lambda k: k % exph == 1 % exph)
     orbits = galois_orbits(table, e_field)
     if not all(
         len(orbit) == 1
@@ -290,7 +287,7 @@ def _product(h, a, b, e_norm) -> list:
 
     Kronecker substitution: each coefficient dict d is packed once into
     P(d) = sum_i d[i] 2^(W i), so N_z = sum_x P(a_x) P(b_(x^-1 z)), the
-    convolution over H of the packed integers (``finite._convolve``), is
+    convolution over H of the packed integers (``groups.convolve``), is
     sum_i c_i 2^(W i) with c_i = sum_x sum_(i1 + i2 = i) a_x[i1] b_(x^-1 z)[i2],
     the coordinates of z in a * b on zeta_E^i, folded once per z.  Slot
     width: |c_i| <= M = (sum of all |a_x[i]|) (largest |b_y[i]|), and
@@ -306,7 +303,7 @@ def _product(h, a, b, e_norm) -> list:
     slots = sum(max((i for d in f for i in d), default=0) for f in (a, b)) + 1
     pa = _packed(a, width)
     pb = pa if b is a else _packed(b, width)
-    return [int_coords(e_norm, _unpacked(n, width, slots)) for n in _convolve(h, pa, pb)]
+    return [int_coords(e_norm, _unpacked(n, width, slots)) for n in convolve(h, pa, pb)]
 
 
 def _packed(coeffs, width) -> list:
@@ -589,6 +586,8 @@ def _certify_class_pairs(sd, m, g, base):
 def degeneration_matches_finite(sd) -> bool:
     """With n = 0 the class data must reproduce the finite-group conductor
     of H over Q_p, component by component."""
+    from .finite import jacobinski_conductor
+
     if sd.n != 0:
         raise InputError("degeneration check needs a trivial action (n = 0)")
     classes = character_classes(sd)

@@ -11,18 +11,22 @@ The closures and generating sets of subgroups of (Z/m)* are ``cyclo``'s
 ``unit_closure`` and ``generating_set``.  Ramification data comes from the
 conductor-discriminant formula evaluated on the higher unit filtration
 I_i = {a in I : a = 1 mod p^i}, so everything stays integer arithmetic.
+``cyclotomic_ideal_basis`` gives the powers of the radical of
+Z_p[x]/Phi_d(x) as explicit lattices.
 
 Only odd p is supported, though ``decomposition_group`` holds for every p.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclo import generating_set, is_prime, normalized, require_odd_prime
-from .cyclo import unit_closure, unit_lift, value_conductor
+from .cyclo import generating_set, is_prime, normalized, power, product_sum, require_odd_prime
+from .cyclo import totient, unit_closure, unit_lift, value_conductor
 from .errors import ContainmentError, InputError
+from .padic import hnf_columns
 
 
 def _split_conductor(p: int, m: int) -> tuple[int, int]:
@@ -213,3 +217,37 @@ def relative_data(base: AbelianLocalField, ext: AbelianLocalField) -> tuple[int,
     ):
         raise ArithmeticError("relative e, f or different exponent is inconsistent")
     return e, f, d
+
+
+def cyclotomic_ideal_basis(p, d, target, precision):
+    """Power-basis coordinates of a basis of J^target in Z_p[x]/Phi_d(x),
+    J the radical; ``target`` may be negative.
+
+    Write d = p^k d' with p not dividing d'.  The ring is a product of DVRs,
+    each an unramified extension of Z_p[zeta_(p^k)], so J is principal: it is
+    generated by p when k = 0 and by 1 - x^d' when k >= 1, x^d' being a
+    primitive p^k-th root of unity.  J^t for t >= 0 is the image of
+    multiplication by the t-th power of the generator, one Hermite form;
+    J^-t = p^-a J^(a e - t) for e = phi(p^k) and the least a with
+    a e >= t.  Elements are sparse dicts mod Phi_d and p^precision,
+    multiplied by ``cyclo.product_sum`` and powered by ``cyclo.power``.
+    """
+    deg = totient(d)
+    d_prime = d
+    while d_prime % p == 0:
+        d_prime //= p
+    e = totient(d // d_prime)
+    modulus = p**precision
+
+    def mult(u, v):
+        prod = product_sum(d, ((1, u, v),))
+        return {i: c % modulus for i, c in prod.items() if c % modulus}
+
+    gen = {0: p} if d_prime == d else mult({0: 1, d_prime: -1}, {0: 1})  # 1 - x^d'
+    a = max(0, -(target // e))
+    pi = power(mult, gen, target + a * e, {0: 1})
+    images = [mult(pi, {j: 1}) for j in range(deg)]
+    cols = hnf_columns(p, precision, [[x.get(i, 0) for i in range(deg)] for x in images]).cols
+    if a:
+        cols = [[Fraction(x, p**a) for x in col] for col in cols]
+    return cols

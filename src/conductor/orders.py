@@ -16,7 +16,7 @@ The radical helpers below (``nilradical_mod_p``, ``radical_lattice``,
 commutative order as the preimage of the nilradical of O/pO - the kernel
 of a power of the F_p-linear Frobenius map - and its powers as products
 of lattices.  Nothing in the package calls them: they are the reference
-route the closed-form ideals of ``finite._cyclotomic_ideal_basis`` are
+route the closed-form ideals of ``localfields.cyclotomic_ideal_basis`` are
 tested against, and a round-2 maximal-order loop over o would start from
 them.
 """
@@ -28,8 +28,7 @@ from math import gcd
 
 from .cyclo import int_coords, power, root_trace, totient
 from .errors import UnsupportedPresentationError
-from .finite import _cyclotomic_ideal_basis
-from .localfields import AbelianLocalField
+from .localfields import AbelianLocalField, cyclotomic_ideal_basis
 from .padic import (
     DEFAULT_PRECISION,
     PLattice,
@@ -163,7 +162,7 @@ class GlobalFieldModel:
         # J^r is O intersected with J_L^t, t = r e(L/K) and e(L/K) the
         # ramification index of L, phi(p-part of m), over e; its coordinates
         # y are the first n entries of the kernel of [basis | -J_L^t]
-        ideal = _cyclotomic_ideal_basis(p, m, r * totient(gcd(m, p**m)) // e, DEFAULT_PRECISION)
+        ideal = cyclotomic_ideal_basis(p, m, r * totient(gcd(m, p**m)) // e, DEFAULT_PRECISION)
         rows = [[b[i] for b in self.basis] + [-c[i] for c in ideal] for i in range(len(ideal))]
         vals, cols = smith_with_column_transform(p, DEFAULT_PRECISION, rows)
         # the dual lattice is Gram^-1 Z_p^n, so p^q O^dual = J^r exactly

@@ -114,14 +114,9 @@ def _subtract(vec, q: int, terms, modulus: int) -> None:
 
 def residue(x, p: int, modulus: int) -> int:
     """x mod p^N for an int or a p-integral Fraction (modulus = p^N)."""
-    # ints, the common case, skip the isinstance check against the ABC
-    if type(x) is int:
-        return x % modulus
-    if isinstance(x, Fraction):
-        if x.denominator % p == 0:
-            raise ArithmeticError("%s is not %d-integral" % (x, p))
-        return x.numerator * pow(x.denominator, -1, modulus) % modulus
-    return x % modulus
+    if x.denominator % p == 0:
+        raise ArithmeticError("%s is not %d-integral" % (x, p))
+    return x.numerator * pow(x.denominator, -1, modulus) % modulus
 
 
 def scaled_residues(nums, den, p: int, modulus: int) -> list:

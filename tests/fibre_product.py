@@ -82,5 +82,5 @@ def fibre_product_table(sd, m, base=None) -> CharacterTable:
         for r in range(len(base.coords))
         for a in range(pm // pn)
     ]
-    powmaps = _power_maps(g, cls.class_of, cls.representatives(), orders)
+    powmaps = _power_maps(g, cls.class_of, cls.representatives())
     return CharacterTable.from_rows(g, cls, rows, e, powmaps)

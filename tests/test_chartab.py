@@ -34,12 +34,14 @@ from conductor.groups import (
     conjugacy_classes,
     cyclic_automorphism,
     cyclic_group,
+    direct_product,
     finite_quotient,
     orbits,
 )
 from conductor.localfields import AbelianLocalField
 from conductor.padic import echelon, echelon_coords, kernel
 from fibre_product import fibre_product_table
+from group_orders import element_order, exponent
 from table_values import table_values
 
 
@@ -87,14 +89,11 @@ def test_column_sum_counts_identity():
 
 
 def test_restriction_from_direct_product():
-    big = s3_x_c9()
-    small = symmetric_3()
-    # elements of S3 sit at indices x*9 inside S3 x C9
-    embedding = [x * 9 for x in range(6)]
-    tb = character_table(big)
-    ts = character_table(small)
+    # elements of S3 keep their indices 0..5 inside C9 x S3
+    tb = character_table(direct_product(cyclic_group(9), symmetric_3()))
+    ts = character_table(symmetric_3())
     for row in range(tb.n_classes):
-        parts = restrict_and_decompose(tb, row, ts, embedding=embedding)
+        parts = restrict_and_decompose(tb, row, ts)
         total = sum(mult * ts.degrees[r] for r, mult in parts)
         assert total == tb.degrees[row]
 
@@ -116,14 +115,15 @@ def _inner_products(res, small, small_values):
 
 
 def _restriction_cases():
-    """(name, big table, small table, embedding): S3 in S3xC9, C2 in S3,
-    C1 in S3, and H in G_m for every semidirect catalog entry, C1 and C2
-    among them, at levels n..n+2 up to order 513."""
+    """(name, big table, small table), the small group at the same indices
+    in the big one: S3 in C9xS3, C2 in S3, C1 in S3, and H in G_m for every
+    semidirect catalog entry, C1 and C2 among them, at levels n..n+2 up to
+    order 513."""
     s3 = symmetric_3()
     cases = [
-        ("S3 in S3xC9", character_table(s3_x_c9()), character_table(s3), [x * 9 for x in range(6)]),
-        ("C2 in S3", character_table(s3), character_table(cyclic_group(2)), [0, 1]),
-        ("C1 in S3", character_table(s3), character_table(cyclic_group(1)), [0]),
+        ("S3 in C9xS3", character_table(direct_product(cyclic_group(9), s3)), character_table(s3)),
+        ("C2 in S3", character_table(s3), character_table(cyclic_group(2))),
+        ("C1 in S3", character_table(s3), character_table(cyclic_group(1))),
     ]
     trivial = [SemidirectData(cyclic_group(q), GroupAutomorphism.identity(cyclic_group(q)), 3)
                for q in (1, 2)]
@@ -132,13 +132,13 @@ def _restriction_cases():
         for m in range(sd.n, sd.n + 3):
             if sd.h.order * sd.p**m <= 513:
                 big = fibre_product_table(sd, m)
-                cases.append(("%s level %d" % (sd.name(), m), big, small, list(range(sd.h.order))))
+                cases.append(("%s level %d" % (sd.name(), m), big, small))
     return cases
 
 
 def test_restriction_matches_cyclo_inner_products():
-    for name, big, small, embedding in _restriction_cases():
-        on_small = [big.classes.class_of[embedding[z]] for z in small.representatives()]
+    for name, big, small in _restriction_cases():
+        on_small = [big.classes.class_of[z] for z in small.representatives()]
         wants = {}  # the reference once per distinct restriction
         big_values, small_values = table_values(big), table_values(small)
         for row in range(big.n_classes):
@@ -146,15 +146,15 @@ def test_restriction_matches_cyclo_inner_products():
             if key not in wants:
                 res = [big_values[row][t] for t in on_small]
                 wants[key] = _inner_products(res, small, small_values)
-            assert restrict_and_decompose(big, row, small, embedding=embedding) == wants[key], name
+            assert restrict_and_decompose(big, row, small) == wants[key], name
 
 
 _PERTURBED_RESTRICTION = """
-from conductor.catalog import s3_x_c9, symmetric_3
+from conductor.catalog import symmetric_3
 from conductor.chartab import character_table, restrict_and_decompose
-tb = character_table(s3_x_c9())
+from conductor.groups import cyclic_group, direct_product
+tb = character_table(direct_product(cyclic_group(9), symmetric_3()))
 ts = character_table(symmetric_3())
-embedding = [x * 9 for x in range(6)]
 # chi(1) + 1 at a rational coordinate, chi(1) + zeta_9 at another
 for row, i in ((0, 0), (1, 1)):
     coords = [list(r) for r in tb.coords]
@@ -162,7 +162,7 @@ for row, i in ((0, 0), (1, 1)):
     cell[i] = cell.get(i, 0) + 1
     coords[row][0] = cell
     try:
-        restrict_and_decompose(tb._replace(coords=coords), row, ts, embedding=embedding)
+        restrict_and_decompose(tb._replace(coords=coords), row, ts)
     except ArithmeticError as exc:
         print("ArithmeticError", exc)
     else:
@@ -241,29 +241,26 @@ def _reversed_rows(table):
 
 def test_kept_restrictions_serve_only_their_small_table():
     # one big table, two small tables of the same subgroup (rows in a
-    # different order) under the same embedding: each gets its own
-    # decomposition, whichever was kept last, and each equals a fresh one
-    tb = character_table(s3_x_c9())
+    # different order): each gets its own decomposition, whichever was
+    # kept last, and each equals a fresh one
+    tb = character_table(direct_product(cyclic_group(9), symmetric_3()))
     ts = character_table(symmetric_3())
     tr = _reversed_rows(ts)
     last = ts.n_classes - 1
-    embedding = [x * 9 for x in range(6)]
     for row in range(tb.n_classes):
         for _ in range(2):
             for small in (ts, tr, ts):
-                got = restrict_and_decompose(tb, row, small, embedding=embedding)
-                assert got == restrict_and_decompose(tb._replace(), row, small, embedding)
-            mirrored = restrict_and_decompose(tb, row, tr, embedding=embedding)
+                got = restrict_and_decompose(tb, row, small)
+                assert got == restrict_and_decompose(tb._replace(), row, small)
+            mirrored = restrict_and_decompose(tb, row, tr)
             assert sorted((last - j, m) for j, m in mirrored) == got
-    # the key holds the embedding: the identity embedding of G_n's own H
+    # the key is the small table and the restricted values
     sd = SemidirectData(cyclic_group(7), GroupAutomorphism.identity(cyclic_group(7)), 3)
     big, small = character_table(finite_quotient(sd, 1)), character_table(sd.h)
-    both = [restrict_and_decompose(big, r, small) for r in range(big.n_classes)]
-    again = [restrict_and_decompose(big, r, small, list(range(7))) for r in range(big.n_classes)]
-    assert both == again
+    for r in range(big.n_classes):
+        restrict_and_decompose(big, r, small)
     on_h = tuple(id(big.coords[0][big.classes.class_of[x]]) for x in range(7))
-    keys = {(id(small), None, on_h), (id(small), tuple(range(7)), on_h)}
-    assert big.__dict__["_restrictions"].keys() >= keys
+    assert (id(small), on_h) in big.__dict__["_restrictions"]
 
 
 def test_rows_that_restrict_alike_share_one_decomposition(monkeypatch):
@@ -294,21 +291,20 @@ def test_rows_that_restrict_alike_share_one_decomposition(monkeypatch):
 def test_doctored_copy_raises_after_a_kept_restriction():
     # the genuine result is kept on the genuine tables; a doctored copy of
     # either table is a new object, so its restriction is computed and fails
-    tb = character_table(s3_x_c9())
+    tb = character_table(direct_product(cyclic_group(9), symmetric_3()))
     ts = character_table(symmetric_3())
-    embedding = [x * 9 for x in range(6)]
-    genuine = restrict_and_decompose(tb, 0, ts, embedding=embedding)
+    genuine = restrict_and_decompose(tb, 0, ts)
     coords = [list(r) for r in tb.coords]
     cell = dict(coords[0][0])
     cell[0] = cell.get(0, 0) + 1
     coords[0][0] = cell
     with pytest.raises(ArithmeticError, match="not the sum of its multiplicities"):
-        restrict_and_decompose(tb._replace(coords=coords), 0, ts, embedding=embedding)
+        restrict_and_decompose(tb._replace(coords=coords), 0, ts)
     small = [list(r) for r in ts.coords]
     small[genuine[0][0]] = [{0: 2}] * ts.n_classes
     with pytest.raises(ArithmeticError, match="not the sum of its multiplicities"):
-        restrict_and_decompose(tb, 0, ts._replace(coords=small), embedding=embedding)
-    assert restrict_and_decompose(tb, 0, ts, embedding=embedding) == genuine
+        restrict_and_decompose(tb, 0, ts._replace(coords=small))
+    assert restrict_and_decompose(tb, 0, ts) == genuine
 
 
 def test_alpha_orbits_are_kept_per_automorphism():
@@ -427,7 +423,7 @@ def _reference_table(g):
     reps = cls.representatives()
     sizes = cls.sizes
     order = g.order
-    e = g.exponent()
+    e = exponent(g)
     l = chartab._split_prime(e, order)
     mats = [[[0] * k for _ in range(k)] for _ in range(k)]
     for x in range(order):
@@ -452,7 +448,7 @@ def _reference_table(g):
         spaces = nxt
     assert len(spaces) == k and all(len(piv) == 1 for _, piv in spaces)
     inv_class = [cls.class_of[g.inv(z)] for z in reps]
-    orders = [g.element_order(z) for z in reps]
+    orders = [element_order(g, z) for z in reps]
     powmaps = []
     for z, o in zip(reps, orders):
         pm, y = [], 0
@@ -540,7 +536,7 @@ def test_conjugate_span_certificates():
     g = symmetric_3()
     table = character_table(g)
     l = table.split_prime
-    mat = chartab._class_matrix(g, table.classes, 1)
+    mat = chartab.class_matrix(g, table.classes, 1)
     trivial, sign, standard = ([1, 3, 2], [1, l - 3, 2], [1, 0, l - 1])
     whole = ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2])
     assert chartab._conjugate_span(*whole, mat, l - 3, [sign], l) == ([sign], [0])

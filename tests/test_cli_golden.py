@@ -64,6 +64,12 @@ GOLDEN = [
     ("verify --suite ext --format table", 0, "b1d8ff3209ae534edc6d171aa3d382fd00b4feea1061d3b4db2934b40a6d50e9"),
     ("verify --suite degrees", 0, "1e2d53a11a273dc9c7cf0673cfa36971f7fe0094c40bd0b3dab4fc401ddaa975"),
     ("verify --suite degrees --format table", 0, "edf4d39258b83b2268bf545170733de775ad6d198ed7b1a1abe03d8dc5569272"),
+    ("verify --suite conductor", 0, "4be989312ecb80810197dd3fd6e45696106326e9b40af895cee020be11ee1b85"),
+    ("verify --suite twists", 0, "d7f687e64b335ca4bcd215940ad8c93ee5c5af614372364b82dd1b07caf6fe14"),
+    ("verify --suite integrality", 0, "e63b5fa8e82f080fcd58308664327887ce8c2b64abc4146fc2fddb6a1158b15d"),
+    ("verify --suite idempotents", 0, "cacca9c60fa50d26b3b8bbb8d353a3fa6e562c4dde68ff07760f6573633e526c"),
+    ("verify --suite fitting", 0, "9d6fb305919afbb6c05cad3d92cd76cbc0e1e57df6ce9df36f69e1c9c6de2d5b"),
+    ("verify --suite tables", 0, "fa77ece00ac1231a61751923f5fb28531ffc26ec69b4e9beb3b78935ffe0911e"),
 ]
 
 

@@ -35,8 +35,6 @@ from conductor.finite import (
     GModule,
     _conductor_lattice,
     _constraint_block,
-    _convolve,
-    _cyclotomic_ideal_basis,
     _element_actions,
     _integer_scaled,
     _mat_mul,
@@ -59,11 +57,12 @@ from conductor.fitting import PresentationMatrix, annihilation_check, presentati
 from conductor.groups import (
     FiniteGroup,
     conjugacy_classes,
+    convolve,
     cyclic_group,
     direct_product,
     finite_quotient,
 )
-from conductor.localfields import AbelianLocalField
+from conductor.localfields import AbelianLocalField, cyclotomic_ideal_basis
 from conductor.orders import lattice_power, radical_lattice
 from conductor.padic import hnf_columns, lattice_contains, residue, smith_valuations, vp
 from span_solver import SpanSolver
@@ -195,7 +194,7 @@ def test_constraint_systems_differ_off_a_ring():
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
 def test_constraint_systems_agree_on_maximal_orders(p):
     for g in conductor_catalog():
-        den, ints = _integer_scaled(maximal_order_basis(g, p, splitting_reps(g.name)))
+        den, ints = _integer_scaled(maximal_order_basis(g, splitting_reps(g.name)))
         prec = working_precision(g, p)
         assert _conductor_lattice(g, p, den, ints, False, prec) == _conductor_lattice(
             g, p, den, ints, True, prec
@@ -207,7 +206,7 @@ def test_conductor_lattice_is_the_same_over_any_common_denominator(p):
     # den and p * den (and a unit times den) give the same row module up to
     # p^scale, so the same solutions; only the working precision moves
     for g in conductor_catalog():
-        den, ints = _integer_scaled(maximal_order_basis(g, p, splitting_reps(g.name)))
+        den, ints = _integer_scaled(maximal_order_basis(g, splitting_reps(g.name)))
         prec = working_precision(g, p)
         for full in (False, True):
             want = _conductor_lattice(g, p, den, ints, full, prec)
@@ -265,7 +264,7 @@ def test_twist_moves_every_basis_and_keeps_its_span():
         (alternating_4(), splitting_reps("A4")),
     ]
     for g, reps in cases:
-        basis = maximal_order_basis(g, 3, reps)
+        basis = maximal_order_basis(g, reps)
         den, products = _twist_basis(g, 3, basis, 2026)
         twisted = [[Fraction(x, den) for x in vec] for vec in products]
         assert twisted != basis, g.name
@@ -316,7 +315,7 @@ RADICAL_GRID = [
 @pytest.mark.parametrize("p,d", RADICAL_GRID)
 def test_radical_power_generator_matches_radical_products(p, d):
     for t in range(3) if d == 81 else range(-3, 5):
-        assert _cyclotomic_ideal_basis(p, d, t, 30) == _radical_power_by_products(p, d, t, 30), t
+        assert cyclotomic_ideal_basis(p, d, t, 30) == _radical_power_by_products(p, d, t, 30), t
 
 
 def test_order_27_and_81_formula_matches_brute_force():
@@ -367,16 +366,16 @@ def test_maximal_order_is_kept_per_group_and_reps(monkeypatch):
     monkeypatch.setattr("conductor.finite._twist_basis", recording_twist)
     for g, fresh in zip(conductor_catalog(), conductor_catalog()):
         reps = splitting_reps(g.name)
-        basis = maximal_order_basis(g, 3, reps)
-        # p is never read: a second prime and the twisted run share the basis
-        assert maximal_order_basis(g, 5, reps) is basis, g.name
+        basis = maximal_order_basis(g, reps)
+        # kept: a second call and the twisted run at 7 share the basis
+        assert maximal_order_basis(g, reps) is basis, g.name
         twisted = brute_force_conductor(g, 7, reps, twist_seed=2026)
         assert twisted == brute_force_conductor(g, 7, reps), g.name
         assert seen.pop() is basis, g.name
         # the key is the matrices' entries, whatever the containers
         as_lists = [[[list(row) for row in mat] for mat in gen_mats] for gen_mats in reps]
-        assert maximal_order_basis(g, 11, as_lists) is basis, g.name
-        assert maximal_order_basis(fresh, 3, splitting_reps(fresh.name)) == basis, g.name
+        assert maximal_order_basis(g, as_lists) is basis, g.name
+        assert maximal_order_basis(fresh, splitting_reps(fresh.name)) == basis, g.name
 
 
 def test_maximal_orders_of_different_reps_are_kept_apart():
@@ -385,12 +384,12 @@ def test_maximal_orders_of_different_reps_are_kept_apart():
     # the same representation conjugated by P = [[1, 1], [0, 1]] in GL_2(Z):
     # the same maximal order, spanned by other matrix units
     conj = [_mat_mul(_mat_mul([[1, 1], [0, 1]], m), [[1, -1], [0, 1]]) for m in rep]
-    basis = maximal_order_basis(g, 3, [rep])
-    other = maximal_order_basis(g, 3, [conj])
+    basis = maximal_order_basis(g, [rep])
+    other = maximal_order_basis(g, [conj])
     assert other is not basis and other != basis
-    assert other == maximal_order_basis(symmetric_3(), 3, [conj])
-    assert maximal_order_basis(g, 3, [rep]) is basis
-    assert maximal_order_basis(g, 3, [conj]) is other
+    assert other == maximal_order_basis(symmetric_3(), [conj])
+    assert maximal_order_basis(g, [rep]) is basis
+    assert maximal_order_basis(g, [conj]) is other
     assert brute_force_conductor(g, 3, [conj]) == brute_force_conductor(g, 3, [rep])
 
 
@@ -400,9 +399,9 @@ def test_maximal_order_failure_is_not_kept():
     for reps in (None, [[a, ((0, -1), (1, 0))]]):
         for _ in range(2):
             with pytest.raises((InputError, UnsupportedPresentationError)):
-                maximal_order_basis(g, 3, reps)
+                maximal_order_basis(g, reps)
     assert g._maximal_orders == {}
-    basis = maximal_order_basis(g, 3, [[a, b]])
+    basis = maximal_order_basis(g, [[a, b]])
     assert list(g._maximal_orders.values()) == [basis]
 
 
@@ -440,7 +439,7 @@ def _sample_vectors(n, rng):
 
 @pytest.mark.parametrize("g", _row_read_groups(), ids=lambda g: g.name)
 def test_row_read_products_match_mult_loops(g):
-    """_convolve, the full constraint block of _conductor_lattice and
+    """convolve, the full constraint block of _conductor_lattice and
     presentation_image against plain g.mult double loops."""
     n, rng = g.order, random.Random(g.order)
     class_of = conjugacy_classes(g).class_of
@@ -452,7 +451,7 @@ def test_row_read_products_match_mult_loops(g):
             for x in range(n):
                 for y in range(n):
                     want[g.mult(x, y)] += a[x] * b[y]
-            assert _convolve(g, a, b) == want
+            assert convolve(g, a, b) == want
     for vec in vecs:
         want = [[0] * k for _ in range(n)]
         for x, c in enumerate(vec):
@@ -487,7 +486,7 @@ def test_conductor_is_an_ideal_inside_the_group_ring_center():
 
 def test_maximal_order_basis_spans_unit():
     g = cyclic_group(4)
-    cols = maximal_order_basis(g, 3)
+    cols = maximal_order_basis(g)
     assert len(cols) == g.order
     from conductor.padic import hnf_columns
 
@@ -526,7 +525,7 @@ def test_maximal_order_actions_move_the_basis_as_g_does():
             mod = maximal_order_module(g, 3, reps)
         except UnsupportedPresentationError:
             continue
-        basis = _integer_scaled(maximal_order_basis(g, 3, reps))[1]
+        basis = _integer_scaled(maximal_order_basis(g, reps))[1]
         assert mod.rank == g.order == len(basis)
         for s, mat in zip(g.generators, mod.gen_actions):
             for i in range(g.order):
@@ -576,14 +575,14 @@ def test_maximal_order_basis_refuses_non_representations():
     a, b = splitting_reps("S3")[0]
     corrupted = ((0, -1), (1, 0))  # of order 4, so no image of the 3-cycle
     with pytest.raises(InputError, match="group law"):
-        maximal_order_basis(g, 3, [[a, corrupted]])
+        maximal_order_basis(g, [[a, corrupted]])
     with pytest.raises(InputError, match="need 2 generator matrices, got 1"):
-        maximal_order_basis(g, 3, [[a]])
+        maximal_order_basis(g, [[a]])
     with pytest.raises(InputError, match="must be 2 x 2"):
-        maximal_order_basis(g, 3, [[((0, 1, 0), (1, 0, 0)), b]])
+        maximal_order_basis(g, [[((0, 1, 0), (1, 0, 0)), b]])
     # one matrix per generator only: the list of all |G| matrices is refused
     with pytest.raises(InputError, match="need 2 generator matrices, got 6"):
-        maximal_order_basis(g, 3, [_element_actions(g, [a, b], 2)])
+        maximal_order_basis(g, [_element_actions(g, [a, b], 2)])
 
 
 @pytest.mark.parametrize("make_m", [trivial_module, regular_module, augmentation_module])

@@ -11,14 +11,9 @@ import pytest
 from conductor.catalog import conductor_catalog, semidirect_catalog, table_catalog
 from conductor.chartab import alpha_orbits, character_table, galois_fixed, galois_orbits
 from conductor.cyclo import CycloNumber, totient
-from conductor.finite import (
-    _cyclotomic_ideal_basis,
-    _value_orders,
-    formula_conductor_lattice,
-    working_precision,
-)
+from conductor.finite import _value_orders, formula_conductor_lattice, working_precision
 from conductor.groups import cyclic_group, direct_product
-from conductor.localfields import AbelianLocalField, field_of_values
+from conductor.localfields import AbelianLocalField, cyclotomic_ideal_basis, field_of_values
 from conductor.padic import hnf_columns, vp
 from table_values import table_values
 
@@ -109,7 +104,7 @@ def _reference_formula_lattice(g, p):
         d = lcm(*(v.m for v in values[rep]))
         local = AbelianLocalField(p, d, [])
         target = local.ramification_index * vp(Fraction(g.order, degree), p) - local.different_exponent
-        for col in _cyclotomic_ideal_basis(p, d, target, precision):
+        for col in cyclotomic_ideal_basis(p, d, target, precision):
             z = CycloNumber(d, list(col) + [0] * (totient(d) - len(col)))
             columns.append([
                 Fraction(degree, g.order) * (z * values[rep][table.inverse_class(j)]).trace_to_q()

@@ -56,6 +56,7 @@ from conductor.iwasawa import (
 from conductor.localfields import AbelianLocalField
 from conductor.verify import run_suite
 from fibre_product import fibre_product_table
+from group_orders import exponent
 from table_values import element_values
 
 
@@ -112,6 +113,15 @@ def test_splitting_field_bound_c7():
 def test_splitting_field_bound_c3():
     e = splitting_field_bound(sd_c3_trivial())
     assert (e.ramification_index, e.residue_degree) == (2, 1)
+
+
+def test_splitting_field_bound_of_a_trivial_h_is_the_base():
+    # exp(H) = 1: every Galois exponent fixes the values, so E is the base
+    # itself, not Q_3(zeta_5) of degree 4 around the unramified quadratic one
+    c1 = cyclic_group(1)
+    base = AbelianLocalField.unramified(3, 2)
+    e = splitting_field_bound(SemidirectData(c1, GroupAutomorphism.identity(c1), 3), base)
+    assert e.equals(base) and e.degree == base.degree == 2
 
 
 def test_trace_is_scaled_delta():
@@ -607,7 +617,7 @@ def test_degree_check_builds_nothing_of_g_m_but_its_classes(sd, monkeypatch):
                          (chartab, "int_coords"), (iwasawa, "int_coords")):
         spy(module, name)
     for m in (sd.n + 1, sd.n + 2):
-        e_m = normalized(finite_quotient(sd, m).exponent())
+        e_m = normalized(exponent(finite_quotient(sd, m)))
         calls.clear()
         assert quotient_degree_check(sd, m)
         e_n = normalized(character_table(finite_quotient(sd, sd.n)).exponent)

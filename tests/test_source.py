@@ -3,10 +3,11 @@
 strip, and none raises ``AssertionError``, so every failed certificate is
 an ``ArithmeticError`` or a documented error.  Only ``cyclo``, ``fitting``
 and ``cli`` name ``CycloNumber``, only ``cyclo`` names its reduction
-internals, and only ``chartab`` names Dixon-Schneider's.  Every result
-kept on an object goes through ``groups.kept``.  And a ``conductor``
-process starts cheaply: no module imports ``dataclasses`` or ``inspect``,
-and a subcommand loads only what it runs."""
+internals, and only ``chartab`` names Dixon-Schneider's; no module imports
+another's underscore name.  Every result kept on an object goes through
+``groups.kept``.  And a ``conductor`` process starts cheaply: no module
+imports ``dataclasses`` or ``inspect``, and a subcommand loads only what
+it runs."""
 
 import ast
 import glob
@@ -91,9 +92,27 @@ def test_only_cyclo_names_its_internals():
 def test_only_chartab_names_its_internals():
     # Dixon-Schneider's power maps, class-matrix split, row order and lift
     # run inside character_table alone: the level checks build no table of
-    # G_m, m > n (fitting's centre elements read chartab's _class_matrix)
+    # G_m, m > n (fitting's centre elements read chartab's class_matrix)
     internals = {"_power_maps", "_split", "_row_order", "_lift_coeffs"}
     assert _modules_naming(internals) == {"chartab"}
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a helper that two modules need lives, public, in the module whose
+    # data it reads: groups.convolve, localfields.cyclotomic_ideal_basis,
+    # chartab.class_matrix
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [
+            "%s: %s.%s" % (os.path.basename(path), node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+    assert found == []
 
 
 def test_only_groups_reads_a_group_table():
@@ -162,9 +181,18 @@ def test_cyclo_does_not_load_padic():
     assert "conductor.padic" not in loaded
 
 
+def test_iwasawa_does_not_load_finite():
+    # the completed algebra's conductor needs character tables and local
+    # fields, not the finite oracle: degeneration_matches_finite imports
+    # jacobinski_conductor in its body, as the CLI handlers do
+    loaded = _loaded_by("conductor.cli", "conductor.iwasawa")
+    assert "conductor.iwasawa" in loaded
+    assert "conductor.finite" not in loaded
+
+
 def test_finite_and_fitting_do_not_load_orders():
-    # orders imports finite, never the other way round, so the finite and
-    # fitting subcommands keep out of the ring-of-integers model
+    # the finite and fitting subcommands keep out of the ring-of-integers
+    # model
     for module in ("conductor.finite", "conductor.fitting"):
         loaded = _loaded_by("conductor.cli", module)
         assert module in loaded
